@@ -170,34 +170,35 @@ def cmd_cv(args) -> int:
         raise CliError(f"corpus has {len(items)} labeled sentences, "
                        f"fewer than k={args.k}")
 
-    def make_fold_fn(cfg: RunConfig):
-        def fold_fn(train_items, test_items):
-            train_seqs = [seq for _, seq in train_items]
-            model = pipeline.train_on_sequences(train_seqs, cfg)
-            priors = None
-            if cfg.pipeline_enabled:
-                fake_docs = _sequences_as_doc(train_items)
-                priors = postproc.build_prior_table(fake_docs)
-            labels = []
-            test_doc = _sequences_as_doc(test_items)[0]
-            labels = pipeline.label_document(test_doc, model, cfg, priors)
-            return pipeline.spans_f1([test_doc], [labels], "strict")
-        return fold_fn
-
     conditions = [("pipeline_on", config),
                   ("pipeline_off", replace(config, pipeline_enabled=False))]
     if args.no_pipeline:
-        conditions = [("pipeline_off",
-                       replace(config, pipeline_enabled=False))]
+        conditions = conditions[1:]
+
+    def fold_fn(train_items, test_items):
+        """Strict F1 per condition; the fold's model is trained once and
+        the conditions differ only in how it labels the test items."""
+        model = pipeline.train_on_sequences(
+            [seq for _, seq in train_items], config)
+        test_doc = _sequences_as_doc(test_items)[0]
+        f1 = {}
+        for name, cfg in conditions:
+            priors = None
+            if cfg.pipeline_enabled:
+                priors = postproc.build_prior_table(
+                    _sequences_as_doc(train_items))
+            labels = pipeline.label_document(test_doc, model, cfg, priors)
+            f1[name] = pipeline.spans_f1([test_doc], [labels], "strict")
+        return f1
+
+    results = evaluation.cross_validate(
+        items, fold_fn, k=args.k, repeats=args.repeats, seed=config.seed)
     lines = ["condition\trepeat\tfold\tstrict_f1"]
     per_condition: dict[str, list[float]] = {}
-    for name, cfg in conditions:
-        results = evaluation.cross_validate(
-            items, make_fold_fn(cfg), k=args.k, repeats=args.repeats,
-            seed=config.seed)
-        per_condition[name] = [f1 for _, _, f1 in results]
+    for name, _ in conditions:
+        per_condition[name] = [f1[name] for _, _, f1 in results]
         for rep, fold, f1 in results:
-            lines.append(f"{name}\t{rep}\t{fold}\t{f1:.6f}")
+            lines.append(f"{name}\t{rep}\t{fold}\t{f1[name]:.6f}")
     if len(per_condition) == 2:
         test = evaluation.paired_t_test(per_condition["pipeline_on"],
                                         per_condition["pipeline_off"])

@@ -3,17 +3,27 @@
 Weights live in one flat vector: slot(obs, label) = obs_id * 3 + label,
 followed by the 9 label-bigram transition slots.  All probability math is
 done in log space.
+
+Training, decoding and the tests share one numerical core: unary scores
+summed from the observation ids' weights, then a log-space
+forward-backward whose every step is a log-sum-exp shifted by its
+maximum, run over a length-padded batch of sequences (one sequence when
+decoding).  For training, a corpus is encoded once as a sparse
+token-by-observation matrix, so that each objective call scores every
+token with one sparse product and collects expected counts with its
+transpose.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence as Seq
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .corpus import LABELS
 from .features import Template, TEMPLATES
@@ -42,9 +52,6 @@ class MarginalTable:
 
     def __len__(self):
         return len(self.probs)
-
-    def row(self, i: int) -> dict[str, float]:
-        return {lab: float(self.probs[i, j]) for j, lab in enumerate(LABELS)}
 
 
 @dataclass
@@ -90,7 +97,8 @@ def build_feature_index(sequences_features: Seq[Seq[Iterable[str]]],
     """Intern every observation string seen at least `cutoff` times.
 
     Slot order is first-occurrence order, so the index is deterministic
-    for a fixed corpus.
+    for a fixed corpus.  Keys are interned: models trained on similar
+    corpora share most observation strings, and then share their storage.
     """
     if not sequences_features:
         raise CrfError("empty corpus")
@@ -103,32 +111,56 @@ def build_feature_index(sequences_features: Seq[Seq[Iterable[str]]],
                     counts[f] = 0
                     order.append(f)
                 counts[f] += 1
-    return {f: i for i, f in
+    return {sys.intern(f): i for i, f in
             enumerate(f for f in order if counts[f] >= cutoff)}
 
 
-def _unary_scores(model: CrfModel, obs_ids: list[np.ndarray]) -> np.ndarray:
-    w = model.unary_weights()
-    n = len(obs_ids)
-    scores = np.zeros((n, N_LABELS))
-    for p, ids in enumerate(obs_ids):
-        if len(ids):
-            scores[p] = w[ids].sum(axis=0)
-    return scores
+def _log_sum_exp(s: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(s))) over `axis`, shifted by the maximum."""
+    m = s.max(axis=axis, keepdims=True)
+    m += np.log(np.exp(s - m).sum(axis=axis, keepdims=True))
+    return m.squeeze(axis)
 
 
-def _forward_backward_scores(unary: np.ndarray, trans: np.ndarray):
-    n = len(unary)
-    alpha = np.zeros((n, N_LABELS))
-    beta = np.zeros((n, N_LABELS))
-    alpha[0] = unary[0]
-    for t in range(1, n):
-        alpha[t] = unary[t] + logsumexp(alpha[t - 1][:, None] + trans, axis=0)
-    for t in range(n - 2, -1, -1):
-        beta[t] = logsumexp(trans + (unary[t + 1] + beta[t + 1])[None, :],
-                            axis=1)
-    log_z = float(logsumexp(alpha[-1]))
+def _forward_backward_scores(unary: np.ndarray, lengths: np.ndarray,
+                             trans: np.ndarray):
+    """Log-space forward-backward over a padded batch, longest first.
+
+    `unary` is (B, T, 3), zero past each sequence's end, and `lengths`
+    is non-increasing, so the sequences still running at step t are a
+    prefix of the batch.  Returns alpha and beta, both zero past each
+    sequence's end, and logZ per sequence.
+    """
+    n_seq, n_steps, _ = unary.shape
+    active = (lengths[:, None] > np.arange(n_steps)).sum(axis=0)
+    alpha = np.zeros_like(unary)
+    beta = np.zeros_like(unary)
+    alpha[:, 0] = unary[:, 0]
+    for t in range(1, n_steps):
+        k = active[t]
+        alpha[:k, t] = unary[:k, t] + _log_sum_exp(
+            alpha[:k, t - 1, :, None] + trans, axis=1)
+    for t in range(n_steps - 2, -1, -1):
+        k = active[t + 1]
+        beta[:k, t] = _log_sum_exp(
+            trans + (unary[:k, t + 1] + beta[:k, t + 1])[:, None, :], axis=2)
+    log_z = _log_sum_exp(alpha[np.arange(n_seq), lengths - 1], axis=1)
     return alpha, beta, log_z
+
+
+def _unary(model: CrfModel, obs_ids: Seq[np.ndarray]) -> np.ndarray:
+    """Label scores (n, 3) of one sequence: each position's unary weights
+    summed over its observation ids."""
+    scores = np.zeros((len(obs_ids), N_LABELS))
+    lengths = np.fromiter(map(len, obs_ids), dtype=np.int64,
+                          count=len(obs_ids))
+    kept = lengths > 0
+    if kept.any():
+        starts = np.cumsum(lengths) - lengths
+        scores[kept] = np.add.reduceat(
+            model.unary_weights()[np.concatenate(obs_ids)], starts[kept],
+            axis=0)
+    return scores
 
 
 def forward_backward(model: CrfModel,
@@ -136,13 +168,12 @@ def forward_backward(model: CrfModel,
     """Exact per-position marginals and logZ."""
     if not position_features:
         return MarginalTable(np.zeros((0, N_LABELS)), 0.0)
-    obs_ids = model.encode(position_features)
-    unary = _unary_scores(model, obs_ids)
+    unary = _unary(model, model.encode(position_features))
     alpha, beta, log_z = _forward_backward_scores(
-        unary, model.transition_weights())
-    probs = np.exp(alpha + beta - log_z)
+        unary[None], np.array([len(unary)]), model.transition_weights())
+    probs = np.exp(alpha[0] + beta[0] - log_z[0])
     probs /= probs.sum(axis=1, keepdims=True)
-    return MarginalTable(probs, log_z)
+    return MarginalTable(probs, float(log_z[0]))
 
 
 def viterbi(model: CrfModel,
@@ -150,11 +181,10 @@ def viterbi(model: CrfModel,
     """Maximum-probability label sequence; argmax ties break by B < I < O."""
     if not position_features:
         return []
-    obs_ids = model.encode(position_features)
-    unary = _unary_scores(model, obs_ids)
+    unary = _unary(model, model.encode(position_features))
     trans = model.transition_weights()
     n = len(unary)
-    delta = unary[0].copy()
+    delta = unary[0]
     back = np.zeros((n, N_LABELS), dtype=np.int64)
     for t in range(1, n):
         scores = delta[:, None] + trans
@@ -169,11 +199,80 @@ def viterbi(model: CrfModel,
 
 def sequence_score(model: CrfModel, obs_ids: list[np.ndarray],
                    label_ids: Seq[int]) -> float:
-    unary = _unary_scores(model, obs_ids)
+    y = np.asarray(label_ids, dtype=np.int64)
+    unary = _unary(model, obs_ids)
     trans = model.transition_weights()
-    score = sum(unary[t, y] for t, y in enumerate(label_ids))
-    score += sum(trans[a, b] for a, b in zip(label_ids, label_ids[1:]))
-    return float(score)
+    return float(unary[np.arange(len(y)), y].sum()
+                 + trans[y[:-1], y[1:]].sum())
+
+
+class _EncodedBatch:
+    """A labeled corpus encoded once under `model`'s index, for the
+    training objective.
+
+    Sequences are ordered longest first (empty ones dropped).  `x` is the
+    sparse token-by-observation count matrix, `mask` marks the real steps
+    of the padded (B, T) layout, and `empirical` holds the gold feature
+    counts in weight-vector order, so the gold paths' total score is
+    `empirical @ weights`.
+    """
+
+    def __init__(self, model: CrfModel, sequences_features, labels):
+        obs_ids, label_ids = [], []
+        for position_features, labs in zip(sequences_features, labels,
+                                           strict=True):
+            if len(position_features) != len(labs):
+                raise CrfError("feature/label length mismatch")
+            try:
+                label_ids.append([LABEL_INDEX[l] for l in labs])
+            except KeyError as exc:
+                raise CrfError(f"unknown label {exc.args[0]!r}") from exc
+            obs_ids.append(model.encode(position_features))
+        order = sorted((i for i in range(len(obs_ids)) if len(obs_ids[i])),
+                       key=lambda i: -len(obs_ids[i]))
+        self.lengths = np.array([len(obs_ids[i]) for i in order],
+                                dtype=np.int64)
+        steps = [ids for i in order for ids in obs_ids[i]]
+        gold_ids = [y for i in order for y in label_ids[i]]
+        bigrams = [a * N_LABELS + b for i in order
+                   for a, b in zip(label_ids[i], label_ids[i][1:])]
+        indptr = np.cumsum([0] + [len(ids) for ids in steps])
+        indices = np.concatenate([np.zeros(0, dtype=np.int64), *steps])
+        self.x = sparse.csr_matrix(
+            (np.ones(len(indices)), indices, indptr),
+            shape=(len(steps), model.n_obs))
+        self.mask = self.lengths[:, None] > np.arange(
+            self.lengths.max(initial=0))
+        gold = np.zeros((len(steps), N_LABELS))
+        gold[np.arange(len(steps)), gold_ids] = 1.0
+        self.empirical = np.concatenate([
+            (self.x.T @ gold).ravel(),
+            np.bincount(bigrams, minlength=N_LABELS * N_LABELS)])
+
+
+def _ll_grad(batch: _EncodedBatch, weights: np.ndarray, c: float):
+    """Penalized log-likelihood of an encoded batch, and its gradient."""
+    n_unary = weights.size - N_LABELS * N_LABELS
+    trans = weights[n_unary:].reshape(N_LABELS, N_LABELS)
+    value = float(batch.empirical @ weights) \
+        - float(weights @ weights) / (2.0 * c)
+    grad = batch.empirical - weights / c
+    if not len(batch.lengths):
+        return value, grad
+    unary = np.zeros(batch.mask.shape + (N_LABELS,))
+    unary[batch.mask] = batch.x @ weights[:n_unary].reshape(-1, N_LABELS)
+    alpha, beta, log_z = _forward_backward_scores(unary, batch.lengths,
+                                                  trans)
+    value -= float(log_z.sum())
+    marg = np.exp((alpha + beta)[batch.mask]
+                  - np.repeat(log_z, batch.lengths)[:, None])
+    grad[:n_unary] -= (batch.x.T @ marg).ravel()
+    pairs = batch.mask[:, 1:]  # steps (t, t + 1) within one sequence
+    pair_scores = (alpha[:, :-1][pairs][:, :, None] + trans
+                   + (unary[:, 1:] + beta[:, 1:])[pairs][:, None, :]
+                   - np.repeat(log_z, batch.lengths - 1)[:, None, None])
+    grad[n_unary:] -= np.exp(pair_scores).sum(axis=0).ravel()
+    return value, grad
 
 
 def log_likelihood_and_gradient(model: CrfModel, batch):
@@ -183,16 +282,9 @@ def log_likelihood_and_gradient(model: CrfModel, batch):
     sum log p(y|x) - ||w||^2 / (2C); the gradient is empirical minus
     expected feature counts minus w/C.
     """
-    encoded = []
-    for position_features, labels in batch:
-        if len(position_features) != len(labels):
-            raise CrfError("feature/label length mismatch")
-        try:
-            label_ids = [LABEL_INDEX[l] for l in labels]
-        except KeyError as exc:
-            raise CrfError(f"unknown label {exc.args[0]!r}") from exc
-        encoded.append((model.encode(position_features), label_ids))
-    return _ll_grad_encoded(model, encoded)
+    feats, labels = zip(*batch) if batch else ((), ())
+    return _ll_grad(_EncodedBatch(model, feats, labels), model.weights,
+                    model.c)
 
 
 @dataclass
@@ -223,15 +315,10 @@ def train(sequences_features: Seq[Seq[Iterable[str]]],
         obs_index,
         np.zeros(len(obs_index) * N_LABELS + N_LABELS * N_LABELS),
         templates=templates, c=config.c, eta=config.eta, profile=profile)
-    batch = [
-        (model.encode(feats), [LABEL_INDEX[l] for l in labs])
-        for feats, labs in zip(sequences_features, labels, strict=True)
-    ]
+    batch = _EncodedBatch(model, sequences_features, labels)
 
-    # pre-encoded fast path for the optimizer
     def objective(w):
-        model.weights = w
-        value, grad = _ll_grad_encoded(model, batch)
+        value, grad = _ll_grad(batch, w, config.c)
         if not np.isfinite(value):
             raise CrfError("non-finite training objective")
         return -value, -grad
@@ -251,47 +338,6 @@ def train(sequences_features: Seq[Seq[Iterable[str]]],
         "message": str(result.message),
     }
     return model
-
-
-def _ll_grad_encoded(model: CrfModel, batch):
-    grad = np.zeros_like(model.weights)
-    value = 0.0
-    t_base = model.n_obs * N_LABELS
-    trans = model.transition_weights()
-    w_unary = model.unary_weights()
-    for obs_ids, label_ids in batch:
-        if not label_ids:
-            continue
-        n = len(obs_ids)
-        unary = np.zeros((n, N_LABELS))
-        for p, ids in enumerate(obs_ids):
-            if len(ids):
-                unary[p] = w_unary[ids].sum(axis=0)
-        alpha, beta, log_z = _forward_backward_scores(unary, trans)
-        marg = np.exp(alpha + beta - log_z)
-        score = sum(unary[t, y] for t, y in enumerate(label_ids))
-        score += sum(trans[a, b] for a, b in zip(label_ids, label_ids[1:]))
-        value += score - log_z
-        for t, (ids, y) in enumerate(zip(obs_ids, label_ids)):
-            if not len(ids):
-                continue
-            np.add.at(grad, ids * N_LABELS + y, 1.0)
-            np.subtract.at(
-                grad,
-                (ids[:, None] * N_LABELS + np.arange(N_LABELS)).ravel(),
-                np.tile(marg[t], len(ids)))
-        if n > 1:
-            pair_total = np.zeros((N_LABELS, N_LABELS))
-            for t in range(n - 1):
-                pair_total += np.exp(
-                    alpha[t][:, None] + trans
-                    + (unary[t + 1] + beta[t + 1])[None, :] - log_z)
-            grad[t_base:] -= pair_total.ravel()
-            for a, b in zip(label_ids, label_ids[1:]):
-                grad[t_base + a * N_LABELS + b] += 1.0
-    value -= float(model.weights @ model.weights) / (2.0 * model.c)
-    grad -= model.weights / model.c
-    return value, grad
 
 
 def save_model(model: CrfModel, path) -> None:

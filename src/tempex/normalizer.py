@@ -259,10 +259,13 @@ def _ymd(y: int, m: int, d: int) -> str:
 
 
 def _expand_year(y: int, anchor: Anchor) -> int:
+    """A two-digit year is the year nearest the anchor's that ends in
+    those digits; at a 50-year tie the earlier year wins."""
     if y >= 100:
         return y
     century = anchor.year - anchor.year % 100
-    return century + y
+    return min((century - 100 + y, century + y, century + 100 + y),
+               key=lambda c: abs(c - anchor.year))
 
 
 def _month_num(name: str) -> int:
@@ -576,7 +579,7 @@ def builtin_rules() -> list[NormRule]:
           r"every (?:(?P<n>\d+|{numword}) )?(?P<unit>{unit})s?",
           "SET", "set_every"),
         # durations
-        r("half_hour", 250, r"half an hour|{the}half hour",
+        r("half_hour", 250, r"(?P<half>half an hour|{the}half hour)",
           "DURATION", "duration"),
         r("duration", 251,
           r"{approx}(?:{the})?(?:(?P<n>\d+|{numword}|{fuzzy}) )?"

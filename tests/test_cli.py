@@ -1,9 +1,10 @@
 import datetime
+from dataclasses import replace
 
 import pytest
 
-from tempex import corpus
-from tempex.cli import build_parser, main
+from tempex import corpus, crf, evaluation, pipeline, postproc
+from tempex.cli import _sequences_as_doc, build_parser, main
 from tempex.config import ConfigError, RunConfig, load_config
 
 from synth import build_corpus, split_corpus
@@ -94,6 +95,9 @@ class TestNormalize:
         ("April 2013", "DATE\t2013-04"),
         ("two weeks", "DURATION\tP2W"),
         ("daily", "SET\tP1D"),
+        ("half an hour", "DURATION\tPT30M"),
+        ("the half hour", "DURATION\tPT30M"),
+        ("4/5/98", "DATE\t1998-04-05"),
     ])
     def test_known_expressions(self, capsys, expr, expected):
         rc = main(["normalize", expr, "--dct", DCT])
@@ -161,6 +165,58 @@ class TestCrossValidation:
         assert text.count("pipeline_on\t") == 2
         assert text.count("pipeline_off\t") == 2
         assert "#paired_t\t" in text
+
+    def run_cv(self, workdir, out_path):
+        rc = main(["--config", str(workdir / "run.ini"), "--seed", "490",
+                   "cv", str(workdir / "train.tsv"), "--k", "2",
+                   "--repeats", "2", "--output", str(out_path)])
+        assert rc == 0
+        return out_path.read_text(encoding="utf-8")
+
+    def test_trains_each_fold_once(self, workdir, monkeypatch, capsys):
+        calls = []
+        original = crf.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(crf, "train", counting_train)
+        self.run_cv(workdir, workdir / "cv_once.tsv")
+        assert len(calls) == 2 * 2  # k x repeats, shared by both conditions
+
+    def test_same_output_as_training_per_condition(self, workdir, capsys):
+        """One training per fold gives the same file as training the fold
+        again for each condition."""
+        got = self.run_cv(workdir, workdir / "cv_shared.tsv")
+        config = load_config(workdir / "run.ini")
+        docs = corpus.read_corpus(workdir / "train.tsv")
+        items = [(doc.dct, seq) for doc in docs for seq in doc.sequences]
+        lines = ["condition\trepeat\tfold\tstrict_f1"]
+        per_condition = {}
+        for name, enabled in (("pipeline_on", True), ("pipeline_off", False)):
+            cfg = replace(config, pipeline_enabled=enabled)
+
+            def fold_fn(train_items, test_items):
+                model = pipeline.train_on_sequences(
+                    [seq for _, seq in train_items], cfg)
+                priors = (postproc.build_prior_table(
+                    _sequences_as_doc(train_items)) if enabled else None)
+                test_doc = _sequences_as_doc(test_items)[0]
+                labels = pipeline.label_document(test_doc, model, cfg,
+                                                 priors)
+                return pipeline.spans_f1([test_doc], [labels], "strict")
+
+            results = evaluation.cross_validate(items, fold_fn, k=2,
+                                                repeats=2, seed=490)
+            per_condition[name] = [f1 for _, _, f1 in results]
+            lines += [f"{name}\t{rep}\t{fold}\t{f1:.6f}"
+                      for rep, fold, f1 in results]
+        test = evaluation.paired_t_test(per_condition["pipeline_on"],
+                                        per_condition["pipeline_off"])
+        lines.append(f"#paired_t\t{test['t']}\t{test['p_two_sided']}"
+                     f"\t{test['degenerate']}")
+        assert got == "\n".join(lines) + "\n"
 
     def test_k_larger_than_corpus_exit_2(self, workdir, capsys):
         rc = main(["cv", str(workdir / "test.tsv"), "--k", "999"])

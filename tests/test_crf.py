@@ -196,6 +196,58 @@ class TestGradient:
             log_likelihood_and_gradient(model, [([["f0"]], ["B", "I"])])
 
 
+def math_log_z(model, feats):
+    """logZ by a pure-Python max-shift forward recursion (math module)."""
+    w = model.unary_weights().tolist()
+    trans = model.transition_weights().tolist()
+    unary = [[sum(w[i][y] for i in ids) for y in range(3)]
+             for ids in model.encode(feats)]
+
+    def log_sum_exp(xs):
+        m = max(xs)
+        return m + math.log(sum(math.exp(x - m) for x in xs))
+
+    alpha = unary[0]
+    for u in unary[1:]:
+        alpha = [u[b] + log_sum_exp([alpha[a] + trans[a][b]
+                                     for a in range(3)])
+                 for b in range(3)]
+    return log_sum_exp(alpha)
+
+
+class TestBatchedKernel:
+    def test_ragged_batch_equals_sum_of_sequences(self):
+        rng = np.random.default_rng(11)
+        model = random_model(rng, n_obs=8)
+        batch = []
+        for length in (1, 2, 7, 40):
+            feats = random_features(rng, 8, length)
+            labels = [LABELS[i] for i in rng.integers(0, 3, size=length)]
+            batch.append((feats, labels))
+        batch[2][0][3] = ["unseen_a", "unseen_b"]  # no known feature
+        value, grad = log_likelihood_and_gradient(model, batch)
+        singles = [log_likelihood_and_gradient(model, [pair])
+                   for pair in batch]
+        # each single result carries the L2 penalty once; the batch once
+        extra = len(batch) - 1
+        penalty = float(model.weights @ model.weights) / (2 * model.c)
+        want_value = sum(v for v, _ in singles) + extra * penalty
+        want_grad = sum(g for _, g in singles) + extra * model.weights \
+            / model.c
+        assert value == pytest.approx(want_value, abs=1e-10)
+        assert np.abs(grad - want_grad).max() <= 1e-10
+
+    def test_long_sequence_log_z_matches_python_recursion(self):
+        rng = np.random.default_rng(12)
+        model = CrfModel({f"f{i}": i for i in range(6)},
+                         rng.normal(scale=20.0, size=6 * 3 + 9))
+        feats = random_features(rng, 6, 1000)
+        table = forward_backward(model, feats)
+        want = math_log_z(model, feats)
+        assert np.isfinite(table.log_z)
+        assert table.log_z == pytest.approx(want, rel=1e-8)
+
+
 TOY_SENTENCES = [
     (["on", "January", str(d), ",", "2003", "."],
      ["O", "B", "I", "I", "I", "O"])

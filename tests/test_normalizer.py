@@ -4,7 +4,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from tempex.corpus import Token, TimexSpan
+from tempex.corpus import Token, TimexSpan, tokenize
 from tempex.normalizer import (Anchor, NormConfig, NormalizerError, Timex,
                                add_period, default_rules, dump_rules,
                                load_rule_overrides, normalize,
@@ -30,6 +30,36 @@ class TestWorkedExamples:
     def test_empty_expression_rejected(self):
         with pytest.raises(NormalizerError, match="empty"):
             normalize([], ANCHOR)
+
+
+class TestHalfHour:
+    @pytest.mark.parametrize("text", ["half an hour", "the half hour"])
+    def test_thirty_minutes(self, text):
+        assert normalize(text.split(), ANCHOR) == ("DURATION", "PT30M")
+
+
+class TestTwoDigitYears:
+    """A two-digit year resolves to the nearest year with that ending."""
+
+    @staticmethod
+    def numeric(text, anchor=ANCHOR):
+        return normalize([t.surface for t in tokenize(text)], anchor)
+
+    def test_previous_century(self):
+        assert self.numeric("4/5/98") == ("DATE", "1998-04-05")
+
+    def test_same_century(self):
+        assert self.numeric("4/5/14") == ("DATE", "2014-04-05")
+
+    def test_exact_tie_goes_to_earlier_year(self):
+        # 1963 and 2063 are both 50 years from 2013
+        assert self.numeric("4/5/63") == ("DATE", "1963-04-05")
+        assert self.numeric("4/5/62") == ("DATE", "2062-04-05")
+
+    def test_tie_across_century_boundary(self):
+        # from 2050, 2000 and 2100 are both 50 years away
+        assert self.numeric("4/5/00", Anchor(2050, 1, 1)) == \
+            ("DATE", "2000-04-05")
 
 
 class TestResolveWeekday:
