@@ -13,7 +13,7 @@ from datetime import date
 from pathlib import Path
 
 from . import corpus, crf, evaluation, normalizer, pipeline, postproc
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, configured_profile, load_config
 from .corpus import CorpusError
 from .normalizer import Anchor
 
@@ -83,10 +83,12 @@ def _read_input_docs(args, config) -> list[corpus.Document]:
 def cmd_tag(args) -> int:
     config = _load_run_config(args)
     model = crf.load_model(args.model)
-    if model.profile != config.profile and args.profile:
+    requested = args.profile or (configured_profile(args.config)
+                                 if args.config else None)
+    if requested and requested != model.profile:
         raise CliError(
             f"model was trained with profile {model.profile}, "
-            f"requested {config.profile}")
+            f"requested {requested}")
     priors = None
     priors_path = args.priors or config.priors_path
     if priors_path is None:
@@ -176,18 +178,21 @@ def cmd_cv(args) -> int:
         conditions = conditions[1:]
 
     def fold_fn(train_items, test_items):
-        """Strict F1 per condition; the fold's model is trained once and
-        the conditions differ only in how it labels the test items."""
+        """Strict F1 per condition; the fold's model is trained and its
+        test items featurized once, and the conditions differ only in
+        how the model labels them."""
         model = pipeline.train_on_sequences(
             [seq for _, seq in train_items], config)
         test_doc = _sequences_as_doc(test_items)[0]
+        test_features = pipeline.featurize_document(test_doc, model, config)
         f1 = {}
         for name, cfg in conditions:
             priors = None
             if cfg.pipeline_enabled:
                 priors = postproc.build_prior_table(
                     _sequences_as_doc(train_items))
-            labels = pipeline.label_document(test_doc, model, cfg, priors)
+            labels = pipeline.label_document(test_doc, model, cfg, priors,
+                                             test_features)
             f1[name] = pipeline.spans_f1([test_doc], [labels], "strict")
         return f1
 

@@ -88,11 +88,24 @@ def _get(parser, section, key, default):
     return default
 
 
-def load_config(path) -> RunConfig:
+def _read(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"bad config file: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    return parser
+
+
+def configured_profile(path) -> Optional[str]:
+    """The profile a config file sets, or None when it sets none."""
+    return _get(_read(path), "crf", "profile", None)
+
+
+def load_config(path) -> RunConfig:
+    parser = _read(path)
     base = RunConfig()
     try:
         stages = _get(parser, "pipeline", "stages",

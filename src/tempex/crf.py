@@ -16,8 +16,10 @@ transpose.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional, Sequence as Seq
 
@@ -26,7 +28,7 @@ from scipy import sparse
 from scipy.optimize import minimize
 
 from .corpus import LABELS
-from .features import Template, TEMPLATES
+from .features import Template, TEMPLATES, profile_config
 
 MODEL_FORMAT_VERSION = "tempex-crf-1"
 
@@ -84,12 +86,18 @@ class CrfModel:
         return self.weights[self.n_obs * N_LABELS:].reshape(N_LABELS, N_LABELS)
 
     def encode(self, position_features: Seq[Iterable[str]]) -> list[np.ndarray]:
-        """Observation ids per position; unknown feature strings dropped."""
-        idx = self.obs_index
-        return [
-            np.fromiter((idx[f] for f in feats if f in idx), dtype=np.int64)
-            for feats in position_features
-        ]
+        """Observation ids per position; unknown feature strings dropped.
+
+        One `dict.get` per string, unknown ones read as -1 and masked out.
+        """
+        get = self.obs_index.get
+        out = []
+        for feats in position_features:
+            feats = list(feats)
+            ids = np.fromiter(map(get, feats, repeat(-1, len(feats))),
+                              dtype=np.int64, count=len(feats))
+            out.append(ids[ids >= 0])
+        return out
 
 
 def build_feature_index(sequences_features: Seq[Seq[Iterable[str]]],
@@ -362,14 +370,63 @@ def save_model(model: CrfModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _parse_templates(value: str) -> tuple[Template, ...]:
+    templates = []
+    for part in value.split(";"):
+        tid, offsets = part.split(":")
+        templates.append(
+            Template(tid, tuple(int(x) for x in offsets.split(","))))
+    return tuple(templates)
+
+
+def _parse_hyperparams(value: str) -> tuple[float, float]:
+    hp = dict(kv.split("=") for kv in value.split(","))
+    return float(hp["C"]), float(hp["eta"])
+
+
+def _parse_count(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise ValueError(n)
+    return n
+
+
+def _parse_profile(value: str) -> str:
+    profile_config(value)  # raises ValueError on an unknown profile
+    return value
+
+
+def _line_error(path, lineno: int, message: str) -> CrfError:
+    return CrfError(f"{path}: line {lineno}: {message}")
+
+
 def load_model(path) -> CrfModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a model file; any malformed content raises CrfError naming
+    the file and, where there is one, the offending line."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CrfError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     header: dict[str, str] = {}
+    header_line: dict[str, int] = {}
     i = 0
     while i < len(lines) and lines[i].startswith("#"):
         key, _, val = lines[i][1:].partition("\t")
         header[key] = val
+        header_line[key] = i + 1
         i += 1
+
+    def field(key, parse, default=None):
+        if key not in header:
+            if default is not None:
+                return default
+            raise CrfError(f"{path}: model header has no #{key} line")
+        try:
+            return parse(header[key])
+        except (ValueError, KeyError, IndexError) as exc:
+            raise _line_error(path, header_line[key],
+                              f"bad #{key} value {header[key]!r}") from exc
+
     version = header.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise CrfError(
@@ -377,32 +434,50 @@ def load_model(path) -> CrfModel:
             f"(expected {MODEL_FORMAT_VERSION!r})")
     if header.get("labels") != ",".join(LABELS):
         raise CrfError(f"unexpected label set {header.get('labels')!r}")
-    templates = tuple(
-        Template(part.split(":")[0],
-                 tuple(int(x) for x in part.split(":")[1].split(",")))
-        for part in header["templates"].split(";"))
-    hp = dict(kv.split("=") for kv in header["hyperparams"].split(","))
-    n_features = int(header["n_features"])
+    templates = field("templates", _parse_templates)
+    c, eta = field("hyperparams", _parse_hyperparams)
+    profile = field("profile", _parse_profile, default="model1")
+    n_features = field("n_features", _parse_count)
 
     obs_index: dict[str, int] = {}
-    weights = np.zeros(n_features * N_LABELS + N_LABELS * N_LABELS)
-    for line in lines[i:]:
+    slots: list[int] = []
+    values: list[float] = []
+    for lineno, line in enumerate(lines[i:], start=i + 1):
         if not line.strip():
             continue
-        feat, lab, w = line.rsplit("\t", 2)
+        parts = line.rsplit("\t", 2)
+        if len(parts) != 3:
+            raise _line_error(path, lineno,
+                              "expected feature<TAB>label<TAB>weight")
+        feat, lab, w = parts
+        try:
+            weight = float(w)
+        except ValueError:
+            raise _line_error(path, lineno, f"bad weight {w!r}") from None
+        if not math.isfinite(weight):
+            raise _line_error(path, lineno, f"bad weight {w!r}")
         if feat == "__T__":
-            a, b = lab.split(":")
+            a, _, b = lab.partition(":")
+            if a not in LABEL_INDEX or b not in LABEL_INDEX:
+                raise _line_error(path, lineno, f"bad transition {lab!r}")
             slot = (n_features * N_LABELS
                     + LABEL_INDEX[a] * N_LABELS + LABEL_INDEX[b])
         else:
-            if feat not in obs_index:
-                obs_index[feat] = len(obs_index)
-            slot = obs_index[feat] * N_LABELS + LABEL_INDEX[lab]
-        weights[slot] = float(w)
+            li = LABEL_INDEX.get(lab)
+            if li is None:
+                raise _line_error(path, lineno, f"unknown label {lab!r}")
+            oid = obs_index.setdefault(feat, len(obs_index))
+            if oid == n_features:
+                raise _line_error(path, lineno, f"model declares "
+                                  f"{n_features} features, file has more")
+            slot = oid * N_LABELS + li
+        slots.append(slot)
+        values.append(weight)
     if len(obs_index) != n_features:
         raise CrfError(
             f"model declares {n_features} features, file has "
             f"{len(obs_index)}")
-    return CrfModel(obs_index, weights, templates=templates,
-                    c=float(hp["C"]), eta=float(hp["eta"]),
-                    profile=header.get("profile", "model1"))
+    weights = np.zeros(n_features * N_LABELS + N_LABELS * N_LABELS)
+    weights[np.array(slots, dtype=np.int64)] = values
+    return CrfModel(obs_index, weights, templates=templates, c=c, eta=eta,
+                    profile=profile)

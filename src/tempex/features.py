@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -333,6 +334,14 @@ def expansion_feature_names(config: FeatureConfig,
     return tuple(unigram), config.conjunction_features
 
 
+@lru_cache(maxsize=1024)
+def _fragment_prefixes(names: tuple[str, ...], offset: int,
+                       head: str = "") -> tuple[str, ...]:
+    """``head + f[o]=`` for each feature name f, ``[+0]`` spelled ``[0]``."""
+    return tuple(head + f"{f}[{offset:+d}]=".replace("[+0]", "[0]")
+                 for f in names)
+
+
 def expand_templates(rows: list[dict[str, str]],
                      templates: Iterable[Template] = TEMPLATES,
                      unigram_features: Iterable[str] = MORPHOLOGICAL_FEATURES,
@@ -342,31 +351,53 @@ def expand_templates(rows: list[dict[str, str]],
     """Expand per-token rows into observation feature strings.
 
     For position p, template t and feature name f the emitted string is
-    ``tid:f[o1]=v1|f[o2]=v2...``.  Out-of-range offsets read the _BOS_ /
-    _EOS_ sentinels, so every position gets the same number of strings.
+    ``tid:f[o1]=v1|f[o2]=v2...``, with every ``[+0]`` in a ``f[o]=v``
+    part spelled ``[0]``.  Out-of-range offsets read the _BOS_ / _EOS_
+    sentinels, so every position gets the same number of strings.
+
+    The strings are built column by column rather than position by
+    position.  Each feature's values are padded with two sentinels at
+    each end once.  Each template then gets one block, a list ordered by
+    feature and then position: a unigram template's block is its
+    ``tid:f[o]=`` prefixes joined to the shifted value columns, and a
+    conjunction template's block joins the blocks of ``f[o]=v``
+    fragments of its offsets, each built once per call.  Position p's
+    strings are every n-th entry of each block, starting at p.
     """
     unigram_features = tuple(unigram_features)
     conjunction_features = tuple(conjunction_features)
     n = len(rows)
+    padded = {f: [BOS, BOS,
+                  *[row.get(f, "_").replace("[+0]", "[0]") for row in rows],
+                  EOS, EOS]
+              for f in dict.fromkeys(unigram_features + conjunction_features)}
 
-    def value(p, name):
-        if p < 0:
-            return BOS
-        if p >= n:
-            return EOS
-        return rows[p].get(name, "_")
+    def block(names, offset, head=""):
+        return [prefix + v
+                for prefix, f in zip(_fragment_prefixes(names, offset, head),
+                                     names)
+                for v in padded[f][2 + offset:2 + offset + n]]
 
+    fragments: dict[int, list[str]] = {}
+    blocks = []
+    for t in templates:
+        tid, offsets = t.tid, t.offsets
+        if len(offsets) == 1:
+            blocks.append(block(unigram_features, offsets[0], tid + ":"))
+            continue
+        for o in offsets:
+            if o not in fragments:
+                fragments[o] = block(conjunction_features, o)
+        parts = [fragments[o] for o in offsets]
+        if len(parts) == 2:
+            blocks.append([f"{tid}:{a}|{b}" for a, b in zip(*parts)])
+        else:
+            blocks.append([f"{tid}:{a}|{b}|{c}" for a, b, c in zip(*parts)])
     out = []
     for p in range(n):
         feats = []
-        for t in templates:
-            names = (unigram_features if len(t.offsets) == 1
-                     else conjunction_features)
-            for f in names:
-                parts = "|".join(
-                    f"{f}[{o:+d}]={value(p + o, f)}".replace("[+0]", "[0]")
-                    for o in t.offsets)
-                feats.append(f"{t.tid}:{parts}")
+        for b in blocks:
+            feats += b[p::n]
         out.append(feats)
     return out
 

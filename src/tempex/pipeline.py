@@ -11,10 +11,12 @@ from .corpus import (Document, Sequence, bio_to_spans, doc_spans,
 from .normalizer import Anchor, Timex
 
 
-def _feature_context(config: RunConfig):
+def _feature_context(config: RunConfig, profile: Optional[str] = None):
+    """Feature config, lexicons and gazetteers for `profile` (by default
+    `config.profile`), with `config`'s lexicon and gazetteer paths."""
     lex = (features.Lexicons(config.lexicon_dir)
            if config.lexicon_dir else features.default_lexicons())
-    fc = features.profile_config(config.profile)
+    fc = features.profile_config(profile or config.profile)
     gaz = None
     if fc.use_gazetteers:
         gaz = features.default_gazetteers(config.gazetteer_dir)
@@ -58,15 +60,30 @@ def train_on_sequences(seqs: Seq[Sequence], config: RunConfig
         profile=config.profile)
 
 
+def featurize_document(doc: Document, model: crf.CrfModel,
+                       config: RunConfig) -> list[list[list[str]]]:
+    """Observation strings of each sequence of `doc`, under the profile
+    `model` was trained with."""
+    fc, lex, gaz = _feature_context(config, model.profile)
+    return [features.featurize_sequence(seq, fc, lex, gaz)
+            for seq in doc.sequences]
+
+
 def label_document(doc: Document, model: crf.CrfModel,
                    config: RunConfig,
-                   priors: Optional[postproc.PriorTable] = None
+                   priors: Optional[postproc.PriorTable] = None,
+                   doc_features: Optional[Seq[Seq[Seq[str]]]] = None
                    ) -> list[list[str]]:
-    """Predicted BIO labels per sequence (CRF plus optional pipeline)."""
-    fc, lex, gaz = _feature_context(config)
+    """Predicted BIO labels per sequence (CRF plus optional pipeline).
+
+    `doc_features` is `featurize_document(doc, model, config)`, computed
+    here when not given; pass it to label one document several ways
+    without featurizing it again.
+    """
+    if doc_features is None:
+        doc_features = featurize_document(doc, model, config)
     out = []
-    for seq in doc.sequences:
-        feats = features.featurize_sequence(seq, fc, lex, gaz)
+    for seq, feats in zip(doc.sequences, doc_features, strict=True):
         if config.pipeline_enabled and priors is not None:
             marginals = crf.forward_backward(model, feats)
             labels = postproc.run_pipeline(marginals, seq.tokens, priors,

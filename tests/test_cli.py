@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from tempex import corpus, crf, evaluation, pipeline, postproc
+from tempex import corpus, crf, evaluation, features, pipeline, postproc
 from tempex.cli import _sequences_as_doc, build_parser, main
 from tempex.config import ConfigError, RunConfig, load_config
 
@@ -86,6 +86,149 @@ class TestTag:
                    str(workdir / "absent.crf")])
         assert rc == 2
         capsys.readouterr()
+
+
+@pytest.fixture
+def model2_path(workdir, tmp_path):
+    """The session model relabelled as trained under profile model2."""
+    text = (workdir / "model.crf").read_text(encoding="utf-8")
+    assert "#profile\tmodel1\n" in text
+    path = tmp_path / "model2.crf"
+    path.write_text(text.replace("#profile\tmodel1\n", "#profile\tmodel2\n"),
+                    encoding="utf-8")
+    return path
+
+
+class TestTagProfile:
+    def tag(self, workdir, model_path, *flags, config=None):
+        argv = ["--config", str(config)] if config else []
+        return main(argv + list(flags) + [
+            "tag", str(workdir / "test.tsv"), str(model_path),
+            "--no-normalize", "--output", str(model_path) + ".out"])
+
+    def test_features_follow_the_model_profile(self, workdir, model2_path,
+                                               monkeypatch, capsys):
+        profiles = []
+        original = features.featurize_sequence
+
+        def spy(seq, config, *args, **kwargs):
+            profiles.append(config.profile)
+            return original(seq, config, *args, **kwargs)
+
+        monkeypatch.setattr(features, "featurize_sequence", spy)
+        assert self.tag(workdir, model2_path) == 0
+        assert profiles and set(profiles) == {"model2"}
+
+    def test_model2_observations_per_token(self, workdir, model2_path):
+        model = crf.load_model(model2_path)
+        [doc] = corpus.read_corpus(workdir / "test.tsv")
+        feats = pipeline.featurize_document(doc, model, RunConfig())
+        assert {len(f) for seq in feats for f in seq} == {386}
+
+    def test_profile_flag_mismatch_exit_2(self, workdir, model2_path,
+                                          capsys):
+        assert self.tag(workdir, model2_path, "--profile", "model1") == 2
+        assert "model2" in capsys.readouterr().err
+
+    def test_config_profile_mismatch_exit_2(self, workdir, model2_path,
+                                            tmp_path, capsys):
+        ini = tmp_path / "m1.ini"
+        ini.write_text("[crf]\nprofile = model1\n", encoding="utf-8")
+        assert self.tag(workdir, model2_path, config=ini) == 2
+        assert "model2" in capsys.readouterr().err
+
+    def test_config_without_profile_or_matching_is_accepted(
+            self, workdir, model2_path, tmp_path, capsys):
+        ini = tmp_path / "m2.ini"
+        ini.write_text("[crf]\nprofile = model2\n", encoding="utf-8")
+        assert self.tag(workdir, model2_path, config=ini) == 0
+        assert self.tag(workdir, model2_path,
+                        config=workdir / "run.ini") == 0
+        assert self.tag(workdir, model2_path, "--profile", "model2") == 0
+
+
+class TestCorruptModel:
+    """Every malformed model file is a typed error: exit 2 and a message
+    naming the line, never a traceback."""
+
+    FIRST_WEIGHT_LINE = 7  # after the six header lines
+
+    def corrupt(self, workdir, tmp_path, edit):
+        lines = (workdir / "model.crf").read_text(
+            encoding="utf-8").splitlines()
+        assert lines[self.FIRST_WEIGHT_LINE - 1].count("\t") == 2
+        path = tmp_path / "bad.crf"
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        return path
+
+    def tag_err(self, workdir, path, capsys):
+        rc = main(["tag", str(workdir / "test.tsv"), str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        return err
+
+    def edit_weight_line(self, edit):
+        def apply(lines):
+            i = self.FIRST_WEIGHT_LINE - 1
+            feat, lab, w = lines[i].split("\t")
+            lines[i] = edit(feat, lab, w)
+            return lines
+        return apply
+
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda f, l, w: f"{f} {l} {w}",
+                     "feature<TAB>label<TAB>weight", id="no-tabs"),
+        pytest.param(lambda f, l, w: f"{f}\t{l}",
+                     "feature<TAB>label<TAB>weight", id="one-tab"),
+        pytest.param(lambda f, l, w: f"{f}\t{l}\tnot-a-number",
+                     "bad weight", id="bad-float"),
+        pytest.param(lambda f, l, w: f"{f}\t{l}\tnan", "bad weight",
+                     id="nan"),
+        pytest.param(lambda f, l, w: f"{f}\tX\t{w}", "unknown label 'X'",
+                     id="unknown-label"),
+    ])
+    def test_bad_weight_line(self, workdir, tmp_path, capsys, edit,
+                             message):
+        path = self.corrupt(workdir, tmp_path, self.edit_weight_line(edit))
+        err = self.tag_err(workdir, path, capsys)
+        assert f"line {self.FIRST_WEIGHT_LINE}:" in err and message in err
+
+    def test_bad_transition_label(self, workdir, tmp_path, capsys):
+        def edit(lines):
+            lines[-1] = lines[-1].replace("O:O", "O:Z")
+            return lines
+        path = self.corrupt(workdir, tmp_path, edit)
+        err = self.tag_err(workdir, path, capsys)
+        assert "bad transition 'O:Z'" in err
+
+    @pytest.mark.parametrize("key", ["templates", "hyperparams",
+                                     "n_features"])
+    def test_missing_header_key(self, workdir, tmp_path, capsys, key):
+        path = self.corrupt(workdir, tmp_path, lambda lines: [
+            line for line in lines if not line.startswith(f"#{key}\t")])
+        err = self.tag_err(workdir, path, capsys)
+        assert f"no #{key} line" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("templates", "T00:zero"), ("hyperparams", "C=1.0"),
+        ("n_features", "-3"), ("profile", "model9")])
+    def test_bad_header_value(self, workdir, tmp_path, capsys, key, value):
+        def edit(lines):
+            return [f"#{key}\t{value}" if line.startswith(f"#{key}\t")
+                    else line for line in lines]
+        path = self.corrupt(workdir, tmp_path, edit)
+        err = self.tag_err(workdir, path, capsys)
+        assert f"bad #{key} value" in err and "line " in err
+
+    def test_more_features_than_declared(self, workdir, tmp_path, capsys):
+        def edit(lines):
+            return ["#n_features\t1" if line.startswith("#n_features\t")
+                    else line for line in lines]
+        path = self.corrupt(workdir, tmp_path, edit)
+        # the second feature's first weight line, three lines per feature
+        err = self.tag_err(workdir, path, capsys)
+        assert f"line {self.FIRST_WEIGHT_LINE + 3}: model declares 1" in err
 
 
 class TestNormalize:
@@ -185,6 +328,23 @@ class TestCrossValidation:
         self.run_cv(workdir, workdir / "cv_once.tsv")
         assert len(calls) == 2 * 2  # k x repeats, shared by both conditions
 
+    def test_featurizes_each_sentence_once_per_fold(self, workdir,
+                                                    monkeypatch, capsys):
+        """Per fold, every sentence is featurized once: the training ones
+        for training, the test ones for both conditions together."""
+        calls = []
+        original = features.featurize_sequence
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(features, "featurize_sequence", counting)
+        self.run_cv(workdir, workdir / "cv_featurized.tsv")
+        n_sentences = len(corpus.read_corpus(workdir / "train.tsv")[0]
+                          .sequences)
+        assert len(calls) == 2 * 2 * n_sentences  # k x repeats folds
+
     def test_same_output_as_training_per_condition(self, workdir, capsys):
         """One training per fold gives the same file as training the fold
         again for each condition."""
@@ -280,6 +440,17 @@ class TestConfig:
         rc = main(["--config", "/does/not/exist.ini", "rules", "dump"])
         capsys.readouterr()
         assert rc == 2
+
+    @pytest.mark.parametrize("text", [
+        "profile = model1\n",                          # no section header
+        "[crf]\nprofile = model1\nprofile = model2\n",  # duplicate key
+    ])
+    def test_unparsable_config_file_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text, encoding="utf-8")
+        rc = main(["--config", str(path), "rules", "dump"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: bad config file")
 
     def test_cli_threshold_override(self, workdir):
         parser = build_parser()

@@ -1,11 +1,15 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tempex import crf, features, pipeline
+from tempex.config import RunConfig
 from tempex.corpus import Sequence, Token, is_valid_bio
-from tempex.features import (Gazetteer, TEMPLATES, collapsed_pattern,
-                             expand_templates, extract_morphological,
-                             match_gazetteer, pattern, profile_config,
-                             featurize_sequence)
+from tempex.features import (BOS, EOS, Gazetteer, TEMPLATES,
+                             collapsed_pattern, expand_templates,
+                             extract_morphological, match_gazetteer, pattern,
+                             profile_config, featurize_sequence)
+
+from synth import build_corpus
 
 
 def make_seq(words):
@@ -157,3 +161,81 @@ class TestProfiles:
         out = featurize_sequence(seq, profile_config("model3"),
                                  gazetteers=gaz)
         assert any("gaz_cities[0]=B" in f for f in out[0])
+
+
+def reference_expand(rows, templates=TEMPLATES, unigram_features=(),
+                     conjunction_features=()):
+    """Position-by-position expansion: the definition of the observation
+    strings that `expand_templates` must reproduce exactly."""
+    unigram_features = tuple(unigram_features)
+    conjunction_features = tuple(conjunction_features)
+    n = len(rows)
+
+    def value(p, name):
+        if p < 0:
+            return BOS
+        if p >= n:
+            return EOS
+        return rows[p].get(name, "_")
+
+    out = []
+    for p in range(n):
+        feats = []
+        for t in templates:
+            names = (unigram_features if len(t.offsets) == 1
+                     else conjunction_features)
+            for f in names:
+                parts = "|".join(
+                    f"{f}[{o:+d}]={value(p + o, f)}".replace("[+0]", "[0]")
+                    for o in t.offsets)
+                feats.append(f"{t.tid}:{parts}")
+        out.append(feats)
+    return out
+
+
+# Pieces that could confuse the string layout if it were parsed or
+# assembled carelessly: the separators, the offset spellings, sentinels.
+HOSTILE = ("|", "[", "]", "=", "+0", "[+0]", "[0]", "_BOS_", "_EOS_", "_",
+           "|word[+1]=x", ":", "é", "時", "\u00a0", "a", "7")
+VALUES = st.one_of(st.text(max_size=6),
+                   st.lists(st.sampled_from(HOSTILE), max_size=4).map(
+                       "".join))
+NAMES = ("word", "pattern", "stem", "gaz_x", "f[+0", "a|b")
+ROWS = st.lists(st.dictionaries(st.sampled_from(NAMES), VALUES),
+                max_size=6)
+NAME_SETS = st.lists(st.sampled_from(NAMES), max_size=4)
+TEMPLATE_SETS = st.one_of(st.just(TEMPLATES),
+                          st.lists(st.sampled_from(TEMPLATES), max_size=6))
+
+
+class TestExpansionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(ROWS, TEMPLATE_SETS, NAME_SETS, NAME_SETS)
+    def test_matches_reference(self, rows, templates, unigram, conj):
+        assert expand_templates(rows, templates, unigram, conj) == \
+            reference_expand(rows, templates, unigram, conj)
+
+    def test_matches_reference_on_every_profile(self):
+        doc = build_corpus(n_sentences=40, seed=5)
+        for profile in ("model1", "model2", "model3"):
+            config = profile_config(profile)
+            unigram, conj = features.expansion_feature_names(config)
+            for seq in doc.sequences:
+                rows = features.extract_rows(seq, config)
+                assert expand_templates(rows, TEMPLATES, unigram, conj) \
+                    == reference_expand(rows, TEMPLATES, unigram, conj)
+
+    def test_model_file_identical_to_reference(self, tmp_path, monkeypatch):
+        """A model trained on reference-expanded features is saved byte
+        for byte as the one trained on `expand_templates`."""
+        docs = [build_corpus(n_sentences=30, seed=11)]
+        config = RunConfig(max_iter=40)
+        saved = []
+        for name in ("new", "reference"):
+            if name == "reference":
+                monkeypatch.setattr(features, "expand_templates",
+                                    reference_expand)
+            model, _ = pipeline.train_on_docs(docs, config)
+            crf.save_model(model, tmp_path / f"{name}.crf")
+            saved.append((tmp_path / f"{name}.crf").read_bytes())
+        assert saved[0] == saved[1]
