@@ -104,7 +104,10 @@ def cmd_tag(args) -> int:
     for doc in docs:
         labels = pipeline.label_document(doc, model, config, priors)
         if args.no_normalize:
-            tagged_docs.append(corpus.with_labels(doc, labels))
+            # the labels the inline output implies: an orphan I opens a
+            # span, as `extract_timexes` reads it
+            tagged_docs.append(corpus.with_labels(
+                doc, [corpus.repair_bio(seq_labels) for seq_labels in labels]))
             continue
         timexes = pipeline.extract_timexes(doc, labels, config)
         n_timexes += len(timexes)
@@ -125,12 +128,7 @@ def cmd_tag(args) -> int:
 def cmd_normalize(args) -> int:
     config = _load_run_config(args)
     anchor = Anchor.from_date(_parse_dct_arg(args.dct))
-    rules = None
-    if config.rules_path:
-        rules = sorted(
-            normalizer.load_rule_overrides(config.rules_path)
-            + normalizer.default_rules(),
-            key=lambda r: (r.priority, r.id))
+    rules = normalizer.load_rules(config.rules_path)
     surfaces = [t.surface for t in corpus.tokenize(args.expression)]
     result = normalizer.normalize(surfaces, anchor, rules,
                                   config.norm_config())

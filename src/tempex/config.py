@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .postproc import DEFAULT_STAGES, DEFAULT_THRESHOLD, PipelineConfig
+from .postproc import (DEFAULT_STAGES, DEFAULT_THRESHOLD, PipelineConfig,
+                       PostprocError)
 from .normalizer import NormConfig
 
 PROFILES = ("model1", "model2", "model3", "model4")
@@ -67,8 +68,10 @@ class RunConfig:
     def __post_init__(self):
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
+        try:
+            self.pipeline_config()
+        except PostprocError as exc:
+            raise ConfigError(str(exc)) from exc
         for attr in ("gazetteer_dir", "lexicon_dir", "rules_path",
                      "priors_path"):
             path = getattr(self, attr)

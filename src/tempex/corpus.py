@@ -208,33 +208,39 @@ def bio_to_spans(labels: list[str], seq: Sequence, sequence_index: int = 0,
                  tolerant: bool = False) -> list[TimexSpan]:
     """Extract maximal B(I)* runs as spans.
 
-    In tolerant mode an orphan I (I after O, or I first) is treated as B;
-    strict mode raises naming the offending position.  Tolerant mode is
-    only meant for raw decoder output.
+    In tolerant mode an orphan I (I after O, or I first) is read as B,
+    by `repair_bio`; strict mode raises naming the offending position.
+    Tolerant mode is only meant for raw decoder output.
     """
     if len(labels) != len(seq):
         raise CorpusError(f"{len(labels)} labels for {len(seq)} tokens")
-    fixed = list(labels)
     if tolerant:
-        prev = "O"
-        for i, lab in enumerate(fixed):
-            if lab == "I" and prev == "O":
-                fixed[i] = "B"
-            prev = fixed[i]
+        labels = repair_bio(labels)
     else:
-        check_bio(fixed)
+        check_bio(labels)
     spans = []
     i = 0
-    while i < len(fixed):
-        if fixed[i] == "B":
+    while i < len(labels):
+        if labels[i] == "B":
             j = i
-            while j + 1 < len(fixed) and fixed[j + 1] == "I":
+            while j + 1 < len(labels) and labels[j + 1] == "I":
                 j += 1
             spans.append(make_span(seq, sequence_index, i, j))
             i = j + 1
         else:
             i += 1
     return spans
+
+
+def repair_bio(labels: Iterable[str]) -> list[str]:
+    """Labels as raw decoder output is read: an orphan I (I after O, or
+    I first) becomes B."""
+    fixed = []
+    prev = "O"
+    for lab in labels:
+        prev = "B" if lab == "I" and prev == "O" else lab
+        fixed.append(prev)
+    return fixed
 
 
 def doc_spans(doc: Document) -> list[TimexSpan]:

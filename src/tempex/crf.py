@@ -4,14 +4,14 @@ Weights live in one flat vector: slot(obs, label) = obs_id * 3 + label,
 followed by the 9 label-bigram transition slots.  All probability math is
 done in log space.
 
-Training, decoding and the tests share one numerical core: unary scores
-summed from the observation ids' weights, then a log-space
-forward-backward whose every step is a log-sum-exp shifted by its
-maximum, run over a length-padded batch of sequences (one sequence when
-decoding).  For training, a corpus is encoded once as a sparse
-token-by-observation matrix, so that each objective call scores every
-token with one sparse product and collects expected counts with its
-transpose.
+Training, decoding and the tests share one path.  A list of sequences (a
+training corpus, or one document when decoding) is encoded once as a
+sparse token-by-observation matrix over a length-padded, longest-first
+batch, so that one sparse product scores every token.  One forward
+recursion then runs over the whole batch: in the log semiring, where
+every step is a log-sum-exp shifted by its maximum, it gives logZ and,
+with the backward pass, the marginals; in the max-plus semiring it gives
+Viterbi.  Training collects expected counts with the matrix's transpose.
 """
 
 from __future__ import annotations
@@ -130,120 +130,26 @@ def _log_sum_exp(s: np.ndarray, axis: int) -> np.ndarray:
     return m.squeeze(axis)
 
 
-def _forward_backward_scores(unary: np.ndarray, lengths: np.ndarray,
-                             trans: np.ndarray):
-    """Log-space forward-backward over a padded batch, longest first.
-
-    `unary` is (B, T, 3), zero past each sequence's end, and `lengths`
-    is non-increasing, so the sequences still running at step t are a
-    prefix of the batch.  Returns alpha and beta, both zero past each
-    sequence's end, and logZ per sequence.
-    """
-    n_seq, n_steps, _ = unary.shape
-    active = (lengths[:, None] > np.arange(n_steps)).sum(axis=0)
-    alpha = np.zeros_like(unary)
-    beta = np.zeros_like(unary)
-    alpha[:, 0] = unary[:, 0]
-    for t in range(1, n_steps):
-        k = active[t]
-        alpha[:k, t] = unary[:k, t] + _log_sum_exp(
-            alpha[:k, t - 1, :, None] + trans, axis=1)
-    for t in range(n_steps - 2, -1, -1):
-        k = active[t + 1]
-        beta[:k, t] = _log_sum_exp(
-            trans + (unary[:k, t + 1] + beta[:k, t + 1])[:, None, :], axis=2)
-    log_z = _log_sum_exp(alpha[np.arange(n_seq), lengths - 1], axis=1)
-    return alpha, beta, log_z
-
-
-def _unary(model: CrfModel, obs_ids: Seq[np.ndarray]) -> np.ndarray:
-    """Label scores (n, 3) of one sequence: each position's unary weights
-    summed over its observation ids."""
-    scores = np.zeros((len(obs_ids), N_LABELS))
-    lengths = np.fromiter(map(len, obs_ids), dtype=np.int64,
-                          count=len(obs_ids))
-    kept = lengths > 0
-    if kept.any():
-        starts = np.cumsum(lengths) - lengths
-        scores[kept] = np.add.reduceat(
-            model.unary_weights()[np.concatenate(obs_ids)], starts[kept],
-            axis=0)
-    return scores
-
-
-def forward_backward(model: CrfModel,
-                     position_features: Seq[Iterable[str]]) -> MarginalTable:
-    """Exact per-position marginals and logZ."""
-    if not position_features:
-        return MarginalTable(np.zeros((0, N_LABELS)), 0.0)
-    unary = _unary(model, model.encode(position_features))
-    alpha, beta, log_z = _forward_backward_scores(
-        unary[None], np.array([len(unary)]), model.transition_weights())
-    probs = np.exp(alpha[0] + beta[0] - log_z[0])
-    probs /= probs.sum(axis=1, keepdims=True)
-    return MarginalTable(probs, float(log_z[0]))
-
-
-def viterbi(model: CrfModel,
-            position_features: Seq[Iterable[str]]) -> list[str]:
-    """Maximum-probability label sequence; argmax ties break by B < I < O."""
-    if not position_features:
-        return []
-    unary = _unary(model, model.encode(position_features))
-    trans = model.transition_weights()
-    n = len(unary)
-    delta = unary[0]
-    back = np.zeros((n, N_LABELS), dtype=np.int64)
-    for t in range(1, n):
-        scores = delta[:, None] + trans
-        back[t] = np.argmax(scores, axis=0)  # first max wins: B < I < O
-        delta = unary[t] + np.max(scores, axis=0)
-    path = [int(np.argmax(delta))]
-    for t in range(n - 1, 0, -1):
-        path.append(int(back[t][path[-1]]))
-    path.reverse()
-    return [LABELS[i] for i in path]
-
-
-def sequence_score(model: CrfModel, obs_ids: list[np.ndarray],
-                   label_ids: Seq[int]) -> float:
-    y = np.asarray(label_ids, dtype=np.int64)
-    unary = _unary(model, obs_ids)
-    trans = model.transition_weights()
-    return float(unary[np.arange(len(y)), y].sum()
-                 + trans[y[:-1], y[1:]].sum())
-
-
 class _EncodedBatch:
-    """A labeled corpus encoded once under `model`'s index, for the
-    training objective.
+    """Sequences encoded once under `model`'s index, as one padded batch.
 
-    Sequences are ordered longest first (empty ones dropped).  `x` is the
-    sparse token-by-observation count matrix, `mask` marks the real steps
-    of the padded (B, T) layout, and `empirical` holds the gold feature
-    counts in weight-vector order, so the gold paths' total score is
-    `empirical @ weights`.
+    The non-empty sequences are ordered longest first, so the ones still
+    running at step t are the first `active[t]` of the batch; `order`
+    maps each batch row to its input position.  `x` is the sparse
+    step-by-observation count matrix in batch order, and `mask` marks the
+    real steps of the padded (B, T) layout.  Given `labels`, `empirical`
+    holds the gold feature counts in weight-vector order, so the gold
+    paths' total score is `empirical @ weights`.
     """
 
-    def __init__(self, model: CrfModel, sequences_features, labels):
-        obs_ids, label_ids = [], []
-        for position_features, labs in zip(sequences_features, labels,
-                                           strict=True):
-            if len(position_features) != len(labs):
-                raise CrfError("feature/label length mismatch")
-            try:
-                label_ids.append([LABEL_INDEX[l] for l in labs])
-            except KeyError as exc:
-                raise CrfError(f"unknown label {exc.args[0]!r}") from exc
-            obs_ids.append(model.encode(position_features))
-        order = sorted((i for i in range(len(obs_ids)) if len(obs_ids[i])),
-                       key=lambda i: -len(obs_ids[i]))
-        self.lengths = np.array([len(obs_ids[i]) for i in order],
+    def __init__(self, model: CrfModel, sequences_features, labels=None):
+        obs_ids = [model.encode(feats) for feats in sequences_features]
+        self.n_input = len(obs_ids)
+        self.order = sorted((i for i, ids in enumerate(obs_ids) if ids),
+                            key=lambda i: -len(obs_ids[i]))
+        self.lengths = np.array([len(obs_ids[i]) for i in self.order],
                                 dtype=np.int64)
-        steps = [ids for i in order for ids in obs_ids[i]]
-        gold_ids = [y for i in order for y in label_ids[i]]
-        bigrams = [a * N_LABELS + b for i in order
-                   for a, b in zip(label_ids[i], label_ids[i][1:])]
+        steps = [ids for i in self.order for ids in obs_ids[i]]
         indptr = np.cumsum([0] + [len(ids) for ids in steps])
         indices = np.concatenate([np.zeros(0, dtype=np.int64), *steps])
         self.x = sparse.csr_matrix(
@@ -251,30 +157,146 @@ class _EncodedBatch:
             shape=(len(steps), model.n_obs))
         self.mask = self.lengths[:, None] > np.arange(
             self.lengths.max(initial=0))
-        gold = np.zeros((len(steps), N_LABELS))
-        gold[np.arange(len(steps)), gold_ids] = 1.0
+        self.active = self.mask.sum(axis=0)
+        if labels is None:
+            return
+        label_ids = []
+        for ids, labs in zip(obs_ids, labels, strict=True):
+            if len(ids) != len(labs):
+                raise CrfError("feature/label length mismatch")
+            try:
+                label_ids.append([LABEL_INDEX[l] for l in labs])
+            except KeyError as exc:
+                raise CrfError(f"unknown label {exc.args[0]!r}") from exc
+        gold_ids = [y for i in self.order for y in label_ids[i]]
+        bigrams = [a * N_LABELS + b for i in self.order
+                   for a, b in zip(label_ids[i], label_ids[i][1:])]
+        gold = np.zeros((len(gold_ids), N_LABELS))
+        gold[np.arange(len(gold_ids)), gold_ids] = 1.0
         self.empirical = np.concatenate([
             (self.x.T @ gold).ravel(),
             np.bincount(bigrams, minlength=N_LABELS * N_LABELS)])
 
+    def unbatch(self, steps: np.ndarray) -> list[np.ndarray]:
+        """Per-step rows in batch order, split back into the input
+        sequences, in input order; an empty sequence gets no rows."""
+        parts = dict(zip(self.order,
+                         np.split(steps, np.cumsum(self.lengths)[:-1])))
+        return [parts.get(i, steps[:0]) for i in range(self.n_input)]
+
+
+def _unary(batch: _EncodedBatch, weights: np.ndarray) -> np.ndarray:
+    """Label scores (B, T, 3) of the padded batch, `x @ W` on the real
+    steps and zero past each sequence's end."""
+    unary = np.zeros(batch.mask.shape + (N_LABELS,))
+    unary[batch.mask] = batch.x @ weights[:-N_LABELS * N_LABELS].reshape(
+        -1, N_LABELS)
+    return unary
+
+
+def _forward(batch: _EncodedBatch, unary: np.ndarray, trans: np.ndarray,
+             plus) -> np.ndarray:
+    """Forward scores in the semiring whose sum is `plus` (log-sum-exp or
+    max) and whose product is +.  Step t computes only the first
+    `active[t]` sequences, so padded steps stay zero."""
+    alpha = np.zeros_like(unary)
+    alpha[:, :1] = unary[:, :1]  # a slice: a batch of no steps passes
+    for t in range(1, unary.shape[1]):
+        k = batch.active[t]
+        alpha[:k, t] = unary[:k, t] + plus(
+            alpha[:k, t - 1, :, None] + trans, axis=1)
+    return alpha
+
+
+def _forward_backward(batch: _EncodedBatch, unary: np.ndarray,
+                      trans: np.ndarray):
+    """Log-space alpha and beta, both zero past each sequence's end, and
+    logZ per sequence."""
+    alpha = _forward(batch, unary, trans, _log_sum_exp)
+    beta = np.zeros_like(unary)
+    for t in range(unary.shape[1] - 2, -1, -1):
+        k = batch.active[t + 1]
+        beta[:k, t] = _log_sum_exp(
+            trans + (unary[:k, t + 1] + beta[:k, t + 1])[:, None, :], axis=2)
+    last = alpha[np.arange(len(batch.lengths)), batch.lengths - 1]
+    return alpha, beta, _log_sum_exp(last, axis=1)
+
+
+def _marginals(batch: _EncodedBatch, alpha: np.ndarray, beta: np.ndarray,
+               log_z: np.ndarray) -> np.ndarray:
+    """Label marginals of every real step (steps, 3), in batch order."""
+    return np.exp((alpha + beta)[batch.mask]
+                  - np.repeat(log_z, batch.lengths)[:, None])
+
+
+def _viterbi(batch: _EncodedBatch, unary: np.ndarray,
+             trans: np.ndarray) -> np.ndarray:
+    """Best label id of every real step, in batch order: the max-plus
+    forward recursion, then one backtrace over all sequences at once."""
+    delta = _forward(batch, unary, trans, np.max)
+    # back[:, t, b] is the best label at t given label b at t + 1;
+    # argmax keeps the first maximum, so ties break by B < I < O
+    back = np.argmax(delta[:, :-1, :, None] + trans, axis=2)
+    rows = np.arange(len(batch.lengths))
+    ends = batch.lengths - 1
+    best = np.zeros(batch.mask.shape, dtype=np.int64)
+    best[rows, ends] = np.argmax(delta[rows, ends], axis=1)
+    for t in range(best.shape[1] - 2, -1, -1):
+        k = batch.active[t + 1]
+        best[:k, t] = back[rows[:k], t, best[:k, t + 1]]
+    return best[batch.mask]
+
+
+def forward_backward(model: CrfModel,
+                     sequences: Seq[Seq[Iterable[str]]]
+                     ) -> list[MarginalTable]:
+    """Exact per-position marginals and logZ of each sequence, all
+    sequences run as one batch."""
+    batch = _EncodedBatch(model, sequences)
+    alpha, beta, log_z = _forward_backward(
+        batch, _unary(batch, model.weights), model.transition_weights())
+    probs = _marginals(batch, alpha, beta, log_z)
+    probs /= probs.sum(axis=1, keepdims=True)
+    input_log_z = np.zeros(batch.n_input)
+    input_log_z[batch.order] = log_z
+    return [MarginalTable(p, float(z))
+            for p, z in zip(batch.unbatch(probs), input_log_z)]
+
+
+def viterbi(model: CrfModel,
+            sequences: Seq[Seq[Iterable[str]]]) -> list[list[str]]:
+    """Maximum-probability label sequence of each sequence, all sequences
+    run as one batch; argmax ties break by B < I < O."""
+    batch = _EncodedBatch(model, sequences)
+    best = _viterbi(batch, _unary(batch, model.weights),
+                    model.transition_weights())
+    return [[LABELS[y] for y in ids.tolist()] for ids in batch.unbatch(best)]
+
+
+def sequence_score(model: CrfModel, obs_ids: list[np.ndarray],
+                   label_ids: Seq[int]) -> float:
+    """Total score of one labeled sequence, summed position by position:
+    the independent scorer the decoding tests compare against."""
+    y = [int(lab) for lab in label_ids]
+    unary = model.unary_weights()
+    trans = model.transition_weights()
+    return float(sum(unary[ids, lab].sum()
+                     for ids, lab in zip(obs_ids, y, strict=True))
+                 + sum(trans[a, b] for a, b in zip(y, y[1:])))
+
 
 def _ll_grad(batch: _EncodedBatch, weights: np.ndarray, c: float):
-    """Penalized log-likelihood of an encoded batch, and its gradient."""
+    """Penalized log-likelihood of a labeled batch, and its gradient."""
     n_unary = weights.size - N_LABELS * N_LABELS
     trans = weights[n_unary:].reshape(N_LABELS, N_LABELS)
     value = float(batch.empirical @ weights) \
         - float(weights @ weights) / (2.0 * c)
     grad = batch.empirical - weights / c
-    if not len(batch.lengths):
-        return value, grad
-    unary = np.zeros(batch.mask.shape + (N_LABELS,))
-    unary[batch.mask] = batch.x @ weights[:n_unary].reshape(-1, N_LABELS)
-    alpha, beta, log_z = _forward_backward_scores(unary, batch.lengths,
-                                                  trans)
+    unary = _unary(batch, weights)
+    alpha, beta, log_z = _forward_backward(batch, unary, trans)
     value -= float(log_z.sum())
-    marg = np.exp((alpha + beta)[batch.mask]
-                  - np.repeat(log_z, batch.lengths)[:, None])
-    grad[:n_unary] -= (batch.x.T @ marg).ravel()
+    grad[:n_unary] -= (
+        batch.x.T @ _marginals(batch, alpha, beta, log_z)).ravel()
     pairs = batch.mask[:, 1:]  # steps (t, t + 1) within one sequence
     pair_scores = (alpha[:, :-1][pairs][:, :, None] + trans
                    + (unary[:, 1:] + beta[:, 1:])[pairs][:, None, :]

@@ -631,22 +631,45 @@ def default_rules() -> list[NormRule]:
 
 def load_rule_overrides(path) -> list[NormRule]:
     """Rule file: id<TAB>priority<TAB>pattern<TAB>type<TAB>value_fn[:args]."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise NormalizerError(f"{path}: not UTF-8 text ({exc.reason})"
+                              ) from exc
     rules = []
-    for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         if not line.strip() or line.startswith("#"):
             continue
         cols = line.split("\t")
         if len(cols) != 5:
             raise NormalizerError(
-                f"line {lineno}: expected 5 columns, got {len(cols)}")
+                f"{path}: line {lineno}: expected 5 columns, "
+                f"got {len(cols)}")
         rid, priority, pattern, type_out, fn_spec = cols
         fn, _, argstr = fn_spec.partition(":")
         args = tuple(argstr.split(",")) if argstr else ()
-        rules.append(make_rule(rid, int(priority), pattern, type_out,
-                               fn, *args))
+        try:
+            priority = int(priority)
+        except ValueError:
+            raise NormalizerError(f"{path}: line {lineno}: priority "
+                                  f"{priority!r} is not an integer") from None
+        try:
+            rules.append(make_rule(rid, priority, pattern, type_out,
+                                   fn, *args))
+        except re.error as exc:
+            raise NormalizerError(f"{path}: line {lineno}: bad pattern "
+                                  f"{pattern!r} ({exc})") from None
     _check_rules(rules)
     return rules
+
+
+def load_rules(overrides_path=None) -> list[NormRule]:
+    """The rules `normalize` tries, in priority order: the built-in ones
+    plus, given a path, those of a rule-override file."""
+    if not overrides_path:
+        return default_rules()
+    return sorted(load_rule_overrides(overrides_path) + default_rules(),
+                  key=lambda r: (r.priority, r.id))
 
 
 def dump_rules(rules: Optional[Seq[NormRule]] = None) -> str:

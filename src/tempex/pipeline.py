@@ -7,7 +7,7 @@ from typing import Iterable, Optional, Sequence as Seq
 from . import crf, evaluation, features, normalizer, postproc
 from .config import RunConfig
 from .corpus import (Document, Sequence, bio_to_spans, doc_spans,
-                     span_char_range, with_labels)
+                     span_char_range)
 from .normalizer import Anchor, Timex
 
 
@@ -23,38 +23,25 @@ def _feature_context(config: RunConfig, profile: Optional[str] = None):
     return fc, lex, gaz
 
 
-def featurize_corpus(docs: Seq[Document], config: RunConfig):
-    """Expanded observation features and gold labels, sequence by
-    sequence, across all documents."""
+def featurize_corpus(seqs: Seq[Sequence], config: RunConfig):
+    """Expanded observation features and gold labels of each sequence;
+    a sequence without gold labels is labeled all O."""
     fc, lex, gaz = _feature_context(config)
-    feats, labels = [], []
-    for doc in docs:
-        for seq in doc.sequences:
-            feats.append(features.featurize_sequence(seq, fc, lex, gaz))
-            labels.append(list(seq.gold_labels) if seq.gold_labels
-                          else ["O"] * len(seq))
-    return feats, labels
+    return ([features.featurize_sequence(s, fc, lex, gaz) for s in seqs],
+            [list(s.gold_labels or ["O"] * len(s)) for s in seqs])
 
 
 def train_on_docs(docs: Seq[Document], config: RunConfig
                   ) -> tuple[crf.CrfModel, postproc.PriorTable]:
-    feats, labels = featurize_corpus(docs, config)
-    model = crf.train(
-        feats, labels,
-        crf.TrainConfig(config.c, config.eta, config.max_iter,
-                        config.cutoff),
-        profile=config.profile)
-    priors = postproc.build_prior_table(docs)
-    return model, priors
+    model = train_on_sequences(
+        [seq for doc in docs for seq in doc.sequences], config)
+    return model, postproc.build_prior_table(docs)
 
 
 def train_on_sequences(seqs: Seq[Sequence], config: RunConfig
                        ) -> crf.CrfModel:
-    fc, lex, gaz = _feature_context(config)
-    feats = [features.featurize_sequence(s, fc, lex, gaz) for s in seqs]
-    labels = [list(s.gold_labels) for s in seqs]
     return crf.train(
-        feats, labels,
+        *featurize_corpus(seqs, config),
         crf.TrainConfig(config.c, config.eta, config.max_iter,
                         config.cutoff),
         profile=config.profile)
@@ -74,7 +61,8 @@ def label_document(doc: Document, model: crf.CrfModel,
                    priors: Optional[postproc.PriorTable] = None,
                    doc_features: Optional[Seq[Seq[Seq[str]]]] = None
                    ) -> list[list[str]]:
-    """Predicted BIO labels per sequence (CRF plus optional pipeline).
+    """Predicted BIO labels per sequence (CRF plus optional pipeline),
+    from one CRF call over the whole document.
 
     `doc_features` is `featurize_document(doc, model, config)`, computed
     here when not given; pass it to label one document several ways
@@ -82,16 +70,13 @@ def label_document(doc: Document, model: crf.CrfModel,
     """
     if doc_features is None:
         doc_features = featurize_document(doc, model, config)
-    out = []
-    for seq, feats in zip(doc.sequences, doc_features, strict=True):
-        if config.pipeline_enabled and priors is not None:
-            marginals = crf.forward_backward(model, feats)
-            labels = postproc.run_pipeline(marginals, seq.tokens, priors,
-                                           config.pipeline_config())
-        else:
-            labels = crf.viterbi(model, feats)
-        out.append(labels)
-    return out
+    if not config.pipeline_enabled or priors is None:
+        return crf.viterbi(model, doc_features)
+    post = config.pipeline_config()
+    return [postproc.run_pipeline(marginals, seq.tokens, priors, post)
+            for seq, marginals in zip(
+                doc.sequences, crf.forward_backward(model, doc_features),
+                strict=True)]
 
 
 def extract_timexes(doc: Document, labels_per_seq: Seq[Seq[str]],
@@ -103,10 +88,7 @@ def extract_timexes(doc: Document, labels_per_seq: Seq[Seq[str]],
     them to (DATE, PRESENT_REF).
     """
     if rules is None:
-        rules = (normalizer.load_rule_overrides(config.rules_path)
-                 + normalizer.default_rules()
-                 if config.rules_path else normalizer.default_rules())
-        rules = sorted(rules, key=lambda r: (r.priority, r.id))
+        rules = normalizer.load_rules(config.rules_path)
     anchor = Anchor.from_date(doc.dct)
     timexes = []
     for si, (seq, labels) in enumerate(
@@ -123,14 +105,6 @@ def extract_timexes(doc: Document, labels_per_seq: Seq[Seq[str]],
                 result = ("DATE", "PRESENT_REF")
             timexes.append(Timex(span, result[0], result[1]))
     return timexes
-
-
-def tag_document(doc: Document, model: crf.CrfModel, config: RunConfig,
-                 priors: Optional[postproc.PriorTable] = None
-                 ) -> tuple[Document, list[Timex]]:
-    labels = label_document(doc, model, config, priors)
-    timexes = extract_timexes(doc, labels, config)
-    return with_labels(doc, labels), timexes
 
 
 def spans_f1(gold_docs: Seq[Document], labels_per_doc,

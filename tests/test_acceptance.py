@@ -72,10 +72,10 @@ def test_crf_correctness_suite():
             feats = random_features(rng, model.n_obs,
                                     int(rng.integers(1, 7)))
             log_z, marg, best = brute_force(model, feats)
-            table = forward_backward(model, feats)
+            table = forward_backward(model, [feats])[0]
             assert abs(table.log_z - log_z) <= 1e-8 * max(1.0, abs(log_z))
             assert np.abs(table.probs - marg).max() <= 1e-8
-            assert viterbi(model, feats) == best
+            assert viterbi(model, [feats])[0] == best
         # gradient vs central differences on a <=100-weight toy model
         obs_index = {f"g{i}": i for i in range(8)}  # 8*3+9 = 33 weights
         weights = np.asarray(

@@ -1,6 +1,7 @@
 import datetime
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from tempex import corpus, crf, evaluation, features, pipeline, postproc
@@ -61,6 +62,26 @@ class TestTag:
         labels = {lab for seq in tagged[0].sequences
                   for lab in seq.gold_labels}
         assert labels <= {"B", "I", "O"} and "B" in labels
+
+    def test_no_normalize_writes_orphan_i_as_b(self, tmp_path, capsys):
+        """Raw Viterbi labels with an orphan I are written as the inline
+        output reads them: the orphan I opens a span."""
+        weights = np.zeros(9)
+        weights[3 * crf.LABEL_INDEX["O"] + crf.LABEL_INDEX["I"]] = 5.0
+        model = crf.CrfModel({}, weights)  # no features: O -> I wins
+        model_path = tmp_path / "orphan.crf"
+        crf.save_model(model, model_path)
+        raw = tmp_path / "raw.txt"
+        raw.write_text("They met on Friday .\n", encoding="utf-8")
+        decoded = crf.viterbi(model, [[[]] * 5])[0]
+        assert not corpus.is_valid_bio(decoded)
+        out_path = tmp_path / "tagged.tsv"
+        rc = main(["--no-pipeline", "tag", str(raw), str(model_path),
+                   "--dct", DCT, "--no-normalize", "--output",
+                   str(out_path)])
+        assert rc == 0
+        written = corpus.read_corpus(out_path)[0].sequences[0].gold_labels
+        assert list(written) == corpus.repair_bio(decoded)
 
     def test_raw_text_inline_timex(self, workdir, capsys):
         raw = workdir / "raw.txt"
@@ -267,6 +288,37 @@ class TestNormalize:
         capsys.readouterr()
         assert rc == 2
 
+    def normalize_with_rules(self, tmp_path, row):
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("# override\n" + row + "\n", encoding="utf-8",
+                         errors="surrogateescape")
+        config = tmp_path / "run.ini"
+        config.write_text(f"[paths]\nrules = {rules}\n", encoding="utf-8")
+        return main(["--config", str(config), "normalize", "a fortnight",
+                     "--dct", DCT])
+
+    def test_rule_override_file(self, tmp_path, capsys):
+        rc = self.normalize_with_rules(
+            tmp_path, "fortnight\t5\ta fortnight\tDURATION\tfixed:P2W")
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "DURATION\tP2W"
+
+    @pytest.mark.parametrize("row,message", [
+        ("fortnight\tfive\ta fortnight\tDURATION\tfixed:P2W",
+         "line 2: priority 'five' is not an integer"),
+        ("fortnight\t5\ta (fortnight\tDURATION\tfixed:P2W",
+         "line 2: bad pattern 'a (fortnight'"),
+    ])
+    def test_bad_rule_file_exit_2(self, tmp_path, capsys, row, message):
+        rc = self.normalize_with_rules(tmp_path, row)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert message in captured.err
+
+    def test_rule_file_not_utf8_exit_2(self, tmp_path, capsys):
+        rc = self.normalize_with_rules(tmp_path, "x\t5\t\udcff\tDATE\tfixed:X")
+        assert rc == 2 and "not UTF-8" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_self_evaluation_is_perfect(self, workdir, capsys):
@@ -431,6 +483,21 @@ class TestConfig:
     def test_threshold_out_of_range_rejected(self):
         with pytest.raises(ConfigError, match="threshold"):
             RunConfig(threshold=1.2)
+
+    @pytest.mark.parametrize("text,message", [
+        ("[pipeline]\nstages = prob_correction,bogus\n",
+         "unknown pipeline stage 'bogus'"),
+        ("[pipeline]\nthreshold = 1.5\n", "threshold 1.5 outside"),
+    ])
+    def test_bad_pipeline_setting_exit_2(self, tmp_path, capsys, text,
+                                         message):
+        path = tmp_path / "bad.ini"
+        path.write_text(text, encoding="utf-8")
+        rc = main(["--config", str(path), "normalize", "today",
+                   "--dct", DCT])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert message in captured.err
 
     def test_missing_path_rejected(self):
         with pytest.raises(ConfigError, match="priors_path"):

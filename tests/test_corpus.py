@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tempex.corpus import (CorpusError, Document, Sequence, Token,
-                           bio_to_spans, emit_inline_timex, make_span,
-                           read_corpus, spans_to_bio, tokenize,
-                           write_corpus)
+                           bio_to_spans, emit_inline_timex, is_valid_bio,
+                           make_span, read_corpus, repair_bio, spans_to_bio,
+                           tokenize, write_corpus)
 from tempex.normalizer import Timex
 
 
@@ -98,6 +98,15 @@ class TestBioConversion:
         spans = bio_to_spans(["O", "I", "I"], make_seq(["a", "b", "c"]),
                              tolerant=True)
         assert [(s.first_token, s.last_token) for s in spans] == [(1, 2)]
+
+    @given(st.lists(st.sampled_from(["B", "I", "O"]), max_size=12))
+    def test_tolerant_reads_the_repaired_labels(self, labels):
+        seq = make_seq([f"w{i}" for i in range(len(labels))])
+        fixed = repair_bio(labels)
+        assert is_valid_bio(fixed) and repair_bio(fixed) == fixed
+        assert [a == "O" for a in fixed] == [a == "O" for a in labels]
+        assert bio_to_spans(fixed, seq) == \
+            bio_to_spans(labels, seq, tolerant=True)
 
     @given(st.lists(st.integers(0, 2), min_size=0, max_size=12))
     def test_round_trip(self, starts):

@@ -69,7 +69,7 @@ class TestFeatureIndex:
 class TestForwardBackward:
     def test_uniform_model(self):
         model = CrfModel({"f0": 0}, np.zeros(12))
-        table = forward_backward(model, [["f0"], ["f0"]])
+        table = forward_backward(model, [[["f0"], ["f0"]]])[0]
         assert np.allclose(table.probs, 1 / 3)
         assert table.log_z == pytest.approx(2 * math.log(3))
 
@@ -77,7 +77,7 @@ class TestForwardBackward:
         rng = np.random.default_rng(1)
         model = random_model(rng)
         feats = [["f0", "f1"]]
-        table = forward_backward(model, feats)
+        table = forward_backward(model, [feats])[0]
         scores = model.unary_weights()[[0, 1]].sum(0)
         expected = np.exp(scores - scores.max())
         expected /= expected.sum()
@@ -85,15 +85,16 @@ class TestForwardBackward:
 
     def test_empty_sequence(self):
         model = CrfModel({"f0": 0}, np.zeros(12))
-        table = forward_backward(model, [])
+        table = forward_backward(model, [[]])[0]
         assert len(table) == 0 and table.log_z == 0.0
+        assert forward_backward(model, []) == [] == viterbi(model, [])
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             model = random_model(rng)
             feats = random_features(rng, 6, int(rng.integers(1, 5)))
-            table = forward_backward(model, feats)
+            table = forward_backward(model, [feats])[0]
             log_z, marg, _ = brute_force(model, feats)
             assert table.log_z == pytest.approx(log_z, rel=1e-8)
             assert np.abs(table.probs - marg).max() < 1e-8
@@ -103,14 +104,14 @@ class TestForwardBackward:
         for _ in range(30):
             model = random_model(rng, n_obs=8)
             feats = random_features(rng, 8, int(rng.integers(1, 9)))
-            table = forward_backward(model, feats)
+            table = forward_backward(model, [feats])[0]
             assert np.abs(table.probs.sum(axis=1) - 1).max() <= 1e-9
 
     def test_long_sequence_no_underflow(self):
         rng = np.random.default_rng(4)
         model = random_model(rng)
         feats = random_features(rng, 6, 1000)
-        table = forward_backward(model, feats)
+        table = forward_backward(model, [feats])[0]
         assert np.isfinite(table.log_z)
         assert np.abs(table.probs.sum(axis=1) - 1).max() <= 1e-9
 
@@ -118,20 +119,20 @@ class TestForwardBackward:
 class TestViterbi:
     def test_zero_weights_all_b(self):
         model = CrfModel({"f0": 0}, np.zeros(12))
-        assert viterbi(model, [["f0"]] * 4) == ["B", "B", "B", "B"]
+        assert viterbi(model, [[["f0"]] * 4])[0] == ["B", "B", "B", "B"]
 
     def test_unary_favoring_o(self):
         w = np.zeros(12)
         w[2] = 10.0  # f0 with label O
         model = CrfModel({"f0": 0}, w)
-        assert viterbi(model, [["f0"]] * 5) == ["O"] * 5
+        assert viterbi(model, [[["f0"]] * 5])[0] == ["O"] * 5
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             model = random_model(rng)
             feats = random_features(rng, 6, int(rng.integers(1, 5)))
-            path = viterbi(model, feats)
+            path = viterbi(model, [feats])[0]
             best_score, _, best_path = None, None, None
             log_z, _, best_path = brute_force(model, feats)
             ids = model.encode(feats)
@@ -146,8 +147,8 @@ class TestViterbi:
         model = random_model(rng)
         feats = random_features(rng, 6, 8)
         ids = model.encode(feats)
-        best = sequence_score(
-            model, ids, [LABELS.index(l) for l in viterbi(model, feats)])
+        path = viterbi(model, [feats])[0]
+        best = sequence_score(model, ids, [LABELS.index(l) for l in path])
         for _ in range(1000):
             path = list(rng.integers(0, 3, size=8))
             assert best >= sequence_score(model, ids, path) - 1e-9
@@ -187,7 +188,7 @@ class TestGradient:
         value, _ = log_likelihood_and_gradient(model, batch)
         ids = model.encode(batch[0][0])
         raw = sequence_score(model, ids, [0, 1, 2]) \
-            - forward_backward(model, batch[0][0]).log_z
+            - forward_backward(model, [batch[0][0]])[0].log_z
         assert value == pytest.approx(raw, abs=1e-9)
 
     def test_label_mismatch(self):
@@ -237,12 +238,34 @@ class TestBatchedKernel:
         assert value == pytest.approx(want_value, abs=1e-10)
         assert np.abs(grad - want_grad).max() <= 1e-10
 
+    def test_ragged_document_equals_sequences_alone(self):
+        rng = np.random.default_rng(13)
+        model = random_model(rng, n_obs=8)
+        doc = [random_features(rng, 8, n) for n in (7, 1, 0, 40, 2)]
+        doc[0][3] = ["unseen_a", "unseen_b"]  # no known feature
+        tables = forward_backward(model, doc)
+        paths = viterbi(model, doc)
+        assert [len(t) for t in tables] == [len(p) for p in paths] \
+            == [7, 1, 0, 40, 2]
+        for feats, table, path in zip(doc, tables, paths):
+            alone = forward_backward(model, [feats])[0]
+            assert path == viterbi(model, [feats])[0]
+            assert np.abs(table.probs - alone.probs).max(initial=0.0) \
+                <= 1e-12
+            assert table.log_z == pytest.approx(alone.log_z, rel=1e-12)
+
+    def test_zero_weights_ragged_document_all_b(self):
+        model = CrfModel({"f0": 0}, np.zeros(12))
+        lengths = (3, 1, 0, 5)
+        assert viterbi(model, [[["f0"]] * n for n in lengths]) == \
+            [["B"] * n for n in lengths]
+
     def test_long_sequence_log_z_matches_python_recursion(self):
         rng = np.random.default_rng(12)
         model = CrfModel({f"f{i}": i for i in range(6)},
                          rng.normal(scale=20.0, size=6 * 3 + 9))
         feats = random_features(rng, 6, 1000)
-        table = forward_backward(model, feats)
+        table = forward_backward(model, [feats])[0]
         want = math_log_z(model, feats)
         assert np.isfinite(table.log_z)
         assert table.log_z == pytest.approx(want, rel=1e-8)
@@ -277,7 +300,7 @@ class TestTrain:
         feats, labels = self.make_batch()
         model = train(feats, labels, TrainConfig(max_iter=100))
         for f, l in zip(feats, labels):
-            assert viterbi(model, f) == l
+            assert viterbi(model, [f])[0] == l
 
     def test_objective_improved(self):
         feats, labels = self.make_batch()
@@ -322,9 +345,9 @@ class TestPersistence:
         loaded = load_model(path)
         for _ in range(100):
             feats = random_features(rng, 6, int(rng.integers(1, 7)))
-            assert viterbi(model, feats) == viterbi(loaded, feats)
-            a = forward_backward(model, feats)
-            b = forward_backward(loaded, feats)
+            assert viterbi(model, [feats]) == viterbi(loaded, [feats])
+            a = forward_backward(model, [feats])[0]
+            b = forward_backward(loaded, [feats])[0]
             assert a.log_z == pytest.approx(b.log_z)
 
     def test_corrupted_header(self, tmp_path):
