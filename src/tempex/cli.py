@@ -15,6 +15,7 @@ from pathlib import Path
 from . import corpus, crf, evaluation, normalizer, pipeline, postproc
 from .config import ConfigError, RunConfig, configured_profile, load_config
 from .corpus import CorpusError
+from .features import PROFILES
 from .normalizer import Anchor
 
 
@@ -67,10 +68,12 @@ def cmd_train(args) -> int:
 
 
 def _read_input_docs(args, config) -> list[corpus.Document]:
-    text = Path(args.input).read_text(encoding="utf-8")
+    text = corpus.read_text(args.input)
     if text.startswith("#doc"):
         return corpus.read_corpus(args.input)
-    dct = _parse_dct_arg(args.dct) if args.dct else date.today()
+    if not args.dct:
+        raise CliError("raw text needs --dct, the date it is anchored to")
+    dct = _parse_dct_arg(args.dct)
     sequences = []
     for offset, sentence in corpus.sentence_split(text):
         tokens = corpus.tokenize(sentence, offset)
@@ -164,11 +167,16 @@ def cmd_cv(args) -> int:
     from dataclasses import replace
     config = _load_run_config(args)
     docs = corpus.read_corpus(args.corpus)
-    items = [(doc.dct, seq) for doc in docs for seq in doc.sequences
+    items = [seq for doc in docs for seq in doc.sequences
              if seq.gold_labels is not None]
     if len(items) < args.k:
         raise CliError(f"corpus has {len(items)} labeled sentences, "
                        f"fewer than k={args.k}")
+
+    def fold_doc(seqs) -> corpus.Document:
+        # cv never normalizes, so any DCT serves; take the corpus's first
+        return corpus.assemble_document("cv", docs[0].dct,
+                                        corpus.pack_sequences(seqs))
 
     conditions = [("pipeline_on", config),
                   ("pipeline_off", replace(config, pipeline_enabled=False))]
@@ -179,16 +187,14 @@ def cmd_cv(args) -> int:
         """Strict F1 per condition; the fold's model is trained and its
         test items featurized once, and the conditions differ only in
         how the model labels them."""
-        model = pipeline.train_on_sequences(
-            [seq for _, seq in train_items], config)
-        test_doc = _sequences_as_doc(test_items)[0]
+        model = pipeline.train_on_sequences(train_items, config)
+        test_doc = fold_doc(test_items)
         test_features = pipeline.featurize_document(test_doc, model, config)
         f1 = {}
         for name, cfg in conditions:
             priors = None
             if cfg.pipeline_enabled:
-                priors = postproc.build_prior_table(
-                    _sequences_as_doc(train_items))
+                priors = postproc.build_prior_table([fold_doc(train_items)])
             labels = pipeline.label_document(test_doc, model, cfg, priors,
                                              test_features)
             f1[name] = pipeline.spans_f1([test_doc], [labels], "strict")
@@ -215,24 +221,6 @@ def cmd_cv(args) -> int:
     return 0
 
 
-def _sequences_as_doc(items) -> list[corpus.Document]:
-    """Wrap loose (dct, sequence) items in one synthetic document, with
-    offsets rebased so they stay strictly increasing."""
-    from dataclasses import replace as dc_replace
-    sequences = []
-    cursor = 0
-    dct = items[0][0] if items else date.today()
-    for _, seq in items:
-        base = seq.tokens[0].char_start
-        toks = tuple(
-            dc_replace(t, char_start=t.char_start - base + cursor,
-                       char_end=t.char_end - base + cursor)
-            for t in seq.tokens)
-        cursor = toks[-1].char_end + 1
-        sequences.append(corpus.Sequence(toks, seq.gold_labels))
-    return [corpus._assemble_document("cv", dct, sequences)]
-
-
 def cmd_priors(args) -> int:
     docs = corpus.read_corpus(args.corpus)
     priors = postproc.build_prior_table(docs)
@@ -256,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation")
     parser.add_argument("--config", help="run configuration file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--profile", choices=("model1", "model2", "model3",
-                                              "model4"), default=None)
+    parser.add_argument("--profile", choices=tuple(PROFILES), default=None)
     parser.add_argument("--threshold", type=float, default=None)
     parser.add_argument("--no-pipeline", action="store_true")
     parser.add_argument("--fallback", action="store_true")
@@ -275,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("model")
     p.add_argument("--output", default=None)
-    p.add_argument("--dct", default=None, help="anchor date for raw text")
+    p.add_argument("--dct", default=None,
+                   help="anchor date, YYYY-MM-DD; required for raw text")
     p.add_argument("--priors", default=None)
     p.add_argument("--no-normalize", action="store_true",
                    help="emit a labeled column file instead of inline "

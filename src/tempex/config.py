@@ -31,15 +31,15 @@ Example:
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .corpus import read_text
+from .features import PROFILES
 from .postproc import (DEFAULT_STAGES, DEFAULT_THRESHOLD, PipelineConfig,
                        PostprocError)
 from .normalizer import NormConfig
-
-PROFILES = ("model1", "model2", "model3", "model4")
 
 
 class ConfigError(ValueError):
@@ -67,7 +67,8 @@ class RunConfig:
 
     def __post_init__(self):
         if self.profile not in PROFILES:
-            raise ConfigError(f"unknown profile {self.profile!r}")
+            raise ConfigError(f"unknown profile {self.profile!r} (known: "
+                              f"{', '.join(PROFILES)})")
         try:
             self.pipeline_config()
         except PostprocError as exc:
@@ -92,13 +93,14 @@ def _get(parser, section, key, default):
 
 
 def _read(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-    except (configparser.Error, UnicodeDecodeError) as exc:
+        parser.read_string(read_text(path, ConfigError), str(path))
+    except configparser.Error as exc:
         raise ConfigError(f"bad config file: {exc}") from exc
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}"
+                          ) from exc
     return parser
 
 

@@ -75,9 +75,6 @@ class Sequence:
     def __len__(self):
         return len(self.tokens)
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
 
 @dataclass(frozen=True)
 class Document:
@@ -252,6 +249,15 @@ def doc_spans(doc: Document) -> list[TimexSpan]:
     return spans
 
 
+def read_text(path, error: type[Exception] = CorpusError) -> str:
+    """A UTF-8 text file's content; a file that is not UTF-8 raises
+    `error` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _parse_dct(text: str, lineno: int) -> date:
     for parser in (date.fromisoformat, datetime.fromisoformat):
         try:
@@ -262,7 +268,16 @@ def _parse_dct(text: str, lineno: int) -> date:
 
 
 def read_corpus(path) -> list[Document]:
-    """Parse a column-format corpus file into documents."""
+    """Parse a column-format corpus file into documents; malformed
+    content raises CorpusError naming the file and the line."""
+    lines = read_text(path).splitlines()
+    try:
+        return _parse_corpus(lines)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
+
+
+def _parse_corpus(lines: list[str]) -> list[Document]:
     docs: list[Document] = []
     doc_id = None
     dct = None
@@ -285,10 +300,9 @@ def read_corpus(path) -> list[Document]:
         nonlocal doc_id, dct, sequences
         close_sentence(lineno)
         if doc_id is not None:
-            docs.append(_assemble_document(doc_id, dct, sequences))
+            docs.append(assemble_document(doc_id, dct, sequences))
         doc_id, dct, sequences = None, None, []
 
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, 1):
         if line.startswith("#doc"):
             close_doc(lineno)
@@ -327,9 +341,13 @@ def read_corpus(path) -> list[Document]:
     return docs
 
 
-def _assemble_document(doc_id, dct, sequences) -> Document:
-    # Raw text reconstructed from offsets; gap whitespace is canonicalized
-    # to single spaces, so write/read round-trips are stable.
+def assemble_document(doc_id: str, dct: date,
+                      sequences: Iterable[Sequence]) -> Document:
+    """A document of `sequences`, its raw text rebuilt from the token
+    offsets: each token's surface at its offsets, spaces elsewhere.  Gap
+    whitespace is so canonicalized to single spaces, which keeps
+    write/read round-trips stable."""
+    sequences = tuple(sequences)
     length = 0
     for seq in sequences:
         for tok in seq.tokens:
@@ -338,7 +356,22 @@ def _assemble_document(doc_id, dct, sequences) -> Document:
     for seq in sequences:
         for tok in seq.tokens:
             chars[tok.char_start:tok.char_end] = tok.surface
-    return Document(doc_id, dct, tuple(sequences), "".join(chars))
+    return Document(doc_id, dct, sequences, "".join(chars))
+
+
+def pack_sequences(sequences: Iterable[Sequence]) -> list[Sequence]:
+    """Non-empty sequences, from anywhere, shifted to follow each other
+    from offset 0 one character apart, so they can form one document."""
+    packed = []
+    cursor = 0
+    for seq in sequences:
+        shift = cursor - seq.tokens[0].char_start
+        tokens = tuple(replace(t, char_start=t.char_start + shift,
+                               char_end=t.char_end + shift)
+                       for t in seq.tokens)
+        cursor = tokens[-1].char_end + 1
+        packed.append(Sequence(tokens, seq.gold_labels))
+    return packed
 
 
 def write_corpus(docs: Iterable[Document], path) -> None:
@@ -369,24 +402,21 @@ def with_labels(doc: Document, labels_per_seq: list[list[str]]) -> Document:
 def read_attrs(path) -> dict[tuple[str, int, int], tuple[str, str]]:
     """Sidecar attribute TSV: doc_id, first_char, last_char, type, value."""
     table = {}
-    for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         cols = line.split("\t")
         if len(cols) != 5:
-            raise CorpusError(
-                f"line {lineno}: expected 5 columns, got {len(cols)}"
-            )
+            raise CorpusError(f"{path}: line {lineno}: expected 5 columns, "
+                              f"got {len(cols)}")
         doc_id, first, last, ttype, value = cols
-        table[(doc_id, int(first), int(last))] = (ttype, value)
+        try:
+            table[(doc_id, int(first), int(last))] = (ttype, value)
+        except ValueError:
+            raise CorpusError(f"{path}: line {lineno}: character offsets "
+                              f"{first!r}, {last!r} are not integers"
+                              ) from None
     return table
-
-
-def write_attrs(rows, path) -> None:
-    lines = ["\t".join([d, str(a), str(b), t, v]) for (d, a, b), (t, v)
-             in sorted(rows.items())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def emit_inline_timex(doc: Document, timexes) -> str:

@@ -27,10 +27,15 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import minimize
 
-from .corpus import LABELS
-from .features import Template, TEMPLATES, profile_config
+from .corpus import LABELS, read_text
+from .features import PROFILES, TEMPLATES
 
 MODEL_FORMAT_VERSION = "tempex-crf-1"
+# The #templates header line: the window templates the featurizer expands.
+TEMPLATES_HEADER = ";".join(f"{t.tid}:{','.join(map(str, t.offsets))}"
+                            for t in TEMPLATES)
+# L-BFGS history length (corrections kept).
+LBFGS_HISTORY = 5
 
 N_LABELS = len(LABELS)
 LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
@@ -60,11 +65,9 @@ class MarginalTable:
 class CrfModel:
     obs_index: dict[str, int]          # observation string -> obs id
     weights: np.ndarray                # len = n_obs * 3 + 9
-    templates: tuple[Template, ...] = TEMPLATES
     c: float = 1.0
     eta: float = 1e-4
     profile: str = "model1"
-    version: str = MODEL_FORMAT_VERSION
     training_log: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -323,13 +326,11 @@ class TrainConfig:
     eta: float = 1e-4
     max_iter: int = 300
     cutoff: int = 1
-    history: int = 5
 
 
 def train(sequences_features: Seq[Seq[Iterable[str]]],
           labels: Seq[Seq[str]],
           config: Optional[TrainConfig] = None,
-          templates: tuple[Template, ...] = TEMPLATES,
           profile: str = "model1") -> CrfModel:
     """L2-regularized maximum likelihood via limited-memory quasi-Newton.
 
@@ -344,7 +345,7 @@ def train(sequences_features: Seq[Seq[Iterable[str]]],
     model = CrfModel(
         obs_index,
         np.zeros(len(obs_index) * N_LABELS + N_LABELS * N_LABELS),
-        templates=templates, c=config.c, eta=config.eta, profile=profile)
+        c=config.c, eta=config.eta, profile=profile)
     batch = _EncodedBatch(model, sequences_features, labels)
 
     def objective(w):
@@ -357,7 +358,7 @@ def train(sequences_features: Seq[Seq[Iterable[str]]],
     result = minimize(
         objective, model.weights, jac=True, method="L-BFGS-B",
         callback=lambda _: iterations.__setitem__(0, iterations[0] + 1),
-        options={"maxiter": config.max_iter, "maxcor": config.history,
+        options={"maxiter": config.max_iter, "maxcor": LBFGS_HISTORY,
                  "ftol": config.eta, "gtol": 1e-10})
     model.weights = np.asarray(result.x, dtype=float)
     model.training_log = {
@@ -372,11 +373,9 @@ def train(sequences_features: Seq[Seq[Iterable[str]]],
 
 def save_model(model: CrfModel, path) -> None:
     lines = [
-        f"#version\t{model.version}",
+        f"#version\t{MODEL_FORMAT_VERSION}",
         f"#labels\t{','.join(LABELS)}",
-        "#templates\t" + ";".join(
-            f"{t.tid}:{','.join(map(str, t.offsets))}"
-            for t in model.templates),
+        f"#templates\t{TEMPLATES_HEADER}",
         f"#hyperparams\tC={model.c!r},eta={model.eta!r}",
         f"#profile\t{model.profile}",
         f"#n_features\t{model.n_obs}",
@@ -392,13 +391,9 @@ def save_model(model: CrfModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_templates(value: str) -> tuple[Template, ...]:
-    templates = []
-    for part in value.split(";"):
-        tid, offsets = part.split(":")
-        templates.append(
-            Template(tid, tuple(int(x) for x in offsets.split(","))))
-    return tuple(templates)
+def _check_templates(value: str) -> None:
+    if value != TEMPLATES_HEADER:
+        raise ValueError(value)
 
 
 def _parse_hyperparams(value: str) -> tuple[float, float]:
@@ -414,7 +409,8 @@ def _parse_count(value: str) -> int:
 
 
 def _parse_profile(value: str) -> str:
-    profile_config(value)  # raises ValueError on an unknown profile
+    if value not in PROFILES:
+        raise ValueError(value)
     return value
 
 
@@ -425,10 +421,7 @@ def _line_error(path, lineno: int, message: str) -> CrfError:
 def load_model(path) -> CrfModel:
     """Read a model file; any malformed content raises CrfError naming
     the file and, where there is one, the offending line."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise CrfError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    lines = read_text(path, CrfError).splitlines()
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}
     i = 0
@@ -456,7 +449,7 @@ def load_model(path) -> CrfModel:
             f"(expected {MODEL_FORMAT_VERSION!r})")
     if header.get("labels") != ",".join(LABELS):
         raise CrfError(f"unexpected label set {header.get('labels')!r}")
-    templates = field("templates", _parse_templates)
+    field("templates", _check_templates)
     c, eta = field("hyperparams", _parse_hyperparams)
     profile = field("profile", _parse_profile, default="model1")
     n_features = field("n_features", _parse_count)
@@ -501,5 +494,4 @@ def load_model(path) -> CrfModel:
             f"{len(obs_index)}")
     weights = np.zeros(n_features * N_LABELS + N_LABELS * N_LABELS)
     weights[np.array(slots, dtype=np.int64)] = values
-    return CrfModel(obs_index, weights, templates=templates, c=c, eta=eta,
-                    profile=profile)
+    return CrfModel(obs_index, weights, c=c, eta=eta, profile=profile)

@@ -118,19 +118,16 @@ def prf(counts: MatchCounts) -> dict[str, float]:
     return {"P": p, "R": r, "F1": f1}
 
 
-def attribute_accuracy(alignment: Seq[tuple[int, int]],
-                       gold_attrs: Seq[str], pred_attrs: Seq[str]
-                       ) -> tuple[float, bool]:
-    """Fraction of aligned pairs with equal attribute strings.
+def attribute_accuracy(pairs: Seq[tuple[str, str]]) -> tuple[float, bool]:
+    """Fraction of aligned (gold, predicted) attribute pairs that are
+    equal.
 
-    Returns (accuracy, degenerate_flag); an empty alignment is reported
-    as 0 with the flag set.
+    Returns (accuracy, degenerate_flag); no pairs is reported as 0 with
+    the flag set.
     """
-    if not alignment:
+    if not pairs:
         return 0.0, True
-    equal = sum(1 for gi, pi in alignment
-                if gold_attrs[gi] == pred_attrs[pi])
-    return equal / len(alignment), False
+    return sum(1 for g, p in pairs if g == p) / len(pairs), False
 
 
 def overall_score(lenient_f1: float, value_accuracy: float) -> float:
@@ -145,19 +142,6 @@ def overall_score(lenient_f1: float, value_accuracy: float) -> float:
     if a > 1.0 or b > 1.0:
         return a * b / 100.0
     return a * b
-
-
-def shuffle_and_split(items: Seq, seed: int, fraction: float):
-    """Deterministic sentence-level shuffle (Mersenne Twister via
-    random.Random(seed).shuffle) and head/tail split at ceil(fraction*n)."""
-    if not items:
-        raise EvalError("empty corpus")
-    if not 0.0 < fraction < 1.0:
-        raise EvalError(f"fraction {fraction} outside (0, 1)")
-    shuffled = list(items)
-    random.Random(seed).shuffle(shuffled)
-    cut = math.ceil(fraction * len(shuffled))
-    return shuffled[:cut], shuffled[cut:]
 
 
 def fold_indices(n: int, k: int) -> list[list[int]]:

@@ -275,31 +275,22 @@ def extract_morphological(seq: Sequence, lex: Optional[Lexicons] = None
 class FeatureConfig:
     """Which per-token features exist and which feed the conjunction
     templates.  Model profiles differ only here."""
-    profile: str = "model1"
     unigram_features: tuple[str, ...] = MORPHOLOGICAL_FEATURES
     conjunction_features: tuple[str, ...] = (
         ("word", "pattern") + REGEX_FLAG_FEATURES)
     use_syntax: bool = False
     use_gazetteers: bool = False
-    use_wordnet: bool = False
 
 
-def profile_config(profile: str) -> FeatureConfig:
-    """The four model profiles: morphological only, + syntax, + gazetteers,
-    + gazetteers + wordnet pass-through columns."""
-    if profile == "model1":
-        return FeatureConfig(profile=profile)
-    if profile == "model2":
-        return FeatureConfig(
-            profile=profile,
-            unigram_features=MORPHOLOGICAL_FEATURES + SYNTACTIC_FEATURES,
-            use_syntax=True)
-    if profile == "model3":
-        return FeatureConfig(profile=profile, use_gazetteers=True)
-    if profile == "model4":
-        return FeatureConfig(profile=profile, use_gazetteers=True,
-                             use_wordnet=True)
-    raise ValueError(f"unknown model profile {profile!r}")
+#: The model profiles, the only place they are defined: morphological
+#: features only, + shallow-parsing columns, + gazetteers.  WordNet
+#: features wait for WordNet data in the repository.
+PROFILES: dict[str, FeatureConfig] = {
+    "model1": FeatureConfig(),
+    "model2": FeatureConfig(MORPHOLOGICAL_FEATURES + SYNTACTIC_FEATURES,
+                            use_syntax=True),
+    "model3": FeatureConfig(use_gazetteers=True),
+}
 
 
 def extract_rows(seq: Sequence, config: FeatureConfig,

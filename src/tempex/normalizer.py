@@ -14,10 +14,9 @@ import calendar
 import re
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from pathlib import Path
 from typing import Callable, Optional, Sequence as Seq
 
-from .corpus import TimexSpan
+from .corpus import TimexSpan, read_text
 
 TIMEX_TYPES = ("DATE", "TIME", "DURATION", "SET")
 
@@ -45,14 +44,10 @@ class Anchor:
     year: int
     month: int
     day: int
-    hour: Optional[int] = None
-    minute: Optional[int] = None
 
     @classmethod
     def from_date(cls, d) -> "Anchor":
-        hour = getattr(d, "hour", None)
-        minute = getattr(d, "minute", None)
-        return cls(d.year, d.month, d.day, hour, minute)
+        return cls(d.year, d.month, d.day)
 
     def date(self) -> date:
         return date(self.year, self.month, self.day)
@@ -272,10 +267,6 @@ def _month_num(name: str) -> int:
     return MONTHS[name.lower()]
 
 
-def _date_value(d: date) -> str:
-    return d.isoformat()
-
-
 def _granular(d: date, unit: str) -> str:
     if unit == "day":
         return d.isoformat()
@@ -379,7 +370,7 @@ def _vf_weekday(m, anchor, config, args):
 
 
 def _vf_deictic_day(m, anchor, config, args):
-    return _date_value(anchor.date() + timedelta(days=int(args[0])))
+    return (anchor.date() + timedelta(days=int(args[0]))).isoformat()
 
 
 def _vf_deictic_pod(m, anchor, config, args):
@@ -406,7 +397,7 @@ def _vf_offset(m, anchor, config, args):
     if n is None:
         return ("DATE", "PAST_REF" if sign < 0 else "FUTURE_REF")
     if unit in ("hour", "minute", "second"):
-        return _date_value(anchor.date())
+        return anchor.date().isoformat()
     return _granular(add_period(anchor, sign * n, unit), unit)
 
 
@@ -631,11 +622,7 @@ def default_rules() -> list[NormRule]:
 
 def load_rule_overrides(path) -> list[NormRule]:
     """Rule file: id<TAB>priority<TAB>pattern<TAB>type<TAB>value_fn[:args]."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise NormalizerError(f"{path}: not UTF-8 text ({exc.reason})"
-                              ) from exc
+    lines = read_text(path, NormalizerError).splitlines()
     rules = []
     for lineno, line in enumerate(lines, 1):
         if not line.strip() or line.startswith("#"):
@@ -698,12 +685,19 @@ def normalize(surfaces: Seq[str], anchor: Anchor,
         m = rule.regex.fullmatch(text)
         if m is None:
             continue
-        if rule.value_fn == "fixed" and rule.args and rule.args[0] == "FREQ":
-            return (rule.type_out, _FREQ_VALUES[m.group(0)])
         try:
+            if (rule.value_fn == "fixed" and rule.args
+                    and rule.args[0] == "FREQ"):
+                return (rule.type_out, _FREQ_VALUES[m.group(0)])
             result = VALUE_FNS[rule.value_fn](m, anchor, config, rule.args)
         except NormalizerError:
             continue
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            # a value function that does not fit its rule's pattern or
+            # arguments (a rule-override file can pair any), or calendar
+            # arithmetic out of the datetime range
+            raise NormalizerError(f"rule {rule.id} on {text!r}: {exc}"
+                                  ) from exc
         if isinstance(result, tuple):
             ttype, value = result
         else:

@@ -16,7 +16,7 @@ def _feature_context(config: RunConfig, profile: Optional[str] = None):
     `config.profile`), with `config`'s lexicon and gazetteer paths."""
     lex = (features.Lexicons(config.lexicon_dir)
            if config.lexicon_dir else features.default_lexicons())
-    fc = features.profile_config(profile or config.profile)
+    fc = features.PROFILES[profile or config.profile]
     gaz = None
     if fc.use_gazetteers:
         gaz = features.default_gazetteers(config.gazetteer_dir)
@@ -163,13 +163,9 @@ def evaluate_corpora(gold_docs: Seq[Document], pred_docs: Seq[Document],
                                         pred_attrs[pkey][1]))
     type_acc = value_acc = None
     if with_attrs:
-        if type_pairs:
-            type_acc = sum(1 for g, p in type_pairs if g == p) \
-                / len(type_pairs)
-            value_acc = sum(1 for g, p in value_pairs if g == p) \
-                / len(value_pairs)
-        else:
-            type_acc, value_acc = 0.0, 0.0
+        type_acc, empty = evaluation.attribute_accuracy(type_pairs)
+        value_acc, _ = evaluation.attribute_accuracy(value_pairs)
+        if empty:
             warnings.append("empty lenient alignment for attributes")
     return evaluation.report_from_counts(strict, lenient, type_acc,
                                          value_acc, warnings)

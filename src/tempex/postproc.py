@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence as Seq
 
 import numpy as np
 
-from .corpus import Document, LABELS, Token, bio_to_spans
+from .corpus import Document, LABELS, Token, read_text
 from .crf import MarginalTable
 
 DEFAULT_THRESHOLD = 0.87
@@ -65,18 +65,29 @@ class PriorTable:
 
     @classmethod
     def load(cls, path) -> "PriorTable":
+        """Read a table `save` wrote; malformed content raises
+        PostprocError naming the file and the line."""
         table = cls()
         for lineno, line in enumerate(
-                Path(path).read_text(encoding="utf-8").splitlines(), 1):
+                read_text(path, PostprocError).splitlines(), 1):
             if not line.strip():
                 continue
             cols = line.split("\t")
             if len(cols) != 5:
-                raise PostprocError(
-                    f"line {lineno}: expected 5 columns, got {len(cols)}")
-            tok, b, i, o, in_span = cols
-            table.counts[tok] = np.array([int(b), int(i), int(o)], float)
-            table.in_span_counts[tok] = int(in_span)
+                raise PostprocError(f"{path}: line {lineno}: expected 5 "
+                                    f"columns, got {len(cols)}")
+            tok, *counts = cols
+            try:
+                b, i, o, in_span = map(int, counts)
+            except ValueError:
+                raise PostprocError(f"{path}: line {lineno}: counts "
+                                    f"{counts} are not all integers"
+                                    ) from None
+            if min(b, i, o, in_span) < 0 or b + i + o == 0:
+                raise PostprocError(f"{path}: line {lineno}: counts "
+                                    f"{counts} are negative or all zero")
+            table.counts[tok] = np.array([b, i, o], float)
+            table.in_span_counts[tok] = in_span
         return table
 
 
@@ -188,6 +199,11 @@ class PipelineConfig:
         for name in self.stages:
             if name not in STAGE_NAMES:
                 raise PostprocError(f"unknown pipeline stage {name!r}")
+        # prob_correction labels from the marginals alone, discarding the
+        # labels earlier stages produced
+        if "prob_correction" in self.stages[1:]:
+            raise PostprocError("pipeline stage prob_correction can only "
+                                "come first")
 
 
 def run_pipeline(marginals: MarginalTable, tokens: Seq[Token],

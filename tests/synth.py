@@ -9,7 +9,8 @@ from __future__ import annotations
 import random
 from datetime import date
 
-from tempex.corpus import Document, Sequence, make_span, spans_to_bio, tokenize
+from tempex.corpus import (Document, Sequence, assemble_document, make_span,
+                           pack_sequences, spans_to_bio, tokenize)
 
 MONTH_NAMES = ("January", "February", "March", "April", "May", "June",
                "July", "August", "September", "October", "November",
@@ -50,32 +51,21 @@ def build_corpus(n_sentences: int = 250, seed: int = 7,
     single gold timex span."""
     rng = random.Random(seed)
     sequences = []
-    cursor = 0
     for i in range(n_sentences):
         if i % 10 < 7:
             prefix, maker, suffix = TEMPLATES[i % len(TEMPLATES)]
             timex_text = maker(rng)
-            text = f"{prefix} {timex_text} {suffix}"
+            seq = Sequence(tuple(tokenize(f"{prefix} {timex_text} {suffix}")))
             n_before = len(tokenize(prefix))
             n_timex = len(tokenize(timex_text))
-            tokens = tokenize(text, cursor)
-            seq = Sequence(tuple(tokens))
             span = make_span(seq, len(sequences), n_before,
                              n_before + n_timex - 1)
             labels = spans_to_bio([span], seq)
         else:
-            text = FILLERS[i % len(FILLERS)]
-            tokens = tokenize(text, cursor)
-            seq = Sequence(tuple(tokens))
+            seq = Sequence(tuple(tokenize(FILLERS[i % len(FILLERS)])))
             labels = ["O"] * len(seq)
         sequences.append(Sequence(seq.tokens, tuple(labels)))
-        cursor = tokens[-1].char_end + 1
-    raw_len = cursor
-    chars = [" "] * raw_len
-    for seq in sequences:
-        for tok in seq.tokens:
-            chars[tok.char_start:tok.char_end] = tok.surface
-    return Document("synthetic", dct, tuple(sequences), "".join(chars))
+    return assemble_document("synthetic", dct, pack_sequences(sequences))
 
 
 def split_corpus(doc: Document, n_train: int = 200):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from tempex import corpus, crf, evaluation, features, pipeline, postproc
-from tempex.cli import _sequences_as_doc, build_parser, main
+from tempex.cli import build_parser, main
 from tempex.config import ConfigError, RunConfig, load_config
 
 from synth import build_corpus, split_corpus
 
 DCT = "2013-04-11"
+# The #templates header value of the model files, less its last template.
+TEMPLATES_WITHOUT_T13 = crf.TEMPLATES_HEADER.rpartition(";")[0]
 
 
 @pytest.fixture(scope="session")
@@ -102,6 +104,15 @@ class TestTag:
         capsys.readouterr()
         assert rc == 1
 
+    def test_raw_text_without_dct_exit_2(self, workdir, capsys):
+        """Raw text has no DCT of its own and the clock is not one."""
+        raw = workdir / "raw.txt"
+        raw.write_text("She arrived three days ago .\n", encoding="utf-8")
+        rc = main(["tag", str(raw), str(workdir / "model.crf")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "--dct" in captured.err
+
     def test_missing_model_exit_2(self, workdir, capsys):
         rc = main(["tag", str(workdir / "test.tsv"),
                    str(workdir / "absent.crf")])
@@ -129,16 +140,16 @@ class TestTagProfile:
 
     def test_features_follow_the_model_profile(self, workdir, model2_path,
                                                monkeypatch, capsys):
-        profiles = []
+        configs = []
         original = features.featurize_sequence
 
         def spy(seq, config, *args, **kwargs):
-            profiles.append(config.profile)
+            configs.append(config)
             return original(seq, config, *args, **kwargs)
 
         monkeypatch.setattr(features, "featurize_sequence", spy)
         assert self.tag(workdir, model2_path) == 0
-        assert profiles and set(profiles) == {"model2"}
+        assert configs and set(configs) == {features.PROFILES["model2"]}
 
     def test_model2_observations_per_token(self, workdir, model2_path):
         model = crf.load_model(model2_path)
@@ -157,6 +168,19 @@ class TestTagProfile:
         ini.write_text("[crf]\nprofile = model1\n", encoding="utf-8")
         assert self.tag(workdir, model2_path, config=ini) == 2
         assert "model2" in capsys.readouterr().err
+
+    def test_profile_flag_model4_exit_2(self, workdir, model2_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.tag(workdir, model2_path, "--profile", "model4")
+        assert exc.value.code == 2
+        assert "invalid choice: 'model4'" in capsys.readouterr().err
+
+    def test_config_profile_model4_exit_2(self, workdir, model2_path,
+                                          tmp_path, capsys):
+        ini = tmp_path / "m4.ini"
+        ini.write_text("[crf]\nprofile = model4\n", encoding="utf-8")
+        assert self.tag(workdir, model2_path, config=ini) == 2
+        assert "unknown profile 'model4'" in capsys.readouterr().err
 
     def test_config_without_profile_or_matching_is_accepted(
             self, workdir, model2_path, tmp_path, capsys):
@@ -233,7 +257,8 @@ class TestCorruptModel:
 
     @pytest.mark.parametrize("key,value", [
         ("templates", "T00:zero"), ("hyperparams", "C=1.0"),
-        ("n_features", "-3"), ("profile", "model9")])
+        ("n_features", "-3"), ("profile", "model9"), ("profile", "model4"),
+        ("templates", TEMPLATES_WITHOUT_T13)])
     def test_bad_header_value(self, workdir, tmp_path, capsys, key, value):
         def edit(lines):
             return [f"#{key}\t{value}" if line.startswith(f"#{key}\t")
@@ -336,11 +361,117 @@ class TestEvaluate:
         assert rc == 0
         assert "strict_f1\t1.0000" in out_path.read_text(encoding="utf-8")
 
+    def test_empty_alignment_warning(self, workdir, tmp_path, capsys):
+        """No predicted span aligns with a gold one: both accuracies read
+        0 and a warning says why."""
+        [gold] = corpus.read_corpus(workdir / "test.tsv")
+        pred = corpus.with_labels(
+            gold, [["O"] * len(seq) for seq in gold.sequences])
+        corpus.write_corpus([pred], tmp_path / "pred.tsv")
+        start, end = corpus.span_char_range(gold, corpus.doc_spans(gold)[0])
+        attrs = tmp_path / "attrs.tsv"
+        attrs.write_text(f"{gold.id}\t{start}\t{end}\tDATE\t2013\n",
+                         encoding="utf-8")
+        rc = main(["evaluate", str(workdir / "test.tsv"),
+                   str(tmp_path / "pred.tsv"), "--gold-attrs", str(attrs),
+                   "--pred-attrs", str(attrs)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "warning: empty lenient alignment for attributes" \
+            in captured.err
+        table = dict(line.split() for line in captured.out.splitlines())
+        assert table["type_accuracy"] == table["value_accuracy"] == "0.00"
+
     def test_mismatched_doc_ids_exit_2(self, workdir, capsys):
         rc = main(["evaluate", str(workdir / "train.tsv"),
                    str(workdir / "test.tsv")])
         capsys.readouterr()
         assert rc == 2
+
+
+class TestReaderErrors:
+    """Malformed input files exit 2 with a message naming the file and
+    the line, never a traceback."""
+
+    def run(self, argv, capsys):
+        rc = main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:")
+        assert "Traceback" not in err
+        return err
+
+    def test_priors_count_not_integer(self, workdir, tmp_path, capsys):
+        priors = tmp_path / "bad.priors"
+        priors.write_text("ago\t0\t3\t0\t3\ntok\t1\tx\t0\t2\n",
+                          encoding="utf-8")
+        err = self.run(["tag", workdir / "test.tsv", workdir / "model.crf",
+                        "--priors", priors], capsys)
+        assert f"{priors}: line 2:" in err and "not all integers" in err
+
+    def test_priors_counts_negative(self, workdir, tmp_path, capsys):
+        priors = tmp_path / "bad.priors"
+        priors.write_text("tok\t1\t-4\t0\t2\n", encoding="utf-8")
+        err = self.run(["tag", workdir / "test.tsv", workdir / "model.crf",
+                        "--priors", priors], capsys)
+        assert f"{priors}: line 1:" in err and "negative" in err
+
+    def test_attrs_offset_not_integer(self, workdir, tmp_path, capsys):
+        attrs = tmp_path / "bad.attrs"
+        attrs.write_text("synthetic-test\tx\t5\tDATE\t2013\n",
+                         encoding="utf-8")
+        err = self.run(["evaluate", workdir / "test.tsv",
+                        workdir / "test.tsv", "--gold-attrs", attrs,
+                        "--pred-attrs", attrs], capsys)
+        assert f"{attrs}: line 1:" in err and "not integers" in err
+
+    def test_corpus_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"#doc d 2013-04-11\n\xff\t0\t1\t_\t_\t_\t_\tO\n")
+        err = self.run(["priors", path, tmp_path / "out.priors"], capsys)
+        assert f"{path}: not UTF-8" in err
+
+    def test_priors_not_utf8(self, workdir, tmp_path, capsys):
+        priors = tmp_path / "bad.priors"
+        priors.write_bytes(b"\xfftok\t1\t1\t0\t2\n")
+        err = self.run(["tag", workdir / "test.tsv", workdir / "model.crf",
+                        "--priors", priors], capsys)
+        assert f"{priors}: not UTF-8" in err
+
+    def test_corpus_error_names_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.tsv"
+        path.write_text("#doc d 2013-04-11\nx\t0\tone\t_\t_\t_\t_\tO\n",
+                        encoding="utf-8")
+        err = self.run(["priors", path, tmp_path / "out.priors"], capsys)
+        assert f"{path}: line 2:" in err
+
+    def test_percent_in_config_value(self, tmp_path, capsys):
+        """A % is a plain character: a rule file under a directory named
+        with one is found and used."""
+        rules_dir = tmp_path / "100%"
+        rules_dir.mkdir()
+        rules = rules_dir / "rules.tsv"
+        rules.write_text("fortnight\t5\ta fortnight\tDURATION\tfixed:P2W\n",
+                         encoding="utf-8")
+        config = tmp_path / "run.ini"
+        config.write_text(f"[paths]\nrules = {rules}\n", encoding="utf-8")
+        rc = main(["--config", str(config), "normalize", "a fortnight",
+                   "--dct", DCT])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "DURATION\tP2W"
+
+    @pytest.mark.parametrize("fn", ["fixed", "offset:+", "date_mdy",
+                                    "deictic_day:x", "fixed:FREQ"])
+    def test_rule_that_cannot_compute_exit_2(self, tmp_path, capsys, fn):
+        """An override whose value function does not fit its pattern or
+        arguments is named when it matches."""
+        rules = tmp_path / "rules.tsv"
+        rules.write_text(f"fortnight\t5\ta fortnight\tDURATION\t{fn}\n",
+                         encoding="utf-8")
+        config = tmp_path / "run.ini"
+        config.write_text(f"[paths]\nrules = {rules}\n", encoding="utf-8")
+        err = self.run(["--config", config, "normalize", "a fortnight",
+                        "--dct", DCT], capsys)
+        assert "rule fortnight on 'a fortnight'" in err
 
 
 class TestCrossValidation:
@@ -403,18 +534,22 @@ class TestCrossValidation:
         got = self.run_cv(workdir, workdir / "cv_shared.tsv")
         config = load_config(workdir / "run.ini")
         docs = corpus.read_corpus(workdir / "train.tsv")
-        items = [(doc.dct, seq) for doc in docs for seq in doc.sequences]
+        items = [seq for doc in docs for seq in doc.sequences]
+
+        def fold_doc(seqs):
+            return corpus.assemble_document("cv", docs[0].dct,
+                                            corpus.pack_sequences(seqs))
+
         lines = ["condition\trepeat\tfold\tstrict_f1"]
         per_condition = {}
         for name, enabled in (("pipeline_on", True), ("pipeline_off", False)):
             cfg = replace(config, pipeline_enabled=enabled)
 
             def fold_fn(train_items, test_items):
-                model = pipeline.train_on_sequences(
-                    [seq for _, seq in train_items], cfg)
-                priors = (postproc.build_prior_table(
-                    _sequences_as_doc(train_items)) if enabled else None)
-                test_doc = _sequences_as_doc(test_items)[0]
+                model = pipeline.train_on_sequences(train_items, cfg)
+                priors = (postproc.build_prior_table([fold_doc(train_items)])
+                          if enabled else None)
+                test_doc = fold_doc(test_items)
                 labels = pipeline.label_document(test_doc, model, cfg,
                                                  priors)
                 return pipeline.spans_f1([test_doc], [labels], "strict")
@@ -488,6 +623,8 @@ class TestConfig:
         ("[pipeline]\nstages = prob_correction,bogus\n",
          "unknown pipeline stage 'bogus'"),
         ("[pipeline]\nthreshold = 1.5\n", "threshold 1.5 outside"),
+        ("[pipeline]\nstages = bio_fixer,prob_correction\n",
+         "prob_correction can only come first"),
     ])
     def test_bad_pipeline_setting_exit_2(self, tmp_path, capsys, text,
                                          message):

@@ -8,7 +8,7 @@ from tempex.evaluation import (EvalError, EvalReport, MatchCounts,
                                attribute_accuracy, cross_validate,
                                fold_indices, match_spans, one_way_anova,
                                overall_score, paired_t_test, prf,
-                               report_from_counts, shuffle_and_split)
+                               report_from_counts)
 
 # Published benchmark rows (percent): per run, strict P/R/F1, lenient
 # P/R/F1, value accuracy and overall score.  The integer match counts
@@ -128,15 +128,19 @@ class TestPrf:
 class TestAttributeAccuracy:
     def test_counts_equal_attributes_over_alignment(self):
         acc, degenerate = attribute_accuracy(
-            [(0, 0), (1, 1)], ["DATE", "TIME"], ["DATE", "DURATION"])
+            [("DATE", "DATE"), ("TIME", "DURATION")])
         assert acc == pytest.approx(0.5) and not degenerate
 
     def test_uses_alignment_indices(self):
-        acc, _ = attribute_accuracy([(1, 0)], ["DATE", "TIME"], ["TIME"])
+        """Pairs come from the alignment: gold span 1 with predicted
+        span 0."""
+        gold, pred = ["DATE", "TIME"], ["TIME"]
+        acc, _ = attribute_accuracy([(gold[gi], pred[pi])
+                                     for gi, pi in [(1, 0)]])
         assert acc == 1.0
 
     def test_empty_alignment_degenerate(self):
-        acc, degenerate = attribute_accuracy([], ["DATE"], [])
+        acc, degenerate = attribute_accuracy([])
         assert acc == 0.0 and degenerate
 
 
@@ -162,43 +166,6 @@ class TestOverallScore:
     def test_benchmark_overall(self, row):
         lf, value, overall = row[5], row[6], row[7]
         assert overall_score(lf, value) == pytest.approx(overall, abs=0.02)
-
-
-class TestShuffleAndSplit:
-    def test_deterministic(self):
-        items = list(range(103))
-        a = shuffle_and_split(items, 490, 0.8)
-        b = shuffle_and_split(items, 490, 0.8)
-        assert a == b
-
-    def test_matches_stdlib_shuffle(self):
-        items = list(range(40))
-        expected = list(items)
-        random.Random(490).shuffle(expected)
-        train, test = shuffle_and_split(items, 490, 0.8)
-        assert train + test == expected
-
-    def test_80_20_sizes(self):
-        train, test = shuffle_and_split(list(range(103)), 490, 0.8)
-        assert len(train) == math.ceil(0.8 * 103) == 83
-        assert len(test) == 20
-
-    def test_partition(self):
-        items = list(range(57))
-        train, test = shuffle_and_split(items, 1, 0.8)
-        assert sorted(train + test) == items
-
-    def test_different_seed_differs(self):
-        items = list(range(103))
-        assert shuffle_and_split(items, 1, 0.8) != \
-            shuffle_and_split(items, 2, 0.8)
-
-    def test_bad_inputs(self):
-        with pytest.raises(EvalError, match="empty"):
-            shuffle_and_split([], 1, 0.8)
-        for frac in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(EvalError, match="fraction"):
-                shuffle_and_split([1, 2], 1, frac)
 
 
 class TestFoldIndices:

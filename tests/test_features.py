@@ -7,7 +7,7 @@ from tempex.corpus import Sequence, Token, is_valid_bio
 from tempex.features import (BOS, EOS, Gazetteer, TEMPLATES,
                              collapsed_pattern, expand_templates,
                              extract_morphological, match_gazetteer, pattern,
-                             profile_config, featurize_sequence)
+                             PROFILES, featurize_sequence)
 
 from synth import build_corpus
 
@@ -125,7 +125,7 @@ class TestTemplates:
 
     def test_deterministic_golden(self):
         seq = make_seq(["Three", "days", "ago"])
-        config = profile_config("model1")
+        config = PROFILES["model1"]
         a = featurize_sequence(seq, config)
         b = featurize_sequence(seq, config)
         assert a == b
@@ -136,29 +136,32 @@ class TestTemplates:
 
 class TestProfiles:
     def test_model1_morphological_only(self):
-        config = profile_config("model1")
+        config = PROFILES["model1"]
         assert not config.use_syntax and not config.use_gazetteers
 
     def test_model2_adds_syntax(self):
-        config = profile_config("model2")
+        config = PROFILES["model2"]
         assert config.use_syntax
         assert "chunk" in config.unigram_features
 
     def test_model3_adds_gazetteers(self):
-        assert profile_config("model3").use_gazetteers
+        assert PROFILES["model3"].use_gazetteers
 
-    def test_model4_adds_wordnet(self):
-        config = profile_config("model4")
-        assert config.use_gazetteers and config.use_wordnet
+    def test_model4_rejected(self):
+        """No WordNet data, so no model4: a run configuration naming it
+        is an error, not a model3 under a WordNet label."""
+        assert list(PROFILES) == ["model1", "model2", "model3"]
+        with pytest.raises(ValueError, match="model4"):
+            RunConfig(profile="model4")
 
     def test_unknown_profile(self):
         with pytest.raises(ValueError, match="profile"):
-            profile_config("model9")
+            RunConfig(profile="model9")
 
     def test_gazetteer_features_reach_expansion(self):
         seq = make_seq(["New", "York", "today"])
         gaz = [Gazetteer("cities", frozenset({("new", "york")}))]
-        out = featurize_sequence(seq, profile_config("model3"),
+        out = featurize_sequence(seq, PROFILES["model3"],
                                  gazetteers=gaz)
         assert any("gaz_cities[0]=B" in f for f in out[0])
 
@@ -218,7 +221,7 @@ class TestExpansionOracle:
     def test_matches_reference_on_every_profile(self):
         doc = build_corpus(n_sentences=40, seed=5)
         for profile in ("model1", "model2", "model3"):
-            config = profile_config(profile)
+            config = PROFILES[profile]
             unigram, conj = features.expansion_feature_names(config)
             for seq in doc.sequences:
                 rows = features.extract_rows(seq, config)
