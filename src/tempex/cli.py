@@ -92,6 +92,13 @@ def cmd_tag(args) -> int:
         raise CliError(
             f"model was trained with profile {model.profile}, "
             f"requested {requested}")
+    featurizer = config.featurizer(model.profile)
+    if featurizer.digest != model.digest:
+        raise CliError(
+            f"{args.model} was trained under features {model.digest}, but "
+            f"lexicons {featurizer.lexicon_dir} and gazetteers "
+            f"{featurizer.gazetteer_dir} give {featurizer.digest}")
+    rules = normalizer.load_rules(config.rules_path)
     priors = None
     priors_path = args.priors or config.priors_path
     if priors_path is None:
@@ -105,14 +112,15 @@ def cmd_tag(args) -> int:
     tagged_docs = []
     n_timexes = 0
     for doc in docs:
-        labels = pipeline.label_document(doc, model, config, priors)
+        labels = pipeline.label_document(doc, model, featurizer, config,
+                                         priors)
         if args.no_normalize:
             # the labels the inline output implies: an orphan I opens a
             # span, as `extract_timexes` reads it
             tagged_docs.append(corpus.with_labels(
                 doc, [corpus.repair_bio(seq_labels) for seq_labels in labels]))
             continue
-        timexes = pipeline.extract_timexes(doc, labels, config)
+        timexes = pipeline.extract_timexes(doc, labels, config, rules)
         n_timexes += len(timexes)
         outputs.append(corpus.emit_inline_timex(doc, timexes))
     if args.no_normalize:
@@ -178,6 +186,7 @@ def cmd_cv(args) -> int:
         return corpus.assemble_document("cv", docs[0].dct,
                                         corpus.pack_sequences(seqs))
 
+    featurizer = config.featurizer(config.profile)
     conditions = [("pipeline_on", config),
                   ("pipeline_off", replace(config, pipeline_enabled=False))]
     if args.no_pipeline:
@@ -187,16 +196,16 @@ def cmd_cv(args) -> int:
         """Strict F1 per condition; the fold's model is trained and its
         test items featurized once, and the conditions differ only in
         how the model labels them."""
-        model = pipeline.train_on_sequences(train_items, config)
+        model = pipeline.train_on_sequences(train_items, config, featurizer)
         test_doc = fold_doc(test_items)
-        test_features = pipeline.featurize_document(test_doc, model, config)
+        test_features = pipeline.featurize_document(test_doc, featurizer)
         f1 = {}
         for name, cfg in conditions:
             priors = None
             if cfg.pipeline_enabled:
                 priors = postproc.build_prior_table([fold_doc(train_items)])
-            labels = pipeline.label_document(test_doc, model, cfg, priors,
-                                             test_features)
+            labels = pipeline.label_document(test_doc, model, featurizer,
+                                             cfg, priors, test_features)
             f1[name] = pipeline.spans_f1([test_doc], [labels], "strict")
         return f1
 

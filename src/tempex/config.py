@@ -36,10 +36,10 @@ from pathlib import Path
 from typing import Optional
 
 from .corpus import read_text
-from .features import PROFILES
+from .features import PROFILES, Featurizer
 from .postproc import (DEFAULT_STAGES, DEFAULT_THRESHOLD, PipelineConfig,
                        PostprocError)
-from .normalizer import NormConfig
+from .normalizer import WEEKDAY_DIRECTIONS, NormConfig
 
 
 class ConfigError(ValueError):
@@ -73,6 +73,10 @@ class RunConfig:
             self.pipeline_config()
         except PostprocError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.bare_weekday not in WEEKDAY_DIRECTIONS:
+            raise ConfigError(
+                f"unknown bare_weekday {self.bare_weekday!r} (known: "
+                f"{', '.join(WEEKDAY_DIRECTIONS)})")
         for attr in ("gazetteer_dir", "lexicon_dir", "rules_path",
                      "priors_path"):
             path = getattr(self, attr)
@@ -84,6 +88,10 @@ class RunConfig:
 
     def norm_config(self) -> NormConfig:
         return NormConfig(self.month_first, self.bare_weekday)
+
+    def featurizer(self, profile: str) -> Featurizer:
+        """The featurizer of `profile` over this run's word lists."""
+        return Featurizer(profile, self.lexicon_dir, self.gazetteer_dir)
 
 
 def _get(parser, section, key, default):

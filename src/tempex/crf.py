@@ -17,6 +17,7 @@ Viterbi.  Training collects expected counts with the matrix's transpose.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -28,12 +29,9 @@ from scipy import sparse
 from scipy.optimize import minimize
 
 from .corpus import LABELS, read_text
-from .features import PROFILES, TEMPLATES
+from .features import PROFILES
 
-MODEL_FORMAT_VERSION = "tempex-crf-1"
-# The #templates header line: the window templates the featurizer expands.
-TEMPLATES_HEADER = ";".join(f"{t.tid}:{','.join(map(str, t.offsets))}"
-                            for t in TEMPLATES)
+MODEL_FORMAT_VERSION = "tempex-crf-2"
 # L-BFGS history length (corrections kept).
 LBFGS_HISTORY = 5
 
@@ -68,6 +66,8 @@ class CrfModel:
     c: float = 1.0
     eta: float = 1e-4
     profile: str = "model1"
+    # features.Featurizer.digest of the featurizer it was trained with
+    digest: str = ""
     training_log: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -330,8 +330,7 @@ class TrainConfig:
 
 def train(sequences_features: Seq[Seq[Iterable[str]]],
           labels: Seq[Seq[str]],
-          config: Optional[TrainConfig] = None,
-          profile: str = "model1") -> CrfModel:
+          config: Optional[TrainConfig] = None) -> CrfModel:
     """L2-regularized maximum likelihood via limited-memory quasi-Newton.
 
     Stops when the relative objective change falls below `eta` or after
@@ -345,7 +344,7 @@ def train(sequences_features: Seq[Seq[Iterable[str]]],
     model = CrfModel(
         obs_index,
         np.zeros(len(obs_index) * N_LABELS + N_LABELS * N_LABELS),
-        c=config.c, eta=config.eta, profile=profile)
+        c=config.c, eta=config.eta)
     batch = _EncodedBatch(model, sequences_features, labels)
 
     def objective(w):
@@ -371,29 +370,36 @@ def train(sequences_features: Seq[Seq[Iterable[str]]],
     return model
 
 
+# Row keys of the transition block: row a holds the weights of a -> B, I, O.
+TRANSITION_KEYS = tuple(f"__T__:{lab}" for lab in LABELS)
+
+
 def save_model(model: CrfModel, path) -> None:
+    """Write a `tempex-crf-2` model: a header, then one row per
+    observation, `key<TAB>w_B<TAB>w_I<TAB>w_O`, in id order, then the
+    transition block, one row per from-label.  Keys are token-derived
+    strings, which hold no tab or line break."""
     lines = [
         f"#version\t{MODEL_FORMAT_VERSION}",
         f"#labels\t{','.join(LABELS)}",
-        f"#templates\t{TEMPLATES_HEADER}",
-        f"#hyperparams\tC={model.c!r},eta={model.eta!r}",
         f"#profile\t{model.profile}",
+        f"#features\t{model.digest}",
+        f"#hyperparams\tC={model.c!r},eta={model.eta!r}",
         f"#n_features\t{model.n_obs}",
     ]
-    unary = model.unary_weights()
-    for feat, oid in model.obs_index.items():
-        for li, lab in enumerate(LABELS):
-            lines.append(f"{feat}\t{lab}\t{float(unary[oid, li])!r}")
-    trans = model.transition_weights()
-    for a, la in enumerate(LABELS):
-        for b, lb in enumerate(LABELS):
-            lines.append(f"__T__\t{la}:{lb}\t{float(trans[a, b])!r}")
+    keys = sorted(model.obs_index, key=model.obs_index.__getitem__)
+    # the weight vector's rows are the observations in id order, then
+    # the transition matrix
+    lines += [f"{key}\t{b!r}\t{i!r}\t{o!r}" for key, (b, i, o) in zip(
+        keys + list(TRANSITION_KEYS),
+        model.weights.reshape(-1, N_LABELS).tolist(), strict=True)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _check_templates(value: str) -> None:
-    if value != TEMPLATES_HEADER:
+def _parse_digest(value: str) -> str:
+    if not re.fullmatch("[0-9a-f]{64}", value):
         raise ValueError(value)
+    return value
 
 
 def _parse_hyperparams(value: str) -> tuple[float, float]:
@@ -419,8 +425,9 @@ def _line_error(path, lineno: int, message: str) -> CrfError:
 
 
 def load_model(path) -> CrfModel:
-    """Read a model file; any malformed content raises CrfError naming
-    the file and, where there is one, the offending line."""
+    """Read a `tempex-crf-2` model file; any malformed content raises
+    CrfError naming the file and, where there is one, the offending
+    line.  Other format versions are rejected by name."""
     lines = read_text(path, CrfError).splitlines()
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}
@@ -431,10 +438,8 @@ def load_model(path) -> CrfModel:
         header_line[key] = i + 1
         i += 1
 
-    def field(key, parse, default=None):
+    def field(key, parse):
         if key not in header:
-            if default is not None:
-                return default
             raise CrfError(f"{path}: model header has no #{key} line")
         try:
             return parse(header[key])
@@ -445,53 +450,42 @@ def load_model(path) -> CrfModel:
     version = header.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise CrfError(
-            f"model format {version!r} not supported "
-            f"(expected {MODEL_FORMAT_VERSION!r})")
+            f"{path}: model format {version!r} not supported (expected "
+            f"{MODEL_FORMAT_VERSION!r}; retrain the model)")
     if header.get("labels") != ",".join(LABELS):
         raise CrfError(f"unexpected label set {header.get('labels')!r}")
-    field("templates", _check_templates)
+    profile = field("profile", _parse_profile)
+    digest = field("features", _parse_digest)
     c, eta = field("hyperparams", _parse_hyperparams)
-    profile = field("profile", _parse_profile, default="model1")
     n_features = field("n_features", _parse_count)
 
-    obs_index: dict[str, int] = {}
-    slots: list[int] = []
-    values: list[float] = []
-    for lineno, line in enumerate(lines[i:], start=i + 1):
-        if not line.strip():
-            continue
-        parts = line.rsplit("\t", 2)
-        if len(parts) != 3:
-            raise _line_error(path, lineno,
-                              "expected feature<TAB>label<TAB>weight")
-        feat, lab, w = parts
-        try:
-            weight = float(w)
-        except ValueError:
-            raise _line_error(path, lineno, f"bad weight {w!r}") from None
-        if not math.isfinite(weight):
-            raise _line_error(path, lineno, f"bad weight {w!r}")
-        if feat == "__T__":
-            a, _, b = lab.partition(":")
-            if a not in LABEL_INDEX or b not in LABEL_INDEX:
-                raise _line_error(path, lineno, f"bad transition {lab!r}")
-            slot = (n_features * N_LABELS
-                    + LABEL_INDEX[a] * N_LABELS + LABEL_INDEX[b])
-        else:
-            li = LABEL_INDEX.get(lab)
-            if li is None:
-                raise _line_error(path, lineno, f"unknown label {lab!r}")
-            oid = obs_index.setdefault(feat, len(obs_index))
-            if oid == n_features:
-                raise _line_error(path, lineno, f"model declares "
-                                  f"{n_features} features, file has more")
-            slot = oid * N_LABELS + li
-        slots.append(slot)
-        values.append(weight)
-    if len(obs_index) != n_features:
+    rows = [(lineno, line) for lineno, line in enumerate(lines[i:], i + 1)
+            if line.strip()]
+    if len(rows) != n_features + N_LABELS:
         raise CrfError(
-            f"model declares {n_features} features, file has "
-            f"{len(obs_index)}")
-    weights = np.zeros(n_features * N_LABELS + N_LABELS * N_LABELS)
-    weights[np.array(slots, dtype=np.int64)] = values
-    return CrfModel(obs_index, weights, c=c, eta=eta, profile=profile)
+            f"{path}: model declares {n_features} features, so "
+            f"{n_features + N_LABELS} weight rows with the transitions; "
+            f"the file has {len(rows)}")
+    obs_index: dict[str, int] = {}
+    values: list[list[float]] = []
+    for row, (lineno, line) in enumerate(rows):
+        key, *weights = line.split("\t")
+        if len(weights) != N_LABELS:
+            raise _line_error(path, lineno,
+                              "expected key<TAB>w_B<TAB>w_I<TAB>w_O")
+        try:
+            values.append([float(w) for w in weights])
+            if not all(map(math.isfinite, values[-1])):
+                raise ValueError
+        except ValueError:
+            raise _line_error(path, lineno,
+                              f"bad weight in {line!r}") from None
+        if row >= n_features and key != TRANSITION_KEYS[row - n_features]:
+            raise _line_error(path, lineno, f"expected transition row "
+                              f"{TRANSITION_KEYS[row - n_features]!r}, "
+                              f"got {key!r}")
+        elif row < n_features and obs_index.setdefault(key, row) != row:
+            raise _line_error(path, lineno,
+                              f"repeated observation key {key!r}")
+    return CrfModel(obs_index, np.array(values).reshape(-1), c=c, eta=eta,
+                    profile=profile, digest=digest)

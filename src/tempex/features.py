@@ -8,13 +8,15 @@ the 14 window templates over positions -2..+2.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .corpus import Sequence, Token
+from .corpus import Sequence, Token, read_text
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -50,7 +52,7 @@ TEMPLATES = tuple(
 
 def load_wordlist(path) -> frozenset[str]:
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip().lower()
         if line and not line.startswith("#"):
             words.add(line)
@@ -65,20 +67,9 @@ class Lexicons:
              "fuzzy_quantifiers", "modifiers", "temporal_adverbs",
              "stopwords", "prepositions", "conjunctions")
 
-    def __init__(self, directory=None):
-        directory = Path(directory) if directory else DATA_DIR / "lexicons"
+    def __init__(self, directory: Path):
         for name in self.NAMES:
             setattr(self, name, load_wordlist(directory / f"{name}.txt"))
-
-
-_DEFAULT_LEXICONS: Optional[Lexicons] = None
-
-
-def default_lexicons() -> Lexicons:
-    global _DEFAULT_LEXICONS
-    if _DEFAULT_LEXICONS is None:
-        _DEFAULT_LEXICONS = Lexicons()
-    return _DEFAULT_LEXICONS
 
 
 @dataclass(frozen=True)
@@ -94,11 +85,6 @@ class Gazetteer:
             if parts:
                 phrases.add(parts)
         return cls(name, frozenset(phrases))
-
-
-def default_gazetteers(directory=None) -> list[Gazetteer]:
-    directory = Path(directory) if directory else DATA_DIR / "gazetteers"
-    return [Gazetteer.load(p.stem, p) for p in sorted(directory.glob("*.txt"))]
 
 
 def match_gazetteer(seq: Sequence, gaz: Gazetteer) -> list[str]:
@@ -264,13 +250,6 @@ def token_features(tok: Token, lex: Lexicons) -> dict[str, str]:
     return row
 
 
-def extract_morphological(seq: Sequence, lex: Optional[Lexicons] = None
-                          ) -> list[dict[str, str]]:
-    """One feature row per token (morphological catalog only)."""
-    lex = lex or default_lexicons()
-    return [token_features(tok, lex) for tok in seq.tokens]
-
-
 @dataclass(frozen=True)
 class FeatureConfig:
     """Which per-token features exist and which feed the conjunction
@@ -293,36 +272,50 @@ PROFILES: dict[str, FeatureConfig] = {
 }
 
 
-def extract_rows(seq: Sequence, config: FeatureConfig,
-                 lex: Optional[Lexicons] = None,
-                 gazetteers: Optional[Iterable[Gazetteer]] = None
+class Featurizer:
+    """Everything featurization reads, loaded once per command: the
+    profile's FeatureConfig, its lexicons (None: the bundled ones) and,
+    only if the profile uses them, its gazetteers.  `digest` is a SHA-256
+    over exactly that, and the window templates; a model records it, so
+    tagging under other word lists is caught."""
+
+    def __init__(self, profile: str, lexicon_dir=None, gazetteer_dir=None):
+        self.profile = profile
+        self.config = PROFILES[profile]
+        self.lexicon_dir = Path(lexicon_dir or DATA_DIR / "lexicons")
+        self.gazetteer_dir = Path(gazetteer_dir or DATA_DIR / "gazetteers")
+        self.lexicons = Lexicons(self.lexicon_dir)
+        self.gazetteers = tuple(
+            Gazetteer.load(p.stem, p)
+            for p in sorted(self.gazetteer_dir.glob("*.txt"))
+        ) if self.config.use_gazetteers else ()
+        # the unigram names expanded: the profile's, one per gazetteer
+        self.unigram_features = self.config.unigram_features + tuple(
+            f"gaz_{g.name}" for g in self.gazetteers)
+        contract = [
+            astuple(self.config),
+            [[t.tid, t.offsets] for t in TEMPLATES],
+            [[name, sorted(getattr(self.lexicons, name))]
+             for name in Lexicons.NAMES],
+            [[g.name, sorted(g.phrases)] for g in self.gazetteers],
+        ]
+        self.digest = hashlib.sha256(
+            json.dumps(contract).encode("utf-8")).hexdigest()
+
+
+def extract_rows(seq: Sequence, featurizer: Featurizer
                  ) -> list[dict[str, str]]:
-    """Full feature rows for a sequence under a model profile."""
-    lex = lex or default_lexicons()
-    rows = extract_morphological(seq, lex)
-    if config.use_syntax:
+    """One feature row per token under the featurizer's profile."""
+    rows = [token_features(tok, featurizer.lexicons) for tok in seq.tokens]
+    if featurizer.config.use_syntax:
         for row, tok in zip(rows, seq.tokens):
             row["pos"] = tok.pos or "_"
             row["chunk"] = tok.chunk or "_"
             row["pnp"] = tok.pnp or "_"
-    if config.use_gazetteers:
-        for gaz in (gazetteers if gazetteers is not None
-                    else default_gazetteers()):
-            labels = match_gazetteer(seq, gaz)
-            for row, lab in zip(rows, labels):
-                row[f"gaz_{gaz.name}"] = lab
+    for gaz in featurizer.gazetteers:
+        for row, lab in zip(rows, match_gazetteer(seq, gaz)):
+            row[f"gaz_{gaz.name}"] = lab
     return rows
-
-
-def expansion_feature_names(config: FeatureConfig,
-                            gazetteers: Optional[Iterable[Gazetteer]] = None
-                            ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(unigram names, conjunction names) actually expanded for a profile."""
-    unigram = list(config.unigram_features)
-    if config.use_gazetteers:
-        gaz = (gazetteers if gazetteers is not None else default_gazetteers())
-        unigram += [f"gaz_{g.name}" for g in gaz]
-    return tuple(unigram), config.conjunction_features
 
 
 @lru_cache(maxsize=1024)
@@ -334,10 +327,9 @@ def _fragment_prefixes(names: tuple[str, ...], offset: int,
 
 
 def expand_templates(rows: list[dict[str, str]],
-                     templates: Iterable[Template] = TEMPLATES,
-                     unigram_features: Iterable[str] = MORPHOLOGICAL_FEATURES,
-                     conjunction_features: Iterable[str] = (
-                         ("word", "pattern") + REGEX_FLAG_FEATURES),
+                     templates: Iterable[Template],
+                     unigram_features: Iterable[str],
+                     conjunction_features: Iterable[str]
                      ) -> list[list[str]]:
     """Expand per-token rows into observation feature strings.
 
@@ -393,11 +385,9 @@ def expand_templates(rows: list[dict[str, str]],
     return out
 
 
-def featurize_sequence(seq: Sequence, config: FeatureConfig,
-                       lex: Optional[Lexicons] = None,
-                       gazetteers: Optional[Iterable[Gazetteer]] = None
+def featurize_sequence(seq: Sequence, featurizer: Featurizer
                        ) -> list[list[str]]:
     """Rows + template expansion in one call (the CRF input)."""
-    rows = extract_rows(seq, config, lex, gazetteers)
-    unigram, conj = expansion_feature_names(config, gazetteers)
-    return expand_templates(rows, TEMPLATES, unigram, conj)
+    return expand_templates(extract_rows(seq, featurizer), TEMPLATES,
+                            featurizer.unigram_features,
+                            featurizer.config.conjunction_features)

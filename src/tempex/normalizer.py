@@ -108,47 +108,53 @@ def weekday_index(name: str) -> int:
     raise NormalizerError(f"unknown weekday {name!r}")
 
 
-def resolve_weekday(name: str, direction: str, anchor: Anchor) -> date:
-    """Resolve a weekday name to a concrete date relative to the anchor.
+# How a weekday name resolves against the anchor: to the first day, at
+# or after the given offset in days, that falls on that weekday.  last
+# and next are strictly before and after the anchor; nearest-past and
+# nearest-future resolve to the anchor itself when the weekday matches.
+WEEKDAY_DIRECTIONS = {"last": -7, "next": 1, "nearest-past": -6,
+                      "nearest-future": 0}
 
-    last/next are strictly before/after; nearest-past and nearest-future
-    resolve to the anchor itself when the weekday matches.
-    """
-    target = weekday_index(name)
-    base = anchor.date()
-    delta = target - base.weekday()
-    if direction == "last":
-        return base + timedelta(days=delta - 7 if delta >= 0 else delta)
-    if direction == "next":
-        return base + timedelta(days=delta + 7 if delta <= 0 else delta)
-    if direction == "nearest-past":
-        return base + timedelta(days=delta if delta <= 0 else delta - 7)
-    if direction == "nearest-future":
-        return base + timedelta(days=delta if delta >= 0 else delta + 7)
-    raise NormalizerError(f"unknown direction {direction!r}")
+
+def resolve_weekday(name: str, direction: str, anchor: Anchor) -> date:
+    """Resolve a weekday name to a concrete date relative to the anchor,
+    in one of the WEEKDAY_DIRECTIONS."""
+    if direction not in WEEKDAY_DIRECTIONS:
+        raise NormalizerError(f"unknown direction {direction!r}")
+    first = WEEKDAY_DIRECTIONS[direction]
+    delta = weekday_index(name) - anchor.date().weekday()
+    return _shift(anchor.date(), days=(delta - first) % 7 + first)
+
+
+def _shift(d: date, **delta) -> date:
+    """`d + timedelta(**delta)`; a date outside datetime's range means
+    the rule does not apply."""
+    try:
+        return d + timedelta(**delta)
+    except OverflowError as exc:
+        raise NormalizerError(f"date out of range ({exc})") from None
 
 
 def add_period(anchor: Anchor, n: int, unit: str) -> date:
     """Calendar-correct date arithmetic; month/year steps clamp the day
-    of month to the target month's length."""
+    of month to the target month's length.  A date outside datetime's
+    range means the rule does not apply."""
     base = anchor.date()
-    if unit == "day":
-        return base + timedelta(days=n)
-    if unit == "week":
-        return base + timedelta(weeks=n)
+    if unit in ("day", "week"):
+        return _shift(base, **{unit + "s": n})
     if unit == "month":
-        total = base.year * 12 + (base.month - 1) + n
-        year, month = divmod(total, 12)
+        year, month = divmod(base.year * 12 + (base.month - 1) + n, 12)
         month += 1
-        day = min(base.day, calendar.monthrange(year, month)[1])
-        return date(year, month, day)
-    if unit == "year":
-        year = base.year + n
-        day = min(base.day, calendar.monthrange(year, base.month)[1])
-        return date(year, base.month, day)
-    if unit == "decade":
-        return add_period(anchor, n * 10, "year")
-    raise NormalizerError(f"unknown unit {unit!r}")
+    elif unit in ("year", "decade"):
+        year = base.year + (n * 10 if unit == "decade" else n)
+        month = base.month
+    else:
+        raise NormalizerError(f"unknown unit {unit!r}")
+    try:
+        return date(year, month,
+                    min(base.day, calendar.monthrange(year, month)[1]))
+    except (OverflowError, ValueError) as exc:
+        raise NormalizerError(f"date out of range ({exc})") from None
 
 
 def iso_week(d: date) -> str:
@@ -346,15 +352,13 @@ def _vf_quarter(m, anchor, config, args):
 
 def _vf_week_rel(m, anchor, config, args):
     shift = {"last": -1, "this": 0, "next": 1}[m["dir"]]
-    return iso_week(anchor.date() + timedelta(weeks=shift))
+    return iso_week(_shift(anchor.date(), weeks=shift))
 
 
 def _vf_unit_rel(m, anchor, config, args):
     # "last month", "next year", "this week"
     shift = {"last": -1, "this": 0, "next": 1}[m["dir"]]
     unit = m["unit"].rstrip("s")
-    if unit == "week":
-        return iso_week(anchor.date() + timedelta(weeks=shift))
     return _granular(add_period(anchor, shift, unit), unit)
 
 
@@ -370,7 +374,7 @@ def _vf_weekday(m, anchor, config, args):
 
 
 def _vf_deictic_day(m, anchor, config, args):
-    return (anchor.date() + timedelta(days=int(args[0]))).isoformat()
+    return _shift(anchor.date(), days=int(args[0])).isoformat()
 
 
 def _vf_deictic_pod(m, anchor, config, args):
@@ -380,7 +384,7 @@ def _vf_deictic_pod(m, anchor, config, args):
         word = m.groupdict().get("day") or "today"
         shift = {"yesterday": -1, "today": 0, "this": 0, "tomorrow": 1,
                  "last": -1}.get(word, 0)
-    d = anchor.date() + timedelta(days=shift)
+    d = _shift(anchor.date(), days=shift)
     pod = m.groupdict().get("pod")
     if pod in ("noon", "midday"):
         return f"{d.isoformat()}T12:00"

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence as Seq
+from dataclasses import replace
+from typing import Optional, Sequence as Seq
 
 from . import crf, evaluation, features, normalizer, postproc
 from .config import RunConfig
@@ -11,65 +12,54 @@ from .corpus import (Document, Sequence, bio_to_spans, doc_spans,
 from .normalizer import Anchor, Timex
 
 
-def _feature_context(config: RunConfig, profile: Optional[str] = None):
-    """Feature config, lexicons and gazetteers for `profile` (by default
-    `config.profile`), with `config`'s lexicon and gazetteer paths."""
-    lex = (features.Lexicons(config.lexicon_dir)
-           if config.lexicon_dir else features.default_lexicons())
-    fc = features.PROFILES[profile or config.profile]
-    gaz = None
-    if fc.use_gazetteers:
-        gaz = features.default_gazetteers(config.gazetteer_dir)
-    return fc, lex, gaz
-
-
-def featurize_corpus(seqs: Seq[Sequence], config: RunConfig):
+def featurize_corpus(seqs: Seq[Sequence], featurizer: features.Featurizer):
     """Expanded observation features and gold labels of each sequence;
     a sequence without gold labels is labeled all O."""
-    fc, lex, gaz = _feature_context(config)
-    return ([features.featurize_sequence(s, fc, lex, gaz) for s in seqs],
+    return ([features.featurize_sequence(s, featurizer) for s in seqs],
             [list(s.gold_labels or ["O"] * len(s)) for s in seqs])
 
 
 def train_on_docs(docs: Seq[Document], config: RunConfig
                   ) -> tuple[crf.CrfModel, postproc.PriorTable]:
     model = train_on_sequences(
-        [seq for doc in docs for seq in doc.sequences], config)
+        [seq for doc in docs for seq in doc.sequences], config,
+        config.featurizer(config.profile))
     return model, postproc.build_prior_table(docs)
 
 
-def train_on_sequences(seqs: Seq[Sequence], config: RunConfig
-                       ) -> crf.CrfModel:
-    return crf.train(
-        *featurize_corpus(seqs, config),
+def train_on_sequences(seqs: Seq[Sequence], config: RunConfig,
+                       featurizer: features.Featurizer) -> crf.CrfModel:
+    """A model trained on `seqs` under `featurizer`, which it records as
+    its profile and feature digest."""
+    model = crf.train(
+        *featurize_corpus(seqs, featurizer),
         crf.TrainConfig(config.c, config.eta, config.max_iter,
-                        config.cutoff),
-        profile=config.profile)
+                        config.cutoff))
+    return replace(model, profile=featurizer.profile,
+                   digest=featurizer.digest)
 
 
-def featurize_document(doc: Document, model: crf.CrfModel,
-                       config: RunConfig) -> list[list[list[str]]]:
-    """Observation strings of each sequence of `doc`, under the profile
-    `model` was trained with."""
-    fc, lex, gaz = _feature_context(config, model.profile)
-    return [features.featurize_sequence(seq, fc, lex, gaz)
+def featurize_document(doc: Document, featurizer: features.Featurizer
+                       ) -> list[list[list[str]]]:
+    """Observation strings of each sequence of `doc`."""
+    return [features.featurize_sequence(seq, featurizer)
             for seq in doc.sequences]
 
 
 def label_document(doc: Document, model: crf.CrfModel,
-                   config: RunConfig,
+                   featurizer: features.Featurizer, config: RunConfig,
                    priors: Optional[postproc.PriorTable] = None,
                    doc_features: Optional[Seq[Seq[Seq[str]]]] = None
                    ) -> list[list[str]]:
     """Predicted BIO labels per sequence (CRF plus optional pipeline),
     from one CRF call over the whole document.
 
-    `doc_features` is `featurize_document(doc, model, config)`, computed
+    `doc_features` is `featurize_document(doc, featurizer)`, computed
     here when not given; pass it to label one document several ways
     without featurizing it again.
     """
     if doc_features is None:
-        doc_features = featurize_document(doc, model, config)
+        doc_features = featurize_document(doc, featurizer)
     if not config.pipeline_enabled or priors is None:
         return crf.viterbi(model, doc_features)
     post = config.pipeline_config()
@@ -81,14 +71,13 @@ def label_document(doc: Document, model: crf.CrfModel,
 
 def extract_timexes(doc: Document, labels_per_seq: Seq[Seq[str]],
                     config: RunConfig,
-                    rules=None) -> list[Timex]:
-    """Spans from predicted labels, normalized against the document DCT.
+                    rules: Seq[normalizer.NormRule]) -> list[Timex]:
+    """Spans from predicted labels, normalized against the document DCT
+    with `rules` (`normalizer.load_rules`).
 
     Expressions no rule matches are dropped unless config.fallback maps
     them to (DATE, PRESENT_REF).
     """
-    if rules is None:
-        rules = normalizer.load_rules(config.rules_path)
     anchor = Anchor.from_date(doc.dct)
     timexes = []
     for si, (seq, labels) in enumerate(

@@ -140,10 +140,12 @@ def test_end_to_end_synthetic_experiment():
         config = RunConfig(profile="model1")
         model, _ = pl.train_on_docs([train_doc], config)
         priors = build_prior_table([train_doc])
+        featurizer = config.featurizer(model.profile)
         off = RunConfig(profile="model1", pipeline_enabled=False)
-        labels_off = pl.label_document(test_doc, model, off)
+        labels_off = pl.label_document(test_doc, model, featurizer, off)
         f1_off = pl.spans_f1([test_doc], [labels_off], "strict")
-        labels_on = pl.label_document(test_doc, model, config, priors)
+        labels_on = pl.label_document(test_doc, model, featurizer, config,
+                                      priors)
         f1_on = pl.spans_f1([test_doc], [labels_on], "strict")
         assert f1_off >= 0.95, f1_off
         assert f1_on >= f1_off, (f1_on, f1_off)

@@ -6,7 +6,7 @@ the arguments and results they expect."""
 import sys
 from pathlib import Path
 
-from tempex import crf, pipeline, postproc
+from tempex import crf, normalizer, pipeline, postproc
 from tempex.config import RunConfig
 
 from synth import build_corpus
@@ -20,12 +20,15 @@ def test_tracer_wraps_labeling_and_restores():
     config = RunConfig()
     model = pipeline.train_on_docs([doc], config)[0]
     priors = postproc.build_prior_table([doc])
+    featurizer = config.featurizer(model.profile)
+    rules = normalizer.load_rules(config.rules_path)
     originals = (crf.forward_backward, crf.viterbi, crf.CrfModel.encode,
                  pipeline.label_document)
     with tracing.Tracer() as tracer:
         for p in (priors, None):  # forward-backward, then Viterbi
-            labels = pipeline.label_document(doc, model, config, p)
-            pipeline.extract_timexes(doc, labels, config)
+            labels = pipeline.label_document(doc, model, featurizer, config,
+                                             p)
+            pipeline.extract_timexes(doc, labels, config, rules)
         metrics = tracer.metrics()
     assert (crf.forward_backward, crf.viterbi, crf.CrfModel.encode,
             pipeline.label_document) == originals

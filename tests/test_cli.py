@@ -1,18 +1,19 @@
 import datetime
+import shutil
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tempex import corpus, crf, evaluation, features, pipeline, postproc
+from tempex import (corpus, crf, evaluation, features, normalizer, pipeline,
+                    postproc)
 from tempex.cli import build_parser, main
 from tempex.config import ConfigError, RunConfig, load_config
 
 from synth import build_corpus, split_corpus
 
 DCT = "2013-04-11"
-# The #templates header value of the model files, less its last template.
-TEMPLATES_WITHOUT_T13 = crf.TEMPLATES_HEADER.rpartition(";")[0]
 
 
 @pytest.fixture(scope="session")
@@ -70,7 +71,9 @@ class TestTag:
         output reads them: the orphan I opens a span."""
         weights = np.zeros(9)
         weights[3 * crf.LABEL_INDEX["O"] + crf.LABEL_INDEX["I"]] = 5.0
-        model = crf.CrfModel({}, weights)  # no features: O -> I wins
+        # no features: O -> I wins
+        model = crf.CrfModel({}, weights,
+                             digest=features.Featurizer("model1").digest)
         model_path = tmp_path / "orphan.crf"
         crf.save_model(model, model_path)
         raw = tmp_path / "raw.txt"
@@ -120,14 +123,23 @@ class TestTag:
         capsys.readouterr()
 
 
+def relabel(text: str, profile: str) -> str:
+    """Model file text with its profile and feature digest replaced by
+    those of `profile` over the bundled word lists."""
+    model1 = features.Featurizer("model1").digest
+    assert f"#profile\tmodel1\n#features\t{model1}\n" in text
+    return text.replace(
+        f"#profile\tmodel1\n#features\t{model1}\n",
+        f"#profile\t{profile}\n"
+        f"#features\t{features.Featurizer(profile).digest}\n")
+
+
 @pytest.fixture
 def model2_path(workdir, tmp_path):
     """The session model relabelled as trained under profile model2."""
     text = (workdir / "model.crf").read_text(encoding="utf-8")
-    assert "#profile\tmodel1\n" in text
     path = tmp_path / "model2.crf"
-    path.write_text(text.replace("#profile\tmodel1\n", "#profile\tmodel2\n"),
-                    encoding="utf-8")
+    path.write_text(relabel(text, "model2"), encoding="utf-8")
     return path
 
 
@@ -143,9 +155,9 @@ class TestTagProfile:
         configs = []
         original = features.featurize_sequence
 
-        def spy(seq, config, *args, **kwargs):
-            configs.append(config)
-            return original(seq, config, *args, **kwargs)
+        def spy(seq, featurizer):
+            configs.append(featurizer.config)
+            return original(seq, featurizer)
 
         monkeypatch.setattr(features, "featurize_sequence", spy)
         assert self.tag(workdir, model2_path) == 0
@@ -154,7 +166,8 @@ class TestTagProfile:
     def test_model2_observations_per_token(self, workdir, model2_path):
         model = crf.load_model(model2_path)
         [doc] = corpus.read_corpus(workdir / "test.tsv")
-        feats = pipeline.featurize_document(doc, model, RunConfig())
+        feats = pipeline.featurize_document(
+            doc, RunConfig().featurizer(model.profile))
         assert {len(f) for seq in feats for f in seq} == {386}
 
     def test_profile_flag_mismatch_exit_2(self, workdir, model2_path,
@@ -201,7 +214,7 @@ class TestCorruptModel:
     def corrupt(self, workdir, tmp_path, edit):
         lines = (workdir / "model.crf").read_text(
             encoding="utf-8").splitlines()
-        assert lines[self.FIRST_WEIGHT_LINE - 1].count("\t") == 2
+        assert lines[self.FIRST_WEIGHT_LINE - 1].count("\t") == 3
         path = tmp_path / "bad.crf"
         path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
         return path
@@ -216,22 +229,23 @@ class TestCorruptModel:
     def edit_weight_line(self, edit):
         def apply(lines):
             i = self.FIRST_WEIGHT_LINE - 1
-            feat, lab, w = lines[i].split("\t")
-            lines[i] = edit(feat, lab, w)
+            key, *weights = lines[i].split("\t")
+            lines[i] = edit(key, *weights)
             return lines
         return apply
 
+    ROW = "expected key<TAB>w_B<TAB>w_I<TAB>w_O"
+
     @pytest.mark.parametrize("edit,message", [
-        pytest.param(lambda f, l, w: f"{f} {l} {w}",
-                     "feature<TAB>label<TAB>weight", id="no-tabs"),
-        pytest.param(lambda f, l, w: f"{f}\t{l}",
-                     "feature<TAB>label<TAB>weight", id="one-tab"),
-        pytest.param(lambda f, l, w: f"{f}\t{l}\tnot-a-number",
+        pytest.param(lambda k, b, i, o: f"{k} {b} {i} {o}", ROW,
+                     id="no-tabs"),
+        pytest.param(lambda k, b, i, o: f"{k}\t{b}", ROW, id="one-tab"),
+        pytest.param(lambda k, b, i, o: f"{k}\t{b}\tnot-a-number\t{o}",
                      "bad weight", id="bad-float"),
-        pytest.param(lambda f, l, w: f"{f}\t{l}\tnan", "bad weight",
+        pytest.param(lambda k, b, i, o: f"{k}\t{b}\t{i}\tnan", "bad weight",
                      id="nan"),
-        pytest.param(lambda f, l, w: f"{f}\tX\t{w}", "unknown label 'X'",
-                     id="unknown-label"),
+        pytest.param(lambda k, b, i, o: f"{k}\t{b}\t{i}\t{o}\t{o}", ROW,
+                     id="four-weights"),
     ])
     def test_bad_weight_line(self, workdir, tmp_path, capsys, edit,
                              message):
@@ -239,16 +253,27 @@ class TestCorruptModel:
         err = self.tag_err(workdir, path, capsys)
         assert f"line {self.FIRST_WEIGHT_LINE}:" in err and message in err
 
-    def test_bad_transition_label(self, workdir, tmp_path, capsys):
+    def test_repeated_observation_key(self, workdir, tmp_path, capsys):
         def edit(lines):
-            lines[-1] = lines[-1].replace("O:O", "O:Z")
+            first, second = self.FIRST_WEIGHT_LINE - 1, self.FIRST_WEIGHT_LINE
+            key = lines[first].split("\t")[0]
+            lines[second] = key + lines[second][lines[second].index("\t"):]
             return lines
         path = self.corrupt(workdir, tmp_path, edit)
         err = self.tag_err(workdir, path, capsys)
-        assert "bad transition 'O:Z'" in err
+        assert f"line {self.FIRST_WEIGHT_LINE + 1}: repeated observation " \
+            "key" in err
 
-    @pytest.mark.parametrize("key", ["templates", "hyperparams",
-                                     "n_features"])
+    def test_bad_transition_label(self, workdir, tmp_path, capsys):
+        def edit(lines):
+            lines[-1] = lines[-1].replace("__T__:O", "__T__:Z")
+            return lines
+        path = self.corrupt(workdir, tmp_path, edit)
+        err = self.tag_err(workdir, path, capsys)
+        assert "expected transition row '__T__:O', got '__T__:Z'" in err
+
+    @pytest.mark.parametrize("key", ["features", "hyperparams",
+                                     "n_features", "profile"])
     def test_missing_header_key(self, workdir, tmp_path, capsys, key):
         path = self.corrupt(workdir, tmp_path, lambda lines: [
             line for line in lines if not line.startswith(f"#{key}\t")])
@@ -256,9 +281,11 @@ class TestCorruptModel:
         assert f"no #{key} line" in err
 
     @pytest.mark.parametrize("key,value", [
-        ("templates", "T00:zero"), ("hyperparams", "C=1.0"),
-        ("n_features", "-3"), ("profile", "model9"), ("profile", "model4"),
-        ("templates", TEMPLATES_WITHOUT_T13)])
+        ("features", "T00:zero"),
+        pytest.param("features", "ABCDEF" * 10 + "ABCD", id="features-upper"),
+        pytest.param("features", "0" * 63, id="features-63-digits"),
+        ("hyperparams", "C=1.0"), ("n_features", "-3"),
+        ("profile", "model9"), ("profile", "model4")])
     def test_bad_header_value(self, workdir, tmp_path, capsys, key, value):
         def edit(lines):
             return [f"#{key}\t{value}" if line.startswith(f"#{key}\t")
@@ -272,9 +299,21 @@ class TestCorruptModel:
             return ["#n_features\t1" if line.startswith("#n_features\t")
                     else line for line in lines]
         path = self.corrupt(workdir, tmp_path, edit)
-        # the second feature's first weight line, three lines per feature
         err = self.tag_err(workdir, path, capsys)
-        assert f"line {self.FIRST_WEIGHT_LINE + 3}: model declares 1" in err
+        assert "model declares 1 features, so 4 weight rows" in err
+
+    def test_format_1_rejected_by_name(self, workdir, tmp_path, capsys):
+        """A model in the earlier one-row-per-(observation, label) format
+        is refused, naming its version."""
+        path = tmp_path / "v1.crf"
+        path.write_text(
+            "#version\ttempex-crf-1\n#labels\tB,I,O\n"
+            "#hyperparams\tC=1.0,eta=0.0001\n#profile\tmodel1\n"
+            "#n_features\t0\n"
+            + "".join(f"__T__\t{a}:{b}\t0.0\n" for a in "BIO" for b in "BIO"),
+            encoding="utf-8")
+        err = self.tag_err(workdir, path, capsys)
+        assert "model format 'tempex-crf-1' not supported" in err
 
 
 class TestNormalize:
@@ -343,6 +382,39 @@ class TestNormalize:
     def test_rule_file_not_utf8_exit_2(self, tmp_path, capsys):
         rc = self.normalize_with_rules(tmp_path, "x\t5\t\udcff\tDATE\tfixed:X")
         assert rc == 2 and "not UTF-8" in capsys.readouterr().err
+
+
+class TestOutOfRangeDates:
+    """Calendar arithmetic outside datetime's range means the rule does
+    not apply: `normalize` prints NO_MATCH and `tag` drops the span."""
+
+    @pytest.mark.parametrize("expr", [
+        "9000 years later", "9000 years ago", "in 9000 years",
+        "900 decades later", "99999999999 days later", "90000 months ago"])
+    def test_normalize_no_match(self, capsys, expr):
+        rc = main(["normalize", expr, "--dct", DCT])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "NO_MATCH"
+
+    def test_tag_drops_the_expression(self, tmp_path, capsys):
+        # no observation features; B -> I and I -> I favoured, so each
+        # sentence is decoded as one span
+        weights = np.zeros(9)
+        for a in "BI":
+            weights[3 * crf.LABEL_INDEX[a] + crf.LABEL_INDEX["I"]] = 5.0
+        model_path = tmp_path / "spans.crf"
+        crf.save_model(crf.CrfModel(
+            {}, weights, digest=features.Featurizer("model1").digest),
+            model_path)
+        raw = tmp_path / "raw.txt"
+        raw.write_text("9000 years later\nthree days ago\n",
+                       encoding="utf-8")
+        rc = main(["tag", str(raw), str(model_path), "--dct", DCT])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.count("<TIMEX3") == 1
+        assert 'value="2013-04-08">three days ago</TIMEX3>' in out
+        assert "9000 years later" in out
 
 
 class TestEvaluate:
@@ -474,6 +546,140 @@ class TestReaderErrors:
         assert "rule fortnight on 'a fortnight'" in err
 
 
+def write_lexicons_without(root, word: str):
+    """A copy of the bundled lexicons with `word` taken out of the
+    weekday list."""
+    lexicons = root / "lexicons"
+    shutil.copytree(features.DATA_DIR / "lexicons", lexicons)
+    path = lexicons / "weekdays.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(l for l in lines if l != word) + "\n",
+                    encoding="utf-8")
+    return lexicons
+
+
+def write_gazetteers_plus(root, phrase: str):
+    """A copy of the bundled gazetteers with `phrase` added to one."""
+    gazetteers = root / "gazetteers"
+    shutil.copytree(features.DATA_DIR / "gazetteers", gazetteers)
+    with open(gazetteers / "us_cities.txt", "a", encoding="utf-8") as f:
+        f.write(f"\n{phrase}\n")
+    return gazetteers
+
+
+class TestFeatureContract:
+    """A model records the digest of the word lists it was trained
+    with; `tag` under other lexicons, or other gazetteers for a profile
+    that reads them, exits 2 naming both digests and the directories."""
+
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("contract")
+        docs = [replace(build_corpus(n_sentences=6, seed=s), id=f"d{s}")
+                for s in (1, 2, 3)]
+        corpus.write_corpus(docs, root / "corpus.tsv")
+        return root
+
+    def ini(self, path, text):
+        path.write_text("[crf]\nmax_iter = 5\n" + text, encoding="utf-8")
+        return str(path)
+
+    def tag(self, root, model, *config):
+        return main([*config, "tag", str(root / "corpus.tsv"), str(model),
+                     "--output", str(model) + ".out"])
+
+    def test_lexicon_mismatch_exit_2(self, small, tmp_path, capsys):
+        lexicons = write_lexicons_without(tmp_path, "monday")
+        ini = self.ini(tmp_path / "lex.ini",
+                       f"[paths]\nlexicons = {lexicons}\n")
+        model = tmp_path / "lex.crf"
+        assert main(["--config", ini, "train", str(small / "corpus.tsv"),
+                     str(model)]) == 0
+        assert self.tag(small, model, "--config", ini) == 0
+        capsys.readouterr()
+        assert self.tag(small, model) == 2
+        err = capsys.readouterr().err
+        trained = features.Featurizer("model1", lexicons).digest
+        assert trained in err and features.Featurizer("model1").digest in err
+        assert str(features.DATA_DIR / "lexicons") in err
+
+    def test_model3_gazetteer_mismatch_exit_2(self, small, tmp_path,
+                                              capsys):
+        model = tmp_path / "gaz.crf"
+        assert main(["--config", self.ini(tmp_path / "m3.ini",
+                                          "profile = model3\n"),
+                     "train", str(small / "corpus.tsv"), str(model)]) == 0
+        assert self.tag(small, model) == 0
+        gazetteers = write_gazetteers_plus(tmp_path, "three days")
+        ini = self.ini(tmp_path / "gaz.ini",
+                       f"[paths]\ngazetteers = {gazetteers}\n")
+        capsys.readouterr()
+        assert self.tag(small, model, "--config", ini) == 2
+        err = capsys.readouterr().err
+        assert features.Featurizer("model3").digest in err
+        assert str(gazetteers) in err
+
+    def test_model1_ignores_gazetteers(self, workdir, tmp_path, capsys):
+        gazetteers = write_gazetteers_plus(tmp_path, "three days")
+        ini = self.ini(tmp_path / "gaz.ini",
+                       f"[paths]\ngazetteers = {gazetteers}\n")
+        assert main(["--config", ini, "tag", str(workdir / "test.tsv"),
+                     str(workdir / "model.crf"), "--output",
+                     str(tmp_path / "out.txt")]) == 0
+
+    @pytest.mark.parametrize("command", ["train", "tag", "cv"])
+    def test_model3_reads_each_list_once(self, small, tmp_path, monkeypatch,
+                                         capsys, command):
+        """Under model3, every lexicon and gazetteer file is read once per
+        command, however many documents, sentences and folds it has."""
+        ini = self.ini(tmp_path / "m3.ini", "profile = model3\n")
+        model = tmp_path / "m3.crf"
+        assert main(["--config", ini, "train", str(small / "corpus.tsv"),
+                     str(model)]) == 0
+        reads = Counter()
+        original = features.load_wordlist
+
+        def counting(path):
+            reads[str(path)] += 1
+            return original(path)
+
+        monkeypatch.setattr(features, "load_wordlist", counting)
+        argv = {"train": ["train", str(small / "corpus.tsv"), str(model)],
+                "tag": ["tag", str(small / "corpus.tsv"), str(model),
+                        "--output", str(tmp_path / "out.txt")],
+                "cv": ["cv", str(small / "corpus.tsv"), "--k", "2",
+                       "--repeats", "1", "--output",
+                       str(tmp_path / "cv.txt")]}[command]
+        assert main(["--config", ini, *argv]) == 0
+        expected = {str(p) for kind in ("lexicons", "gazetteers")
+                    for p in (features.DATA_DIR / kind).glob("*.txt")}
+        assert set(reads) == expected
+        assert set(reads.values()) == {1}
+
+    def test_rule_overrides_read_once_per_tag(self, small, tmp_path,
+                                              monkeypatch, capsys):
+        rules = tmp_path / "rules.tsv"
+        rules.write_text(
+            "fortnight\t5\ta fortnight\tDURATION\tfixed:P2W\n",
+            encoding="utf-8")
+        ini = self.ini(tmp_path / "rules.ini",
+                       f"[paths]\nrules = {rules}\n")
+        model = tmp_path / "m1.crf"
+        assert main(["--config", ini, "train", str(small / "corpus.tsv"),
+                     str(model)]) == 0
+        calls = []
+        original = normalizer.load_rule_overrides
+
+        def counting(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(normalizer, "load_rule_overrides", counting)
+        assert len(corpus.read_corpus(small / "corpus.tsv")) == 3
+        assert self.tag(small, model, "--config", ini) == 0
+        assert calls == [str(rules)]
+
+
 class TestCrossValidation:
     def test_deterministic_and_complete(self, workdir, capsys):
         argv = ["--config", str(workdir / "run.ini"), "--seed", "490",
@@ -546,12 +752,14 @@ class TestCrossValidation:
             cfg = replace(config, pipeline_enabled=enabled)
 
             def fold_fn(train_items, test_items):
-                model = pipeline.train_on_sequences(train_items, cfg)
+                featurizer = cfg.featurizer(cfg.profile)
+                model = pipeline.train_on_sequences(train_items, cfg,
+                                                    featurizer)
                 priors = (postproc.build_prior_table([fold_doc(train_items)])
                           if enabled else None)
                 test_doc = fold_doc(test_items)
-                labels = pipeline.label_document(test_doc, model, cfg,
-                                                 priors)
+                labels = pipeline.label_document(test_doc, model, featurizer,
+                                                 cfg, priors)
                 return pipeline.spans_f1([test_doc], [labels], "strict")
 
             results = evaluation.cross_validate(items, fold_fn, k=2,
@@ -635,6 +843,22 @@ class TestConfig:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("value,expected", [
+        ("bogus", None), ("last", "DATE\t2013-04-08"),
+        ("next", "DATE\t2013-04-15"), ("nearest-future", "DATE\t2013-04-15")])
+    def test_bare_weekday_checked(self, tmp_path, capsys, value, expected):
+        path = tmp_path / "bw.ini"
+        path.write_text(f"[normalizer]\nbare_weekday = {value}\n",
+                        encoding="utf-8")
+        rc = main(["--config", str(path), "normalize", "monday",
+                   "--dct", DCT])
+        captured = capsys.readouterr()
+        if expected is None:
+            assert rc == 2 and captured.out == ""
+            assert "unknown bare_weekday 'bogus'" in captured.err
+        else:
+            assert rc == 0 and captured.out.strip() == expected
 
     def test_missing_path_rejected(self):
         with pytest.raises(ConfigError, match="priors_path"):

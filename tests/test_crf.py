@@ -336,10 +336,31 @@ class TestTrain:
             train([], [])
 
 
+DIGEST = "0123456789abcdef" * 4
+
+
 class TestPersistence:
+    def test_round_trip_is_exact(self, tmp_path):
+        """Index, weights (bit for bit), profile and digest survive a save
+        and load, also for an index whose ids are not in key order."""
+        rng = np.random.default_rng(8)
+        weights = rng.normal(size=4 * 3 + 9) * 1e-7
+        model = CrfModel({"d": 2, "b": 0, "c": 3, "a": 1}, weights,
+                         c=0.3, eta=1e-5, profile="model2", digest=DIGEST)
+        path = tmp_path / "model.tsv"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.obs_index == model.obs_index
+        assert np.array_equal(loaded.weights, model.weights)
+        assert (loaded.c, loaded.eta, loaded.profile, loaded.digest) == \
+            (0.3, 1e-5, "model2", DIGEST)
+        # one row per observation, then three transition rows
+        assert len(path.read_text().splitlines()) == 6 + 4 + 3
+
     def test_round_trip_predictions(self, tmp_path):
         rng = np.random.default_rng(9)
         model = random_model(rng)
+        model.digest = DIGEST
         path = tmp_path / "model.tsv"
         save_model(model, path)
         loaded = load_model(path)
@@ -359,6 +380,7 @@ class TestPersistence:
     def test_weight_count_mismatch(self, tmp_path):
         rng = np.random.default_rng(10)
         model = random_model(rng, n_obs=3)
+        model.digest = DIGEST
         path = tmp_path / "model.tsv"
         save_model(model, path)
         text = path.read_text().replace("#n_features\t3", "#n_features\t4")

@@ -1,15 +1,19 @@
+import shutil
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempex import crf, features, pipeline
 from tempex.config import RunConfig
 from tempex.corpus import Sequence, Token, is_valid_bio
-from tempex.features import (BOS, EOS, Gazetteer, TEMPLATES,
-                             collapsed_pattern, expand_templates,
-                             extract_morphological, match_gazetteer, pattern,
+from tempex.features import (BOS, EOS, DATA_DIR, Featurizer, Gazetteer,
+                             TEMPLATES, collapsed_pattern, expand_templates,
+                             extract_rows, match_gazetteer, pattern,
                              PROFILES, featurize_sequence)
 
 from synth import build_corpus
+
+MODEL1 = Featurizer("model1")
 
 
 def make_seq(words):
@@ -49,32 +53,32 @@ class TestPattern:
 
 class TestMorphological:
     def test_period_of_day(self):
-        [row] = extract_morphological(make_seq(["morning"]))
+        [row] = extract_rows(make_seq(["morning"]), MODEL1)
         assert row["period_of_day"] == "y"
 
     def test_past_ref(self):
-        [row] = extract_morphological(make_seq(["ago"]))
+        [row] = extract_rows(make_seq(["ago"]), MODEL1)
         assert row["past_ref"] == "y"
 
     def test_digit_token(self):
-        [row] = extract_morphological(make_seq(["7"]))
+        [row] = extract_rows(make_seq(["7"]), MODEL1)
         assert row["digit"] == "y"
         assert row["number"] == "y"
         assert row["cardinal"] == "y"
         assert row["alphabetic"] == "n"
 
     def test_lemma_fallback_is_lowercased_surface(self):
-        [row] = extract_morphological(make_seq(["Tomorrow"]))
+        [row] = extract_rows(make_seq(["Tomorrow"]), MODEL1)
         assert row["lemma"] == "tomorrow"
 
     def test_verb_tense_from_pos(self):
         seq = Sequence((Token("went", 0, 4, pos="VBD"),))
-        [row] = extract_morphological(seq)
+        [row] = extract_rows(seq, MODEL1)
         assert row["verb_tense"] == "past"
 
     def test_deterministic(self):
         seq = make_seq(["Three", "days", "ago", "."])
-        assert extract_morphological(seq) == extract_morphological(seq)
+        assert extract_rows(seq, MODEL1) == extract_rows(seq, MODEL1)
 
 
 class TestGazetteer:
@@ -125,9 +129,8 @@ class TestTemplates:
 
     def test_deterministic_golden(self):
         seq = make_seq(["Three", "days", "ago"])
-        config = PROFILES["model1"]
-        a = featurize_sequence(seq, config)
-        b = featurize_sequence(seq, config)
+        a = featurize_sequence(seq, MODEL1)
+        b = featurize_sequence(seq, MODEL1)
         assert a == b
         # byte-identical serialization
         assert "\n".join("\t".join(p) for p in a) == \
@@ -158,12 +161,56 @@ class TestProfiles:
         with pytest.raises(ValueError, match="profile"):
             RunConfig(profile="model9")
 
-    def test_gazetteer_features_reach_expansion(self):
+    def test_gazetteer_features_reach_expansion(self, tmp_path):
+        (tmp_path / "cities.txt").write_text("new york\n", encoding="utf-8")
         seq = make_seq(["New", "York", "today"])
-        gaz = [Gazetteer("cities", frozenset({("new", "york")}))]
-        out = featurize_sequence(seq, PROFILES["model3"],
-                                 gazetteers=gaz)
+        out = featurize_sequence(seq, Featurizer("model3",
+                                                 gazetteer_dir=tmp_path))
         assert any("gaz_cities[0]=B" in f for f in out[0])
+
+
+class TestFeaturizer:
+    """The digest covers exactly what featurization reads: the profile,
+    the templates, the lexicon words and the gazetteers a profile uses."""
+
+    def lexicons_without(self, tmp_path, word):
+        lexicons = tmp_path / "lexicons"
+        shutil.copytree(DATA_DIR / "lexicons", lexicons)
+        path = lexicons / "weekdays.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert word in lines
+        path.write_text("\n".join(l for l in lines if l != word) + "\n",
+                        encoding="utf-8")
+        return lexicons
+
+    def test_digest_is_deterministic_per_profile(self):
+        assert Featurizer("model1").digest == MODEL1.digest
+        assert len({Featurizer(p).digest for p in PROFILES}) == 3
+
+    def test_lexicon_words_change_the_digest(self, tmp_path):
+        lexicons = self.lexicons_without(tmp_path, "monday")
+        featurizer = Featurizer("model1", lexicon_dir=lexicons)
+        assert featurizer.digest != MODEL1.digest
+        [row] = extract_rows(make_seq(["Monday"]), featurizer)
+        assert row["weekday"] == "n"
+
+    def test_word_order_and_comments_do_not(self, tmp_path):
+        lexicons = tmp_path / "lexicons"
+        shutil.copytree(DATA_DIR / "lexicons", lexicons)
+        path = lexicons / "weekdays.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("# reordered\n" + "\n".join(reversed(lines)),
+                        encoding="utf-8")
+        assert Featurizer("model1", lexicon_dir=lexicons).digest == \
+            MODEL1.digest
+
+    def test_gazetteers_count_only_where_used(self, tmp_path):
+        (tmp_path / "cities.txt").write_text("boston\n", encoding="utf-8")
+        assert Featurizer("model1", gazetteer_dir=tmp_path).gazetteers == ()
+        assert Featurizer("model1", gazetteer_dir=tmp_path).digest == \
+            MODEL1.digest
+        assert Featurizer("model3", gazetteer_dir=tmp_path).digest != \
+            Featurizer("model3").digest
 
 
 def reference_expand(rows, templates=TEMPLATES, unigram_features=(),
@@ -221,10 +268,11 @@ class TestExpansionOracle:
     def test_matches_reference_on_every_profile(self):
         doc = build_corpus(n_sentences=40, seed=5)
         for profile in ("model1", "model2", "model3"):
-            config = PROFILES[profile]
-            unigram, conj = features.expansion_feature_names(config)
+            featurizer = Featurizer(profile)
+            unigram = featurizer.unigram_features
+            conj = featurizer.config.conjunction_features
             for seq in doc.sequences:
-                rows = features.extract_rows(seq, config)
+                rows = features.extract_rows(seq, featurizer)
                 assert expand_templates(rows, TEMPLATES, unigram, conj) \
                     == reference_expand(rows, TEMPLATES, unigram, conj)
 

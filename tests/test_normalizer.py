@@ -5,7 +5,8 @@ from datetime import date, timedelta
 import pytest
 
 from tempex.corpus import Token, TimexSpan, tokenize
-from tempex.normalizer import (Anchor, NormConfig, NormalizerError, Timex,
+from tempex.normalizer import (WEEKDAY_DIRECTIONS, WEEKDAYS, Anchor,
+                               NormConfig, NormalizerError, Timex,
                                add_period, default_rules, dump_rules,
                                load_rule_overrides, normalize,
                                resolve_weekday, validate_value)
@@ -87,6 +88,24 @@ class TestResolveWeekday:
         assert resolve_weekday("Monday", "nearest-future", ANCHOR) == \
             date(2013, 4, 15)
 
+    @pytest.mark.parametrize("direction,window", [
+        ("last", range(-7, 0)), ("next", range(1, 8)),
+        ("nearest-past", range(-6, 1)), ("nearest-future", range(0, 7))])
+    def test_each_direction_covers_its_week(self, direction, window):
+        """Every weekday resolves into the direction's seven-day window,
+        from every anchor weekday."""
+        assert direction in WEEKDAY_DIRECTIONS
+        for shift in range(7):
+            anchor = Anchor.from_date(ANCHOR.date() + timedelta(days=shift))
+            offsets = sorted(
+                (resolve_weekday(name, direction, anchor)
+                 - anchor.date()).days for name in WEEKDAYS)
+            assert offsets == list(window)
+
+    def test_unknown_direction(self):
+        with pytest.raises(NormalizerError, match="unknown direction"):
+            resolve_weekday("Monday", "bogus", ANCHOR)
+
 
 class TestAddPeriod:
     def test_identity(self):
@@ -106,6 +125,13 @@ class TestAddPeriod:
 
     def test_week(self):
         assert add_period(ANCHOR, 2, "week") == date(2013, 4, 25)
+
+    @pytest.mark.parametrize("n,unit", [
+        (9000, "year"), (-9000, "year"), (900, "decade"), (10**30, "month"),
+        (10**12, "day"), (10**9, "week")])
+    def test_out_of_range_means_no_value(self, n, unit):
+        with pytest.raises(NormalizerError, match="out of range"):
+            add_period(ANCHOR, n, unit)
 
 
 class TestValidateValue:

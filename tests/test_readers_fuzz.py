@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tempex import crf
 from tempex.cli import main
+from tempex.features import Featurizer
 
 DCT = "2013-04-11"
 
@@ -64,7 +65,8 @@ def mangled(draw, valid: str) -> bytes:
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     model = crf.CrfModel({"T00:word[0]=Friday": 0, "T00:word[0]=on": 1},
-                         np.linspace(-1.0, 1.0, 15))
+                         np.linspace(-1.0, 1.0, 15),
+                         digest=Featurizer("model1").digest)
     crf.save_model(model, root / "model.crf")
     for name, text in (("corpus.tsv", CORPUS), ("attrs.tsv", ATTRS),
                        ("model.priors", PRIORS), ("rules.tsv", RULES),
