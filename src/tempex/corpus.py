@@ -346,17 +346,17 @@ def assemble_document(doc_id: str, dct: date,
     """A document of `sequences`, its raw text rebuilt from the token
     offsets: each token's surface at its offsets, spaces elsewhere.  Gap
     whitespace is so canonicalized to single spaces, which keeps
-    write/read round-trips stable."""
+    write/read round-trips stable.  The text is joined from the gaps and
+    the surfaces in offset order, so it costs memory in proportion to
+    its length, the largest offset."""
     sequences = tuple(sequences)
-    length = 0
+    pieces = []
+    end = 0
     for seq in sequences:
         for tok in seq.tokens:
-            length = max(length, tok.char_end)
-    chars = [" "] * length
-    for seq in sequences:
-        for tok in seq.tokens:
-            chars[tok.char_start:tok.char_end] = tok.surface
-    return Document(doc_id, dct, sequences, "".join(chars))
+            pieces += (" " * (tok.char_start - end), tok.surface)
+            end = tok.char_end
+    return Document(doc_id, dct, sequences, "".join(pieces))
 
 
 def pack_sequences(sequences: Iterable[Sequence]) -> list[Sequence]:

@@ -4,14 +4,16 @@ Weights live in one flat vector: slot(obs, label) = obs_id * 3 + label,
 followed by the 9 label-bigram transition slots.  All probability math is
 done in log space.
 
-Training, decoding and the tests share one path.  A list of sequences (a
-training corpus, or one document when decoding) is encoded once as a
-sparse token-by-observation matrix over a length-padded, longest-first
-batch, so that one sparse product scores every token.  One forward
-recursion then runs over the whole batch: in the log semiring, where
-every step is a log-sum-exp shifted by its maximum, it gives logZ and,
-with the backward pass, the marginals; in the max-plus semiring it gives
-Viterbi.  Training collects expected counts with the matrix's transpose.
+Training, decoding and the tests share one path.  The observation table
+of a list of sequences (a training corpus, or one document when
+decoding; `features.ObservationTable`) is encoded once, one index lookup
+per distinct observation string, as a sparse token-by-observation matrix
+over a length-padded, longest-first batch, so that one sparse product
+scores every token.  One forward recursion then runs over the whole
+batch: in the log semiring, where every step is a log-sum-exp shifted by
+its maximum, it gives logZ and, with the backward pass, the marginals;
+in the max-plus semiring it gives Viterbi.  Training collects expected
+counts with the matrix's transpose.
 """
 
 from __future__ import annotations
@@ -20,16 +22,16 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Optional, Sequence as Seq
+from typing import Optional, Sequence as Seq
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import minimize
 
 from .corpus import LABELS, read_text
-from .features import PROFILES
+from .features import PROFILES, ObservationTable
 
 MODEL_FORMAT_VERSION = "tempex-crf-2"
 # L-BFGS history length (corrections kept).
@@ -88,42 +90,46 @@ class CrfModel:
     def transition_weights(self) -> np.ndarray:
         return self.weights[self.n_obs * N_LABELS:].reshape(N_LABELS, N_LABELS)
 
-    def encode(self, position_features: Seq[Iterable[str]]) -> list[np.ndarray]:
-        """Observation ids per position; unknown feature strings dropped.
+    def encode(self, table: ObservationTable) -> list[np.ndarray]:
+        """Observation ids of each position of `table`, in slot order;
+        unknown observations and empty slots dropped.
 
-        One `dict.get` per string, unknown ones read as -1 and masked out.
+        One `dict.get` per key of the table, then one gather of the
+        table's codes; the lookup's extra last entry is what an empty
+        slot (code -1) reads.
         """
-        get = self.obs_index.get
-        out = []
-        for feats in position_features:
-            feats = list(feats)
-            ids = np.fromiter(map(get, feats, repeat(-1, len(feats))),
-                              dtype=np.int64, count=len(feats))
-            out.append(ids[ids >= 0])
-        return out
+        keys = table.keys
+        lookup = np.fromiter(
+            chain(map(self.obs_index.get, keys, repeat(-1, len(keys))),
+                  (-1,)), dtype=np.int64, count=len(keys) + 1)
+        ids = lookup[table.codes]
+        kept = ids >= 0
+        return np.split(ids[kept], np.cumsum(kept.sum(axis=1)))[:-1]
 
 
-def build_feature_index(sequences_features: Seq[Seq[Iterable[str]]],
+def build_feature_index(table: ObservationTable,
                         cutoff: int = 1) -> dict[str, int]:
     """Intern every observation string seen at least `cutoff` times.
 
-    Slot order is first-occurrence order, so the index is deterministic
-    for a fixed corpus.  Keys are interned: models trained on similar
-    corpora share most observation strings, and then share their storage.
+    Slot order is first-occurrence order (position by position, slot by
+    slot), so the index is deterministic for a fixed corpus.  Keys of the
+    table that spell the same string are one observation: their counts
+    add up and the first of them places it.  Keys are interned: models
+    trained on similar corpora share most observation strings, and then
+    share their storage.
     """
-    if not sequences_features:
+    if not table.lengths:
         raise CrfError("empty corpus")
-    counts: dict[str, int] = {}
-    order: list[str] = []
-    for seq_feats in sequences_features:
-        for feats in seq_feats:
-            for f in feats:
-                if f not in counts:
-                    counts[f] = 0
-                    order.append(f)
-                counts[f] += 1
+    codes = table.codes.ravel()
+    codes, first, counts = np.unique(codes[codes >= 0], return_index=True,
+                                     return_counts=True)
+    order = np.argsort(first)
+    totals: dict[str, int] = {}
+    for key, count in zip(map(table.keys.__getitem__, codes[order].tolist()),
+                          counts[order].tolist()):
+        totals[key] = totals.get(key, 0) + count
     return {sys.intern(f): i for i, f in
-            enumerate(f for f in order if counts[f] >= cutoff)}
+            enumerate(f for f, n in totals.items() if n >= cutoff)}
 
 
 def _log_sum_exp(s: np.ndarray, axis: int) -> np.ndarray:
@@ -134,7 +140,8 @@ def _log_sum_exp(s: np.ndarray, axis: int) -> np.ndarray:
 
 
 class _EncodedBatch:
-    """Sequences encoded once under `model`'s index, as one padded batch.
+    """A table's sequences encoded once under `model`'s index, as one
+    padded batch.
 
     The non-empty sequences are ordered longest first, so the ones still
     running at step t are the first `active[t]` of the batch; `order`
@@ -145,14 +152,18 @@ class _EncodedBatch:
     paths' total score is `empirical @ weights`.
     """
 
-    def __init__(self, model: CrfModel, sequences_features, labels=None):
-        obs_ids = [model.encode(feats) for feats in sequences_features]
-        self.n_input = len(obs_ids)
-        self.order = sorted((i for i, ids in enumerate(obs_ids) if ids),
-                            key=lambda i: -len(obs_ids[i]))
-        self.lengths = np.array([len(obs_ids[i]) for i in self.order],
+    def __init__(self, model: CrfModel, table: ObservationTable,
+                 labels=None):
+        obs_ids = model.encode(table)
+        lengths = table.lengths
+        starts = np.cumsum((0, *lengths))
+        self.n_input = len(lengths)
+        self.order = sorted((i for i, n in enumerate(lengths) if n),
+                            key=lambda i: -lengths[i])
+        self.lengths = np.array([lengths[i] for i in self.order],
                                 dtype=np.int64)
-        steps = [ids for i in self.order for ids in obs_ids[i]]
+        steps = [obs_ids[p] for i in self.order
+                 for p in range(starts[i], starts[i + 1])]
         indptr = np.cumsum([0] + [len(ids) for ids in steps])
         indices = np.concatenate([np.zeros(0, dtype=np.int64), *steps])
         self.x = sparse.csr_matrix(
@@ -164,8 +175,8 @@ class _EncodedBatch:
         if labels is None:
             return
         label_ids = []
-        for ids, labs in zip(obs_ids, labels, strict=True):
-            if len(ids) != len(labs):
+        for n, labs in zip(lengths, labels, strict=True):
+            if n != len(labs):
                 raise CrfError("feature/label length mismatch")
             try:
                 label_ids.append([LABEL_INDEX[l] for l in labs])
@@ -250,12 +261,11 @@ def _viterbi(batch: _EncodedBatch, unary: np.ndarray,
     return best[batch.mask]
 
 
-def forward_backward(model: CrfModel,
-                     sequences: Seq[Seq[Iterable[str]]]
+def forward_backward(model: CrfModel, table: ObservationTable
                      ) -> list[MarginalTable]:
-    """Exact per-position marginals and logZ of each sequence, all
-    sequences run as one batch."""
-    batch = _EncodedBatch(model, sequences)
+    """Exact per-position marginals and logZ of each sequence of `table`,
+    all sequences run as one batch."""
+    batch = _EncodedBatch(model, table)
     alpha, beta, log_z = _forward_backward(
         batch, _unary(batch, model.weights), model.transition_weights())
     probs = _marginals(batch, alpha, beta, log_z)
@@ -266,11 +276,10 @@ def forward_backward(model: CrfModel,
             for p, z in zip(batch.unbatch(probs), input_log_z)]
 
 
-def viterbi(model: CrfModel,
-            sequences: Seq[Seq[Iterable[str]]]) -> list[list[str]]:
-    """Maximum-probability label sequence of each sequence, all sequences
-    run as one batch; argmax ties break by B < I < O."""
-    batch = _EncodedBatch(model, sequences)
+def viterbi(model: CrfModel, table: ObservationTable) -> list[list[str]]:
+    """Maximum-probability label sequence of each sequence of `table`,
+    all sequences run as one batch; argmax ties break by B < I < O."""
+    batch = _EncodedBatch(model, table)
     best = _viterbi(batch, _unary(batch, model.weights),
                     model.transition_weights())
     return [[LABELS[y] for y in ids.tolist()] for ids in batch.unbatch(best)]
@@ -308,15 +317,15 @@ def _ll_grad(batch: _EncodedBatch, weights: np.ndarray, c: float):
     return value, grad
 
 
-def log_likelihood_and_gradient(model: CrfModel, batch):
+def log_likelihood_and_gradient(model: CrfModel, table: ObservationTable,
+                                labels: Seq[Seq[str]]):
     """Regularized conditional log-likelihood and its gradient.
 
-    `batch` is a list of (position_features, labels) pairs.  Value is
+    `labels` holds the gold labels of each sequence of `table`.  Value is
     sum log p(y|x) - ||w||^2 / (2C); the gradient is empirical minus
     expected feature counts minus w/C.
     """
-    feats, labels = zip(*batch) if batch else ((), ())
-    return _ll_grad(_EncodedBatch(model, feats, labels), model.weights,
+    return _ll_grad(_EncodedBatch(model, table, labels), model.weights,
                     model.c)
 
 
@@ -328,8 +337,7 @@ class TrainConfig:
     cutoff: int = 1
 
 
-def train(sequences_features: Seq[Seq[Iterable[str]]],
-          labels: Seq[Seq[str]],
+def train(table: ObservationTable, labels: Seq[Seq[str]],
           config: Optional[TrainConfig] = None) -> CrfModel:
     """L2-regularized maximum likelihood via limited-memory quasi-Newton.
 
@@ -338,14 +346,12 @@ def train(sequences_features: Seq[Seq[Iterable[str]]],
     identical weights.
     """
     config = config or TrainConfig()
-    if not sequences_features:
-        raise CrfError("empty corpus")
-    obs_index = build_feature_index(sequences_features, config.cutoff)
+    obs_index = build_feature_index(table, config.cutoff)
     model = CrfModel(
         obs_index,
         np.zeros(len(obs_index) * N_LABELS + N_LABELS * N_LABELS),
         c=config.c, eta=config.eta)
-    batch = _EncodedBatch(model, sequences_features, labels)
+    batch = _EncodedBatch(model, table, labels)
 
     def objective(w):
         value, grad = _ll_grad(batch, w, config.c)
@@ -378,7 +384,15 @@ def save_model(model: CrfModel, path) -> None:
     """Write a `tempex-crf-2` model: a header, then one row per
     observation, `key<TAB>w_B<TAB>w_I<TAB>w_O`, in id order, then the
     transition block, one row per from-label.  Keys are token-derived
-    strings, which hold no tab or line break."""
+    strings, which hold no tab or line break.  A model without a valid
+    feature digest is refused before the file is opened, since
+    `load_model` would refuse it."""
+    try:
+        _parse_digest(model.digest)
+    except ValueError:
+        raise CrfError(f"model has no valid feature digest "
+                       f"({model.digest!r}); it could not be loaded back"
+                       ) from None
     lines = [
         f"#version\t{MODEL_FORMAT_VERSION}",
         f"#labels\t{','.join(LABELS)}",

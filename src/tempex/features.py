@@ -11,10 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import string
 from dataclasses import astuple, dataclass
 from functools import lru_cache
+from itertools import groupby, repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence as Seq
+
+import numpy as np
 
 from .corpus import Sequence, Token, read_text
 
@@ -126,14 +130,13 @@ def pattern(surface: str) -> str:
     return "".join(out)
 
 
+def _collapse(pat: str) -> str:
+    return "".join(c for c, _ in groupby(pat))
+
+
 def collapsed_pattern(surface: str) -> str:
     """pattern() with runs of one class collapsed: 'Jan-2003' -> 'Xx-d'."""
-    pat = pattern(surface)
-    out = []
-    for c in pat:
-        if not out or out[-1] != c:
-            out.append(c)
-    return "".join(out)
+    return _collapse(pattern(surface))
 
 
 _STEM_SUFFIXES = ("ations", "ation", "ings", "ies", "ing", "eed", "ed",
@@ -150,15 +153,20 @@ def stem(word: str) -> str:
     return w
 
 
-_RE_CARDINAL_DIGITS = re.compile(r"\d+")
-_RE_ORDINAL_DIGITS = re.compile(r"\d+(st|nd|rd|th)")
-_RE_TIME = re.compile(r"\d{1,2}(:\d{2}){1,2}|\d{1,2}(am|pm|h)")
-_RE_DATE = re.compile(
+# bound `fullmatch` methods, so a call looks up no pattern
+_IS_CARDINAL_DIGITS = re.compile(r"\d+").fullmatch
+_IS_ORDINAL_DIGITS = re.compile(r"\d+(st|nd|rd|th)").fullmatch
+_IS_TIME = re.compile(r"\d{1,2}(:\d{2}){1,2}|\d{1,2}(am|pm|h)").fullmatch
+_IS_DATE = re.compile(
     r"\d{4}|\d{1,2}[-/]\d{1,2}[-/]\d{2,4}|\d{4}[-/]\d{1,2}([-/]\d{1,2})?"
-    r"|[a-z]{3,9}-\d{2,4}", re.IGNORECASE)
-_RE_DECIMAL = re.compile(r"\d+\.\d+")
-_RE_NUM_DOTS = re.compile(r"\d+(\.\d+)+")
-_RE_ACRONYM = re.compile(r"([A-Z]\.)+[A-Z]?")
+    r"|[a-z]{3,9}-\d{2,4}", re.IGNORECASE).fullmatch
+_IS_DECIMAL = re.compile(r"\d+\.\d+").fullmatch
+_IS_NUM_DOTS = re.compile(r"\d+(\.\d+)+").fullmatch
+_IS_ACRONYM = re.compile(r"([A-Z]\.)+[A-Z]?").fullmatch
+# the ASCII letters (and digits) that no_letters (no_letters_digits) drops
+_DROP_LETTERS = str.maketrans("", "", string.ascii_letters)
+_DROP_LETTERS_DIGITS = str.maketrans("", "", string.ascii_letters
+                                     + string.digits)
 _ADJ_SUFFIXES = ("al", "ive", "ous", "ful", "ic", "able", "ible", "ish",
                  "less", "ary")
 
@@ -201,19 +209,19 @@ SYNTACTIC_FEATURES = ("pos", "chunk", "pnp")
 def token_features(tok: Token, lex: Lexicons) -> dict[str, str]:
     w = tok.surface
     low = w.lower()
-    full = re.fullmatch
+    pat = pattern(w)
     row = {
         "word": w,
         "lemma": tok.lemma if tok.lemma else low,
         "stem": stem(w),
-        "pattern": pattern(w),
-        "collapsed_pattern": collapsed_pattern(w),
+        "pattern": pat,
+        "collapsed_pattern": _collapse(pat),
         "prefix3": w[:3],
         "suffix3": w[-3:],
         "upper_first": _BOOL[w[0].isupper()],
         "ends_with_s": _BOOL[low.endswith("s")],
-        "no_letters": re.sub(r"[A-Za-z]", "", w) or "_",
-        "no_letters_digits": re.sub(r"[A-Za-z0-9]", "", w) or "_",
+        "no_letters": w.translate(_DROP_LETTERS) or "_",
+        "no_letters_digits": w.translate(_DROP_LETTERS_DIGITS) or "_",
         "verb_tense": _PENN_TENSE.get(tok.pos or "", "_"),
         "lower": _BOOL[w.islower()],
         "alphabetic": _BOOL[w.isalpha()],
@@ -221,17 +229,17 @@ def token_features(tok: Token, lex: Lexicons) -> dict[str, str]:
         "alphanumeric": _BOOL[w.isalnum()],
         "titled": _BOOL[w.istitle()],
         "capitalized": _BOOL[w[0].isupper() and w.isalpha()],
-        "acronym": _BOOL[bool(full(_RE_ACRONYM, w))],
+        "acronym": _BOOL[bool(_IS_ACRONYM(w))],
         "number": _BOOL[w.isdigit() or low in CARDINAL_WORDS],
-        "decimal_number": _BOOL[bool(full(_RE_DECIMAL, w))],
-        "number_with_dots": _BOOL[bool(full(_RE_NUM_DOTS, w))],
+        "decimal_number": _BOOL[bool(_IS_DECIMAL(w))],
+        "number_with_dots": _BOOL[bool(_IS_NUM_DOTS(w))],
         "stopword": _BOOL[low in lex.stopwords],
-        "cardinal": _BOOL[bool(full(_RE_CARDINAL_DIGITS, w))
+        "cardinal": _BOOL[bool(_IS_CARDINAL_DIGITS(w))
                           or low in CARDINAL_WORDS],
-        "ordinal": _BOOL[bool(full(_RE_ORDINAL_DIGITS, low))
+        "ordinal": _BOOL[bool(_IS_ORDINAL_DIGITS(low))
                          or low in ORDINAL_WORDS],
-        "time": _BOOL[bool(full(_RE_TIME, low))],
-        "date": _BOOL[bool(full(_RE_DATE, low))
+        "time": _BOOL[bool(_IS_TIME(low))],
+        "date": _BOOL[bool(_IS_DATE(low))
                       or low in lex.months],
         "period_of_day": _BOOL[low in lex.periods_of_day],
         "weekday": _BOOL[low in lex.weekdays],
@@ -318,76 +326,195 @@ def extract_rows(seq: Sequence, featurizer: Featurizer
     return rows
 
 
+@dataclass
+class ObservationTable:
+    """The observations of a list of sequences (a document, or a training
+    corpus), each distinct string stored once.
+
+    `codes[p, s]` is the index into `keys` of slot s of position p; the
+    positions of all sequences follow each other, `lengths` tokens per
+    sequence, and -1 marks an empty slot.  Slots are in template order,
+    then feature order.  Two keys may spell the same string (a value
+    holding ``|f[o]=`` makes a string ambiguous); the CRF index and
+    encoding go by the string, so they count as one observation.
+    `len()` is the number of positions, and iterating yields each
+    position's row of slot codes.
+    """
+    keys: list[str]
+    codes: np.ndarray
+    lengths: tuple[int, ...]
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __iter__(self):
+        return iter(self.codes)
+
+    @classmethod
+    def from_strings(cls, sequences) -> "ObservationTable":
+        """The table of sequences given as per-position lists of
+        observation strings, rows padded with empty slots."""
+        index: dict[str, int] = {}
+        rows = [[index.setdefault(f, len(index)) for f in feats]
+                for seq in sequences for feats in seq]
+        codes = np.full((len(rows), max(map(len, rows), default=0)), -1,
+                        dtype=np.int64)
+        for row, ids in zip(codes, rows):
+            row[:len(ids)] = ids
+        return cls(list(index), codes, tuple(map(len, sequences)))
+
+
 @lru_cache(maxsize=1024)
-def _fragment_prefixes(names: tuple[str, ...], offset: int,
-                       head: str = "") -> tuple[str, ...]:
-    """``head + f[o]=`` for each feature name f, ``[+0]`` spelled ``[0]``."""
-    return tuple(head + f"{f}[{offset:+d}]=".replace("[+0]", "[0]")
+def _fragment_prefixes(names: tuple[str, ...], offset: int
+                       ) -> tuple[str, ...]:
+    """``f[o]=`` for each feature name f, ``[+0]`` spelled ``[0]``."""
+    return tuple(f"{f}[{offset:+d}]=".replace("[+0]", "[0]")
                  for f in names)
 
 
-def expand_templates(rows: list[dict[str, str]],
+def _distinct_per_row(values: np.ndarray):
+    """The distinct entries of each row of a 2-D int array, row after row
+    in one flat array (ascending within a row), their count per row, and
+    each input entry's index into the flat array."""
+    n = values.shape[1]
+    order = (np.argsort(values, axis=1)
+             + n * np.arange(len(values))[:, None]).ravel()
+    ordered = values.ravel()[order].reshape(values.shape)
+    new = np.ones(values.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+    inverse = np.empty(values.size, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return (ordered[new], new.sum(axis=1),
+            inverse.reshape(values.shape))
+
+
+def _row_starts(counts: np.ndarray) -> np.ndarray:
+    return np.cumsum(counts) - counts
+
+
+def expand_templates(rows_per_sequence: list[list[dict[str, str]]],
                      templates: Iterable[Template],
                      unigram_features: Iterable[str],
                      conjunction_features: Iterable[str]
-                     ) -> list[list[str]]:
-    """Expand per-token rows into observation feature strings.
+                     ) -> ObservationTable:
+    """Expand the per-token rows of each sequence into one observation
+    table.
 
-    For position p, template t and feature name f the emitted string is
-    ``tid:f[o1]=v1|f[o2]=v2...``, with every ``[+0]`` in a ``f[o]=v``
-    part spelled ``[0]``.  Out-of-range offsets read the _BOS_ / _EOS_
-    sentinels, so every position gets the same number of strings.
+    For position p, template t and feature name f the observation string
+    is ``tid:f[o1]=v1|f[o2]=v2...``, with every ``[+0]`` in a ``f[o]=v``
+    part spelled ``[0]``.  Offsets outside the sequence read the _BOS_ /
+    _EOS_ sentinels, so every position gets the same number of strings.
 
-    The strings are built column by column rather than position by
-    position.  Each feature's values are padded with two sentinels at
-    each end once.  Each template then gets one block, a list ordered by
-    feature and then position: a unigram template's block is its
-    ``tid:f[o]=`` prefixes joined to the shifted value columns, and a
-    conjunction template's block joins the blocks of ``f[o]=v``
-    fragments of its offsets, each built once per call.  Position p's
-    strings are every n-th entry of each block, starting at p.
+    Each string is built once per call, not once per position.  Each
+    feature's values get small int codes (sentinels first), laid out per
+    sequence between two _BOS_ and two _EOS_ slots of its own, so that a
+    shifted read never crosses into the next sequence.  The templates of
+    one arity are expanded together, one row per (template, feature)
+    slot.  A unigram slot has one key per value of its feature.  A
+    conjunction slot combines its offsets' codes two at a time through
+    the index of each distinct pair in its row, so that a combined code
+    stays below the number of positions times the number of values, and
+    it has one key per distinct combination.
     """
+    templates = tuple(templates)
     unigram_features = tuple(unigram_features)
     conjunction_features = tuple(conjunction_features)
+    names = tuple(dict.fromkeys(unigram_features + conjunction_features))
+    lengths = tuple(map(len, rows_per_sequence))
+    rows = [row for seq_rows in rows_per_sequence for row in seq_rows]
     n = len(rows)
-    padded = {f: [BOS, BOS,
-                  *[row.get(f, "_").replace("[+0]", "[0]") for row in rows],
-                  EOS, EOS]
-              for f in dict.fromkeys(unigram_features + conjunction_features)}
+    # a sequence's padded slots: _BOS_ _BOS_ its values _EOS_ _EOS_;
+    # position p sits at at[p]
+    at = np.arange(n) + 4 * np.repeat(np.arange(len(lengths)), lengths) + 2
+    starts = (np.cumsum((0, *lengths), dtype=np.int64)[:-1]
+              + 4 * np.arange(len(lengths)))
+    columns = np.ones((len(names), n + 4 * len(lengths)), dtype=np.int64)
+    columns[:, starts] = columns[:, starts + 1] = 0
+    spelled = []  # per feature, its value strings by code
+    by_name = list(zip(*(tuple(map(row.get, names, repeat("_")))
+                         for row in rows))) or [()] * len(names)
+    for column, values in zip(columns, by_name):
+        code = dict.fromkeys((BOS, EOS, *values))
+        distinct: dict[str, int] = {}
+        for v in code:
+            code[v] = distinct.setdefault(v.replace("[+0]", "[0]"),
+                                          len(distinct))
+        column[at] = np.fromiter(map(code.__getitem__, values),
+                                 dtype=np.int64, count=n)
+        spelled.append(list(distinct))
+    n_values = np.array([len(v) for v in spelled], dtype=np.int64)
 
-    def block(names, offset, head=""):
-        return [prefix + v
-                for prefix, f in zip(_fragment_prefixes(names, offset, head),
-                                     names)
-                for v in padded[f][2 + offset:2 + offset + n]]
+    index = {f: i for i, f in enumerate(names)}
+    slots = [(t, index[f]) for t in templates
+             for f in (unigram_features if len(t.offsets) == 1
+                       else conjunction_features)]
+    # `f[o]=v` of each conjunction feature f, value v and offset o, at
+    # fragments[fragment_base[o + 2, f] + v]
+    conj = sorted({index[f] for f in conjunction_features})
+    conj_values = n_values[conj]
+    fragment_base = np.zeros((5, len(names)), dtype=np.int64)
+    fragment_base[:, conj] = (_row_starts(conj_values)
+                              + conj_values.sum() * np.arange(5)[:, None])
+    fragments = [prefix + v for o in range(-2, 3)
+                 for prefix, f in zip(
+                     _fragment_prefixes(tuple(names[f] for f in conj), o),
+                     conj)
+                 for v in spelled[f]]
 
-    fragments: dict[int, list[str]] = {}
-    blocks = []
-    for t in templates:
-        tid, offsets = t.tid, t.offsets
-        if len(offsets) == 1:
-            blocks.append(block(unigram_features, offsets[0], tid + ":"))
+    keys: list[str] = []
+    codes = np.empty((len(slots), n), dtype=np.int64)
+    for arity in (1, 2, 3):
+        group = [s for s, (t, _) in enumerate(slots)
+                 if len(t.offsets) == arity]
+        if not group:
             continue
-        for o in offsets:
-            if o not in fragments:
-                fragments[o] = block(conjunction_features, o)
-        parts = [fragments[o] for o in offsets]
-        if len(parts) == 2:
-            blocks.append([f"{tid}:{a}|{b}" for a, b in zip(*parts)])
-        else:
-            blocks.append([f"{tid}:{a}|{b}|{c}" for a, b, c in zip(*parts)])
-    out = []
-    for p in range(n):
-        feats = []
-        for b in blocks:
-            feats += b[p::n]
-        out.append(feats)
-    return out
+        tmpls = [slots[s][0] for s in group]
+        feats = np.array([slots[s][1] for s in group], dtype=np.int64)
+        offsets = np.array([t.offsets for t in tmpls], dtype=np.int64)
+        sizes = n_values[feats]
+        # a slot's entries start as the values of its feature: `local` is
+        # each position's entry within the slot's row, `flat` its index
+        # over all rows
+        first = _row_starts(sizes)
+        local = columns[feats[:, None], at + offsets[:, :1]]
+        flat = local + first[:, None]
+        if arity == 1:
+            codes[group] = flat + len(keys)
+            for t, f in zip(tmpls, feats.tolist()):
+                head = t.tid + ":" + _fragment_prefixes(names,
+                                                        t.offsets[0])[f]
+                keys += [head + v for v in spelled[f]]
+            continue
+        # `parts` holds each entry's fragment at each offset so far
+        rows_of = np.repeat(np.arange(len(group)), sizes)
+        parts = [fragment_base[offsets[rows_of, 0] + 2, feats[rows_of]]
+                 + np.arange(len(rows_of)) - first[rows_of]]
+        for k in range(1, arity):
+            pairs, counts, flat = _distinct_per_row(
+                local * sizes[:, None]
+                + columns[feats[:, None], at + offsets[:, k:k + 1]])
+            rows_of = np.repeat(np.arange(len(group)), counts)
+            entry, value = np.divmod(pairs, sizes[rows_of])
+            parts = [p[first[rows_of] + entry] for p in parts]
+            parts.append(fragment_base[offsets[rows_of, k] + 2,
+                                       feats[rows_of]] + value)
+            first = _row_starts(counts)
+            local = flat - first[:, None]
+        codes[group] = flat + len(keys)
+        heads = [t.tid + ":" for t in tmpls]
+        pieces = [map(heads.__getitem__, rows_of.tolist())]
+        for p in parts:
+            pieces += (map(fragments.__getitem__, p.tolist()), repeat("|"))
+        keys += map("".join, zip(*pieces[:-1]))
+    return ObservationTable(keys, np.ascontiguousarray(codes.T), lengths)
 
 
-def featurize_sequence(seq: Sequence, featurizer: Featurizer
-                       ) -> list[list[str]]:
-    """Rows + template expansion in one call (the CRF input)."""
-    return expand_templates(extract_rows(seq, featurizer), TEMPLATES,
-                            featurizer.unigram_features,
+def featurize_sequence(seqs: Seq[Sequence], featurizer: Featurizer
+                       ) -> ObservationTable:
+    """Rows + template expansion of the sequences `seqs` (a document, or
+    a training corpus) in one call: the CRF input, one interned table
+    for them all.  (The name predates tables; `bench/tracing.py` wraps
+    it by this name.)"""
+    return expand_templates([extract_rows(s, featurizer) for s in seqs],
+                            TEMPLATES, featurizer.unigram_features,
                             featurizer.config.conjunction_features)

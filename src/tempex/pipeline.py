@@ -13,9 +13,9 @@ from .normalizer import Anchor, Timex
 
 
 def featurize_corpus(seqs: Seq[Sequence], featurizer: features.Featurizer):
-    """Expanded observation features and gold labels of each sequence;
-    a sequence without gold labels is labeled all O."""
-    return ([features.featurize_sequence(s, featurizer) for s in seqs],
+    """The observation table of the sequences, and the gold labels of
+    each; a sequence without gold labels is labeled all O."""
+    return (features.featurize_sequence(seqs, featurizer),
             [list(s.gold_labels or ["O"] * len(s)) for s in seqs])
 
 
@@ -40,16 +40,15 @@ def train_on_sequences(seqs: Seq[Sequence], config: RunConfig,
 
 
 def featurize_document(doc: Document, featurizer: features.Featurizer
-                       ) -> list[list[list[str]]]:
-    """Observation strings of each sequence of `doc`."""
-    return [features.featurize_sequence(seq, featurizer)
-            for seq in doc.sequences]
+                       ) -> features.ObservationTable:
+    """The observation table of the sequences of `doc`."""
+    return features.featurize_sequence(doc.sequences, featurizer)
 
 
 def label_document(doc: Document, model: crf.CrfModel,
                    featurizer: features.Featurizer, config: RunConfig,
                    priors: Optional[postproc.PriorTable] = None,
-                   doc_features: Optional[Seq[Seq[Seq[str]]]] = None
+                   doc_features: Optional[features.ObservationTable] = None
                    ) -> list[list[str]]:
     """Predicted BIO labels per sequence (CRF plus optional pipeline),
     from one CRF call over the whole document.

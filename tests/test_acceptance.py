@@ -11,8 +11,7 @@ import scipy.stats
 from tempex import pipeline as pl
 from tempex.config import RunConfig
 from tempex.corpus import Token, is_valid_bio
-from tempex.crf import (CrfModel, forward_backward,
-                        log_likelihood_and_gradient, viterbi)
+from tempex.crf import CrfModel, forward_backward, viterbi
 from tempex.evaluation import (MatchCounts, one_way_anova, overall_score,
                                paired_t_test, prf)
 from tempex.normalizer import Anchor, normalize, validate_value
@@ -20,7 +19,7 @@ from tempex.postproc import (PriorTable, bio_fixer, build_prior_table,
                              threshold_label_switcher)
 
 from synth import build_corpus, split_corpus
-from test_crf import brute_force, random_features, random_model
+from test_crf import T, brute_force, ll_grad, random_features, random_model
 from test_evaluation import BENCHMARK, oracle_counts
 from test_normalizer import fixture_expressions
 
@@ -72,10 +71,10 @@ def test_crf_correctness_suite():
             feats = random_features(rng, model.n_obs,
                                     int(rng.integers(1, 7)))
             log_z, marg, best = brute_force(model, feats)
-            table = forward_backward(model, [feats])[0]
+            table = forward_backward(model, T([feats]))[0]
             assert abs(table.log_z - log_z) <= 1e-8 * max(1.0, abs(log_z))
             assert np.abs(table.probs - marg).max() <= 1e-8
-            assert viterbi(model, [feats])[0] == best
+            assert viterbi(model, T([feats]))[0] == best
         # gradient vs central differences on a <=100-weight toy model
         obs_index = {f"g{i}": i for i in range(8)}  # 8*3+9 = 33 weights
         weights = np.asarray(
@@ -83,13 +82,13 @@ def test_crf_correctness_suite():
         model = CrfModel(obs_index, weights)
         batch = [([["g0", "g1"], ["g2"], ["g3", "g4"]], ["B", "I", "O"]),
                  ([["g5"], ["g6", "g7"]], ["O", "B"])]
-        _, grad = log_likelihood_and_gradient(model, batch)
+        _, grad = ll_grad(model, batch)
         h = 1e-5
         for k in range(len(weights)):
             for sign, store in ((+1, "hi"), (-1, "lo")):
                 w = weights.copy()
                 w[k] += sign * h
-                val, _ = log_likelihood_and_gradient(
+                val, _ = ll_grad(
                     CrfModel(obs_index, w), batch)
                 if sign > 0:
                     hi = val

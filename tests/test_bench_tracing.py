@@ -35,5 +35,11 @@ def test_tracer_wraps_labeling_and_restores():
     assert len(tracer.durations("crf.forward_backward")) == 1
     assert len(tracer.durations("crf.viterbi")) == 1
     assert metrics["crf.oov_share"][0] == 0.0  # tagging the training text
+    # the hooks count tokens and slots through the observation table
+    assert metrics["features.obs_per_tok"][0] == 371  # model1
+    n_tokens = sum(map(len, doc.sequences))
+    assert tracer.counts["crf.decode_obs"] == 2 * 371 * n_tokens
+    assert tracer.counts["crf.forward_backward.tokens"] == n_tokens
+    assert tracer.counts["crf.viterbi.tokens"] == n_tokens
     assert metrics["normalizer.calls"][0] > 0
     assert len(tracer.doc_times()) == 2

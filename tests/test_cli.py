@@ -78,7 +78,8 @@ class TestTag:
         crf.save_model(model, model_path)
         raw = tmp_path / "raw.txt"
         raw.write_text("They met on Friday .\n", encoding="utf-8")
-        decoded = crf.viterbi(model, [[[]] * 5])[0]
+        decoded = crf.viterbi(
+            model, features.ObservationTable.from_strings([[[]] * 5]))[0]
         assert not corpus.is_valid_bio(decoded)
         out_path = tmp_path / "tagged.tsv"
         rc = main(["--no-pipeline", "tag", str(raw), str(model_path),
@@ -155,9 +156,9 @@ class TestTagProfile:
         configs = []
         original = features.featurize_sequence
 
-        def spy(seq, featurizer):
+        def spy(seqs, featurizer):
             configs.append(featurizer.config)
-            return original(seq, featurizer)
+            return original(seqs, featurizer)
 
         monkeypatch.setattr(features, "featurize_sequence", spy)
         assert self.tag(workdir, model2_path) == 0
@@ -168,7 +169,9 @@ class TestTagProfile:
         [doc] = corpus.read_corpus(workdir / "test.tsv")
         feats = pipeline.featurize_document(
             doc, RunConfig().featurizer(model.profile))
-        assert {len(f) for seq in feats for f in seq} == {386}
+        assert len(feats) == sum(map(len, doc.sequences))
+        assert {len(row) for row in feats} == {386}
+        assert (feats.codes >= 0).all()
 
     def test_profile_flag_mismatch_exit_2(self, workdir, model2_path,
                                           capsys):
@@ -721,18 +724,21 @@ class TestCrossValidation:
                                                     monkeypatch, capsys):
         """Per fold, every sentence is featurized once: the training ones
         for training, the test ones for both conditions together."""
-        calls = []
+        calls, tables = [], []
         original = features.featurize_sequence
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(seqs, featurizer):
+            calls.extend(seqs)
+            tables.append(original(seqs, featurizer))
+            return tables[-1]
 
         monkeypatch.setattr(features, "featurize_sequence", counting)
         self.run_cv(workdir, workdir / "cv_featurized.tsv")
         n_sentences = len(corpus.read_corpus(workdir / "train.tsv")[0]
                           .sequences)
         assert len(calls) == 2 * 2 * n_sentences  # k x repeats folds
+        # one table of the training sentences, one of the test sentences
+        assert len(tables) == 2 * 2 * 2
 
     def test_same_output_as_training_per_condition(self, workdir, capsys):
         """One training per fold gives the same file as training the fold

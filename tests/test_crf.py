@@ -8,6 +8,16 @@ from tempex.crf import (CrfError, CrfModel, LABELS, build_feature_index,
                         forward_backward, load_model,
                         log_likelihood_and_gradient, save_model,
                         sequence_score, train, TrainConfig, viterbi)
+from tempex.features import ObservationTable
+
+# string-list sequences -> the table the CRF takes
+T = ObservationTable.from_strings
+
+
+def ll_grad(model, batch):
+    """log_likelihood_and_gradient of (features, labels) pairs."""
+    feats, labels = zip(*batch) if batch else ((), ())
+    return log_likelihood_and_gradient(model, T(feats), labels)
 
 
 def random_model(rng, n_obs=6):
@@ -26,7 +36,7 @@ def random_features(rng, n_obs, length):
 
 def brute_force(model, feats):
     """Enumerate all label paths: returns (logZ, marginals, best path)."""
-    ids = model.encode(feats)
+    ids = model.encode(T([feats]))
     unary = np.array([model.unary_weights()[i].sum(0) for i in ids])
     trans = model.transition_weights()
     n = len(feats)
@@ -47,29 +57,29 @@ def brute_force(model, feats):
 
 class TestFeatureIndex:
     def test_slot_arithmetic(self):
-        index = build_feature_index([[["f0"]]])
+        index = build_feature_index(T([[["f0"]]]))
         assert len(index) == 1
         model = CrfModel(index, np.zeros(1 * 3 + 9))
         assert model.weights.shape == (12,)
 
     def test_cutoff_excludes_rare(self):
         feats = [[["common", "rare"], ["common"]]]
-        index = build_feature_index(feats, cutoff=2)
+        index = build_feature_index(T(feats), cutoff=2)
         assert "common" in index and "rare" not in index
 
     def test_deterministic(self):
         feats = [[["a", "b"], ["c"]], [["b", "d"]]]
-        assert build_feature_index(feats) == build_feature_index(feats)
+        assert build_feature_index(T(feats)) == build_feature_index(T(feats))
 
     def test_empty_corpus(self):
         with pytest.raises(CrfError, match="empty"):
-            build_feature_index([])
+            build_feature_index(T([]))
 
 
 class TestForwardBackward:
     def test_uniform_model(self):
         model = CrfModel({"f0": 0}, np.zeros(12))
-        table = forward_backward(model, [[["f0"], ["f0"]]])[0]
+        table = forward_backward(model, T([[["f0"], ["f0"]]]))[0]
         assert np.allclose(table.probs, 1 / 3)
         assert table.log_z == pytest.approx(2 * math.log(3))
 
@@ -77,7 +87,7 @@ class TestForwardBackward:
         rng = np.random.default_rng(1)
         model = random_model(rng)
         feats = [["f0", "f1"]]
-        table = forward_backward(model, [feats])[0]
+        table = forward_backward(model, T([feats]))[0]
         scores = model.unary_weights()[[0, 1]].sum(0)
         expected = np.exp(scores - scores.max())
         expected /= expected.sum()
@@ -85,16 +95,16 @@ class TestForwardBackward:
 
     def test_empty_sequence(self):
         model = CrfModel({"f0": 0}, np.zeros(12))
-        table = forward_backward(model, [[]])[0]
+        table = forward_backward(model, T([[]]))[0]
         assert len(table) == 0 and table.log_z == 0.0
-        assert forward_backward(model, []) == [] == viterbi(model, [])
+        assert forward_backward(model, T([])) == [] == viterbi(model, T([]))
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             model = random_model(rng)
             feats = random_features(rng, 6, int(rng.integers(1, 5)))
-            table = forward_backward(model, [feats])[0]
+            table = forward_backward(model, T([feats]))[0]
             log_z, marg, _ = brute_force(model, feats)
             assert table.log_z == pytest.approx(log_z, rel=1e-8)
             assert np.abs(table.probs - marg).max() < 1e-8
@@ -104,14 +114,14 @@ class TestForwardBackward:
         for _ in range(30):
             model = random_model(rng, n_obs=8)
             feats = random_features(rng, 8, int(rng.integers(1, 9)))
-            table = forward_backward(model, [feats])[0]
+            table = forward_backward(model, T([feats]))[0]
             assert np.abs(table.probs.sum(axis=1) - 1).max() <= 1e-9
 
     def test_long_sequence_no_underflow(self):
         rng = np.random.default_rng(4)
         model = random_model(rng)
         feats = random_features(rng, 6, 1000)
-        table = forward_backward(model, [feats])[0]
+        table = forward_backward(model, T([feats]))[0]
         assert np.isfinite(table.log_z)
         assert np.abs(table.probs.sum(axis=1) - 1).max() <= 1e-9
 
@@ -119,23 +129,23 @@ class TestForwardBackward:
 class TestViterbi:
     def test_zero_weights_all_b(self):
         model = CrfModel({"f0": 0}, np.zeros(12))
-        assert viterbi(model, [[["f0"]] * 4])[0] == ["B", "B", "B", "B"]
+        assert viterbi(model, T([[["f0"]] * 4]))[0] == ["B", "B", "B", "B"]
 
     def test_unary_favoring_o(self):
         w = np.zeros(12)
         w[2] = 10.0  # f0 with label O
         model = CrfModel({"f0": 0}, w)
-        assert viterbi(model, [[["f0"]] * 5])[0] == ["O"] * 5
+        assert viterbi(model, T([[["f0"]] * 5]))[0] == ["O"] * 5
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             model = random_model(rng)
             feats = random_features(rng, 6, int(rng.integers(1, 5)))
-            path = viterbi(model, [feats])[0]
+            path = viterbi(model, T([feats]))[0]
             best_score, _, best_path = None, None, None
             log_z, _, best_path = brute_force(model, feats)
-            ids = model.encode(feats)
+            ids = model.encode(T([feats]))
             got = sequence_score(model, ids,
                                  [LABELS.index(l) for l in path])
             want = sequence_score(model, ids,
@@ -146,8 +156,8 @@ class TestViterbi:
         rng = np.random.default_rng(6)
         model = random_model(rng)
         feats = random_features(rng, 6, 8)
-        ids = model.encode(feats)
-        path = viterbi(model, [feats])[0]
+        ids = model.encode(T([feats]))
+        path = viterbi(model, T([feats]))[0]
         best = sequence_score(model, ids, [LABELS.index(l) for l in path])
         for _ in range(1000):
             path = list(rng.integers(0, 3, size=8))
@@ -157,7 +167,7 @@ class TestViterbi:
 class TestGradient:
     def test_uniform_value(self):
         model = CrfModel({"f0": 0}, np.zeros(12))
-        value, _ = log_likelihood_and_gradient(model, [([["f0"]], ["B"])])
+        value, _ = ll_grad(model, [([["f0"]], ["B"])])
         assert value == pytest.approx(-math.log(3))
 
     def test_finite_differences(self):
@@ -167,16 +177,16 @@ class TestGradient:
             (random_features(rng, 4, 3), ["B", "I", "O"]),
             (random_features(rng, 4, 2), ["O", "B"]),
         ]
-        _, grad = log_likelihood_and_gradient(model, batch)
+        _, grad = ll_grad(model, batch)
         h = 1e-5
         for i in range(len(model.weights)):
             wp = model.weights.copy()
             wp[i] += h
             wm = model.weights.copy()
             wm[i] -= h
-            vp, _ = log_likelihood_and_gradient(
+            vp, _ = ll_grad(
                 CrfModel(model.obs_index, wp), batch)
-            vm, _ = log_likelihood_and_gradient(
+            vm, _ = ll_grad(
                 CrfModel(model.obs_index, wm), batch)
             assert grad[i] == pytest.approx((vp - vm) / (2 * h), abs=1e-6)
 
@@ -185,16 +195,16 @@ class TestGradient:
         model = random_model(rng)
         model.c = 1e12
         batch = [(random_features(rng, 6, 3), ["B", "I", "O"])]
-        value, _ = log_likelihood_and_gradient(model, batch)
-        ids = model.encode(batch[0][0])
+        value, _ = ll_grad(model, batch)
+        ids = model.encode(T([batch[0][0]]))
         raw = sequence_score(model, ids, [0, 1, 2]) \
-            - forward_backward(model, [batch[0][0]])[0].log_z
+            - forward_backward(model, T([batch[0][0]]))[0].log_z
         assert value == pytest.approx(raw, abs=1e-9)
 
     def test_label_mismatch(self):
         model = CrfModel({"f0": 0}, np.zeros(12))
         with pytest.raises(CrfError):
-            log_likelihood_and_gradient(model, [([["f0"]], ["B", "I"])])
+            ll_grad(model, [([["f0"]], ["B", "I"])])
 
 
 def math_log_z(model, feats):
@@ -202,7 +212,7 @@ def math_log_z(model, feats):
     w = model.unary_weights().tolist()
     trans = model.transition_weights().tolist()
     unary = [[sum(w[i][y] for i in ids) for y in range(3)]
-             for ids in model.encode(feats)]
+             for ids in model.encode(T([feats]))]
 
     def log_sum_exp(xs):
         m = max(xs)
@@ -226,8 +236,8 @@ class TestBatchedKernel:
             labels = [LABELS[i] for i in rng.integers(0, 3, size=length)]
             batch.append((feats, labels))
         batch[2][0][3] = ["unseen_a", "unseen_b"]  # no known feature
-        value, grad = log_likelihood_and_gradient(model, batch)
-        singles = [log_likelihood_and_gradient(model, [pair])
+        value, grad = ll_grad(model, batch)
+        singles = [ll_grad(model, [pair])
                    for pair in batch]
         # each single result carries the L2 penalty once; the batch once
         extra = len(batch) - 1
@@ -243,13 +253,13 @@ class TestBatchedKernel:
         model = random_model(rng, n_obs=8)
         doc = [random_features(rng, 8, n) for n in (7, 1, 0, 40, 2)]
         doc[0][3] = ["unseen_a", "unseen_b"]  # no known feature
-        tables = forward_backward(model, doc)
-        paths = viterbi(model, doc)
+        tables = forward_backward(model, T(doc))
+        paths = viterbi(model, T(doc))
         assert [len(t) for t in tables] == [len(p) for p in paths] \
             == [7, 1, 0, 40, 2]
         for feats, table, path in zip(doc, tables, paths):
-            alone = forward_backward(model, [feats])[0]
-            assert path == viterbi(model, [feats])[0]
+            alone = forward_backward(model, T([feats]))[0]
+            assert path == viterbi(model, T([feats]))[0]
             assert np.abs(table.probs - alone.probs).max(initial=0.0) \
                 <= 1e-12
             assert table.log_z == pytest.approx(alone.log_z, rel=1e-12)
@@ -257,7 +267,7 @@ class TestBatchedKernel:
     def test_zero_weights_ragged_document_all_b(self):
         model = CrfModel({"f0": 0}, np.zeros(12))
         lengths = (3, 1, 0, 5)
-        assert viterbi(model, [[["f0"]] * n for n in lengths]) == \
+        assert viterbi(model, T([[["f0"]] * n for n in lengths])) == \
             [["B"] * n for n in lengths]
 
     def test_long_sequence_log_z_matches_python_recursion(self):
@@ -265,7 +275,7 @@ class TestBatchedKernel:
         model = CrfModel({f"f{i}": i for i in range(6)},
                          rng.normal(scale=20.0, size=6 * 3 + 9))
         feats = random_features(rng, 6, 1000)
-        table = forward_backward(model, [feats])[0]
+        table = forward_backward(model, T([feats]))[0]
         want = math_log_z(model, feats)
         assert np.isfinite(table.log_z)
         assert table.log_z == pytest.approx(want, rel=1e-8)
@@ -298,24 +308,24 @@ class TestTrain:
 
     def test_fits_separable_data(self):
         feats, labels = self.make_batch()
-        model = train(feats, labels, TrainConfig(max_iter=100))
+        model = train(T(feats), labels, TrainConfig(max_iter=100))
         for f, l in zip(feats, labels):
-            assert viterbi(model, [f])[0] == l
+            assert viterbi(model, T([f]))[0] == l
 
     def test_objective_improved(self):
         feats, labels = self.make_batch()
-        model = train(feats, labels, TrainConfig(max_iter=100))
+        model = train(T(feats), labels, TrainConfig(max_iter=100))
         zero = CrfModel(model.obs_index,
                         np.zeros_like(model.weights), c=model.c)
         batch = list(zip(feats, labels))
-        v0, _ = log_likelihood_and_gradient(zero, batch)
-        v1, _ = log_likelihood_and_gradient(model, batch)
+        v0, _ = ll_grad(zero, batch)
+        v1, _ = ll_grad(model, batch)
         assert v1 > v0
 
     def test_deterministic(self):
         feats, labels = self.make_batch()
-        m1 = train(feats, labels, TrainConfig(max_iter=50))
-        m2 = train(feats, labels, TrainConfig(max_iter=50))
+        m1 = train(T(feats), labels, TrainConfig(max_iter=50))
+        m2 = train(T(feats), labels, TrainConfig(max_iter=50))
         assert np.array_equal(m1.weights, m2.weights)
 
     def test_c_monotonicity(self):
@@ -323,9 +333,9 @@ class TestTrain:
         batch = None
         lls = []
         for c in (0.1, 1.0, 10.0):
-            model = train(feats, labels, TrainConfig(c=c, max_iter=100))
+            model = train(T(feats), labels, TrainConfig(c=c, max_iter=100))
             batch = list(zip(feats, labels))
-            value, _ = log_likelihood_and_gradient(model, batch)
+            value, _ = ll_grad(model, batch)
             unpenalized = value + float(
                 model.weights @ model.weights) / (2 * c)
             lls.append(unpenalized)
@@ -333,7 +343,7 @@ class TestTrain:
 
     def test_empty_corpus(self):
         with pytest.raises(CrfError, match="empty"):
-            train([], [])
+            train(T([]), [])
 
 
 DIGEST = "0123456789abcdef" * 4
@@ -366,10 +376,19 @@ class TestPersistence:
         loaded = load_model(path)
         for _ in range(100):
             feats = random_features(rng, 6, int(rng.integers(1, 7)))
-            assert viterbi(model, [feats]) == viterbi(loaded, [feats])
-            a = forward_backward(model, [feats])[0]
-            b = forward_backward(loaded, [feats])[0]
+            assert viterbi(model, T([feats])) == viterbi(loaded, T([feats]))
+            a = forward_backward(model, T([feats]))[0]
+            b = forward_backward(loaded, T([feats]))[0]
             assert a.log_z == pytest.approx(b.log_z)
+
+    def test_save_without_digest_refused(self, tmp_path):
+        """A model `load_model` would refuse is not written at all."""
+        path = tmp_path / "model.tsv"
+        for digest in ("", "0" * 63, DIGEST.upper()):
+            with pytest.raises(CrfError, match="digest"):
+                save_model(CrfModel({"a": 0}, np.zeros(12), digest=digest),
+                           path)
+            assert not path.exists()
 
     def test_corrupted_header(self, tmp_path):
         path = tmp_path / "model.tsv"

@@ -1,3 +1,4 @@
+import re
 import shutil
 
 import pytest
@@ -7,13 +8,24 @@ from tempex import crf, features, pipeline
 from tempex.config import RunConfig
 from tempex.corpus import Sequence, Token, is_valid_bio
 from tempex.features import (BOS, EOS, DATA_DIR, Featurizer, Gazetteer,
-                             TEMPLATES, collapsed_pattern, expand_templates,
-                             extract_rows, match_gazetteer, pattern,
-                             PROFILES, featurize_sequence)
+                             ObservationTable, TEMPLATES, collapsed_pattern,
+                             expand_templates, extract_rows,
+                             match_gazetteer, pattern, PROFILES,
+                             featurize_sequence)
 
 from synth import build_corpus
 
 MODEL1 = Featurizer("model1")
+
+
+def strings(table):
+    """Each position's observation strings, empty slots left out."""
+    return [[table.keys[c] for c in row if c >= 0] for row in table]
+
+
+def expand_one(rows, templates, unigram, conj):
+    """Observation strings per position of one sequence's rows."""
+    return strings(expand_templates([rows], templates, unigram, conj))
 
 
 def make_seq(words):
@@ -113,24 +125,24 @@ class TestTemplates:
 
     def test_boundary_sentinel(self):
         rows = [{"word": "three"}]
-        out = expand_templates(rows, TEMPLATES, ("word",), ("word",))
+        out = expand_one(rows, TEMPLATES, ("word",), ("word",))
         assert "T05:word[-1]=_BOS_|word[0]=three" in out[0]
 
     def test_unigram_string(self):
         rows = [{"word": "three"}, {"word": "days"}]
-        out = expand_templates(rows, TEMPLATES, ("word",), ("word",))
+        out = expand_one(rows, TEMPLATES, ("word",), ("word",))
         assert "T00:word[0]=days" in out[1]
 
     def test_count_is_templates_times_features(self):
         names = ("word", "pattern", "stem")
         rows = [{"word": "a", "pattern": "x", "stem": "a"}] * 4
-        out = expand_templates(rows, TEMPLATES, names, names)
+        out = expand_one(rows, TEMPLATES, names, names)
         assert all(len(feats) == 14 * len(names) for feats in out)
 
     def test_deterministic_golden(self):
         seq = make_seq(["Three", "days", "ago"])
-        a = featurize_sequence(seq, MODEL1)
-        b = featurize_sequence(seq, MODEL1)
+        a = strings(featurize_sequence([seq], MODEL1))
+        b = strings(featurize_sequence([seq], MODEL1))
         assert a == b
         # byte-identical serialization
         assert "\n".join("\t".join(p) for p in a) == \
@@ -164,8 +176,8 @@ class TestProfiles:
     def test_gazetteer_features_reach_expansion(self, tmp_path):
         (tmp_path / "cities.txt").write_text("new york\n", encoding="utf-8")
         seq = make_seq(["New", "York", "today"])
-        out = featurize_sequence(seq, Featurizer("model3",
-                                                 gazetteer_dir=tmp_path))
+        out = strings(featurize_sequence(
+            [seq], Featurizer("model3", gazetteer_dir=tmp_path)))
         assert any("gaz_cities[0]=B" in f for f in out[0])
 
 
@@ -258,12 +270,35 @@ TEMPLATE_SETS = st.one_of(st.just(TEMPLATES),
                           st.lists(st.sampled_from(TEMPLATES), max_size=6))
 
 
+# several sequences per call, one-token (and empty) ones among them
+SEQUENCES = st.lists(ROWS | st.lists(
+    st.dictionaries(st.sampled_from(NAMES), VALUES), min_size=1,
+    max_size=1), max_size=4)
+
+
+def reference_table(rows_per_sequence, templates, unigram, conj):
+    """The table of the reference strings of each sequence."""
+    return ObservationTable.from_strings(
+        [reference_expand(rows, templates, unigram, conj)
+         for rows in rows_per_sequence])
+
+
 class TestExpansionOracle:
     @settings(max_examples=300, deadline=None)
-    @given(ROWS, TEMPLATE_SETS, NAME_SETS, NAME_SETS)
-    def test_matches_reference(self, rows, templates, unigram, conj):
-        assert expand_templates(rows, templates, unigram, conj) == \
-            reference_expand(rows, templates, unigram, conj)
+    @given(SEQUENCES, TEMPLATE_SETS, NAME_SETS, NAME_SETS)
+    def test_matches_reference(self, rows_per_sequence, templates, unigram,
+                               conj):
+        """Several sequences per call (one-token ones too), values that
+        spell separators, offsets and sentinels, missing features and
+        repeated names: each position's strings are the reference's, and
+        no window reads across a sequence boundary."""
+        table = expand_templates(rows_per_sequence, templates, unigram,
+                                 conj)
+        assert table.lengths == tuple(map(len, rows_per_sequence))
+        assert table.codes.shape[0] == len(table)
+        assert strings(table) == [
+            feats for rows in rows_per_sequence
+            for feats in reference_expand(rows, templates, unigram, conj)]
 
     def test_matches_reference_on_every_profile(self):
         doc = build_corpus(n_sentences=40, seed=5)
@@ -271,10 +306,14 @@ class TestExpansionOracle:
             featurizer = Featurizer(profile)
             unigram = featurizer.unigram_features
             conj = featurizer.config.conjunction_features
-            for seq in doc.sequences:
-                rows = features.extract_rows(seq, featurizer)
-                assert expand_templates(rows, TEMPLATES, unigram, conj) \
-                    == reference_expand(rows, TEMPLATES, unigram, conj)
+            rows = [features.extract_rows(seq, featurizer)
+                    for seq in doc.sequences]
+            table = featurize_sequence(doc.sequences, featurizer)
+            assert strings(table) == [
+                feats for r in rows
+                for feats in reference_expand(r, TEMPLATES, unigram, conj)]
+            # each distinct string built once (no ambiguous values here)
+            assert len(set(table.keys)) == len(table.keys)
 
     def test_model_file_identical_to_reference(self, tmp_path, monkeypatch):
         """A model trained on reference-expanded features is saved byte
@@ -285,8 +324,154 @@ class TestExpansionOracle:
         for name in ("new", "reference"):
             if name == "reference":
                 monkeypatch.setattr(features, "expand_templates",
-                                    reference_expand)
+                                    reference_table)
             model, _ = pipeline.train_on_docs(docs, config)
             crf.save_model(model, tmp_path / f"{name}.crf")
             saved.append((tmp_path / f"{name}.crf").read_bytes())
         assert saved[0] == saved[1]
+
+
+def reference_index(sequences, cutoff):
+    """Observation strings seen at least `cutoff` times, in order of
+    first occurrence, with their counts."""
+    counts: dict[str, int] = {}
+    for seq in sequences:
+        for feats in seq:
+            for f in feats:
+                counts[f] = counts.get(f, 0) + 1
+    return [(f, n) for f, n in counts.items() if n >= cutoff]
+
+
+class TestFeatureIndexOnTables:
+    # `x|word[0]=y` then `z` spells what `x` then `y|word[0]=z` spells,
+    # and `a[+0]` is written as `a[0]`: different codes, one string
+    AMBIGUOUS = [[{"word": "x|word[0]=y"}, {"word": "z"}, {"word": "a[+0]"}],
+                 [{"word": "x"}, {"word": "y|word[0]=z"}, {"word": "a[0]"}],
+                 [{"word": "z"}]]
+
+    def check(self, table, sequences):
+        for cutoff in (1, 2, 3):
+            index = crf.build_feature_index(table, cutoff)
+            want = reference_index(sequences, cutoff)
+            assert list(index) == [f for f, _ in want]
+            assert list(index.values()) == list(range(len(want)))
+            model = crf.CrfModel(index, [0.0] * (3 * len(index) + 9))
+            # every kept observation appears as often as the reference
+            # counts it
+            ids = model.encode(table)
+            seen = [0] * len(index)
+            for row in ids:
+                for i in row.tolist():
+                    seen[i] += 1
+            assert seen == [n for _, n in want]
+
+    def test_colliding_slots_merge(self):
+        names = ("word", "word")  # a repeated name: two slots, one string
+        table = expand_templates(self.AMBIGUOUS, TEMPLATES, names, names)
+        assert len(set(table.keys)) < len(table.keys)
+        self.check(table, [reference_expand(rows, TEMPLATES, names, names)
+                           for rows in self.AMBIGUOUS])
+
+    @settings(max_examples=100, deadline=None)
+    @given(SEQUENCES.filter(bool), NAME_SETS, NAME_SETS)
+    def test_matches_string_reference(self, rows_per_sequence, unigram,
+                                      conj):
+        table = expand_templates(rows_per_sequence, TEMPLATES, unigram,
+                                 conj)
+        self.check(table, [reference_expand(rows, TEMPLATES, unigram, conj)
+                           for rows in rows_per_sequence])
+
+
+_OLD_CARDINAL = re.compile(r"\d+")
+_OLD_ORDINAL = re.compile(r"\d+(st|nd|rd|th)")
+_OLD_TIME = re.compile(r"\d{1,2}(:\d{2}){1,2}|\d{1,2}(am|pm|h)")
+_OLD_DATE = re.compile(
+    r"\d{4}|\d{1,2}[-/]\d{1,2}[-/]\d{2,4}|\d{4}[-/]\d{1,2}([-/]\d{1,2})?"
+    r"|[a-z]{3,9}-\d{2,4}", re.IGNORECASE)
+_OLD_DECIMAL = re.compile(r"\d+\.\d+")
+_OLD_NUM_DOTS = re.compile(r"\d+(\.\d+)+")
+_OLD_ACRONYM = re.compile(r"([A-Z]\.)+[A-Z]?")
+
+
+def old_collapsed_pattern(surface):
+    out = []
+    for c in pattern(surface):
+        if not out or out[-1] != c:
+            out.append(c)
+    return "".join(out)
+
+
+def old_token_features(tok, lex):
+    """The row function as it was, with module-level `re` calls: the
+    oracle for `features.token_features`."""
+    B = {True: "y", False: "n"}
+    w = tok.surface
+    low = w.lower()
+    full = re.fullmatch
+    return {
+        "word": w,
+        "lemma": tok.lemma if tok.lemma else low,
+        "stem": features.stem(w),
+        "pattern": pattern(w),
+        "collapsed_pattern": old_collapsed_pattern(w),
+        "prefix3": w[:3],
+        "suffix3": w[-3:],
+        "upper_first": B[w[0].isupper()],
+        "ends_with_s": B[low.endswith("s")],
+        "no_letters": re.sub(r"[A-Za-z]", "", w) or "_",
+        "no_letters_digits": re.sub(r"[A-Za-z0-9]", "", w) or "_",
+        "verb_tense": features._PENN_TENSE.get(tok.pos or "", "_"),
+        "lower": B[w.islower()],
+        "alphabetic": B[w.isalpha()],
+        "digit": B[w.isdigit()],
+        "alphanumeric": B[w.isalnum()],
+        "titled": B[w.istitle()],
+        "capitalized": B[w[0].isupper() and w.isalpha()],
+        "acronym": B[bool(full(_OLD_ACRONYM, w))],
+        "number": B[w.isdigit() or low in features.CARDINAL_WORDS],
+        "decimal_number": B[bool(full(_OLD_DECIMAL, w))],
+        "number_with_dots": B[bool(full(_OLD_NUM_DOTS, w))],
+        "stopword": B[low in lex.stopwords],
+        "cardinal": B[bool(full(_OLD_CARDINAL, w))
+                      or low in features.CARDINAL_WORDS],
+        "ordinal": B[bool(full(_OLD_ORDINAL, low))
+                     or low in features.ORDINAL_WORDS],
+        "time": B[bool(full(_OLD_TIME, low))],
+        "date": B[bool(full(_OLD_DATE, low)) or low in lex.months],
+        "period_of_day": B[low in lex.periods_of_day],
+        "weekday": B[low in lex.weekdays],
+        "season": B[low in lex.seasons],
+        "past_ref": B[low in lex.past_refs],
+        "present_ref": B[low in lex.present_refs],
+        "future_ref": B[low in lex.future_refs],
+        "temporal_signal": B[low in lex.temporal_signals],
+        "fuzzy_quantifier": B[low in lex.fuzzy_quantifiers],
+        "modifier": B[low in lex.modifiers],
+        "temporal_adverb": B[low in lex.temporal_adverbs],
+        "adjective_suffix": B[low.endswith(features._ADJ_SUFFIXES)],
+        "conjunction": B[low in lex.conjunctions],
+        "preposition": B[low in lex.prepositions],
+    }
+
+
+# surfaces: runs of non-space characters, from the patterns' own
+# alphabet (digits, separators, am/pm/st/th, month-like words), any
+# letters, and characters outside ASCII that case-fold or count as digits
+SURFACE_PIECES = st.sampled_from(
+    ["1", "12", "2003", ":", "-", "/", ".", "am", "pm", "h", "st", "th",
+     "Jan", "A.", "B", "x", "Monday", "ago", "ß", "İ", "K", "ſ", "٣",
+     "²", "É", "時", "Ǆ", "ﬁ"])
+SURFACES = st.one_of(
+    st.lists(SURFACE_PIECES, min_size=1, max_size=5).map("".join),
+    st.text(min_size=1, max_size=12)).filter(
+        lambda w: w and not any(c.isspace() for c in w))
+
+
+class TestRowOracle:
+    @settings(max_examples=1000, deadline=None)
+    @given(SURFACES, st.sampled_from([None, "VBD", "NN"]),
+           st.sampled_from([None, "x"]))
+    def test_rows_equal_old_function(self, surface, pos, lemma):
+        tok = Token(surface, 0, len(surface), pos=pos, lemma=lemma)
+        assert features.token_features(tok, MODEL1.lexicons) == \
+            old_token_features(tok, MODEL1.lexicons)
