@@ -111,9 +111,8 @@ def cmd_tag(args) -> int:
     outputs = []
     tagged_docs = []
     n_timexes = 0
-    for doc in docs:
-        labels = pipeline.label_document(doc, model, featurizer, config,
-                                         priors)
+    for doc, labels in zip(docs, pipeline.label_documents(
+            docs, model, featurizer, config, priors), strict=True):
         if args.no_normalize:
             # the labels the inline output implies: an orphan I opens a
             # span, as `extract_timexes` reads it

@@ -5,8 +5,8 @@ followed by the 9 label-bigram transition slots.  All probability math is
 done in log space.
 
 Training, decoding and the tests share one path.  The observation table
-of a list of sequences (a training corpus, or one document when
-decoding; `features.ObservationTable`) is encoded once, one index lookup
+of a list of sequences (a training corpus, or a batch of documents
+when decoding; `features.ObservationTable`) is encoded once, one lookup
 per distinct observation string, as a sparse token-by-observation matrix
 over a length-padded, longest-first batch, so that one sparse product
 scores every token.  One forward recursion then runs over the whole
@@ -23,6 +23,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import methodcaller
 from pathlib import Path
 from typing import Optional, Sequence as Seq
 
@@ -473,23 +474,44 @@ def load_model(path) -> CrfModel:
     c, eta = field("hyperparams", _parse_hyperparams)
     n_features = field("n_features", _parse_count)
 
-    rows = [(lineno, line) for lineno, line in enumerate(lines[i:], i + 1)
-            if line.strip()]
+    rows = list(filter(str.strip, lines[i:]))
     if len(rows) != n_features + N_LABELS:
         raise CrfError(
             f"{path}: model declares {n_features} features, so "
             f"{n_features + N_LABELS} weight rows with the transitions; "
             f"the file has {len(rows)}")
-    obs_index: dict[str, int] = {}
-    values: list[list[float]] = []
+    # the whole weight block in bulk; row by row only to name a bad line
+    keys, _, weights = zip(*map(methodcaller("partition", "\t"), rows))
+    obs_index = dict(zip(keys[:n_features], range(n_features)))
+    try:
+        values = np.fromiter(map(float, "\t".join(weights).split("\t")),
+                             dtype=float, count=N_LABELS * len(rows))
+    except ValueError:
+        values = None
+    if (values is None or not np.isfinite(values).all()
+            or set(map(str.count, weights, repeat("\t"))) != {N_LABELS - 1}
+            or keys[n_features:] != TRANSITION_KEYS
+            or len(obs_index) != n_features):
+        _raise_row_error(path, lines, i, n_features)
+    return CrfModel(obs_index, values, c=c, eta=eta, profile=profile,
+                    digest=digest)
+
+
+def _raise_row_error(path, lines: list[str], start: int,
+                     n_features: int) -> None:
+    """Raise the error of the first malformed weight row at or after
+    line `start` (0-based), naming its line."""
+    seen: set[str] = set()
+    rows = ((lineno, line) for lineno, line in enumerate(lines[start:],
+                                                          start + 1)
+            if line.strip())
     for row, (lineno, line) in enumerate(rows):
         key, *weights = line.split("\t")
         if len(weights) != N_LABELS:
             raise _line_error(path, lineno,
                               "expected key<TAB>w_B<TAB>w_I<TAB>w_O")
         try:
-            values.append([float(w) for w in weights])
-            if not all(map(math.isfinite, values[-1])):
+            if not all(map(math.isfinite, map(float, weights))):
                 raise ValueError
         except ValueError:
             raise _line_error(path, lineno,
@@ -498,8 +520,8 @@ def load_model(path) -> CrfModel:
             raise _line_error(path, lineno, f"expected transition row "
                               f"{TRANSITION_KEYS[row - n_features]!r}, "
                               f"got {key!r}")
-        elif row < n_features and obs_index.setdefault(key, row) != row:
+        elif row < n_features and key in seen:
             raise _line_error(path, lineno,
                               f"repeated observation key {key!r}")
-    return CrfModel(obs_index, np.array(values).reshape(-1), c=c, eta=eta,
-                    profile=profile, digest=digest)
+        seen.add(key)
+    raise CrfError(f"{path}: malformed weight rows")

@@ -311,19 +311,40 @@ class Featurizer:
             json.dumps(contract).encode("utf-8")).hexdigest()
 
 
-def extract_rows(seq: Sequence, featurizer: Featurizer
-                 ) -> list[dict[str, str]]:
-    """One feature row per token under the featurizer's profile."""
-    rows = [token_features(tok, featurizer.lexicons) for tok in seq.tokens]
-    if featurizer.config.use_syntax:
-        for row, tok in zip(rows, seq.tokens):
+def extract_rows(seqs: Seq[Sequence], featurizer: Featurizer
+                 ) -> tuple[list[dict[str, str]], np.ndarray]:
+    """One feature row per distinct token type of `seqs` under the
+    featurizer's profile, and the type of each position, positions of
+    all sequences in order.
+
+    A type is everything a row reads: surface, lemma and POS, plus chunk
+    and PNP when the profile uses syntax, plus the position's label in
+    each gazetteer.  Types are numbered in order of first occurrence.
+    """
+    syntax = featurizer.config.use_syntax
+    # type -> (its number, its first token, its gazetteer labels)
+    first: dict[tuple, tuple[int, Token, tuple[str, ...]]] = {}
+    types = []
+    for seq in seqs:
+        labels = zip(*(match_gazetteer(seq, gaz)
+                       for gaz in featurizer.gazetteers)) \
+            if featurizer.gazetteers else repeat(())
+        for tok, labs in zip(seq.tokens, labels):
+            key = ((tok.surface, tok.lemma, tok.pos, tok.chunk, tok.pnp,
+                    labs) if syntax else (tok.surface, tok.lemma, tok.pos,
+                                          labs))
+            types.append(first.setdefault(key, (len(first), tok, labs))[0])
+    rows = []
+    for _, tok, labs in first.values():
+        row = token_features(tok, featurizer.lexicons)
+        if syntax:
             row["pos"] = tok.pos or "_"
             row["chunk"] = tok.chunk or "_"
             row["pnp"] = tok.pnp or "_"
-    for gaz in featurizer.gazetteers:
-        for row, lab in zip(rows, match_gazetteer(seq, gaz)):
+        for gaz, lab in zip(featurizer.gazetteers, labs):
             row[f"gaz_{gaz.name}"] = lab
-    return rows
+        rows.append(row)
+    return rows, np.array(types, dtype=np.int64)
 
 
 @dataclass
@@ -392,13 +413,15 @@ def _row_starts(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
-def expand_templates(rows_per_sequence: list[list[dict[str, str]]],
-                     templates: Iterable[Template],
+def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
+                     lengths: Seq[int], templates: Iterable[Template],
                      unigram_features: Iterable[str],
                      conjunction_features: Iterable[str]
                      ) -> ObservationTable:
-    """Expand the per-token rows of each sequence into one observation
-    table.
+    """Expand the feature rows of sequences into one observation table.
+
+    Position p reads row `rows[types[p]]`; the positions of all
+    sequences follow each other, `lengths` per sequence.
 
     For position p, template t and feature name f the observation string
     is ``tid:f[o1]=v1|f[o2]=v2...``, with every ``[+0]`` in a ``f[o]=v``
@@ -406,23 +429,23 @@ def expand_templates(rows_per_sequence: list[list[dict[str, str]]],
     _EOS_ sentinels, so every position gets the same number of strings.
 
     Each string is built once per call, not once per position.  Each
-    feature's values get small int codes (sentinels first), laid out per
-    sequence between two _BOS_ and two _EOS_ slots of its own, so that a
-    shifted read never crosses into the next sequence.  The templates of
-    one arity are expanded together, one row per (template, feature)
-    slot.  A unigram slot has one key per value of its feature.  A
-    conjunction slot combines its offsets' codes two at a time through
-    the index of each distinct pair in its row, so that a combined code
-    stays below the number of positions times the number of values, and
-    it has one key per distinct combination.
+    feature's values get small int codes (sentinels first), looked up
+    once per row and laid out per sequence between two _BOS_ and two
+    _EOS_ slots of its own, so that a shifted read never crosses into
+    the next sequence.  The templates of one arity are expanded
+    together, one row per (template, feature) slot.  A unigram slot has
+    one key per value of its feature.  A conjunction slot combines its
+    offsets' codes two at a time through the index of each distinct pair
+    in its row, so that a combined code stays below the number of
+    positions times the number of values, and it has one key per
+    distinct combination.
     """
     templates = tuple(templates)
     unigram_features = tuple(unigram_features)
     conjunction_features = tuple(conjunction_features)
     names = tuple(dict.fromkeys(unigram_features + conjunction_features))
-    lengths = tuple(map(len, rows_per_sequence))
-    rows = [row for seq_rows in rows_per_sequence for row in seq_rows]
-    n = len(rows)
+    lengths = tuple(lengths)
+    n = len(types)
     # a sequence's padded slots: _BOS_ _BOS_ its values _EOS_ _EOS_;
     # position p sits at at[p]
     at = np.arange(n) + 4 * np.repeat(np.arange(len(lengths)), lengths) + 2
@@ -440,7 +463,7 @@ def expand_templates(rows_per_sequence: list[list[dict[str, str]]],
             code[v] = distinct.setdefault(v.replace("[+0]", "[0]"),
                                           len(distinct))
         column[at] = np.fromiter(map(code.__getitem__, values),
-                                 dtype=np.int64, count=n)
+                                 dtype=np.int64, count=len(rows))[types]
         spelled.append(list(distinct))
     n_values = np.array([len(v) for v in spelled], dtype=np.int64)
 
@@ -511,10 +534,11 @@ def expand_templates(rows_per_sequence: list[list[dict[str, str]]],
 
 def featurize_sequence(seqs: Seq[Sequence], featurizer: Featurizer
                        ) -> ObservationTable:
-    """Rows + template expansion of the sequences `seqs` (a document, or
-    a training corpus) in one call: the CRF input, one interned table
-    for them all.  (The name predates tables; `bench/tracing.py` wraps
-    it by this name.)"""
-    return expand_templates([extract_rows(s, featurizer) for s in seqs],
-                            TEMPLATES, featurizer.unigram_features,
+    """Rows + template expansion of the sequences `seqs` (a batch of
+    documents, or a training corpus) in one call: the CRF input, one
+    interned table for them all, with one row per token type.  (The name
+    predates tables; `bench/tracing.py` wraps it by this name.)"""
+    rows, types = extract_rows(seqs, featurizer)
+    return expand_templates(rows, types, tuple(map(len, seqs)), TEMPLATES,
+                            featurizer.unigram_features,
                             featurizer.config.conjunction_features)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence as Seq
+from itertools import accumulate
+from typing import Iterable, Iterator, Optional, Sequence as Seq
 
 from . import crf, evaluation, features, normalizer, postproc
 from .config import RunConfig
@@ -39,10 +40,65 @@ def train_on_sequences(seqs: Seq[Sequence], config: RunConfig,
                    digest=featurizer.digest)
 
 
+# Documents are tagged in batches of up to this many tokens: one
+# featurization, one encoding and one CRF call per batch.  Peak memory
+# grows by about 15 KB per batch token, while time per token falls
+# little past a few hundred tokens.
+BATCH_TOKENS = 512
+
+
 def featurize_document(doc: Document, featurizer: features.Featurizer
                        ) -> features.ObservationTable:
     """The observation table of the sequences of `doc`."""
     return features.featurize_sequence(doc.sequences, featurizer)
+
+
+def document_batches(docs: Iterable[Document]) -> Iterator[list[Document]]:
+    """Consecutive documents in batches of at most BATCH_TOKENS tokens;
+    a document larger than that is a batch by itself."""
+    batch: list[Document] = []
+    size = 0
+    for doc in docs:
+        n = sum(map(len, doc.sequences))
+        if batch and size + n > BATCH_TOKENS:
+            yield batch
+            batch, size = [], 0
+        batch.append(doc)
+        size += n
+    if batch:
+        yield batch
+
+
+def _label_batch(docs: Seq[Document], model: crf.CrfModel,
+                 featurizer: features.Featurizer, config: RunConfig,
+                 priors: Optional[postproc.PriorTable],
+                 table: Optional[features.ObservationTable] = None
+                 ) -> list[list[list[str]]]:
+    """The decode core: predicted BIO labels per sequence of each of
+    `docs`, from one featurization (unless `table` is given) and one CRF
+    call over all their sequences."""
+    seqs = [seq for doc in docs for seq in doc.sequences]
+    if table is None:
+        table = features.featurize_sequence(seqs, featurizer)
+    if not config.pipeline_enabled or priors is None:
+        labels = crf.viterbi(model, table)
+    else:
+        post = config.pipeline_config()
+        labels = [postproc.run_pipeline(marginals, seq.tokens, priors, post)
+                  for seq, marginals in zip(
+                      seqs, crf.forward_backward(model, table), strict=True)]
+    ends = list(accumulate(len(doc.sequences) for doc in docs))
+    return [labels[a:b] for a, b in zip((0, *ends), ends)]
+
+
+def label_documents(docs: Iterable[Document], model: crf.CrfModel,
+                    featurizer: features.Featurizer, config: RunConfig,
+                    priors: Optional[postproc.PriorTable] = None
+                    ) -> Iterator[list[list[str]]]:
+    """Predicted BIO labels per sequence of each document, in order,
+    decoded batch by batch (`document_batches`)."""
+    for batch in document_batches(docs):
+        yield from _label_batch(batch, model, featurizer, config, priors)
 
 
 def label_document(doc: Document, model: crf.CrfModel,
@@ -50,22 +106,15 @@ def label_document(doc: Document, model: crf.CrfModel,
                    priors: Optional[postproc.PriorTable] = None,
                    doc_features: Optional[features.ObservationTable] = None
                    ) -> list[list[str]]:
-    """Predicted BIO labels per sequence (CRF plus optional pipeline),
-    from one CRF call over the whole document.
+    """Predicted BIO labels per sequence of one document (CRF plus
+    optional pipeline), through the same core as `label_documents`.
 
     `doc_features` is `featurize_document(doc, featurizer)`, computed
     here when not given; pass it to label one document several ways
     without featurizing it again.
     """
-    if doc_features is None:
-        doc_features = featurize_document(doc, featurizer)
-    if not config.pipeline_enabled or priors is None:
-        return crf.viterbi(model, doc_features)
-    post = config.pipeline_config()
-    return [postproc.run_pipeline(marginals, seq.tokens, priors, post)
-            for seq, marginals in zip(
-                doc.sequences, crf.forward_backward(model, doc_features),
-                strict=True)]
+    return _label_batch([doc], model, featurizer, config, priors,
+                        doc_features)[0]
 
 
 def extract_timexes(doc: Document, labels_per_seq: Seq[Seq[str]],

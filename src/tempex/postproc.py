@@ -127,6 +127,11 @@ def _argmax_label(row: np.ndarray) -> str:
     return LABELS[int(np.argmax(row))]  # first max wins: B < I < O
 
 
+def _argmax_labels(probs: np.ndarray) -> list[str]:
+    """`_argmax_label` of each row, in one call."""
+    return [LABELS[i] for i in np.argmax(probs, axis=1).tolist()]
+
+
 def probabilistic_correction(marginals: MarginalTable, tokens: Seq[Token],
                              priors: PriorTable
                              ) -> tuple[MarginalTable, list[str]]:
@@ -142,9 +147,7 @@ def probabilistic_correction(marginals: MarginalTable, tokens: Seq[Token],
         prior = priors.distribution(tok.surface)
         if prior is not None:
             probs[i] = (probs[i] + prior) / 2.0
-    adjusted = MarginalTable(probs, marginals.log_z)
-    labels = [_argmax_label(row) for row in probs]
-    return adjusted, labels
+    return MarginalTable(probs, marginals.log_z), _argmax_labels(probs)
 
 
 def is_punctuation(tok: Token) -> bool:
@@ -211,7 +214,7 @@ def run_pipeline(marginals: MarginalTable, tokens: Seq[Token],
                  config: PipelineConfig = PipelineConfig()) -> list[str]:
     """Apply the configured stages; the initial labels are the raw CRF
     argmax of `marginals`."""
-    labels = [_argmax_label(row) for row in marginals.probs]
+    labels = _argmax_labels(marginals.probs)
     for stage in config.stages:
         if stage == "prob_correction":
             _, labels = probabilistic_correction(marginals, tokens, priors)

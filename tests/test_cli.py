@@ -683,6 +683,98 @@ class TestFeatureContract:
         assert calls == [str(rules)]
 
 
+def one_token_doc(doc_id: str, words) -> corpus.Document:
+    """A document of one-token sentences."""
+    return corpus.assemble_document(
+        doc_id, datetime.date(2013, 4, 11), corpus.pack_sequences(
+            corpus.Sequence(tuple(corpus.tokenize(w))) for w in words))
+
+
+class TestTagBatches:
+    """`tag` decodes consecutive documents in batches of about
+    `pipeline.BATCH_TOKENS` tokens, a larger document alone; what it
+    writes does not depend on how the documents are batched."""
+
+    @pytest.fixture(scope="class")
+    def batch_corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("batches")
+        big = replace(build_corpus(n_sentences=90, seed=21), id="big")
+        assert sum(map(len, big.sequences)) > pipeline.BATCH_TOKENS
+        docs = [replace(build_corpus(n_sentences=4, seed=22), id="d22"),
+                one_token_doc("short", ["Yesterday", "Today", "."]),
+                big,
+                replace(build_corpus(n_sentences=12, seed=23), id="d23"),
+                one_token_doc("single", ["Tomorrow"]),
+                replace(build_corpus(n_sentences=30, seed=24), id="d24")]
+        corpus.write_corpus(docs, root / "docs.tsv")
+        return root / "docs.tsv", docs
+
+    def tag(self, workdir, path, flags, out_path):
+        argv = [f for f in flags if f == "--no-pipeline"] + [
+            "tag", str(path), str(workdir / "model.crf"), "--output",
+            str(out_path)] + [f for f in flags if f == "--no-normalize"]
+        assert main(argv) == 0
+        return out_path.read_bytes()
+
+    @pytest.mark.parametrize("flags", [(), ("--no-pipeline",),
+                                       ("--no-normalize",)])
+    def test_output_does_not_depend_on_batch_size(
+            self, workdir, batch_corpus, tmp_path, monkeypatch, flags):
+        path, docs = batch_corpus
+        calls = []
+        original = features.featurize_sequence
+
+        def counting(seqs, featurizer):
+            calls.append(len(seqs))
+            return original(seqs, featurizer)
+
+        monkeypatch.setattr(features, "featurize_sequence", counting)
+        outputs, batches = [], []
+        for budget in (pipeline.BATCH_TOKENS, 1, 10 ** 9):
+            monkeypatch.setattr(pipeline, "BATCH_TOKENS", budget)
+            calls.clear()
+            outputs.append(self.tag(workdir, path, flags,
+                                    tmp_path / f"{budget}.out"))
+            batches.append(len(calls))
+            assert sum(calls) == sum(len(d.sequences) for d in docs)
+        assert outputs[0] == outputs[1] == outputs[2]
+        # the default: the two small documents, `big` alone, the rest
+        assert batches == [3, len(docs), 1]
+
+    def test_a_large_document_is_a_batch_by_itself(self, batch_corpus,
+                                                  monkeypatch):
+        _, docs = batch_corpus
+        sizes = [sum(map(len, d.sequences)) for d in docs]
+        monkeypatch.setattr(pipeline, "BATCH_TOKENS", sizes[3] + sizes[4])
+        assert [[d.id for d in batch]
+                for batch in pipeline.document_batches(docs)] == [
+            ["d22", "short"], ["big"], ["d23", "single"], ["d24"]]
+        assert list(pipeline.document_batches([])) == []
+
+    def test_batched_decoding_is_bitwise_per_document(self, workdir,
+                                                      batch_corpus):
+        """Marginals, logZ and Viterbi paths of each sequence are the
+        same bits whether its document is decoded alone or in a batch."""
+        _, docs = batch_corpus
+        model = crf.load_model(workdir / "model.crf")
+        featurizer = RunConfig().featurizer(model.profile)
+        table = features.featurize_sequence(
+            [seq for doc in docs for seq in doc.sequences], featurizer)
+        batched = crf.forward_backward(model, table)
+        paths = crf.viterbi(model, table)
+        alone, alone_paths = [], []
+        for doc in docs:
+            doc_table = pipeline.featurize_document(doc, featurizer)
+            alone += crf.forward_backward(model, doc_table)
+            alone_paths += crf.viterbi(model, doc_table)
+        assert len(batched) == len(alone) == len(table.lengths)
+        for a, b in zip(batched, alone):
+            assert a.probs.tobytes() == b.probs.tobytes()
+            assert np.float64(a.log_z).tobytes() == \
+                np.float64(b.log_z).tobytes()
+        assert paths == alone_paths
+
+
 class TestCrossValidation:
     def test_deterministic_and_complete(self, workdir, capsys):
         argv = ["--config", str(workdir / "run.ini"), "--seed", "490",

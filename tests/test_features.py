@@ -1,5 +1,6 @@
 import re
 import shutil
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,9 +24,29 @@ def strings(table):
     return [[table.keys[c] for c in row if c >= 0] for row in table]
 
 
+def expand(rows_per_sequence, templates, unigram, conj):
+    """`expand_templates` of per-position rows, each distinct row passed
+    once, as `extract_rows` passes one row per token type."""
+    index: dict[tuple, int] = {}
+    rows, types = [], []
+    for row in (r for seq_rows in rows_per_sequence for r in seq_rows):
+        t = index.setdefault(tuple(row.items()), len(index))
+        if t == len(rows):
+            rows.append(row)
+        types.append(t)
+    return expand_templates(rows, types, tuple(map(len, rows_per_sequence)),
+                            templates, unigram, conj)
+
+
 def expand_one(rows, templates, unigram, conj):
     """Observation strings per position of one sequence's rows."""
-    return strings(expand_templates([rows], templates, unigram, conj))
+    return strings(expand([rows], templates, unigram, conj))
+
+
+def position_rows(seq, featurizer):
+    """The feature row of each position of `seq`."""
+    rows, types = extract_rows([seq], featurizer)
+    return [rows[t] for t in types.tolist()]
 
 
 def make_seq(words):
@@ -65,32 +86,32 @@ class TestPattern:
 
 class TestMorphological:
     def test_period_of_day(self):
-        [row] = extract_rows(make_seq(["morning"]), MODEL1)
+        [row] = position_rows(make_seq(["morning"]), MODEL1)
         assert row["period_of_day"] == "y"
 
     def test_past_ref(self):
-        [row] = extract_rows(make_seq(["ago"]), MODEL1)
+        [row] = position_rows(make_seq(["ago"]), MODEL1)
         assert row["past_ref"] == "y"
 
     def test_digit_token(self):
-        [row] = extract_rows(make_seq(["7"]), MODEL1)
+        [row] = position_rows(make_seq(["7"]), MODEL1)
         assert row["digit"] == "y"
         assert row["number"] == "y"
         assert row["cardinal"] == "y"
         assert row["alphabetic"] == "n"
 
     def test_lemma_fallback_is_lowercased_surface(self):
-        [row] = extract_rows(make_seq(["Tomorrow"]), MODEL1)
+        [row] = position_rows(make_seq(["Tomorrow"]), MODEL1)
         assert row["lemma"] == "tomorrow"
 
     def test_verb_tense_from_pos(self):
         seq = Sequence((Token("went", 0, 4, pos="VBD"),))
-        [row] = extract_rows(seq, MODEL1)
+        [row] = position_rows(seq, MODEL1)
         assert row["verb_tense"] == "past"
 
     def test_deterministic(self):
         seq = make_seq(["Three", "days", "ago", "."])
-        assert extract_rows(seq, MODEL1) == extract_rows(seq, MODEL1)
+        assert position_rows(seq, MODEL1) == position_rows(seq, MODEL1)
 
 
 class TestGazetteer:
@@ -203,7 +224,7 @@ class TestFeaturizer:
         lexicons = self.lexicons_without(tmp_path, "monday")
         featurizer = Featurizer("model1", lexicon_dir=lexicons)
         assert featurizer.digest != MODEL1.digest
-        [row] = extract_rows(make_seq(["Monday"]), featurizer)
+        [row] = position_rows(make_seq(["Monday"]), featurizer)
         assert row["weekday"] == "n"
 
     def test_word_order_and_comments_do_not(self, tmp_path):
@@ -276,11 +297,112 @@ SEQUENCES = st.lists(ROWS | st.lists(
     max_size=1), max_size=4)
 
 
-def reference_table(rows_per_sequence, templates, unigram, conj):
-    """The table of the reference strings of each sequence."""
+def reference_table(rows, types, lengths, templates, unigram, conj):
+    """The table of the reference strings of each sequence, from
+    `expand_templates`' arguments."""
+    at = [0, *accumulate(lengths)]
     return ObservationTable.from_strings(
-        [reference_expand(rows, templates, unigram, conj)
-         for rows in rows_per_sequence])
+        [reference_expand([rows[t] for t in types[a:b]], templates,
+                          unigram, conj) for a, b in zip(at, at[1:])])
+
+
+def old_extract_rows(seq, featurizer):
+    """Row building as it was, one row per position: the oracle for the
+    rows per token type of `extract_rows`."""
+    rows = [features.token_features(tok, featurizer.lexicons)
+            for tok in seq.tokens]
+    if featurizer.config.use_syntax:
+        for row, tok in zip(rows, seq.tokens):
+            row["pos"] = tok.pos or "_"
+            row["chunk"] = tok.chunk or "_"
+            row["pnp"] = tok.pnp or "_"
+    for gaz in featurizer.gazetteers:
+        for row, lab in zip(rows, match_gazetteer(seq, gaz)):
+            row[f"gaz_{gaz.name}"] = lab
+    return rows
+
+
+FEATURIZERS = {p: Featurizer(p) for p in PROFILES}
+
+
+def annotated_seq(*tokens):
+    """A sequence of (surface, pos, lemma, chunk, pnp) tokens."""
+    toks, at = [], 0
+    for surface, pos, lemma, chunk, pnp in tokens:
+        toks.append(Token(surface, at, at + len(surface), pos, lemma, chunk,
+                          pnp))
+        at += len(surface) + 1
+    return Sequence(tuple(toks))
+
+
+class TestRowsPerType:
+    """One row per token type gives every position the row, and so the
+    observation strings, that one row per position gave."""
+    # "May" with another lemma or POS, "in" with another chunk or PNP,
+    # "York" inside and outside the us_cities phrase "new york city", and
+    # a one-token sentence
+    SEQS = [
+        annotated_seq(("New", "NNP", None, "B-NP", None),
+                      ("York", "NNP", None, "I-NP", None),
+                      ("City", "NNP", None, "I-NP", None),
+                      ("in", "IN", None, "B-PP", "B-PNP"),
+                      ("May", "NNP", None, "B-NP", "I-PNP"),
+                      (".", ".", None, "O", None)),
+        annotated_seq(("York", "NNP", None, "B-NP", None),
+                      ("May", "MD", "may", "B-VP", None),
+                      ("grow", "VB", None, "I-VP", None),
+                      ("in", "IN", None, "O", None),
+                      ("May", "NNP", "May", "B-NP", None),
+                      ("May", "NNP", None, "B-NP", None),
+                      (".", ".", None, "O", None)),
+        annotated_seq(("Today", "NN", None, "B-NP", None)),
+    ]
+
+    def type_of(self, featurizer):
+        """Each (sentence, token) position's type."""
+        _, types = extract_rows(self.SEQS, featurizer)
+        at = [0, *accumulate(map(len, self.SEQS))]
+        return [types[a:b].tolist() for a, b in zip(at, at[1:])]
+
+    @pytest.mark.parametrize("profile", list(PROFILES))
+    def test_same_rows_and_strings_as_per_position(self, profile):
+        featurizer = FEATURIZERS[profile]
+        old = [old_extract_rows(seq, featurizer) for seq in self.SEQS]
+        rows, types = extract_rows(self.SEQS, featurizer)
+        assert [rows[t] for t in types.tolist()] == [
+            row for seq_rows in old for row in seq_rows]
+        assert len(rows) < len(types)
+        assert strings(featurize_sequence(self.SEQS, featurizer)) == [
+            feats for seq_rows in old
+            for feats in reference_expand(
+                seq_rows, TEMPLATES, featurizer.unigram_features,
+                featurizer.config.conjunction_features)]
+
+    def test_types_split_on_what_the_profile_reads(self):
+        m1, m2, m3 = (self.type_of(FEATURIZERS[p]) for p in PROFILES)
+        # "May" by POS and lemma, under every profile
+        assert len({m1[0][4], m1[1][1], m1[1][4]}) == 3
+        # the PNP-only difference of the two May/NNP tokens, and the chunk
+        # and PNP of "in", only where syntax is read
+        assert m1[0][4] == m1[1][5] and m3[0][4] == m3[1][5]
+        assert m2[0][4] != m2[1][5]
+        assert m1[0][3] == m1[1][3] and m2[0][3] != m2[1][3]
+        # "York" inside and outside a gazetteer phrase, only under model3
+        assert m1[0][1] == m1[1][0] and m2[0][1] != m2[1][0]
+        assert m3[0][1] != m3[1][0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(PROFILES)), st.lists(st.lists(st.tuples(
+        st.sampled_from(["new", "York", "city", "May", "in", "7", "."]),
+        st.sampled_from([None, "NNP", "MD"]), st.sampled_from([None, "may"]),
+        st.sampled_from([None, "B-NP"]), st.sampled_from([None, "B-PNP"])),
+        min_size=1, max_size=6), max_size=4))
+    def test_matches_per_position_rows(self, profile, seqs):
+        featurizer = FEATURIZERS[profile]
+        seqs = [annotated_seq(*tokens) for tokens in seqs]
+        rows, types = extract_rows(seqs, featurizer)
+        assert [rows[t] for t in types.tolist()] == [
+            row for seq in seqs for row in old_extract_rows(seq, featurizer)]
 
 
 class TestExpansionOracle:
@@ -292,8 +414,7 @@ class TestExpansionOracle:
         spell separators, offsets and sentinels, missing features and
         repeated names: each position's strings are the reference's, and
         no window reads across a sequence boundary."""
-        table = expand_templates(rows_per_sequence, templates, unigram,
-                                 conj)
+        table = expand(rows_per_sequence, templates, unigram, conj)
         assert table.lengths == tuple(map(len, rows_per_sequence))
         assert table.codes.shape[0] == len(table)
         assert strings(table) == [
@@ -306,7 +427,7 @@ class TestExpansionOracle:
             featurizer = Featurizer(profile)
             unigram = featurizer.unigram_features
             conj = featurizer.config.conjunction_features
-            rows = [features.extract_rows(seq, featurizer)
+            rows = [old_extract_rows(seq, featurizer)
                     for seq in doc.sequences]
             table = featurize_sequence(doc.sequences, featurizer)
             assert strings(table) == [
@@ -367,7 +488,7 @@ class TestFeatureIndexOnTables:
 
     def test_colliding_slots_merge(self):
         names = ("word", "word")  # a repeated name: two slots, one string
-        table = expand_templates(self.AMBIGUOUS, TEMPLATES, names, names)
+        table = expand(self.AMBIGUOUS, TEMPLATES, names, names)
         assert len(set(table.keys)) < len(table.keys)
         self.check(table, [reference_expand(rows, TEMPLATES, names, names)
                            for rows in self.AMBIGUOUS])
@@ -376,8 +497,7 @@ class TestFeatureIndexOnTables:
     @given(SEQUENCES.filter(bool), NAME_SETS, NAME_SETS)
     def test_matches_string_reference(self, rows_per_sequence, unigram,
                                       conj):
-        table = expand_templates(rows_per_sequence, TEMPLATES, unigram,
-                                 conj)
+        table = expand(rows_per_sequence, TEMPLATES, unigram, conj)
         self.check(table, [reference_expand(rows, TEMPLATES, unigram, conj)
                            for rows in rows_per_sequence])
 

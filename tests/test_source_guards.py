@@ -2,6 +2,8 @@
 
 - No call reads the clock (`date.today`, `datetime.now`, ...): a run's
   output depends on its inputs alone.
+- Nothing reads the environment (`os.environ`, `os.getenv`): every
+  setting is a flag or a configuration field, where it can be checked.
 - Every field of the run configuration, feature configuration, training
   configuration and model classes is read somewhere in the package.  A
   field nobody reads is a setting that changes nothing.  Reads are found
@@ -41,6 +43,27 @@ def clock_calls(trees: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(trees: dict[str, ast.Module]) -> list[str]:
+    """`file:line os.name` of each use of `os.environ` or `os.getenv`
+    (and their bytes forms), imported names included, in line order."""
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"
+                    and node.attr in ENVIRONMENT_NAMES):
+                found.append((name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [(name, node.lineno, alias.name)
+                          for alias in node.names
+                          if alias.name in ENVIRONMENT_NAMES]
+    return [f"{name}:{line} os.{attr}" for name, line, attr in sorted(found)]
+
+
 def unread_fields(trees: dict[str, ast.Module],
                   classes=CHECKED_CLASSES) -> list[str]:
     """`Class.field` of each annotated field of `classes` whose name no
@@ -70,6 +93,10 @@ def test_no_clock_reads():
     assert clock_calls(parse_package()) == []
 
 
+def test_no_environment_reads():
+    assert environment_reads(parse_package()) == []
+
+
 def test_every_setting_is_read():
     assert unread_fields(parse_package()) == []
 
@@ -86,3 +113,15 @@ def test_guards_catch_what_they_guard():
         "        return date.today()\n")
     assert unread_fields({"f.py": tree}) == ["FeatureConfig.use_wordnet"]
     assert clock_calls({"f.py": tree}) == ["f.py:7 date.today"]
+
+
+def test_environment_guard_catches_planted_reads():
+    """A batch size read from the environment, three ways."""
+    tree = ast.parse(
+        "import os\n"
+        "from os import getenv\n"
+        "BATCH = int(os.environ.get('TEMPEX_BATCH', 512))\n"
+        "LIMIT = os.getenv('TEMPEX_LIMIT')\n"
+        "path = os.path.join('a', 'b')\n")
+    assert environment_reads({"f.py": tree}) == [
+        "f.py:2 os.getenv", "f.py:3 os.environ", "f.py:4 os.getenv"]
