@@ -30,6 +30,11 @@ _TOKEN_RE = re.compile(
 )
 
 MISSING = "_"
+# A corpus token may start at most this many characters after the end of
+# the token before it in its document (after offset 0, for the first):
+# a document's text is rebuilt from the offsets, at a cost in memory set
+# by the largest of them.
+MAX_TOKEN_GAP = 10_000
 
 
 class CorpusError(ValueError):
@@ -285,6 +290,7 @@ def _parse_corpus(lines: list[str]) -> list[Document]:
     tokens: list[Token] = []
     labels: list[str] = []
     any_label = False
+    last_end = 0  # end of the document's previous token
 
     def close_sentence(lineno):
         nonlocal tokens, labels, any_label
@@ -297,11 +303,11 @@ def _parse_corpus(lines: list[str]) -> list[Document]:
         tokens, labels, any_label = [], [], False
 
     def close_doc(lineno):
-        nonlocal doc_id, dct, sequences
+        nonlocal doc_id, dct, sequences, last_end
         close_sentence(lineno)
         if doc_id is not None:
             docs.append(assemble_document(doc_id, dct, sequences))
-        doc_id, dct, sequences = None, None, []
+        doc_id, dct, sequences, last_end = None, None, [], 0
 
     for lineno, line in enumerate(lines, 1):
         if line.startswith("#doc"):
@@ -331,6 +337,12 @@ def _parse_corpus(lines: list[str]) -> list[Document]:
                         None if pnp == MISSING else pnp)
         except (ValueError, CorpusError) as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc
+        if tok.char_start - last_end > MAX_TOKEN_GAP:
+            raise CorpusError(
+                f"line {lineno}: token {surface!r} starts "
+                f"{tok.char_start - last_end} characters after the previous "
+                f"token's end; at most {MAX_TOKEN_GAP} are allowed")
+        last_end = tok.char_end
         tokens.append(tok)
         if label != MISSING:
             any_label = True

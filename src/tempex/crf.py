@@ -1,19 +1,20 @@
 """Linear-chain CRF over the B/I/O label set.
 
 Weights live in one flat vector: slot(obs, label) = obs_id * 3 + label,
-followed by the 9 label-bigram transition slots.  All probability math is
-done in log space.
+followed by the 9 label-bigram transition slots.
 
 Training, decoding and the tests share one path.  The observation table
 of a list of sequences (a training corpus, or a batch of documents
 when decoding; `features.ObservationTable`) is encoded once, one lookup
 per distinct observation string, as a sparse token-by-observation matrix
 over a length-padded, longest-first batch, so that one sparse product
-scores every token.  One forward recursion then runs over the whole
-batch: in the log semiring, where every step is a log-sum-exp shifted by
-its maximum, it gives logZ and, with the backward pass, the marginals;
-in the max-plus semiring it gives Viterbi.  Training collects expected
-counts with the matrix's transpose.
+scores every token.  Two recursions then run over the whole batch.
+Forward-backward runs in probability space, on potentials shifted by
+their maxima and rescaled to sum to 1 at every step (Rabiner, 1989,
+§V.A; CRFsuite's `crf1d`): it gives logZ, the marginals and the expected
+transition counts, and training collects the expected observation counts
+with the matrix's transpose.  Viterbi runs in log space, in the max-plus
+semiring.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ LBFGS_HISTORY = 5
 
 N_LABELS = len(LABELS)
 LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
+# How far a marginal row's sum may be from 1: the band of
+# `np.allclose(sums, 1.0, atol=1e-9)`, atol + rtol * 1 at its default rtol.
+ROW_SUM_TOLERANCE = 1e-9 + 1e-5 * 1.0
 
 
 class CrfError(ValueError):
@@ -54,8 +58,9 @@ class MarginalTable:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
-        if len(self.probs) and not np.allclose(
-                self.probs.sum(axis=1), 1.0, atol=1e-9):
+        # NaN and inf fall outside the band
+        if len(self.probs) and not (np.abs(self.probs.sum(axis=1) - 1.0)
+                                    <= ROW_SUM_TOLERANCE).all():
             raise CrfError("marginal rows do not sum to 1")
 
     def __len__(self):
@@ -133,13 +138,6 @@ def build_feature_index(table: ObservationTable,
             enumerate(f for f, n in totals.items() if n >= cutoff)}
 
 
-def _log_sum_exp(s: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(s))) over `axis`, shifted by the maximum."""
-    m = s.max(axis=axis, keepdims=True)
-    m += np.log(np.exp(s - m).sum(axis=axis, keepdims=True))
-    return m.squeeze(axis)
-
-
 class _EncodedBatch:
     """A table's sequences encoded once under `model`'s index, as one
     padded batch.
@@ -209,46 +207,79 @@ def _unary(batch: _EncodedBatch, weights: np.ndarray) -> np.ndarray:
     return unary
 
 
-def _forward(batch: _EncodedBatch, unary: np.ndarray, trans: np.ndarray,
-             plus) -> np.ndarray:
-    """Forward scores in the semiring whose sum is `plus` (log-sum-exp or
-    max) and whose product is +.  Step t computes only the first
-    `active[t]` sequences, so padded steps stay zero."""
-    alpha = np.zeros_like(unary)
-    alpha[:, :1] = unary[:, :1]  # a slice: a batch of no steps passes
-    for t in range(1, unary.shape[1]):
-        k = batch.active[t]
-        alpha[:k, t] = unary[:k, t] + plus(
-            alpha[:k, t - 1, :, None] + trans, axis=1)
-    return alpha
-
-
 def _forward_backward(batch: _EncodedBatch, unary: np.ndarray,
                       trans: np.ndarray):
-    """Log-space alpha and beta, both zero past each sequence's end, and
-    logZ per sequence."""
-    alpha = _forward(batch, unary, trans, _log_sum_exp)
-    beta = np.zeros_like(unary)
-    for t in range(unary.shape[1] - 2, -1, -1):
-        k = batch.active[t + 1]
-        beta[:k, t] = _log_sum_exp(
-            trans + (unary[:k, t + 1] + beta[:k, t + 1])[:, None, :], axis=2)
-    last = alpha[np.arange(len(batch.lengths)), batch.lengths - 1]
-    return alpha, beta, _log_sum_exp(last, axis=1)
+    """Label marginals of every real step (steps, 3) in batch order, logZ
+    per sequence, and the expected transition counts (3, 3) summed over
+    all steps (t, t + 1) within one sequence.
 
-
-def _marginals(batch: _EncodedBatch, alpha: np.ndarray, beta: np.ndarray,
-               log_z: np.ndarray) -> np.ndarray:
-    """Label marginals of every real step (steps, 3), in batch order."""
-    return np.exp((alpha + beta)[batch.mask]
-                  - np.repeat(log_z, batch.lengths)[:, None])
+    The recursion runs in probability space (Rabiner, 1989, §V.A).  Each
+    step's unary scores are shifted by their maximum and the transitions
+    by theirs, so that every potential is at most 1; `step[:, t - 1]`
+    folds the transitions into step t's unary potentials.  The forward
+    vector is divided by its sum c_t at every step, and the backward
+    recursion runs on the step matrices divided by the same c_t, so that
+    alpha * beta is the marginal and logZ is the sum of the log c_t and
+    of the shifts.  Each forward vector sums to 1 and one label takes
+    each step's maximal unary score, so c_t is at least
+    exp(min trans - max trans): c_t underflows only where the transition
+    weights span more than about 700 nats, and then CrfError is raised.
+    Products are elementwise, or `np.einsum` without BLAS, so each
+    sequence gets the same bits in any batch.
+    """
+    n_seqs, n_steps = batch.mask.shape
+    active = batch.active.tolist()
+    shift = unary.max(axis=2, keepdims=True)
+    trans_max = trans.max()
+    psi = np.exp(unary - shift)
+    step = np.exp(trans - trans_max) * psi[:, 1:, None, :]
+    rows = np.arange(n_seqs)
+    ends = batch.lengths - 1
+    alpha = np.zeros_like(psi)
+    beta = np.zeros_like(psi)
+    beta[rows, ends] = 1.0
+    scale = np.ones_like(shift)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # slices: a batch of no steps passes
+        np.add.reduce(psi[:, :1], axis=2, keepdims=True, out=scale[:, :1])
+        np.divide(psi[:, :1], scale[:, :1], out=alpha[:, :1])
+        for t in range(1, n_steps):
+            k = active[t]
+            a = np.einsum("ba,bac->bc", alpha[:k, t - 1], step[:k, t - 1],
+                          out=alpha[:k, t])
+            np.divide(a, np.add.reduce(a, axis=1, keepdims=True,
+                                       out=scale[:k, t]), out=a)
+        step /= scale[:, 1:, :, None]
+        for t in range(n_steps - 2, -1, -1):
+            k = active[t + 1]
+            np.einsum("bac,bc->ba", step[:k, t], beta[:k, t + 1],
+                      out=beta[:k, t])
+        # a running sum along each sequence, read at its end, adds the
+        # same terms in the same order in any batch
+        log_z = (np.cumsum(np.log(scale) + shift, axis=1)[rows, ends, 0]
+                 + ends * trans_max)
+    if not np.isfinite(log_z).all():
+        raise CrfError(
+            f"forward-backward underflowed: the transition weights span "
+            f"{trans_max - trans.min():.4g} nats")
+    # alpha is zero past each sequence's end and beta past it, so padded
+    # pairs add nothing
+    pair_counts = np.einsum("bta,btac,btc->ac", alpha[:, :-1], step,
+                            beta[:, 1:])
+    return (alpha * beta)[batch.mask], log_z, pair_counts
 
 
 def _viterbi(batch: _EncodedBatch, unary: np.ndarray,
              trans: np.ndarray) -> np.ndarray:
     """Best label id of every real step, in batch order: the max-plus
-    forward recursion, then one backtrace over all sequences at once."""
-    delta = _forward(batch, unary, trans, np.max)
+    forward recursion, then one backtrace over all sequences at once.
+    Step t computes only the first `active[t]` sequences."""
+    delta = np.zeros_like(unary)
+    delta[:, :1] = unary[:, :1]  # a slice: a batch of no steps passes
+    for t in range(1, unary.shape[1]):
+        k = batch.active[t]
+        delta[:k, t] = unary[:k, t] + np.max(
+            delta[:k, t - 1, :, None] + trans, axis=1)
     # back[:, t, b] is the best label at t given label b at t + 1;
     # argmax keeps the first maximum, so ties break by B < I < O
     back = np.argmax(delta[:, :-1, :, None] + trans, axis=2)
@@ -267,9 +298,8 @@ def forward_backward(model: CrfModel, table: ObservationTable
     """Exact per-position marginals and logZ of each sequence of `table`,
     all sequences run as one batch."""
     batch = _EncodedBatch(model, table)
-    alpha, beta, log_z = _forward_backward(
+    probs, log_z, _ = _forward_backward(
         batch, _unary(batch, model.weights), model.transition_weights())
-    probs = _marginals(batch, alpha, beta, log_z)
     probs /= probs.sum(axis=1, keepdims=True)
     input_log_z = np.zeros(batch.n_input)
     input_log_z[batch.order] = log_z
@@ -305,16 +335,11 @@ def _ll_grad(batch: _EncodedBatch, weights: np.ndarray, c: float):
     value = float(batch.empirical @ weights) \
         - float(weights @ weights) / (2.0 * c)
     grad = batch.empirical - weights / c
-    unary = _unary(batch, weights)
-    alpha, beta, log_z = _forward_backward(batch, unary, trans)
+    probs, log_z, pair_counts = _forward_backward(
+        batch, _unary(batch, weights), trans)
     value -= float(log_z.sum())
-    grad[:n_unary] -= (
-        batch.x.T @ _marginals(batch, alpha, beta, log_z)).ravel()
-    pairs = batch.mask[:, 1:]  # steps (t, t + 1) within one sequence
-    pair_scores = (alpha[:, :-1][pairs][:, :, None] + trans
-                   + (unary[:, 1:] + beta[:, 1:])[pairs][:, None, :]
-                   - np.repeat(log_z, batch.lengths - 1)[:, None, None])
-    grad[n_unary:] -= np.exp(pair_scores).sum(axis=0).ravel()
+    grad[:n_unary] -= (batch.x.T @ probs).ravel()
+    grad[n_unary:] -= pair_counts.ravel()
     return value, grad
 
 
@@ -403,11 +428,17 @@ def save_model(model: CrfModel, path) -> None:
         f"#n_features\t{model.n_obs}",
     ]
     keys = sorted(model.obs_index, key=model.obs_index.__getitem__)
+    # Observations that always occur together train to equal weights, so
+    # few weights are distinct: each distinct bit pattern (-0.0 is not
+    # 0.0) is formatted once.
+    bits, inverse = np.unique(model.weights.view(np.int64),
+                              return_inverse=True)
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    text = list(map(text.__getitem__, inverse.tolist()))
     # the weight vector's rows are the observations in id order, then
     # the transition matrix
-    lines += [f"{key}\t{b!r}\t{i!r}\t{o!r}" for key, (b, i, o) in zip(
-        keys + list(TRANSITION_KEYS),
-        model.weights.reshape(-1, N_LABELS).tolist(), strict=True)]
+    lines += map("\t".join, zip(keys + list(TRANSITION_KEYS), text[0::3],
+                                text[1::3], text[2::3], strict=True))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -519,6 +519,32 @@ class TestReaderErrors:
         err = self.run(["priors", path, tmp_path / "out.priors"], capsys)
         assert f"{path}: line 2:" in err
 
+    def test_corpus_token_gap_bounded(self, tmp_path, capsys):
+        """A token may start at most `corpus.MAX_TOKEN_GAP` characters
+        after the previous token of its document ends (after offset 0,
+        for the first), within a sentence or across one."""
+        gap = corpus.MAX_TOKEN_GAP
+
+        def write(second_start):
+            path = tmp_path / "gap.tsv"
+            path.write_text(
+                f"#doc d1 2013-04-11\n"
+                f"x\t{gap}\t{gap + 1}\t_\t_\t_\t_\tO\n\n"
+                f"y\t{second_start}\t{second_start + 1}\t_\t_\t_\t_\tO\n"
+                f"#doc d2 2013-04-12\n"
+                f"z\t{gap}\t{gap + 1}\t_\t_\t_\t_\tO\n",
+                encoding="utf-8")
+            return path
+
+        path = write(2 * gap + 1)
+        assert main(["priors", str(path), str(tmp_path / "out.priors")]) \
+            == 0
+        capsys.readouterr()
+        path = write(2 * gap + 2)
+        err = self.run(["priors", path, tmp_path / "out.priors"], capsys)
+        assert f"{path}: line 4:" in err
+        assert f"{gap + 1} characters after" in err
+
     def test_percent_in_config_value(self, tmp_path, capsys):
         """A % is a plain character: a rule file under a directory named
         with one is found and used."""

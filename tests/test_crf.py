@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from tempex.crf import (CrfError, CrfModel, LABELS, build_feature_index,
-                        forward_backward, load_model,
+from tempex import crf
+from tempex.crf import (CrfError, CrfModel, LABELS, MarginalTable,
+                        build_feature_index, forward_backward, load_model,
                         log_likelihood_and_gradient, save_model,
                         sequence_score, train, TrainConfig, viterbi)
 from tempex.features import ObservationTable
@@ -53,6 +54,26 @@ def brute_force(model, feats):
         if s > best[0]:
             best = (s, path)
     return math.log(z), marg / z, [LABELS[i] for i in best[1]]
+
+
+def brute_force_pairs(model, feats):
+    """Expected label-bigram counts (3, 3) of one sequence, by
+    enumerating all label paths."""
+    ids = model.encode(T([feats]))
+    unary = np.array([model.unary_weights()[i].sum(0) for i in ids])
+    trans = model.transition_weights()
+    paths = list(itertools.product(range(3), repeat=len(feats)))
+    scores = np.array([
+        sum(unary[t, y] for t, y in enumerate(path))
+        + sum(trans[a, b] for a, b in zip(path, path[1:]))
+        for path in paths])
+    probs = np.exp(scores - scores.max())
+    probs /= probs.sum()
+    counts = np.zeros((3, 3))
+    for p, path in zip(probs, paths):
+        for a, b in zip(path, path[1:]):
+            counts[a, b] += p
+    return counts
 
 
 class TestFeatureIndex:
@@ -124,6 +145,45 @@ class TestForwardBackward:
         table = forward_backward(model, T([feats]))[0]
         assert np.isfinite(table.log_z)
         assert np.abs(table.probs.sum(axis=1) - 1).max() <= 1e-9
+
+
+class TestMarginalTable:
+    """A table accepts exactly the rows whose sums `np.allclose(sums, 1.0,
+    atol=1e-9)` accepts: |sum - 1| <= 1e-9 + 1e-5, and no NaN or inf."""
+
+    @staticmethod
+    def accepted(row_sum):
+        try:
+            MarginalTable(np.array([[row_sum, 0.0, 0.0]]), 0.0)
+        except CrfError as exc:
+            assert "do not sum to 1" in str(exc)
+            return False
+        return True
+
+    def test_band_edges_match_allclose(self):
+        for edge in (1.0 + 1e-9 + 1e-5, 1.0 - 1e-9 - 1e-5):
+            below, above = edge, edge
+            sums = [edge]
+            for _ in range(20):
+                below = np.nextafter(below, -np.inf)
+                above = np.nextafter(above, np.inf)
+                sums += [below, above]
+            verdicts = {self.accepted(x) for x in sums}
+            assert verdicts == {True, False}
+            for x in sums:
+                assert self.accepted(x) == np.allclose(x, 1.0, atol=1e-9)
+
+    def test_just_inside_and_outside(self):
+        assert self.accepted(1.0 + 1.00009e-5)
+        assert self.accepted(1.0 - 1.00009e-5)
+        assert not self.accepted(1.0 + 1.00011e-5)
+        assert not self.accepted(1.0 - 1.00011e-5)
+
+    def test_nan_and_inf_rows_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(CrfError, match="do not sum to 1"):
+                MarginalTable(np.array([[0.5, 0.5, 0.0], [bad, 0.0, 0.0]]),
+                              0.0)
 
 
 class TestViterbi:
@@ -206,6 +266,28 @@ class TestGradient:
         with pytest.raises(CrfError):
             ll_grad(model, [([["f0"]], ["B", "I"])])
 
+    def test_transition_counts_match_enumeration(self):
+        """The expected label-bigram counts in the gradient (empirical
+        minus gradient minus w/C) are the brute-force ones, on ragged
+        batches holding sequences of length 1."""
+        rng = np.random.default_rng(14)
+        for _ in range(15):
+            model = random_model(rng)
+            lengths = rng.integers(1, 6, size=rng.integers(1, 5))
+            batch = [(random_features(rng, 6, n),
+                      [LABELS[i] for i in rng.integers(0, 3, size=n)])
+                     for n in lengths]
+            batch[0] = (batch[0][0][:1], batch[0][1][:1])
+            _, grad = ll_grad(model, batch)
+            empirical = np.zeros((3, 3))
+            for _, labels in batch:
+                for a, b in zip(labels, labels[1:]):
+                    empirical[LABELS.index(a), LABELS.index(b)] += 1
+            got = empirical - grad[-9:].reshape(3, 3) \
+                - model.transition_weights() / model.c
+            want = sum(brute_force_pairs(model, feats) for feats, _ in batch)
+            assert np.abs(got - want).max() < 1e-8
+
 
 def math_log_z(model, feats):
     """logZ by a pure-Python max-shift forward recursion (math module)."""
@@ -279,6 +361,88 @@ class TestBatchedKernel:
         want = math_log_z(model, feats)
         assert np.isfinite(table.log_z)
         assert table.log_z == pytest.approx(want, rel=1e-8)
+
+
+def math_forward_backward(model, feats):
+    """logZ and marginals by a pure-Python max-shift forward-backward
+    recursion in log space (math module)."""
+    w = model.unary_weights().tolist()
+    trans = model.transition_weights().tolist()
+    unary = [[sum(w[i][y] for i in ids) for y in range(3)]
+             for ids in model.encode(T([feats]))]
+
+    def log_sum_exp(xs):
+        m = max(xs)
+        return m + math.log(sum(math.exp(x - m) for x in xs))
+
+    alpha = [unary[0]]
+    for u in unary[1:]:
+        alpha.append([u[b] + log_sum_exp([alpha[-1][a] + trans[a][b]
+                                          for a in range(3)])
+                      for b in range(3)])
+    beta = [[0.0] * 3]
+    for u in reversed(unary[1:]):
+        beta.insert(0, [log_sum_exp([trans[a][b] + u[b] + beta[0][b]
+                                     for b in range(3)])
+                        for a in range(3)])
+    log_z = log_sum_exp(alpha[-1])
+    return log_z, np.exp(np.array(alpha) + np.array(beta) - log_z)
+
+
+class TestScaledKernel:
+    """The probability-space recursion against log-space references,
+    where potentials span far more than a double's range."""
+
+    def test_extreme_unary_long_sequence(self):
+        """Unary weights of +-1e3 per observation over 1,000 steps."""
+        rng = np.random.default_rng(15)
+        weights = rng.normal(size=6 * 3 + 9)
+        weights[:-9] = rng.choice([-1e3, 1e3], size=6 * 3)
+        model = CrfModel({f"f{i}": i for i in range(6)}, weights)
+        feats = random_features(rng, 6, 1000)
+        table = forward_backward(model, T([feats]))[0]
+        log_z, marg = math_forward_backward(model, feats)
+        assert table.log_z == pytest.approx(log_z, rel=1e-8)
+        assert np.abs(table.probs - marg).max() < 1e-8
+
+    @staticmethod
+    def peaked_model(spread):
+        """A model where observation `start` puts all mass on O at the
+        first step, and every transition out of O is `spread` nats below
+        the others."""
+        weights = np.zeros(2 * 3 + 9)
+        weights[2] = 1e3                       # start, O
+        weights[6 + 3 * 2: 6 + 3 * 3] = -spread  # O -> B, I, O
+        return CrfModel({"start": 0, "f": 1}, weights)
+
+    FEATS = [["start"], ["f"], ["f"], ["f"]]
+    GOLD = ["O", "B", "I", "O"]
+
+    def test_large_transition_spread_still_exact(self):
+        model = self.peaked_model(600.0)
+        table = forward_backward(model, T([self.FEATS]))[0]
+        log_z, marg = math_forward_backward(model, self.FEATS)
+        assert table.log_z == pytest.approx(log_z, rel=1e-8)
+        assert np.abs(table.probs - marg).max() < 1e-8
+        value, grad = ll_grad(model, [(self.FEATS, self.GOLD)])
+        assert np.isfinite(value) and np.isfinite(grad).all()
+
+    def test_underflow_is_a_typed_error(self, monkeypatch):
+        """A transition spread of 800 nats underflows the normalizer:
+        forward-backward, the objective and training raise CrfError."""
+        model = self.peaked_model(800.0)
+        with pytest.raises(CrfError, match="underflow"):
+            forward_backward(model, T([self.FEATS]))
+        with pytest.raises(CrfError, match="underflow"):
+            ll_grad(model, [(self.FEATS, self.GOLD)])
+
+        def minimize(fun, x0, **kwargs):
+            assert x0.shape == model.weights.shape
+            return fun(model.weights)
+
+        monkeypatch.setattr(crf, "minimize", minimize)
+        with pytest.raises(CrfError, match="underflow"):
+            train(T([self.FEATS]), [self.GOLD])
 
 
 TOY_SENTENCES = [
@@ -366,6 +530,26 @@ class TestPersistence:
             (0.3, 1e-5, "model2", DIGEST)
         # one row per observation, then three transition rows
         assert len(path.read_text().splitlines()) == 6 + 4 + 3
+
+    def test_rows_are_per_weight_repr(self, tmp_path):
+        """Each weight is written as its own `repr`, bit for bit: repeated
+        values, both zeros, subnormals and large exponents."""
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-320, 1.7976931348623157e308,
+                   -1e300, 1e-300, 1.0, -3.0, 0.1, 1 / 3, 123456789.125]
+        rng = np.random.default_rng(16)
+        weights = rng.choice(special, size=20 * 3 + 9)
+        weights[:len(special)] = special
+        model = CrfModel({f"k{i}": i for i in range(20)}, weights,
+                         digest=DIGEST)
+        path = tmp_path / "model.tsv"
+        save_model(model, path)
+        keys = [f"k{i}" for i in range(20)] + [f"__T__:{lab}"
+                                               for lab in LABELS]
+        want = [f"{key}\t{b!r}\t{i!r}\t{o!r}" for key, (b, i, o) in zip(
+            keys, weights.reshape(-1, 3).tolist())]
+        assert path.read_text().splitlines()[6:] == want
+        loaded = load_model(path)
+        assert loaded.weights.tobytes() == model.weights.tobytes()
 
     def test_round_trip_predictions(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -3,14 +3,15 @@ prior, model, rule-override or config file, valid or mangled, either
 succeeds or exits 2 with a message, never with a traceback.
 
 Each input is a valid file with one piece (a field or a separator)
-replaced, or raw bytes.  A replacement is at most five characters, so a
-mangled character offset stays below a million: `read_corpus` rebuilds
-each document's raw text, whose length is the largest offset.
+replaced, or raw bytes.  A replacement is at most five characters;
+`test_corpus_far_offset` covers a far character offset, which
+`read_corpus` refuses before it rebuilds the document's raw text.
 """
 
 import contextlib
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,20 @@ def test_valid_files_succeed(files):
 def test_corpus(files, data):
     (files / "fuzz.tsv").write_bytes(data)
     run(["priors", files / "fuzz.tsv", files / "fuzz.out"])
+
+
+def test_corpus_far_offset(files):
+    """A token at offset 20,000,000 exits 2 without the memory a raw
+    text that long would take."""
+    far = CORPUS.replace("Friday\t12\t18", "Friday\t20000000\t20000006")
+    (files / "far.tsv").write_text(far, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert run(["priors", files / "far.tsv", files / "far.out"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @FUZZ
