@@ -12,11 +12,10 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from . import corpus, crf, evaluation, normalizer, pipeline, postproc
+from . import (corpus, crf, evaluation, features, normalizer, pipeline,
+               postproc)
 from .config import ConfigError, RunConfig, configured_profile, load_config
 from .corpus import CorpusError
-from .features import PROFILES
-from .normalizer import Anchor
 
 
 class CliError(Exception):
@@ -100,13 +99,15 @@ def cmd_tag(args) -> int:
             f"{featurizer.gazetteer_dir} give {featurizer.digest}")
     rules = normalizer.load_rules(config.rules_path)
     priors = None
-    priors_path = args.priors or config.priors_path
-    if priors_path is None:
-        implied = Path(args.model).with_suffix(".priors")
-        if implied.exists():
-            priors_path = str(implied)
-    if priors_path and config.pipeline_enabled:
-        priors = postproc.PriorTable.load(priors_path)
+    if config.pipeline_enabled:
+        priors_path = (args.priors or config.priors_path
+                       or Path(args.model).with_suffix(".priors"))
+        try:
+            priors = postproc.PriorTable.load(priors_path)
+        except FileNotFoundError:
+            raise CliError(f"prior table {priors_path} not found: the "
+                           f"pipeline needs one (--no-pipeline decodes "
+                           f"without it)") from None
     docs = _read_input_docs(args, config)
     outputs = []
     tagged_docs = []
@@ -137,11 +138,10 @@ def cmd_tag(args) -> int:
 
 def cmd_normalize(args) -> int:
     config = _load_run_config(args)
-    anchor = Anchor.from_date(_parse_dct_arg(args.dct))
+    dct = _parse_dct_arg(args.dct)
     rules = normalizer.load_rules(config.rules_path)
     surfaces = [t.surface for t in corpus.tokenize(args.expression)]
-    result = normalizer.normalize(surfaces, anchor, rules,
-                                  config.norm_config())
+    result = normalizer.normalize(surfaces, dct, rules, config.norm_config())
     if result is None:
         if config.fallback:
             result = ("DATE", "PRESENT_REF")
@@ -171,7 +171,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    from dataclasses import replace
     config = _load_run_config(args)
     docs = corpus.read_corpus(args.corpus)
     items = [seq for doc in docs for seq in doc.sequences
@@ -186,25 +185,27 @@ def cmd_cv(args) -> int:
                                         corpus.pack_sequences(seqs))
 
     featurizer = config.featurizer(config.profile)
-    conditions = [("pipeline_on", config),
-                  ("pipeline_off", replace(config, pipeline_enabled=False))]
-    if args.no_pipeline:
-        conditions = conditions[1:]
+    # pipeline on against off is compared only when the run post-processes
+    conditions = (("pipeline_on", "pipeline_off") if config.pipeline_enabled
+                  else ("pipeline_off",))
 
     def fold_fn(train_items, test_items):
         """Strict F1 per condition; the fold's model is trained and its
-        test items featurized once, and the conditions differ only in
-        how the model labels them."""
+        test items featurized once, and the conditions differ only in the
+        prior table: the training items' for pipeline_on, none for
+        pipeline_off."""
         model = pipeline.train_on_sequences(train_items, config, featurizer)
         test_doc = fold_doc(test_items)
-        test_features = pipeline.featurize_document(test_doc, featurizer)
+        test_features = features.featurize_sequence(test_doc.sequences,
+                                                    featurizer)
+        tables = {"pipeline_off": None}
+        if config.pipeline_enabled:
+            tables["pipeline_on"] = postproc.build_prior_table(train_items)
         f1 = {}
-        for name, cfg in conditions:
-            priors = None
-            if cfg.pipeline_enabled:
-                priors = postproc.build_prior_table([fold_doc(train_items)])
+        for name in conditions:
             labels = pipeline.label_document(test_doc, model, featurizer,
-                                             cfg, priors, test_features)
+                                             config, tables[name],
+                                             test_features)
             f1[name] = pipeline.spans_f1([test_doc], [labels], "strict")
         return f1
 
@@ -212,7 +213,7 @@ def cmd_cv(args) -> int:
         items, fold_fn, k=args.k, repeats=args.repeats, seed=config.seed)
     lines = ["condition\trepeat\tfold\tstrict_f1"]
     per_condition: dict[str, list[float]] = {}
-    for name, _ in conditions:
+    for name in conditions:
         per_condition[name] = [f1[name] for _, _, f1 in results]
         for rep, fold, f1 in results:
             lines.append(f"{name}\t{rep}\t{fold}\t{f1[name]:.6f}")
@@ -231,7 +232,8 @@ def cmd_cv(args) -> int:
 
 def cmd_priors(args) -> int:
     docs = corpus.read_corpus(args.corpus)
-    priors = postproc.build_prior_table(docs)
+    priors = postproc.build_prior_table(
+        seq for doc in docs for seq in doc.sequences)
     priors.save(args.output)
     print(f"{len(priors)} tokens -> {args.output}")
     return 0
@@ -252,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation")
     parser.add_argument("--config", help="run configuration file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--profile", choices=tuple(PROFILES), default=None)
+    parser.add_argument("--profile", choices=tuple(features.PROFILES),
+                        default=None)
     parser.add_argument("--threshold", type=float, default=None)
     parser.add_argument("--no-pipeline", action="store_true")
     parser.add_argument("--fallback", action="store_true")

@@ -94,14 +94,42 @@ class RunConfig:
         return Featurizer(profile, self.lexicon_dir, self.gazetteer_dir)
 
 
-def _get(parser, section, key, default):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    return default
+def _flag(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not a boolean") from None
+
+
+def _stages(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+# Every key a config file may set: (section, key) -> the RunConfig field
+# it sets and the parser of its text.  configparser lower-cases keys.
+KEYS = {
+    ("crf", "profile"): ("profile", str),
+    ("crf", "c"): ("c", float),
+    ("crf", "eta"): ("eta", float),
+    ("crf", "max_iter"): ("max_iter", int),
+    ("crf", "cutoff"): ("cutoff", int),
+    ("pipeline", "enabled"): ("pipeline_enabled", _flag),
+    ("pipeline", "threshold"): ("threshold", float),
+    ("pipeline", "stages"): ("stages", _stages),
+    ("paths", "gazetteers"): ("gazetteer_dir", str),
+    ("paths", "lexicons"): ("lexicon_dir", str),
+    ("paths", "rules"): ("rules_path", str),
+    ("paths", "priors"): ("priors_path", str),
+    ("run", "seed"): ("seed", int),
+    ("normalizer", "month_first"): ("month_first", _flag),
+    ("normalizer", "bare_weekday"): ("bare_weekday", str),
+}
 
 
 def _read(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: a [DEFAULT] key is checked like any other
+    parser = configparser.ConfigParser(interpolation=None,
+                                       default_section=None)
     try:
         parser.read_string(read_text(path, ConfigError), str(path))
     except configparser.Error as exc:
@@ -114,37 +142,21 @@ def _read(path) -> configparser.ConfigParser:
 
 def configured_profile(path) -> Optional[str]:
     """The profile a config file sets, or None when it sets none."""
-    return _get(_read(path), "crf", "profile", None)
+    return _read(path).get("crf", "profile", fallback=None)
 
 
 def load_config(path) -> RunConfig:
+    """The run configuration a file sets, with the defaults for what it
+    does not set; a key not in KEYS raises ConfigError naming it."""
     parser = _read(path)
-    base = RunConfig()
+    for section in parser.sections():
+        for key in parser[section]:
+            if (section, key) not in KEYS:
+                raise ConfigError(f"{path}: unknown key [{section}] {key}")
     try:
-        stages = _get(parser, "pipeline", "stages",
-                      ",".join(DEFAULT_STAGES))
-        return RunConfig(
-            profile=_get(parser, "crf", "profile", base.profile),
-            c=float(_get(parser, "crf", "C", base.c)),
-            eta=float(_get(parser, "crf", "eta", base.eta)),
-            max_iter=int(_get(parser, "crf", "max_iter", base.max_iter)),
-            cutoff=int(_get(parser, "crf", "cutoff", base.cutoff)),
-            pipeline_enabled=str(_get(parser, "pipeline", "enabled",
-                                      "true")).lower() in ("1", "true",
-                                                           "yes", "on"),
-            threshold=float(_get(parser, "pipeline", "threshold",
-                                 base.threshold)),
-            stages=tuple(s.strip() for s in stages.split(",") if s.strip()),
-            gazetteer_dir=_get(parser, "paths", "gazetteers", None),
-            lexicon_dir=_get(parser, "paths", "lexicons", None),
-            rules_path=_get(parser, "paths", "rules", None),
-            priors_path=_get(parser, "paths", "priors", None),
-            seed=int(_get(parser, "run", "seed", base.seed)),
-            month_first=str(_get(parser, "normalizer", "month_first",
-                                 "true")).lower() in ("1", "true", "yes",
-                                                      "on"),
-            bare_weekday=_get(parser, "normalizer", "bare_weekday",
-                              base.bare_weekday),
-        )
+        return RunConfig(**{
+            field: parse(parser.get(section, key))
+            for (section, key), (field, parse) in KEYS.items()
+            if parser.has_option(section, key)})
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc

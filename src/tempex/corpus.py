@@ -106,7 +106,6 @@ class TimexSpan:
     sequence_index: int
     first_token: int
     last_token: int
-    text: str
 
     def __post_init__(self):
         if self.first_token > self.last_token:
@@ -169,20 +168,6 @@ def sentence_split(text: str) -> list[tuple[int, str]]:
     return sentences
 
 
-def span_text(seq: Sequence, first: int, last: int) -> str:
-    """Surface text covered by tokens [first, last], single-space joined
-    where the original gap was non-empty."""
-    parts = [seq.tokens[first].surface]
-    for i in range(first + 1, last + 1):
-        gap = seq.tokens[i].char_start - seq.tokens[i - 1].char_end
-        parts.append((" " if gap else "") + seq.tokens[i].surface)
-    return "".join(parts)
-
-
-def make_span(seq: Sequence, sequence_index: int, first: int, last: int) -> TimexSpan:
-    return TimexSpan(sequence_index, first, last, span_text(seq, first, last))
-
-
 def span_char_range(doc: Document, span: TimexSpan) -> tuple[int, int]:
     seq = doc.sequences[span.sequence_index]
     return (seq.tokens[span.first_token].char_start,
@@ -227,7 +212,7 @@ def bio_to_spans(labels: list[str], seq: Sequence, sequence_index: int = 0,
             j = i
             while j + 1 < len(labels) and labels[j + 1] == "I":
                 j += 1
-            spans.append(make_span(seq, sequence_index, i, j))
+            spans.append(TimexSpan(sequence_index, i, j))
             i = j + 1
         else:
             i += 1

@@ -385,15 +385,13 @@ def train(table: ObservationTable, labels: Seq[Seq[str]],
             raise CrfError("non-finite training objective")
         return -value, -grad
 
-    iterations = [0]
     result = minimize(
         objective, model.weights, jac=True, method="L-BFGS-B",
-        callback=lambda _: iterations.__setitem__(0, iterations[0] + 1),
         options={"maxiter": config.max_iter, "maxcor": LBFGS_HISTORY,
                  "ftol": config.eta, "gtol": 1e-10})
     model.weights = np.asarray(result.x, dtype=float)
     model.training_log = {
-        "iterations": iterations[0],
+        "iterations": int(result.nit),
         "final_objective": -float(result.fun),
         "n_features": len(obs_index),
         "converged": bool(result.success),

@@ -40,20 +40,6 @@ class Timex:
 
 
 @dataclass(frozen=True)
-class Anchor:
-    year: int
-    month: int
-    day: int
-
-    @classmethod
-    def from_date(cls, d) -> "Anchor":
-        return cls(d.year, d.month, d.day)
-
-    def date(self) -> date:
-        return date(self.year, self.month, self.day)
-
-
-@dataclass(frozen=True)
 class NormConfig:
     month_first: bool = True          # ambiguous 04/05/2013 reads as April 5
     bare_weekday: str = "nearest-past"
@@ -116,14 +102,14 @@ WEEKDAY_DIRECTIONS = {"last": -7, "next": 1, "nearest-past": -6,
                       "nearest-future": 0}
 
 
-def resolve_weekday(name: str, direction: str, anchor: Anchor) -> date:
+def resolve_weekday(name: str, direction: str, anchor: date) -> date:
     """Resolve a weekday name to a concrete date relative to the anchor,
     in one of the WEEKDAY_DIRECTIONS."""
     if direction not in WEEKDAY_DIRECTIONS:
         raise NormalizerError(f"unknown direction {direction!r}")
     first = WEEKDAY_DIRECTIONS[direction]
-    delta = weekday_index(name) - anchor.date().weekday()
-    return _shift(anchor.date(), days=(delta - first) % 7 + first)
+    delta = weekday_index(name) - anchor.weekday()
+    return _shift(anchor, days=(delta - first) % 7 + first)
 
 
 def _shift(d: date, **delta) -> date:
@@ -135,11 +121,10 @@ def _shift(d: date, **delta) -> date:
         raise NormalizerError(f"date out of range ({exc})") from None
 
 
-def add_period(anchor: Anchor, n: int, unit: str) -> date:
+def add_period(base: date, n: int, unit: str) -> date:
     """Calendar-correct date arithmetic; month/year steps clamp the day
     of month to the target month's length.  A date outside datetime's
     range means the rule does not apply."""
-    base = anchor.date()
     if unit in ("day", "week"):
         return _shift(base, **{unit + "s": n})
     if unit == "month":
@@ -259,7 +244,7 @@ def _ymd(y: int, m: int, d: int) -> str:
     return f"{y:04d}-{m:02d}-{d:02d}"
 
 
-def _expand_year(y: int, anchor: Anchor) -> int:
+def _expand_year(y: int, anchor: date) -> int:
     """A two-digit year is the year nearest the anchor's that ends in
     those digits; at a 50-year tie the earlier year wins."""
     if y >= 100:
@@ -352,7 +337,7 @@ def _vf_quarter(m, anchor, config, args):
 
 def _vf_week_rel(m, anchor, config, args):
     shift = {"last": -1, "this": 0, "next": 1}[m["dir"]]
-    return iso_week(_shift(anchor.date(), weeks=shift))
+    return iso_week(_shift(anchor, weeks=shift))
 
 
 def _vf_unit_rel(m, anchor, config, args):
@@ -374,7 +359,7 @@ def _vf_weekday(m, anchor, config, args):
 
 
 def _vf_deictic_day(m, anchor, config, args):
-    return _shift(anchor.date(), days=int(args[0])).isoformat()
+    return _shift(anchor, days=int(args[0])).isoformat()
 
 
 def _vf_deictic_pod(m, anchor, config, args):
@@ -384,7 +369,7 @@ def _vf_deictic_pod(m, anchor, config, args):
         word = m.groupdict().get("day") or "today"
         shift = {"yesterday": -1, "today": 0, "this": 0, "tomorrow": 1,
                  "last": -1}.get(word, 0)
-    d = _shift(anchor.date(), days=shift)
+    d = _shift(anchor, days=shift)
     pod = m.groupdict().get("pod")
     if pod in ("noon", "midday"):
         return f"{d.isoformat()}T12:00"
@@ -401,7 +386,7 @@ def _vf_offset(m, anchor, config, args):
     if n is None:
         return ("DATE", "PAST_REF" if sign < 0 else "FUTURE_REF")
     if unit in ("hour", "minute", "second"):
-        return anchor.date().isoformat()
+        return anchor.isoformat()
     return _granular(add_period(anchor, sign * n, unit), unit)
 
 
@@ -426,7 +411,7 @@ def _vf_clock(m, anchor, config, args):
         hour = 0
     if not (0 <= hour <= 23 and 0 <= minute <= 59):
         raise NormalizerError(f"invalid clock time {m.group(0)!r}")
-    return f"{anchor.date().isoformat()}T{hour:02d}:{minute:02d}"
+    return f"{anchor.isoformat()}T{hour:02d}:{minute:02d}"
 
 
 def _vf_duration(m, anchor, config, args):
@@ -672,11 +657,12 @@ def dump_rules(rules: Optional[Seq[NormRule]] = None) -> str:
     return "\n".join(lines)
 
 
-def normalize(surfaces: Seq[str], anchor: Anchor,
+def normalize(surfaces: Seq[str], anchor: date,
               rules: Optional[Seq[NormRule]] = None,
               config: NormConfig = NormConfig()
               ) -> Optional[tuple[str, str]]:
-    """Normalize an expression (token surfaces) to (type, value).
+    """Normalize an expression (token surfaces) to (type, value),
+    anchored to `anchor`, the document creation date.
 
     Rules are tried in priority order; the first whole-expression match
     wins.  Returns None when no rule matches (never a fabricated value).

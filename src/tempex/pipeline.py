@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from datetime import date
 from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence as Seq
 
@@ -10,7 +11,7 @@ from . import crf, evaluation, features, normalizer, postproc
 from .config import RunConfig
 from .corpus import (Document, Sequence, bio_to_spans, doc_spans,
                      span_char_range)
-from .normalizer import Anchor, Timex
+from .normalizer import Timex
 
 
 def featurize_corpus(seqs: Seq[Sequence], featurizer: features.Featurizer):
@@ -22,10 +23,10 @@ def featurize_corpus(seqs: Seq[Sequence], featurizer: features.Featurizer):
 
 def train_on_docs(docs: Seq[Document], config: RunConfig
                   ) -> tuple[crf.CrfModel, postproc.PriorTable]:
-    model = train_on_sequences(
-        [seq for doc in docs for seq in doc.sequences], config,
-        config.featurizer(config.profile))
-    return model, postproc.build_prior_table(docs)
+    seqs = [seq for doc in docs for seq in doc.sequences]
+    model = train_on_sequences(seqs, config,
+                               config.featurizer(config.profile))
+    return model, postproc.build_prior_table(seqs)
 
 
 def train_on_sequences(seqs: Seq[Sequence], config: RunConfig,
@@ -45,12 +46,6 @@ def train_on_sequences(seqs: Seq[Sequence], config: RunConfig,
 # grows by about 15 KB per batch token, while time per token falls
 # little past a few hundred tokens.
 BATCH_TOKENS = 512
-
-
-def featurize_document(doc: Document, featurizer: features.Featurizer
-                       ) -> features.ObservationTable:
-    """The observation table of the sequences of `doc`."""
-    return features.featurize_sequence(doc.sequences, featurizer)
 
 
 def document_batches(docs: Iterable[Document]) -> Iterator[list[Document]]:
@@ -76,11 +71,13 @@ def _label_batch(docs: Seq[Document], model: crf.CrfModel,
                  ) -> list[list[list[str]]]:
     """The decode core: predicted BIO labels per sequence of each of
     `docs`, from one featurization (unless `table` is given) and one CRF
-    call over all their sequences."""
+    call over all their sequences.  With a prior table, the labels are
+    those of the post-processing pipeline over the marginals; without
+    one, the Viterbi path."""
     seqs = [seq for doc in docs for seq in doc.sequences]
     if table is None:
         table = features.featurize_sequence(seqs, featurizer)
-    if not config.pipeline_enabled or priors is None:
+    if priors is None:
         labels = crf.viterbi(model, table)
     else:
         post = config.pipeline_config()
@@ -109,9 +106,9 @@ def label_document(doc: Document, model: crf.CrfModel,
     """Predicted BIO labels per sequence of one document (CRF plus
     optional pipeline), through the same core as `label_documents`.
 
-    `doc_features` is `featurize_document(doc, featurizer)`, computed
-    here when not given; pass it to label one document several ways
-    without featurizing it again.
+    `doc_features` is `features.featurize_sequence(doc.sequences,
+    featurizer)`, computed here when not given; pass it to label one
+    document several ways without featurizing it again.
     """
     return _label_batch([doc], model, featurizer, config, priors,
                         doc_features)[0]
@@ -126,7 +123,9 @@ def extract_timexes(doc: Document, labels_per_seq: Seq[Seq[str]],
     Expressions no rule matches are dropped unless config.fallback maps
     them to (DATE, PRESENT_REF).
     """
-    anchor = Anchor.from_date(doc.dct)
+    norm = config.norm_config()
+    # a DCT with a time part is anchored at its date
+    anchor = date.fromordinal(doc.dct.toordinal())
     timexes = []
     for si, (seq, labels) in enumerate(
             zip(doc.sequences, labels_per_seq, strict=True)):
@@ -134,8 +133,7 @@ def extract_timexes(doc: Document, labels_per_seq: Seq[Seq[str]],
             surfaces = [seq.tokens[i].surface
                         for i in range(span.first_token,
                                        span.last_token + 1)]
-            result = normalizer.normalize(surfaces, anchor, rules,
-                                          config.norm_config())
+            result = normalizer.normalize(surfaces, anchor, rules, norm)
             if result is None:
                 if not config.fallback:
                     continue

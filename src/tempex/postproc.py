@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence as Seq
 
 import numpy as np
 
-from .corpus import Document, LABELS, Token, read_text
+from .corpus import LABELS, Sequence, Token, read_text
 from .crf import MarginalTable
 
 DEFAULT_THRESHOLD = 0.87
@@ -91,8 +91,8 @@ class PriorTable:
         return table
 
 
-def build_prior_table(docs: Iterable[Document]) -> PriorTable:
-    """Harvest label priors from a human-annotated corpus.
+def build_prior_table(sentences: Iterable[Sequence]) -> PriorTable:
+    """Harvest label priors from human-annotated sentences.
 
     Tokens are keyed lower-cased; the min-in-span-count-2 filter decides
     which tokens are kept.
@@ -100,19 +100,18 @@ def build_prior_table(docs: Iterable[Document]) -> PriorTable:
     label_counts: dict[str, np.ndarray] = {}
     in_span: dict[str, int] = {}
     any_labels = False
-    for doc in docs:
-        for seq in doc.sequences:
-            if seq.gold_labels is None:
-                continue
-            any_labels = True
-            for tok, lab in zip(seq.tokens, seq.gold_labels):
-                key = tok.surface.lower()
-                if key not in label_counts:
-                    label_counts[key] = np.zeros(3)
-                    in_span[key] = 0
-                label_counts[key][LABELS.index(lab)] += 1
-                if lab in ("B", "I"):
-                    in_span[key] += 1
+    for seq in sentences:
+        if seq.gold_labels is None:
+            continue
+        any_labels = True
+        for tok, lab in zip(seq.tokens, seq.gold_labels):
+            key = tok.surface.lower()
+            if key not in label_counts:
+                label_counts[key] = np.zeros(3)
+                in_span[key] = 0
+            label_counts[key][LABELS.index(lab)] += 1
+            if lab in ("B", "I"):
+                in_span[key] += 1
     if not any_labels:
         raise PostprocError("corpus has no gold labels")
     table = PriorTable()
@@ -134,11 +133,11 @@ def _argmax_labels(probs: np.ndarray) -> list[str]:
 
 def probabilistic_correction(marginals: MarginalTable, tokens: Seq[Token],
                              priors: PriorTable
-                             ) -> tuple[MarginalTable, list[str]]:
+                             ) -> tuple[np.ndarray, list[str]]:
     """Average CRF marginals with the lexical priors, token by token.
 
     Tokens absent from the prior table keep their CRF row.  Returns the
-    adjusted table and its per-position argmax labels.
+    averaged rows and their per-position argmax labels.
     """
     if len(marginals) != len(tokens):
         raise PostprocError("marginals and tokens differ in length")
@@ -147,7 +146,7 @@ def probabilistic_correction(marginals: MarginalTable, tokens: Seq[Token],
         prior = priors.distribution(tok.surface)
         if prior is not None:
             probs[i] = (probs[i] + prior) / 2.0
-    return MarginalTable(probs, marginals.log_z), _argmax_labels(probs)
+    return probs, _argmax_labels(probs)
 
 
 def is_punctuation(tok: Token) -> bool:

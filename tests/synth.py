@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from datetime import date
 
-from tempex.corpus import (Document, Sequence, assemble_document, make_span,
+from tempex.corpus import (Document, Sequence, TimexSpan, assemble_document,
                            pack_sequences, spans_to_bio, tokenize)
 
 MONTH_NAMES = ("January", "February", "March", "April", "May", "June",
@@ -58,7 +58,7 @@ def build_corpus(n_sentences: int = 250, seed: int = 7,
             seq = Sequence(tuple(tokenize(f"{prefix} {timex_text} {suffix}")))
             n_before = len(tokenize(prefix))
             n_timex = len(tokenize(timex_text))
-            span = make_span(seq, len(sequences), n_before,
+            span = TimexSpan(len(sequences), n_before,
                              n_before + n_timex - 1)
             labels = spans_to_bio([span], seq)
         else:

@@ -14,7 +14,7 @@ from tempex.corpus import Token, is_valid_bio
 from tempex.crf import CrfModel, forward_backward, viterbi
 from tempex.evaluation import (MatchCounts, one_way_anova, overall_score,
                                paired_t_test, prf)
-from tempex.normalizer import Anchor, normalize, validate_value
+from tempex.normalizer import normalize, validate_value
 from tempex.postproc import (PriorTable, bio_fixer, build_prior_table,
                              threshold_label_switcher)
 
@@ -138,7 +138,7 @@ def test_end_to_end_synthetic_experiment():
         train_doc, test_doc = split_corpus(doc, n_train=200)
         config = RunConfig(profile="model1")
         model, _ = pl.train_on_docs([train_doc], config)
-        priors = build_prior_table([train_doc])
+        priors = build_prior_table(train_doc.sequences)
         featurizer = config.featurizer(model.profile)
         off = RunConfig(profile="model1", pipeline_enabled=False)
         labels_off = pl.label_document(test_doc, model, featurizer, off)
@@ -155,7 +155,7 @@ def test_end_to_end_synthetic_experiment():
 
 def test_normalizer_conformance():
     def check():
-        anchor = Anchor(2013, 4, 11)
+        anchor = date(2013, 4, 11)
         cases = fixture_expressions()
         assert len(cases) >= 200
         for expr, expected in cases:
@@ -175,8 +175,8 @@ def test_normalizer_conformance():
         for _ in range(50):
             base = date(2000, 1, 1) + timedelta(days=rng.randint(0, 9000))
             k = rng.randint(-300, 300)
-            a1 = Anchor.from_date(base)
-            a2 = Anchor.from_date(base + timedelta(days=k))
+            a1 = base
+            a2 = base + timedelta(days=k)
             for expr in deictic:
                 _, v1 = normalize(expr, a1)
                 _, v2 = normalize(expr, a2)

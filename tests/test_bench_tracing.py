@@ -20,7 +20,7 @@ def test_tracer_wraps_labeling_and_restores():
     doc = build_corpus(n_sentences=6, seed=3)
     config = RunConfig()
     model = pipeline.train_on_docs([doc], config)[0]
-    priors = postproc.build_prior_table([doc])
+    priors = postproc.build_prior_table(doc.sequences)
     featurizer = config.featurizer(model.profile)
     rules = normalizer.load_rules(config.rules_path)
     originals = (crf.forward_backward, crf.viterbi, crf.CrfModel.encode,

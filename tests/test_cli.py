@@ -2,6 +2,7 @@ import datetime
 import shutil
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,29 @@ class TestTag:
         written = corpus.read_corpus(out_path)[0].sequences[0].gold_labels
         assert list(written) == corpus.repair_bio(decoded)
 
+    def test_dct_with_time_part_anchors_at_its_date(self, tmp_path, capsys):
+        """A `#doc` header DCT with a time of day normalizes as its date:
+        'Yesterday' is the day before, '2pm' that date at 14:00."""
+        weights = np.zeros(9)
+        for a in "BI":
+            weights[3 * crf.LABEL_INDEX[a] + crf.LABEL_INDEX["I"]] = 5.0
+        # no features: each sentence is decoded as one span
+        model_path = tmp_path / "spans.crf"
+        crf.save_model(crf.CrfModel(
+            {}, weights, digest=features.Featurizer("model1").digest),
+            model_path)
+        tagged = tmp_path / "timed.tsv"
+        tagged.write_text(
+            "#doc d2 2013-04-12T10:00\n"
+            "Yesterday\t0\t9\t_\t_\t_\t_\tO\n\n"
+            "2pm\t10\t13\t_\t_\t_\t_\tO\n",
+            encoding="utf-8")
+        rc = main(["--no-pipeline", "tag", str(tagged), str(model_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert 'value="2013-04-11">Yesterday</TIMEX3>' in out
+        assert 'value="2013-04-12T14:00">2pm</TIMEX3>' in out
+
     def test_raw_text_inline_timex(self, workdir, capsys):
         raw = workdir / "raw.txt"
         raw.write_text("She arrived three days ago .\n", encoding="utf-8")
@@ -123,6 +147,41 @@ class TestTag:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.fixture
+    def lone_model(self, workdir, tmp_path):
+        """The session model, with no prior table beside it."""
+        path = tmp_path / "lone.crf"
+        shutil.copy(workdir / "model.crf", path)
+        return path
+
+    def test_pipeline_without_prior_table_exit_2(self, workdir, lone_model,
+                                                 capsys):
+        out_path = lone_model.with_suffix(".out")
+        rc = main(["tag", str(workdir / "test.tsv"), str(lone_model),
+                   "--output", str(out_path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and not out_path.exists()
+        assert str(lone_model.with_suffix(".priors")) in captured.err
+        assert "--no-pipeline" in captured.err
+
+    def test_no_pipeline_needs_no_prior_table(self, workdir, lone_model,
+                                              capsys):
+        """--no-pipeline decodes without a prior table: the labels
+        written are the Viterbi path, read as `extract_timexes` reads
+        it."""
+        out_path = lone_model.with_suffix(".tsv")
+        rc = main(["--no-pipeline", "tag", str(workdir / "test.tsv"),
+                   str(lone_model), "--no-normalize", "--output",
+                   str(out_path)])
+        assert rc == 0
+        [doc] = corpus.read_corpus(workdir / "test.tsv")
+        model = crf.load_model(lone_model)
+        paths = crf.viterbi(model, features.featurize_sequence(
+            doc.sequences, RunConfig().featurizer(model.profile)))
+        [tagged] = corpus.read_corpus(out_path)
+        assert [list(seq.gold_labels) for seq in tagged.sequences] == \
+            [corpus.repair_bio(path) for path in paths]
+
 
 def relabel(text: str, profile: str) -> str:
     """Model file text with its profile and feature digest replaced by
@@ -137,10 +196,12 @@ def relabel(text: str, profile: str) -> str:
 
 @pytest.fixture
 def model2_path(workdir, tmp_path):
-    """The session model relabelled as trained under profile model2."""
+    """The session model relabelled as trained under profile model2,
+    beside a copy of the session prior table."""
     text = (workdir / "model.crf").read_text(encoding="utf-8")
     path = tmp_path / "model2.crf"
     path.write_text(relabel(text, "model2"), encoding="utf-8")
+    shutil.copy(workdir / "model.priors", path.with_suffix(".priors"))
     return path
 
 
@@ -167,8 +228,8 @@ class TestTagProfile:
     def test_model2_observations_per_token(self, workdir, model2_path):
         model = crf.load_model(model2_path)
         [doc] = corpus.read_corpus(workdir / "test.tsv")
-        feats = pipeline.featurize_document(
-            doc, RunConfig().featurizer(model.profile))
+        feats = features.featurize_sequence(
+            doc.sequences, RunConfig().featurizer(model.profile))
         assert len(feats) == sum(map(len, doc.sequences))
         assert {len(row) for row in feats} == {386}
         assert (feats.codes >= 0).all()
@@ -412,7 +473,8 @@ class TestOutOfRangeDates:
         raw = tmp_path / "raw.txt"
         raw.write_text("9000 years later\nthree days ago\n",
                        encoding="utf-8")
-        rc = main(["tag", str(raw), str(model_path), "--dct", DCT])
+        rc = main(["--no-pipeline", "tag", str(raw), str(model_path),
+                   "--dct", DCT])
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("<TIMEX3") == 1
@@ -790,7 +852,8 @@ class TestTagBatches:
         paths = crf.viterbi(model, table)
         alone, alone_paths = [], []
         for doc in docs:
-            doc_table = pipeline.featurize_document(doc, featurizer)
+            doc_table = features.featurize_sequence(doc.sequences,
+                                                    featurizer)
             alone += crf.forward_backward(model, doc_table)
             alone_paths += crf.viterbi(model, doc_table)
         assert len(batched) == len(alone) == len(table.lengths)
@@ -879,7 +942,7 @@ class TestCrossValidation:
                 featurizer = cfg.featurizer(cfg.profile)
                 model = pipeline.train_on_sequences(train_items, cfg,
                                                     featurizer)
-                priors = (postproc.build_prior_table([fold_doc(train_items)])
+                priors = (postproc.build_prior_table(train_items)
                           if enabled else None)
                 test_doc = fold_doc(test_items)
                 labels = pipeline.label_document(test_doc, model, featurizer,
@@ -896,6 +959,27 @@ class TestCrossValidation:
         lines.append(f"#paired_t\t{test['t']}\t{test['p_two_sided']}"
                      f"\t{test['degenerate']}")
         assert got == "\n".join(lines) + "\n"
+
+    def test_pipeline_off_config_compares_nothing(self, workdir, tmp_path,
+                                                  capsys):
+        """Under a config that turns the pipeline off, cv reports the
+        off condition alone, as --no-pipeline does."""
+        ini = tmp_path / "off.ini"
+        ini.write_text((workdir / "run.ini").read_text(encoding="utf-8")
+                       + "[pipeline]\nenabled = false\n", encoding="utf-8")
+        outputs = []
+        for config, flags in ((ini, []), (workdir / "run.ini",
+                                          ["--no-pipeline"])):
+            out_path = tmp_path / f"cv{len(outputs)}.tsv"
+            rc = main(["--config", str(config), *flags, "--seed", "490",
+                       "cv", str(workdir / "train.tsv"), "--k", "2",
+                       "--repeats", "1", "--output", str(out_path)])
+            assert rc == 0
+            outputs.append(out_path.read_bytes())
+        text = outputs[0].decode()
+        assert text.count("pipeline_off\t") == 2
+        assert "pipeline_on" not in text and "#paired_t" not in text
+        assert outputs[0] == outputs[1]
 
     def test_k_larger_than_corpus_exit_2(self, workdir, capsys):
         rc = main(["cv", str(workdir / "test.tsv"), "--k", "999"])
@@ -940,6 +1024,41 @@ class TestConfig:
         assert not config.pipeline_enabled
         assert config.threshold == 0.5
         assert config.seed == 7
+
+    @pytest.mark.parametrize("text,key", [
+        ("[pipeline]\nenable = false\n", "[pipeline] enable"),
+        ("[pipeline]\ntreshold = 0.5\n", "[pipeline] treshold"),
+        ("[crf]\nprofle = model2\n", "[crf] profle"),
+        ("[pipline]\nenabled = false\n", "[pipline] enabled"),
+        ("[DEFAULT]\nseed = 7\n", "[DEFAULT] seed"),
+    ])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, text, key):
+        path = tmp_path / "typo.ini"
+        path.write_text(text, encoding="utf-8")
+        rc = main(["--config", str(path), "rules", "dump"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"unknown key {key}" in captured.err
+
+    @pytest.mark.parametrize("text,value", [
+        ("[pipeline]\nenabled = ture\n", "'ture'"),
+        ("[normalizer]\nmonth_first = flase\n", "'flase'"),
+    ])
+    def test_misspelled_boolean_exit_2(self, tmp_path, capsys, text, value):
+        path = tmp_path / "typo.ini"
+        path.write_text(text, encoding="utf-8")
+        rc = main(["--config", str(path), "rules", "dump"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"{value} is not a boolean" in captured.err
+
+    @pytest.mark.parametrize("run", range(1, 7))
+    def test_shipped_configs_load(self, run):
+        path = Path(__file__).resolve().parents[1] / "configs" / \
+            f"run{run}.ini"
+        config = load_config(path)
+        assert config.pipeline_enabled == (run % 2 == 0)
+        assert replace(config, pipeline_enabled=True) == RunConfig()
 
     def test_unknown_profile_rejected(self, tmp_path):
         path = tmp_path / "run.ini"

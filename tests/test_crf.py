@@ -505,6 +505,23 @@ class TestTrain:
             lls.append(unpenalized)
         assert lls[0] <= lls[1] + 1e-6 <= lls[2] + 2e-6
 
+    @pytest.mark.parametrize("max_iter", [3, 100])
+    def test_iterations_logged(self, monkeypatch, max_iter):
+        """The logged iteration count is the number of L-BFGS iterations,
+        as a per-iteration callback counts them."""
+        counted = []
+        original = crf.minimize
+
+        def counting(*args, **kwargs):
+            kwargs["callback"] = lambda _: counted.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(crf, "minimize", counting)
+        feats, labels = self.make_batch()
+        model = train(T(feats), labels, TrainConfig(max_iter=max_iter))
+        assert model.training_log["iterations"] == len(counted)
+        assert 0 < len(counted) <= max_iter
+
     def test_empty_corpus(self):
         with pytest.raises(CrfError, match="empty"):
             train(T([]), [])

@@ -49,7 +49,7 @@ class TestPriorTable:
             (["a", "year", "ago"], ["B", "I", "I"]),
             (["long", "ago", "lost"], ["O", "O", "O"]),
         ])
-        table = build_prior_table([doc])
+        table = build_prior_table(doc.sequences)
         dist = table.distribution("ago")
         assert dist == pytest.approx([0.0, 0.75, 0.25])
 
@@ -59,7 +59,7 @@ class TestPriorTable:
             (["ago"], ["O"]),
             (["ago"], ["O"]),
         ])
-        table = build_prior_table([doc])
+        table = build_prior_table(doc.sequences)
         assert "ago" not in table
 
     def test_never_in_span_excluded(self):
@@ -69,7 +69,7 @@ class TestPriorTable:
             (["today"], ["B"]),
             (["today"], ["B"]),
         ])
-        table = build_prior_table([doc])
+        table = build_prior_table(doc.sequences)
         assert "the" not in table and "today" in table
 
     def test_keys_lowercased(self):
@@ -77,21 +77,21 @@ class TestPriorTable:
             (["Today"], ["B"]),
             (["today"], ["B"]),
         ])
-        table = build_prior_table([doc])
+        table = build_prior_table(doc.sequences)
         assert table.distribution("TODAY") == pytest.approx([1.0, 0, 0])
 
     def test_unlabeled_corpus_rejected(self):
         doc = Document("d", datetime.date(2013, 4, 11),
                        (make_seq(["a"]),), "")
         with pytest.raises(PostprocError, match="gold"):
-            build_prior_table([doc])
+            build_prior_table(doc.sequences)
 
     def test_round_trip(self, tmp_path):
         doc = make_doc([
             (["three", "days", "ago"], ["B", "I", "I"]),
             (["two", "days", "ago"], ["B", "I", "I"]),
         ])
-        table = build_prior_table([doc])
+        table = build_prior_table(doc.sequences)
         path = tmp_path / "priors.tsv"
         table.save(path)
         loaded = PriorTable.load(path)
@@ -107,14 +107,14 @@ class TestProbabilisticCorrection:
         seq = make_seq(["w"])
         adjusted, labels = probabilistic_correction(
             marginals, seq.tokens, priors)
-        assert adjusted.probs[0] == pytest.approx([0.5, 0.1, 0.4])
+        assert adjusted[0] == pytest.approx([0.5, 0.1, 0.4])
         assert labels == ["B"]
 
     def test_absent_token_unchanged(self):
         marginals = MarginalTable(np.array([[0.2, 0.1, 0.7]]), 0.0)
         adjusted, labels = probabilistic_correction(
             marginals, make_seq(["w"]).tokens, PriorTable())
-        assert adjusted.probs[0] == pytest.approx([0.2, 0.1, 0.7])
+        assert adjusted[0] == pytest.approx([0.2, 0.1, 0.7])
         assert labels == ["O"]
 
     def test_equal_prior_is_identity(self):
@@ -122,7 +122,7 @@ class TestProbabilisticCorrection:
         priors = table_for(w=(0.3, 0.3, 0.4))
         adjusted, _ = probabilistic_correction(
             marginals, make_seq(["w"]).tokens, priors)
-        assert adjusted.probs[0] == pytest.approx([0.3, 0.3, 0.4])
+        assert adjusted[0] == pytest.approx([0.3, 0.3, 0.4])
 
     def test_rows_still_normalized(self):
         rng = np.random.default_rng(0)
@@ -133,7 +133,7 @@ class TestProbabilisticCorrection:
             seq = make_seq(["a", "b", "a", "c"])
             adjusted, _ = probabilistic_correction(
                 marginals, seq.tokens, priors)
-            assert np.abs(adjusted.probs.sum(axis=1) - 1).max() <= 1e-9
+            assert np.abs(adjusted.sum(axis=1) - 1).max() <= 1e-9
 
 
 class TestBioFixer:

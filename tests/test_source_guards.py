@@ -9,6 +9,9 @@
   field nobody reads is a setting that changes nothing.  Reads are found
   by attribute name, so the check is coarse: it catches a field whose
   name is read nowhere, which is how an unused flag looks.
+- Only the command line reads `RunConfig.pipeline_enabled`: it turns the
+  switch into a prior table or none, and the code below it post-processes
+  exactly when it is handed a table.
 """
 
 import ast
@@ -83,6 +86,16 @@ def unread_fields(trees: dict[str, ast.Module],
     return unread
 
 
+def reads_outside(trees: dict[str, ast.Module], attr: str,
+                  owner: str = "cli.py") -> list[str]:
+    """`file:line` of each read of an attribute named `attr` outside the
+    file `owner`."""
+    return [f"{name}:{node.lineno}" for name, tree in trees.items()
+            if name != owner for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.ctx, ast.Load)]
+
+
 def test_checked_classes_exist():
     defined = {node.name for tree in parse_package().values()
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
@@ -113,6 +126,22 @@ def test_guards_catch_what_they_guard():
         "        return date.today()\n")
     assert unread_fields({"f.py": tree}) == ["FeatureConfig.use_wordnet"]
     assert clock_calls({"f.py": tree}) == ["f.py:7 date.today"]
+
+
+def test_only_the_command_line_reads_the_pipeline_switch():
+    assert reads_outside(parse_package(), "pipeline_enabled") == []
+
+
+def test_switch_guard_catches_a_planted_read():
+    """A decode core that checks the switch beside the prior table."""
+    tree = ast.parse(
+        "def label(config, priors):\n"
+        "    config.pipeline_enabled = True\n"
+        "    if not config.pipeline_enabled or priors is None:\n"
+        "        return 'viterbi'\n")
+    assert reads_outside({"pipeline.py": tree}, "pipeline_enabled") == [
+        "pipeline.py:3"]
+    assert reads_outside({"cli.py": tree}, "pipeline_enabled") == []
 
 
 def test_environment_guard_catches_planted_reads():
