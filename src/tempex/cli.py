@@ -240,9 +240,9 @@ def cmd_priors(args) -> int:
 
 
 def cmd_rules(args) -> int:
-    _load_run_config(args)  # validate --config even though dump ignores it
+    config = _load_run_config(args)
     if args.action == "dump":
-        print(normalizer.dump_rules())
+        print(normalizer.dump_rules(normalizer.load_rules(config.rules_path)))
         return 0
     raise CliError(f"unknown rules action {args.action!r}")
 

@@ -8,11 +8,11 @@ Example:
     C = 1.0
     eta = 0.0001
     max_iter = 300
+    cutoff = 1
 
     [pipeline]
     enabled = true
     threshold = 0.87
-    stages = prob_correction,bio_fixer,threshold_switcher,bio_fixer
 
     [paths]
     gazetteers = /path/to/gazetteers
@@ -37,8 +37,7 @@ from typing import Optional
 
 from .corpus import read_text
 from .features import PROFILES, Featurizer
-from .postproc import (DEFAULT_STAGES, DEFAULT_THRESHOLD, PipelineConfig,
-                       PostprocError)
+from .postproc import DEFAULT_THRESHOLD
 from .normalizer import WEEKDAY_DIRECTIONS, NormConfig
 
 
@@ -55,7 +54,6 @@ class RunConfig:
     cutoff: int = 1
     pipeline_enabled: bool = True
     threshold: float = DEFAULT_THRESHOLD
-    stages: tuple[str, ...] = DEFAULT_STAGES
     gazetteer_dir: Optional[str] = None
     lexicon_dir: Optional[str] = None
     rules_path: Optional[str] = None
@@ -69,10 +67,8 @@ class RunConfig:
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r} (known: "
                               f"{', '.join(PROFILES)})")
-        try:
-            self.pipeline_config()
-        except PostprocError as exc:
-            raise ConfigError(str(exc)) from exc
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
         if self.bare_weekday not in WEEKDAY_DIRECTIONS:
             raise ConfigError(
                 f"unknown bare_weekday {self.bare_weekday!r} (known: "
@@ -82,9 +78,6 @@ class RunConfig:
             path = getattr(self, attr)
             if path is not None and not Path(path).exists():
                 raise ConfigError(f"{attr} does not exist: {path}")
-
-    def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(self.threshold, self.stages)
 
     def norm_config(self) -> NormConfig:
         return NormConfig(self.month_first, self.bare_weekday)
@@ -101,10 +94,6 @@ def _flag(text: str) -> bool:
         raise ValueError(f"{text!r} is not a boolean") from None
 
 
-def _stages(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
 # Every key a config file may set: (section, key) -> the RunConfig field
 # it sets and the parser of its text.  configparser lower-cases keys.
 KEYS = {
@@ -115,7 +104,6 @@ KEYS = {
     ("crf", "cutoff"): ("cutoff", int),
     ("pipeline", "enabled"): ("pipeline_enabled", _flag),
     ("pipeline", "threshold"): ("threshold", float),
-    ("pipeline", "stages"): ("stages", _stages),
     ("paths", "gazetteers"): ("gazetteer_dir", str),
     ("paths", "lexicons"): ("lexicon_dir", str),
     ("paths", "rules"): ("rules_path", str),

@@ -397,7 +397,8 @@ def with_labels(doc: Document, labels_per_seq: list[list[str]]) -> Document:
 
 
 def read_attrs(path) -> dict[tuple[str, int, int], tuple[str, str]]:
-    """Sidecar attribute TSV: doc_id, first_char, last_char, type, value."""
+    """Sidecar attribute TSV: doc_id, first_char, last_char, type, value.
+    A span listed twice raises CorpusError naming the file and the line."""
     table = {}
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.startswith("#"):
@@ -408,11 +409,15 @@ def read_attrs(path) -> dict[tuple[str, int, int], tuple[str, str]]:
                               f"got {len(cols)}")
         doc_id, first, last, ttype, value = cols
         try:
-            table[(doc_id, int(first), int(last))] = (ttype, value)
+            key = (doc_id, int(first), int(last))
         except ValueError:
             raise CorpusError(f"{path}: line {lineno}: character offsets "
                               f"{first!r}, {last!r} are not integers"
                               ) from None
+        if key in table:
+            raise CorpusError(f"{path}: line {lineno}: span {first}-{last} "
+                              f"of {doc_id} is repeated")
+        table[key] = (ttype, value)
     return table
 
 

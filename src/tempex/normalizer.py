@@ -11,6 +11,7 @@ compile time.
 from __future__ import annotations
 
 import calendar
+import functools
 import re
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -451,7 +452,9 @@ VALUE_FNS: dict[str, Callable] = {
 }
 
 
-def builtin_rules() -> list[NormRule]:
+@functools.cache
+def builtin_rules() -> tuple[NormRule, ...]:
+    """The built-in rules, compiled once per process."""
     r = make_rule
     rules = [
         # explicit dates, textual month
@@ -579,8 +582,7 @@ def builtin_rules() -> list[NormRule]:
           r"|in the (?:coming|next few) (?:years|months|weeks|days)",
           "DATE", "fixed", "FUTURE_REF"),
     ]
-    _check_rules(rules)
-    return rules
+    return tuple(rules)
 
 
 _FREQ_VALUES = {"daily": "P1D", "weekly": "P1W", "monthly": "P1M",
@@ -597,16 +599,6 @@ def _check_rules(rules: Seq[NormRule]) -> None:
         if rule.value_fn not in VALUE_FNS:
             raise NormalizerError(
                 f"rule {rule.id}: unknown value function {rule.value_fn!r}")
-
-
-_BUILTIN: Optional[list[NormRule]] = None
-
-
-def default_rules() -> list[NormRule]:
-    global _BUILTIN
-    if _BUILTIN is None:
-        _BUILTIN = sorted(builtin_rules(), key=lambda r: (r.priority, r.id))
-    return _BUILTIN
 
 
 def load_rule_overrides(path) -> list[NormRule]:
@@ -635,22 +627,24 @@ def load_rule_overrides(path) -> list[NormRule]:
         except re.error as exc:
             raise NormalizerError(f"{path}: line {lineno}: bad pattern "
                                   f"{pattern!r} ({exc})") from None
-    _check_rules(rules)
     return rules
 
 
 def load_rules(overrides_path=None) -> list[NormRule]:
     """The rules `normalize` tries, in priority order: the built-in ones
-    plus, given a path, those of a rule-override file."""
-    if not overrides_path:
-        return default_rules()
-    return sorted(load_rule_overrides(overrides_path) + default_rules(),
-                  key=lambda r: (r.priority, r.id))
+    plus, given a path, those of a rule-override file.  A rule id that
+    occurs twice, an override repeating a built-in's included, raises
+    NormalizerError naming it."""
+    rules = list(builtin_rules())
+    if overrides_path:
+        rules += load_rule_overrides(overrides_path)
+    _check_rules(rules)
+    return sorted(rules, key=lambda r: (r.priority, r.id))
 
 
 def dump_rules(rules: Optional[Seq[NormRule]] = None) -> str:
     lines = []
-    for rule in (rules if rules is not None else default_rules()):
+    for rule in (rules if rules is not None else load_rules()):
         fn = rule.value_fn + (":" + ",".join(rule.args) if rule.args else "")
         lines.append("\t".join([rule.id, str(rule.priority), rule.pattern,
                                 rule.type_out, fn]))
@@ -671,7 +665,7 @@ def normalize(surfaces: Seq[str], anchor: date,
         raise NormalizerError("empty expression")
     text = " ".join(s.lower() for s in surfaces)
     text = re.sub(r" ?' ?s$", "", text)  # possessive from split tokens
-    for rule in (rules if rules is not None else default_rules()):
+    for rule in (rules if rules is not None else load_rules()):
         m = rule.regex.fullmatch(text)
         if m is None:
             continue

@@ -80,8 +80,8 @@ def _label_batch(docs: Seq[Document], model: crf.CrfModel,
     if priors is None:
         labels = crf.viterbi(model, table)
     else:
-        post = config.pipeline_config()
-        labels = [postproc.run_pipeline(marginals, seq.tokens, priors, post)
+        labels = [postproc.run_pipeline(marginals, seq.tokens, priors,
+                                        config.threshold)
                   for seq, marginals in zip(
                       seqs, crf.forward_backward(model, table), strict=True)]
     ends = list(accumulate(len(doc.sequences) for doc in docs))

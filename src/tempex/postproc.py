@@ -2,8 +2,9 @@
 
 Three stages: probabilistic correction (averaging CRF marginals with
 lexical label priors), a BIO fixer, and a threshold-based label switcher.
-The default stage order is prob_correction, bio_fixer,
-threshold_switcher, bio_fixer, with switch threshold 0.87.
+`run_pipeline` applies them in the paper's one fixed order:
+probabilistic correction, BIO fixer, threshold switcher (threshold 0.87
+by default), BIO fixer again.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ from .corpus import LABELS, Sequence, Token, read_text
 from .crf import MarginalTable
 
 DEFAULT_THRESHOLD = 0.87
-DEFAULT_STAGES = ("prob_correction", "bio_fixer", "threshold_switcher",
-                  "bio_fixer")
-
-STAGE_NAMES = frozenset({"prob_correction", "bio_fixer",
-                         "threshold_switcher"})
 
 _PUNCT_RE = re.compile(r"[^\sA-Za-z0-9]+")
 
@@ -65,8 +61,9 @@ class PriorTable:
 
     @classmethod
     def load(cls, path) -> "PriorTable":
-        """Read a table `save` wrote; malformed content raises
-        PostprocError naming the file and the line."""
+        """Read a table `save` wrote; malformed content, a token that is
+        not lower-case or one that is repeated raises PostprocError
+        naming the file and the line."""
         table = cls()
         for lineno, line in enumerate(
                 read_text(path, PostprocError).splitlines(), 1):
@@ -86,6 +83,13 @@ class PriorTable:
             if min(b, i, o, in_span) < 0 or b + i + o == 0:
                 raise PostprocError(f"{path}: line {lineno}: counts "
                                     f"{counts} are negative or all zero")
+            # the table is looked up by lower-cased surface
+            if tok != tok.lower():
+                raise PostprocError(f"{path}: line {lineno}: token {tok!r} "
+                                    f"is not lower-case")
+            if tok in table.counts:
+                raise PostprocError(f"{path}: line {lineno}: token {tok!r} "
+                                    f"is repeated")
             table.counts[tok] = np.array([b, i, o], float)
             table.in_span_counts[tok] = in_span
         return table
@@ -179,9 +183,7 @@ def threshold_label_switcher(labels: Seq[str], tokens: Seq[Token],
                              threshold: float = DEFAULT_THRESHOLD
                              ) -> list[str]:
     """Force the prior-argmax label when its prior probability is
-    strictly greater than the threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise PostprocError(f"threshold {threshold} outside [0, 1]")
+    strictly greater than the threshold, a value in [0, 1]."""
     out = list(labels)
     for i, tok in enumerate(tokens):
         prior = priors.distribution(tok.surface)
@@ -190,36 +192,12 @@ def threshold_label_switcher(labels: Seq[str], tokens: Seq[Token],
     return out
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    threshold: float = DEFAULT_THRESHOLD
-    stages: tuple[str, ...] = DEFAULT_STAGES
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise PostprocError(f"threshold {self.threshold} outside [0, 1]")
-        for name in self.stages:
-            if name not in STAGE_NAMES:
-                raise PostprocError(f"unknown pipeline stage {name!r}")
-        # prob_correction labels from the marginals alone, discarding the
-        # labels earlier stages produced
-        if "prob_correction" in self.stages[1:]:
-            raise PostprocError("pipeline stage prob_correction can only "
-                                "come first")
-
-
 def run_pipeline(marginals: MarginalTable, tokens: Seq[Token],
                  priors: PriorTable,
-                 config: PipelineConfig = PipelineConfig()) -> list[str]:
-    """Apply the configured stages; the initial labels are the raw CRF
-    argmax of `marginals`."""
-    labels = _argmax_labels(marginals.probs)
-    for stage in config.stages:
-        if stage == "prob_correction":
-            _, labels = probabilistic_correction(marginals, tokens, priors)
-        elif stage == "bio_fixer":
-            labels = bio_fixer(labels, tokens)
-        elif stage == "threshold_switcher":
-            labels = threshold_label_switcher(labels, tokens, priors,
-                                              config.threshold)
-    return labels
+                 threshold: float = DEFAULT_THRESHOLD) -> list[str]:
+    """The labels of the four stages in order: probabilistic correction
+    of `marginals`, BIO fixer, threshold switcher, BIO fixer."""
+    _, labels = probabilistic_correction(marginals, tokens, priors)
+    labels = bio_fixer(labels, tokens)
+    labels = threshold_label_switcher(labels, tokens, priors, threshold)
+    return bio_fixer(labels, tokens)

@@ -1,5 +1,7 @@
+import configparser
 import datetime
 import shutil
+import textwrap
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tempex.config
 from tempex import (corpus, crf, evaluation, features, normalizer, pipeline,
                     postproc)
 from tempex.cli import build_parser, main
@@ -436,6 +439,9 @@ class TestNormalize:
          "line 2: priority 'five' is not an integer"),
         ("fortnight\t5\ta (fortnight\tDURATION\tfixed:P2W",
          "line 2: bad pattern 'a (fortnight'"),
+        # an override can neither replace nor shadow a built-in rule
+        ("yesterday\t500\tyesterday\tDATE\tdeictic_day:-3",
+         "duplicate rule id 'yesterday'"),
     ])
     def test_bad_rule_file_exit_2(self, tmp_path, capsys, row, message):
         rc = self.normalize_with_rules(tmp_path, row)
@@ -551,6 +557,33 @@ class TestReaderErrors:
         err = self.run(["tag", workdir / "test.tsv", workdir / "model.crf",
                         "--priors", priors], capsys)
         assert f"{priors}: line 1:" in err and "negative" in err
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("monday\t3\t0\t1\t3\nmonday\t0\t0\t5\t5\n", 2,
+         "token 'monday' is repeated"),
+        ("friday\t3\t0\t1\t3\nFriday\t3\t0\t1\t3\n", 2,
+         "token 'Friday' is not lower-case"),
+    ])
+    def test_priors_key_unusable(self, workdir, tmp_path, capsys, text,
+                                 line, message):
+        """Of a repeated token only the last row would count, and an
+        upper-case one would never be looked up: the table is keyed by
+        lower-cased surfaces."""
+        priors = tmp_path / "bad.priors"
+        priors.write_text(text, encoding="utf-8")
+        err = self.run(["tag", workdir / "test.tsv", workdir / "model.crf",
+                        "--priors", priors], capsys)
+        assert f"{priors}: line {line}:" in err and message in err
+
+    def test_attrs_span_repeated(self, workdir, tmp_path, capsys):
+        attrs = tmp_path / "bad.attrs"
+        attrs.write_text("synthetic-test\t0\t5\tDATE\t2013\n"
+                         "synthetic-test\t0\t5\tDATE\t2014\n",
+                         encoding="utf-8")
+        err = self.run(["evaluate", workdir / "test.tsv",
+                        workdir / "test.tsv", "--gold-attrs", attrs,
+                        "--pred-attrs", attrs], capsys)
+        assert f"{attrs}: line 2:" in err and "is repeated" in err
 
     def test_attrs_offset_not_integer(self, workdir, tmp_path, capsys):
         attrs = tmp_path / "bad.attrs"
@@ -1004,13 +1037,25 @@ class TestRules:
         assert rc == 0
         assert "yesterday" in out and len(out.splitlines()) >= 30
 
+    def test_dump_lists_the_configured_overrides(self, tmp_path, capsys):
+        """`rules dump` prints the rules `tag` and `normalize` use."""
+        rules = tmp_path / "rules.tsv"
+        row = "fortnight\t5\ta fortnight\tDURATION\tfixed:P2W"
+        rules.write_text(row + "\n", encoding="utf-8")
+        ini = tmp_path / "rules.ini"
+        ini.write_text(f"[paths]\nrules = {rules}\n", encoding="utf-8")
+        assert main(["rules", "dump"]) == 0
+        builtin = capsys.readouterr().out.splitlines()
+        assert main(["--config", str(ini), "rules", "dump"]) == 0
+        dumped = capsys.readouterr().out.splitlines()
+        assert sorted(dumped) == sorted(builtin + [row])
+        assert dumped.index(row) < dumped.index(builtin[0])
+
 
 class TestConfig:
     def test_defaults(self):
         config = RunConfig()
         assert config.threshold == 0.87 and config.seed == 490
-        assert config.stages == ("prob_correction", "bio_fixer",
-                                 "threshold_switcher", "bio_fixer")
 
     def test_load_overrides(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -1031,6 +1076,7 @@ class TestConfig:
         ("[crf]\nprofle = model2\n", "[crf] profle"),
         ("[pipline]\nenabled = false\n", "[pipline] enabled"),
         ("[DEFAULT]\nseed = 7\n", "[DEFAULT] seed"),
+        ("[pipeline]\nstages = bio_fixer\n", "[pipeline] stages"),
     ])
     def test_unknown_key_exit_2(self, tmp_path, capsys, text, key):
         path = tmp_path / "typo.ini"
@@ -1052,6 +1098,15 @@ class TestConfig:
         assert rc == 2 and captured.out == ""
         assert f"{value} is not a boolean" in captured.err
 
+    def test_docstring_example_sets_every_key(self):
+        """The example in `tempex.config`'s docstring sets exactly the
+        keys a config file may set."""
+        example = tempex.config.__doc__.split("Example:", 1)[1]
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(textwrap.dedent(example))
+        assert {(section, key) for section in parser.sections()
+                for key in parser[section]} == set(tempex.config.KEYS)
+
     @pytest.mark.parametrize("run", range(1, 7))
     def test_shipped_configs_load(self, run):
         path = Path(__file__).resolve().parents[1] / "configs" / \
@@ -1071,11 +1126,7 @@ class TestConfig:
             RunConfig(threshold=1.2)
 
     @pytest.mark.parametrize("text,message", [
-        ("[pipeline]\nstages = prob_correction,bogus\n",
-         "unknown pipeline stage 'bogus'"),
         ("[pipeline]\nthreshold = 1.5\n", "threshold 1.5 outside"),
-        ("[pipeline]\nstages = bio_fixer,prob_correction\n",
-         "prob_correction can only come first"),
     ])
     def test_bad_pipeline_setting_exit_2(self, tmp_path, capsys, text,
                                          message):

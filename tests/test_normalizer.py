@@ -7,8 +7,8 @@ import pytest
 from tempex.corpus import Token, TimexSpan, tokenize
 from tempex.normalizer import (WEEKDAY_DIRECTIONS, WEEKDAYS,
                                NormConfig, NormalizerError, Timex,
-                               add_period, default_rules, dump_rules,
-                               load_rule_overrides, normalize,
+                               add_period, dump_rules, load_rules,
+                               normalize,
                                resolve_weekday, validate_value)
 
 ANCHOR = date(2013, 4, 11)  # a Thursday
@@ -329,14 +329,14 @@ class TestAnchorCovariance:
 
 class TestRuleEngine:
     def test_rule_ids_unique_and_sorted(self):
-        rules = default_rules()
+        rules = load_rules()
         ids = [r.id for r in rules]
         assert len(ids) == len(set(ids))
         priorities = [r.priority for r in rules]
         assert priorities == sorted(priorities)
 
     def test_deterministic_under_reordering(self):
-        rules = default_rules()
+        rules = load_rules()
         shuffled = sorted(rules, key=lambda r: r.id)
         resorted = sorted(shuffled, key=lambda r: (r.priority, r.id))
         for expr, _ in fixture_expressions()[:40]:
@@ -348,10 +348,7 @@ class TestRuleEngine:
         path.write_text(
             "fortnight\t5\ta fortnight\tDURATION\tduration\n"
             .replace("duration\n", "fixed:P2W\n"))
-        rules = load_rule_overrides(path)
-        merged = sorted(rules + default_rules(),
-                        key=lambda r: (r.priority, r.id))
-        assert normalize(["a", "fortnight"], ANCHOR, merged) == \
+        assert normalize(["a", "fortnight"], ANCHOR, load_rules(path)) == \
             ("DURATION", "P2W")
 
     def test_dump_contains_builtins(self):

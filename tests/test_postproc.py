@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tempex.corpus import (Document, Sequence, Token, is_valid_bio)
+from tempex.corpus import (LABELS, Document, Sequence, Token,
+                           is_valid_bio, repair_bio)
 from tempex.crf import MarginalTable
-from tempex.postproc import (DEFAULT_THRESHOLD, PipelineConfig, PriorTable,
+from tempex.postproc import (DEFAULT_THRESHOLD, PriorTable,
                              PostprocError, bio_fixer, build_prior_table,
                              probabilistic_correction, run_pipeline,
                              threshold_label_switcher)
@@ -98,6 +99,28 @@ class TestPriorTable:
         for key in table.counts:
             assert loaded.distribution(key) == \
                 pytest.approx(table.distribution(key))
+
+    @given(st.lists(
+        st.tuples(st.one_of(
+            # few surfaces, so that tokens repeat, in several cases
+            st.text("aAbBσΣİ.", min_size=1, max_size=2),
+            st.text(st.characters(blacklist_categories=(
+                "Cc", "Cs", "Zl", "Zp", "Zs")), min_size=1, max_size=4)),
+            st.sampled_from(LABELS)),
+        min_size=1, max_size=40))
+    def test_save_load_round_trip(self, tmp_path_factory, tokens):
+        """`load` reads back exactly what `save` wrote of any built
+        table: lower-cased keys, each once."""
+        seq = make_seq([w for w, _ in tokens],
+                       repair_bio([lab for _, lab in tokens]))
+        table = build_prior_table([seq])
+        path = tmp_path_factory.mktemp("priors") / "p.tsv"
+        table.save(path)
+        loaded = PriorTable.load(path)
+        assert loaded.counts.keys() == table.counts.keys()
+        for key, count in table.counts.items():
+            assert np.array_equal(loaded.counts[key], count)
+        assert loaded.in_span_counts == table.in_span_counts
 
 
 class TestProbabilisticCorrection:
@@ -201,16 +224,74 @@ class TestThresholdSwitcher:
         assert out == ["O"]
 
 
+def reference_pipeline(marginals, tokens, priors, threshold):
+    """The stage loop over the paper's stage order, as `run_pipeline`
+    once ran it from a list of stage names."""
+    labels = [LABELS[i] for i in np.argmax(marginals.probs, axis=1)]
+    for stage in ("prob_correction", "bio_fixer", "threshold_switcher",
+                  "bio_fixer"):
+        if stage == "prob_correction":
+            _, labels = probabilistic_correction(marginals, tokens, priors)
+        elif stage == "bio_fixer":
+            labels = bio_fixer(labels, tokens)
+        elif stage == "threshold_switcher":
+            labels = threshold_label_switcher(labels, tokens, priors,
+                                              threshold)
+    return labels
+
+
 class TestPipeline:
     def test_default_stage_order(self):
-        config = PipelineConfig()
-        assert config.stages == ("prob_correction", "bio_fixer",
-                                 "threshold_switcher", "bio_fixer")
-        assert config.threshold == DEFAULT_THRESHOLD == 0.87
+        """Correction, fixer, switcher, fixer: each stage changes what
+        the next one sees."""
+        assert DEFAULT_THRESHOLD == 0.87
+        seq = make_seq(["last", "Friday", "night", "."])
+        probs = np.array([
+            [0.3, 0.1, 0.6], [0.1, 0.2, 0.7],
+            [0.6, 0.1, 0.3], [0.1, 0.1, 0.8]])
+        priors = table_for(last=(0.9, 0.05, 0.05), friday=(0.2, 0.78, 0.02),
+                           night=(0.92, 0.04, 0.04))
+        marginals = MarginalTable(probs, 0.0)
+        _, corrected = probabilistic_correction(marginals, seq.tokens,
+                                                priors)
+        assert corrected == ["B", "I", "B", "O"]
+        assert bio_fixer(corrected, seq.tokens) == ["B", "I", "I", "O"]
+        assert threshold_label_switcher(
+            ["B", "I", "I", "O"], seq.tokens, priors,
+            DEFAULT_THRESHOLD) == ["B", "I", "B", "O"]
+        assert run_pipeline(marginals, seq.tokens, priors) == \
+            ["B", "I", "I", "O"]
+        # the fixer runs before the switcher: "a" opens a span on the
+        # corrected I of "b", which the switcher then turns to O
+        seq = make_seq(["a", "b"])
+        marginals = MarginalTable(np.array([[0.1, 0.1, 0.8],
+                                            [0.0, 1.0, 0.0]]), 0.0)
+        assert run_pipeline(marginals, seq.tokens,
+                            table_for(b=(0, 1, 9))) == ["B", "O"]
 
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(PostprocError, match="unknown"):
-            PipelineConfig(stages=("bio_fixer", "mystery"))
+    @given(st.data())
+    def test_equals_the_stage_loop(self, data):
+        """`run_pipeline` gives the labels of the stage loop over random
+        marginals, surfaces, prior tables and thresholds."""
+        vocab = ["a", "A", "b", "c", ".", ",", "d"]
+        n = data.draw(st.integers(1, 10))
+        words = data.draw(st.lists(st.sampled_from(vocab), min_size=n,
+                                   max_size=n))
+        # one-hot rows and strong priors make stages disagree often
+        weight = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        weights = data.draw(st.lists(
+            st.tuples(weight, weight, weight).filter(
+                lambda row: sum(row) > 0), min_size=n, max_size=n))
+        probs = np.array(weights) / np.sum(weights, axis=1, keepdims=True)
+        priors = table_for(**{
+            w: counts for w, counts in data.draw(st.dictionaries(
+                st.sampled_from(["a", "b", ".", "d"]),
+                st.tuples(*[st.integers(0, 9)] * 3).filter(any))).items()})
+        threshold = data.draw(st.floats(0.0, 1.0))
+        seq = make_seq(words)
+        marginals = MarginalTable(probs, 0.0)
+        assert run_pipeline(marginals, seq.tokens, priors, threshold) == \
+            reference_pipeline(marginals, seq.tokens, priors, threshold)
 
     def test_empty_priors_reduces_to_bio_fixer(self):
         seq = make_seq(["Three", "days", "ago", "."])
@@ -221,14 +302,6 @@ class TestPipeline:
         out = run_pipeline(marginals, seq.tokens, PriorTable())
         raw = ["O", "I", "I", "O"]
         assert out == bio_fixer(raw, seq.tokens) == ["B", "I", "I", "O"]
-
-    def test_single_stage_config(self):
-        seq = make_seq(["a", "b"])
-        probs = np.array([[0.1, 0.8, 0.1], [0.8, 0.1, 0.1]])
-        marginals = MarginalTable(probs, 0.0)
-        config = PipelineConfig(stages=("bio_fixer",))
-        out = run_pipeline(marginals, seq.tokens, PriorTable(), config)
-        assert out == bio_fixer(["I", "B"], seq.tokens)
 
     def test_output_always_valid_bio(self):
         rng = np.random.default_rng(1)

@@ -39,7 +39,6 @@ PRIORS = "friday\t3\t0\t1\t3\nyesterday\t2\t0\t0\t2\n"
 RULES = "fortnight\t5\ta fortnight\tDURATION\tfixed:P2W\n"
 CONFIG = ("[crf]\nprofile = model1\nC = 1.0\nmax_iter = 5\n"
           "[pipeline]\nenabled = true\nthreshold = 0.87\n"
-          "stages = prob_correction,bio_fixer\n"
           "[run]\nseed = 7\n[normalizer]\nmonth_first = false\n")
 
 _PIECES = re.compile(r"(\t|\n|=|,|;|:| )")
