@@ -12,8 +12,8 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from . import (corpus, crf, evaluation, features, normalizer, pipeline,
-               postproc)
+from . import (blas, corpus, crf, evaluation, features, normalizer,
+               pipeline, postproc)
 from .config import ConfigError, RunConfig, configured_profile, load_config
 from .corpus import CorpusError
 
@@ -316,10 +316,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # one BLAS thread: models do not depend on the machine's CPUs, and
+        # cv's forked workers do not compete with BLAS threads
+        with blas.one_thread():
+            return args.fn(args)
     except (CliError, ConfigError, CorpusError, crf.CrfError,
             evaluation.EvalError, postproc.PostprocError,
-            normalizer.NormalizerError, FileNotFoundError, OSError) as exc:
+            normalizer.NormalizerError, blas.BlasError, FileNotFoundError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

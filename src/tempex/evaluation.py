@@ -8,9 +8,14 @@ counts.  The overall score is lenient F1 times value accuracy.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence as Seq
+from operator import itemgetter
+from typing import Callable, Iterator, Optional, Sequence as Seq
 
 from scipy.special import fdtrc, stdtr
 
@@ -154,6 +159,13 @@ def fold_indices(n: int, k: int) -> list[list[int]]:
     return folds
 
 
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cross_validate(items: Seq, fold_fn: Callable, k: int = 10,
                    repeats: int = 5, seed: int = 490):
     """Repeated k-fold cross-validation.
@@ -162,6 +174,13 @@ def cross_validate(items: Seq, fold_fn: Callable, k: int = 10,
     a list of (repeat, fold, report) triples in deterministic order.  The
     working list is reshuffled once per repeat from a single seeded PRNG
     stream.
+
+    The folds run on every CPU available to the process.  With `workers`
+    CPUs, this process runs every `workers`-th fold from the first and
+    `workers - 1` processes forked for the call run the others, so
+    `fold_fn` may be a closure and its reports come back pickled.  The
+    result does not depend on the number of CPUs.  A fold that raises
+    raises here; of several, the first in order, as run one by one.
     """
     items = list(items)
     if k < 2:
@@ -169,18 +188,84 @@ def cross_validate(items: Seq, fold_fn: Callable, k: int = 10,
     if k > len(items):
         raise EvalError(f"k={k} exceeds corpus size {len(items)}")
     rng = random.Random(seed)
-    results = []
+    tasks = []
     working = list(items)
     for rep in range(repeats):
         rng.shuffle(working)
-        folds = fold_indices(len(working), k)
-        for fi, test_idx in enumerate(folds):
+        for fi, test_idx in enumerate(fold_indices(len(working), k)):
             test_set = set(test_idx)
             train = [working[i] for i in range(len(working))
                      if i not in test_set]
             test = [working[i] for i in test_idx]
-            results.append((rep, fi, fold_fn(train, test)))
-    return results
+            tasks.append((rep, fi, train, test))
+    workers = max(1, min(len(tasks), available_cpus()))
+    shares = [tasks[w::workers] for w in range(workers)]
+    with _forked_shares(fold_fn, shares) as futures:
+        outcomes = [_run_share(fold_fn, shares[0])]
+        outcomes += [future.result() for future in futures]
+    # a share stops at its first failure, so the fold that failed is the
+    # one after the share's last report
+    failures = [(w + len(reports) * workers, exc)
+                for w, (reports, exc) in enumerate(outcomes)
+                if exc is not None]
+    if failures:
+        raise min(failures, key=itemgetter(0))[1]
+    ordered = [None] * len(tasks)
+    for w, (reports, _) in enumerate(outcomes):
+        ordered[w::workers] = reports
+    return [(rep, fi, report)
+            for (rep, fi, _, _), report in zip(tasks, ordered)]
+
+
+def _run_share(fold_fn: Callable, share: list
+               ) -> tuple[list, Optional[Exception]]:
+    """The reports of a share's folds, in order, up to the first that
+    raises, and that fold's exception or None."""
+    reports = []
+    for _, _, train, test in share:
+        try:
+            reports.append(fold_fn(train, test))
+        except Exception as exc:
+            return reports, exc
+    return reports, None
+
+
+# The fold function and shares of the call that forked this process, set
+# by the pool's initializer in the forked workers only.
+_forked_work: Optional[tuple[Callable, list]] = None
+
+
+def _install_work(fold_fn: Callable, shares: list) -> None:
+    global _forked_work
+    _forked_work = fold_fn, shares
+
+
+def _run_forked_share(w: int) -> tuple[list, Optional[Exception]]:
+    fold_fn, shares = _forked_work
+    return _run_share(fold_fn, shares[w])
+
+
+@contextmanager
+def _forked_shares(fold_fn: Callable, shares: list) -> Iterator[list]:
+    """Futures of `_run_share` over `shares[1:]`, in processes forked
+    when entered, none for a single share.  Exits once every worker has
+    exited.
+
+    Forked, not spawned: a worker inherits `fold_fn`, often a closure that
+    pickle cannot send, and the shares without pickling them, and imports
+    nothing again.  The executor, unlike `multiprocessing.Pool`, raises
+    BrokenProcessPool when a worker dies instead of waiting for it."""
+    if len(shares) == 1:
+        yield []
+        return
+    pool = ProcessPoolExecutor(
+        len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
+        initializer=_install_work, initargs=(fold_fn, shares))
+    try:
+        yield [pool.submit(_run_forked_share, w)
+               for w in range(1, len(shares))]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def paired_t_test(a: Seq[float], b: Seq[float]) -> dict:

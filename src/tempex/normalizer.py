@@ -590,20 +590,14 @@ _FREQ_VALUES = {"daily": "P1D", "weekly": "P1W", "monthly": "P1M",
                 "nightly": "P1D", "quarterly": "P3M"}
 
 
-def _check_rules(rules: Seq[NormRule]) -> None:
-    seen = set()
-    for rule in rules:
-        if rule.id in seen:
-            raise NormalizerError(f"duplicate rule id {rule.id!r}")
-        seen.add(rule.id)
-        if rule.value_fn not in VALUE_FNS:
-            raise NormalizerError(
-                f"rule {rule.id}: unknown value function {rule.value_fn!r}")
-
-
 def load_rule_overrides(path) -> list[NormRule]:
-    """Rule file: id<TAB>priority<TAB>pattern<TAB>type<TAB>value_fn[:args]."""
+    """Rule file: id<TAB>priority<TAB>pattern<TAB>type<TAB>value_fn[:args].
+
+    A malformed line, an unknown value function, or an id that a built-in
+    rule or an earlier line already has raises NormalizerError naming the
+    file and the line."""
     lines = read_text(path, NormalizerError).splitlines()
+    ids = {rule.id for rule in builtin_rules()}
     rules = []
     for lineno, line in enumerate(lines, 1):
         if not line.strip() or line.startswith("#"):
@@ -621,6 +615,14 @@ def load_rule_overrides(path) -> list[NormRule]:
         except ValueError:
             raise NormalizerError(f"{path}: line {lineno}: priority "
                                   f"{priority!r} is not an integer") from None
+        # an override can neither replace nor shadow a built-in rule
+        if rid in ids:
+            raise NormalizerError(
+                f"{path}: line {lineno}: duplicate rule id {rid!r}")
+        if fn not in VALUE_FNS:
+            raise NormalizerError(
+                f"{path}: line {lineno}: unknown value function {fn!r}")
+        ids.add(rid)
         try:
             rules.append(make_rule(rid, priority, pattern, type_out,
                                    fn, *args))
@@ -632,13 +634,10 @@ def load_rule_overrides(path) -> list[NormRule]:
 
 def load_rules(overrides_path=None) -> list[NormRule]:
     """The rules `normalize` tries, in priority order: the built-in ones
-    plus, given a path, those of a rule-override file.  A rule id that
-    occurs twice, an override repeating a built-in's included, raises
-    NormalizerError naming it."""
+    plus, given a path, those of a rule-override file."""
     rules = list(builtin_rules())
     if overrides_path:
         rules += load_rule_overrides(overrides_path)
-    _check_rules(rules)
     return sorted(rules, key=lambda r: (r.priority, r.id))
 
 

@@ -62,8 +62,8 @@ class PriorTable:
     @classmethod
     def load(cls, path) -> "PriorTable":
         """Read a table `save` wrote; malformed content, a token that is
-        not lower-case or one that is repeated raises PostprocError
-        naming the file and the line."""
+        empty, not lower-case or repeated raises PostprocError naming the
+        file and the line."""
         table = cls()
         for lineno, line in enumerate(
                 read_text(path, PostprocError).splitlines(), 1):
@@ -83,7 +83,9 @@ class PriorTable:
             if min(b, i, o, in_span) < 0 or b + i + o == 0:
                 raise PostprocError(f"{path}: line {lineno}: counts "
                                     f"{counts} are negative or all zero")
-            # the table is looked up by lower-cased surface
+            # the table is looked up by lower-cased surface, never empty
+            if not tok:
+                raise PostprocError(f"{path}: line {lineno}: token is empty")
             if tok != tok.lower():
                 raise PostprocError(f"{path}: line {lineno}: token {tok!r} "
                                     f"is not lower-case")

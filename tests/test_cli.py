@@ -1,6 +1,10 @@
 import configparser
 import datetime
+import multiprocessing
+import os
 import shutil
+import subprocess
+import sys
 import textwrap
 from collections import Counter
 from dataclasses import replace
@@ -9,15 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tempex.cli
 import tempex.config
-from tempex import (corpus, crf, evaluation, features, normalizer, pipeline,
-                    postproc)
+from tempex import (blas, corpus, crf, evaluation, features, normalizer,
+                    pipeline, postproc)
 from tempex.cli import build_parser, main
 from tempex.config import ConfigError, RunConfig, load_config
 
 from synth import build_corpus, split_corpus
 
 DCT = "2013-04-11"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +61,63 @@ class TestTrain:
                    str(tmp_path / "m.crf")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_model_does_not_depend_on_blas_threads(self, workdir, tmp_path):
+        """Run with no BLAS setting, where OpenBLAS would use a thread per
+        CPU, `train` writes the bytes it writes under
+        OPENBLAS_NUM_THREADS=1: it pins both libraries itself."""
+        env = {name: value for name, value in os.environ.items()
+               if not name.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        models = []
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            model = tmp_path / f"model{len(models)}.crf"
+            subprocess.run(
+                [sys.executable, "-m", "tempex.cli", "--config",
+                 str(workdir / "run.ini"), "train",
+                 str(workdir / "train.tsv"), str(model)],
+                env={**env, **threads}, check=True, capture_output=True,
+                timeout=300)
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
+
+
+class TestBlasThreads:
+    def test_one_thread_during_a_command(self, workdir, tmp_path,
+                                         monkeypatch, capsys):
+        """Each OpenBLAS runs one thread while a command runs, and gets its
+        previous count back when it returns."""
+        seen = []
+        original = tempex.cli.cmd_priors
+
+        def cmd_priors(args):
+            seen.append([get() for _, get in blas.thread_controls()])
+            return original(args)
+
+        monkeypatch.setattr(tempex.cli, "cmd_priors", cmd_priors)
+        before = [get() for _, get in blas.thread_controls()]
+        assert main(["priors", str(workdir / "train.tsv"),
+                     str(tmp_path / "p.priors")]) == 0
+        assert seen == [[1] * len(before)]
+        assert [get() for _, get in blas.thread_controls()] == before
+
+    def test_no_openblas_exit_2(self, workdir, tmp_path, monkeypatch,
+                                capsys):
+        """Without a library to pin, a command refuses to run rather than
+        give results that depend on the machine's CPUs."""
+        monkeypatch.setattr(blas, "OPENBLAS", tuple(
+            (package, libs, "no-such-library-*.so", setter, getter)
+            for package, libs, _, setter, getter in blas.OPENBLAS))
+        blas.thread_controls.cache_clear()
+        try:
+            rc = main(["priors", str(workdir / "train.tsv"),
+                       str(tmp_path / "p.priors")])
+        finally:
+            blas.thread_controls.cache_clear()
+        assert rc == 2
+        assert "no OpenBLAS library" in capsys.readouterr().err
+        assert not (tmp_path / "p.priors").exists()
 
 
 class TestTag:
@@ -442,11 +505,17 @@ class TestNormalize:
         # an override can neither replace nor shadow a built-in rule
         ("yesterday\t500\tyesterday\tDATE\tdeictic_day:-3",
          "duplicate rule id 'yesterday'"),
+        ("fortnight\t5\ta fortnight\tDURATION\tbogus",
+         "line 2: unknown value function 'bogus'"),
+        ("fortnight\t5\ta fortnight\tDURATION\tfixed:P2W\n"
+         "fortnight\t6\tfortnight\tDURATION\tfixed:P2W",
+         "line 3: duplicate rule id 'fortnight'"),
     ])
     def test_bad_rule_file_exit_2(self, tmp_path, capsys, row, message):
         rc = self.normalize_with_rules(tmp_path, row)
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
+        assert f"error: {tmp_path / 'rules.tsv'}: line " in captured.err
         assert message in captured.err
 
     def test_rule_file_not_utf8_exit_2(self, tmp_path, capsys):
@@ -563,12 +632,13 @@ class TestReaderErrors:
          "token 'monday' is repeated"),
         ("friday\t3\t0\t1\t3\nFriday\t3\t0\t1\t3\n", 2,
          "token 'Friday' is not lower-case"),
+        ("friday\t3\t0\t1\t3\n\t3\t0\t1\t3\n", 2, "token is empty"),
     ])
     def test_priors_key_unusable(self, workdir, tmp_path, capsys, text,
                                  line, message):
         """Of a repeated token only the last row would count, and an
-        upper-case one would never be looked up: the table is keyed by
-        lower-cased surfaces."""
+        upper-case or empty one would never be looked up: the table is
+        keyed by lower-cased surfaces, and no token is empty."""
         priors = tmp_path / "bad.priors"
         priors.write_text(text, encoding="utf-8")
         err = self.run(["tag", workdir / "test.tsv", workdir / "model.crf",
@@ -897,6 +967,13 @@ class TestTagBatches:
         assert paths == alone_paths
 
 
+def log_line(path: Path, line: str) -> None:
+    """Append a line to a file, from this process or a forked cv worker:
+    counts kept in a list would miss the folds run in a worker."""
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(line + "\n")
+
+
 class TestCrossValidation:
     def test_deterministic_and_complete(self, workdir, capsys):
         argv = ["--config", str(workdir / "run.ini"), "--seed", "490",
@@ -922,35 +999,37 @@ class TestCrossValidation:
         assert rc == 0
         return out_path.read_text(encoding="utf-8")
 
-    def test_trains_each_fold_once(self, workdir, monkeypatch, capsys):
-        calls = []
+    def test_trains_each_fold_once(self, workdir, tmp_path, monkeypatch,
+                                   capsys):
+        log = tmp_path / "calls"
         original = crf.train
 
         def counting_train(*args, **kwargs):
-            calls.append(1)
+            log_line(log, "train")
             return original(*args, **kwargs)
 
         monkeypatch.setattr(crf, "train", counting_train)
         self.run_cv(workdir, workdir / "cv_once.tsv")
-        assert len(calls) == 2 * 2  # k x repeats, shared by both conditions
+        # k x repeats, shared by both conditions
+        assert len(log.read_text().splitlines()) == 2 * 2
 
-    def test_featurizes_each_sentence_once_per_fold(self, workdir,
+    def test_featurizes_each_sentence_once_per_fold(self, workdir, tmp_path,
                                                     monkeypatch, capsys):
         """Per fold, every sentence is featurized once: the training ones
         for training, the test ones for both conditions together."""
-        calls, tables = [], []
+        log = tmp_path / "calls"
         original = features.featurize_sequence
 
         def counting(seqs, featurizer):
-            calls.extend(seqs)
-            tables.append(original(seqs, featurizer))
-            return tables[-1]
+            log_line(log, str(len(seqs)))
+            return original(seqs, featurizer)
 
         monkeypatch.setattr(features, "featurize_sequence", counting)
         self.run_cv(workdir, workdir / "cv_featurized.tsv")
         n_sentences = len(corpus.read_corpus(workdir / "train.tsv")[0]
                           .sequences)
-        assert len(calls) == 2 * 2 * n_sentences  # k x repeats folds
+        tables = [int(n) for n in log.read_text().splitlines()]
+        assert sum(tables) == 2 * 2 * n_sentences  # k x repeats folds
         # one table of the training sentences, one of the test sentences
         assert len(tables) == 2 * 2 * 2
 
@@ -1013,6 +1092,68 @@ class TestCrossValidation:
         assert text.count("pipeline_off\t") == 2
         assert "pipeline_on" not in text and "#paired_t" not in text
         assert outputs[0] == outputs[1]
+
+    def cv_on_cpus(self, workdir, monkeypatch, n_cpus, out_path, flags=()):
+        """`tempex cv` as run by a process that may use `n_cpus` CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n_cpus)), raising=False)
+        return main(["--config", str(workdir / "run.ini"), *flags,
+                     "--seed", "490", "cv", str(workdir / "train.tsv"),
+                     "--k", "2", "--repeats", "2", "--output",
+                     str(out_path)])
+
+    @pytest.mark.parametrize("flags", [(), ("--no-pipeline",)])
+    def test_output_does_not_depend_on_cpus(self, workdir, tmp_path,
+                                            monkeypatch, capsys, flags):
+        outputs = []
+        for n_cpus in (1, 2, 3):
+            out_path = tmp_path / f"cv{n_cpus}.tsv"
+            assert self.cv_on_cpus(workdir, monkeypatch, n_cpus, out_path,
+                                   flags) == 0
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_leaves_no_process(self, workdir, tmp_path, monkeypatch,
+                               capsys):
+        assert self.cv_on_cpus(workdir, monkeypatch, 2,
+                               tmp_path / "cv.tsv") == 0
+        assert multiprocessing.active_children() == []
+
+    def test_fold_error_in_a_worker_exit_2(self, workdir, tmp_path,
+                                           monkeypatch, capsys):
+        """A fold that raises in a forked worker exits 2 with the message
+        of the one-CPU run."""
+        items = corpus.read_corpus(workdir / "train.tsv")[0].sequences
+        # the first fold tests this sentence; the second trains on it, so
+        # the second fold, the first of the worker's share, fails first
+        tested_first = evaluation.cross_validate(
+            items, lambda train, test: test, k=2, repeats=2,
+            seed=490)[0][2][0]
+        log = tmp_path / "pids"
+        original = pipeline.train_on_sequences
+
+        def failing(train_items, *args):
+            if tested_first in train_items:
+                log_line(log, str(os.getpid()))
+                raise crf.CrfError(
+                    f"cannot train on {len(train_items)} sentences")
+            return original(train_items, *args)
+
+        monkeypatch.setattr(pipeline, "train_on_sequences", failing)
+        errors, raised_in = [], []
+        for n_cpus in (1, 2):
+            rc = self.cv_on_cpus(workdir, monkeypatch, n_cpus,
+                                 tmp_path / f"cv{n_cpus}.tsv")
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == ""
+            errors.append(captured.err)
+            raised_in.append(set(log.read_text().split()))
+            log.unlink()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: cannot train on")
+        assert raised_in[0] == {str(os.getpid())}
+        assert raised_in[1] - raised_in[0]  # a worker raised too
+        assert multiprocessing.active_children() == []
 
     def test_k_larger_than_corpus_exit_2(self, workdir, capsys):
         rc = main(["cv", str(workdir / "test.tsv"), "--k", "999"])

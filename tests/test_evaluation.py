@@ -1,5 +1,9 @@
 import math
+import multiprocessing
+import os
 import random
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 import scipy.stats
@@ -185,21 +189,63 @@ class TestFoldIndices:
         assert sorted(i for f in folds for i in f) == list(range(23))
 
 
+def reference_cross_validate(items, fold_fn, k, repeats, seed):
+    """The serial loop that `cross_validate` ran before it ran folds on
+    several CPUs."""
+    rng = random.Random(seed)
+    results, working = [], list(items)
+    for rep in range(repeats):
+        rng.shuffle(working)
+        for fi, test_idx in enumerate(fold_indices(len(working), k)):
+            test_set = set(test_idx)
+            train = [working[i] for i in range(len(working))
+                     if i not in test_set]
+            test = [working[i] for i in test_idx]
+            results.append((rep, fi, fold_fn(train, test)))
+    return results
+
+
+def folds_of(train, test):
+    return tuple(train), tuple(test)
+
+
+def sees_cpus(monkeypatch, n: int) -> int:
+    """From now on `cross_validate` sees `n` CPUs, more than the machine
+    may have."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    return n
+
+
+CPU_COUNTS = (1, 2, 3)
+
+
 class TestCrossValidate:
-    def test_5x10_produces_50_reports(self):
+    def test_5x10_produces_50_reports(self, monkeypatch):
         items = list(range(103))
-        calls = []
+        for n in CPU_COUNTS:
+            sees_cpus(monkeypatch, n)
+            results = cross_validate(items, folds_of, k=10, repeats=5,
+                                     seed=490)
+            assert [(rep, fi) for rep, fi, _ in results] == \
+                [(rep, fi) for rep in range(5) for fi in range(10)]
+            for rep in range(5):
+                folds = [report for r, _, report in results if r == rep]
+                tested = [item for _, test in folds for item in test]
+                assert sorted(tested) == items
+                assert all(sorted(train + test) == items
+                           for train, test in folds)
 
-        def fold_fn(train, test):
-            calls.append((tuple(train), tuple(test)))
-            return len(test)
+    def test_same_as_the_serial_loop(self, monkeypatch):
+        items = list(range(37))
+        want = reference_cross_validate(items, folds_of, k=4, repeats=3,
+                                        seed=7)
+        for n in CPU_COUNTS:
+            sees_cpus(monkeypatch, n)
+            assert cross_validate(items, folds_of, k=4, repeats=3,
+                                  seed=7) == want
 
-        results = cross_validate(items, fold_fn, k=10, repeats=5, seed=490)
-        assert len(results) == len(calls) == 50
-        assert [(rep, fi) for rep, fi, _ in results] == \
-            [(rep, fi) for rep in range(5) for fi in range(10)]
-
-    def test_each_fold_partitions_items(self):
+    def test_each_fold_partitions_items(self, monkeypatch):
         items = list(range(31))
 
         def fold_fn(train, test):
@@ -207,33 +253,81 @@ class TestCrossValidate:
             assert not set(train) & set(test)
             return len(test)
 
-        results = cross_validate(items, fold_fn, k=10, repeats=2, seed=490)
-        sizes = [r for _, _, r in results]
-        assert all(size in (3, 4) for size in sizes)
-        assert sum(sizes) == 2 * 31
+        for n in CPU_COUNTS:
+            sees_cpus(monkeypatch, n)
+            results = cross_validate(items, fold_fn, k=10, repeats=2,
+                                     seed=490)
+            sizes = [r for _, _, r in results]
+            assert all(size in (3, 4) for size in sizes)
+            assert sum(sizes) == 2 * 31
 
     def test_deterministic(self):
         items = list(range(40))
-        runs = []
-        for _ in range(2):
-            seen = []
-            cross_validate(items, lambda tr, te: seen.append(tuple(te)),
-                           k=5, repeats=3, seed=490)
-            runs.append(seen)
+        runs = [cross_validate(items, folds_of, k=5, repeats=3, seed=490)
+                for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_repeats_reshuffle(self):
         items = list(range(40))
-        seen = []
-        cross_validate(items, lambda tr, te: seen.append(tuple(te)),
-                       k=5, repeats=2, seed=490)
-        assert seen[:5] != seen[5:]
+        results = cross_validate(items, folds_of, k=5, repeats=2, seed=490)
+        assert results[:5] != results[5:]
 
     def test_bad_k(self):
         with pytest.raises(EvalError, match="k"):
             cross_validate([1, 2, 3], lambda a, b: 0, k=1)
         with pytest.raises(EvalError, match="exceeds"):
             cross_validate([1, 2, 3], lambda a, b: 0, k=4)
+
+    def test_first_failing_fold_raises(self, monkeypatch):
+        """Of several folds that raise, wherever they run, the one a
+        serial run reaches first is raised."""
+        items = list(range(30))
+
+        def fold_fn(train, test):
+            if 7 in test or 11 in test:
+                raise EvalError(f"fold testing {sorted(test)}")
+            return len(test)
+
+        with pytest.raises(EvalError) as serial:
+            reference_cross_validate(items, fold_fn, k=6, repeats=2,
+                                     seed=490)
+        for n in CPU_COUNTS:
+            sees_cpus(monkeypatch, n)
+            with pytest.raises(EvalError) as pooled:
+                cross_validate(items, fold_fn, k=6, repeats=2, seed=490)
+            assert str(pooled.value) == str(serial.value)
+
+    def test_leaves_no_process(self, monkeypatch):
+        for n in CPU_COUNTS:
+            sees_cpus(monkeypatch, n)
+            cross_validate(list(range(20)), folds_of, k=5, repeats=1)
+            assert multiprocessing.active_children() == []
+
+    def test_a_killed_worker_raises(self, monkeypatch):
+        """A worker that dies raises in the caller instead of leaving it
+        waiting for the worker's folds."""
+        sees_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def fold_fn(train, test):
+            if os.getpid() != parent:
+                os._exit(3)
+            return len(test)
+
+        raised = []
+
+        def run():
+            try:
+                cross_validate(list(range(20)), fold_fn, k=2, repeats=1)
+            except BrokenProcessPool as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive()
+        assert len(raised) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestPairedTTest:

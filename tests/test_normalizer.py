@@ -5,7 +5,7 @@ from datetime import date, timedelta
 import pytest
 
 from tempex.corpus import Token, TimexSpan, tokenize
-from tempex.normalizer import (WEEKDAY_DIRECTIONS, WEEKDAYS,
+from tempex.normalizer import (VALUE_FNS, WEEKDAY_DIRECTIONS, WEEKDAYS,
                                NormConfig, NormalizerError, Timex,
                                add_period, dump_rules, load_rules,
                                normalize,
@@ -332,6 +332,8 @@ class TestRuleEngine:
         rules = load_rules()
         ids = [r.id for r in rules]
         assert len(ids) == len(set(ids))
+        # overrides are checked as they are read, the built-ins only here
+        assert all(r.value_fn in VALUE_FNS for r in rules)
         priorities = [r.priority for r in rules]
         assert priorities == sorted(priorities)
 

@@ -12,9 +12,16 @@
 - Only the command line reads `RunConfig.pipeline_enabled`: it turns the
   switch into a prior table or none, and the code below it post-processes
   exactly when it is handed a table.
+- One module starts processes (`multiprocessing`, `concurrent.futures`)
+  and one calls native code (`ctypes`), so each is done in one place.
+- The number of worker processes is the number of CPUs the process may
+  use: no command-line option, configuration key, settings field or
+  parameter of the module that starts processes names workers, jobs,
+  processes, CPUs or pools.  Like the field check, this goes by name.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tempex"
@@ -96,6 +103,68 @@ def reads_outside(trees: dict[str, ast.Module], attr: str,
             and isinstance(node.ctx, ast.Load)]
 
 
+POOL_MODULES = ("multiprocessing", "concurrent.futures")
+NATIVE_MODULES = ("ctypes",)
+
+
+def importers(trees: dict[str, ast.Module], modules) -> dict[str, list]:
+    """File name -> the lines where it imports one of `modules` or a
+    submodule of one."""
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            return [node.module]
+        return []
+
+    found: dict[str, list] = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if any(module == m or module.startswith(m + ".")
+                   for module in imported(node) for m in modules):
+                found.setdefault(name, []).append(node.lineno)
+    return found
+
+
+PARALLEL_WORDS = re.compile(r"worker|job|process|cpu|core|parallel|pool",
+                            re.IGNORECASE)
+
+
+def parallelism_settings(trees: dict[str, ast.Module],
+                         pool_files=()) -> list[str]:
+    """`file:line name` of each command-line option (an `add_argument`
+    name), configuration key (in `KEYS`), field of the checked classes or
+    parameter of a function in `pool_files` whose name speaks of
+    parallelism."""
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            names = []
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_argument"):
+                names = [arg.value for arg in node.args
+                         if isinstance(arg, ast.Constant)]
+            elif (isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Dict)
+                  and any(isinstance(t, ast.Name) and t.id == "KEYS"
+                          for t in node.targets)):
+                names = [c.value for key in node.value.keys
+                         for c in ast.walk(key)
+                         if isinstance(c, ast.Constant)]
+            elif (isinstance(node, ast.ClassDef)
+                  and node.name in CHECKED_CLASSES):
+                names = [stmt.target.id for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign)
+                         and isinstance(stmt.target, ast.Name)]
+            elif name in pool_files and isinstance(node, ast.FunctionDef):
+                names = [arg.arg for arg in node.args.args
+                         + node.args.kwonlyargs]
+            found += [(name, node.lineno, n) for n in names
+                      if isinstance(n, str) and PARALLEL_WORDS.search(n)]
+    return [f"{name}:{line} {n}" for name, line, n in sorted(found)]
+
+
 def test_checked_classes_exist():
     defined = {node.name for tree in parse_package().values()
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
@@ -154,3 +223,44 @@ def test_environment_guard_catches_planted_reads():
         "path = os.path.join('a', 'b')\n")
     assert environment_reads({"f.py": tree}) == [
         "f.py:2 os.getenv", "f.py:3 os.environ", "f.py:4 os.getenv"]
+
+
+def test_one_module_starts_processes():
+    assert list(importers(parse_package(), POOL_MODULES)) == [
+        "evaluation.py"]
+
+
+def test_one_module_calls_native_code():
+    assert list(importers(parse_package(), NATIVE_MODULES)) == ["blas.py"]
+
+
+def test_worker_count_is_no_setting():
+    trees = parse_package()
+    assert parallelism_settings(
+        trees, importers(trees, POOL_MODULES)) == []
+
+
+def test_process_guards_catch_planted_violations():
+    """A second module with a pool and native calls, and a worker count
+    taken from an option, a config key, a field and a parameter."""
+    pool = ast.parse(
+        "import ctypes.util\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "def cross_validate(items, fold_fn, n_workers=None):\n"
+        "    return ProcessPoolExecutor(n_workers)\n")
+    cli = ast.parse(
+        "import multiprocessing.pool\n"
+        "from . import evaluation\n"
+        "p.add_argument('--jobs', type=int, default=None)\n"
+        "KEYS = {('run', 'processes'): ('processes', int),\n"
+        "        ('run', 'seed'): ('seed', int)}\n"
+        "class RunConfig:\n"
+        "    cpus: int = 2\n"
+        "    seed: int = 490\n")
+    trees = {"cli.py": cli, "evaluation.py": pool}
+    assert importers(trees, POOL_MODULES) == {"cli.py": [1],
+                                              "evaluation.py": [2]}
+    assert importers(trees, NATIVE_MODULES) == {"evaluation.py": [1]}
+    assert parallelism_settings(trees, ["evaluation.py"]) == [
+        "cli.py:3 --jobs", "cli.py:4 processes", "cli.py:6 cpus",
+        "evaluation.py:3 n_workers"]
