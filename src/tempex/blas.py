@@ -1,4 +1,4 @@
-"""BLAS pinned to one thread for the length of a command.
+"""BLAS pinned to one thread while a CRF trains.
 
 numpy and scipy each load their own OpenBLAS, and each runs its calls on
 as many threads as the machine has CPUs unless told otherwise.  For
@@ -6,8 +6,11 @@ tempex's small matrices that is slower (training took 2 to 8 times as
 long on 2 CPUs, the threads competing with the interpreter), and it
 makes results depend on the machine: each library's threads sum in
 another order, so a model trained on 2 CPUs differs in its last bits
-from one trained on 1.  `one_thread()` sets both libraries to one thread
-through their own setters and restores the counts they had on exit.
+from one trained on 1.  Training is the only dense BLAS work in tempex
+(the objective's dot products and L-BFGS-B's own calls), so `crf.train`
+runs its optimizer under `one_thread()`, which sets both libraries to
+one thread through their own setters and restores the counts they had
+on exit.  Decoding, post-processing and scoring need no OpenBLAS.
 Nothing is read from or written to the environment.
 """
 
@@ -41,7 +44,8 @@ class BlasError(RuntimeError):
 def thread_controls() -> tuple[tuple[Callable, Callable], ...]:
     """(setter, getter) of the thread count of each OpenBLAS that numpy
     and scipy load, looked up once per process.  Raises BlasError when
-    neither is found: results would then depend on the machine's CPUs."""
+    neither is found: a trained model would then depend on the
+    machine's CPUs."""
     controls = []
     for package, libs, pattern, setter, getter in OPENBLAS:
         directory = Path(package.__file__).parents[1] / libs
@@ -55,7 +59,7 @@ def thread_controls() -> tuple[tuple[Callable, Callable], ...]:
             controls.append((set_threads, get_threads))
     if not controls:
         raise BlasError(
-            "no OpenBLAS library in numpy.libs or scipy.libs: tempex "
+            "no OpenBLAS library in numpy.libs or scipy.libs: training "
             "pins BLAS to one thread through it")
     return tuple(controls)
 

@@ -49,6 +49,16 @@ def _load_run_config(args) -> RunConfig:
     return config
 
 
+def _write_output(text: str, output) -> None:
+    """The one sink of `tag` and `cv`: the whole text, written once when
+    the command has succeeded, to the `--output` file or else to
+    standard output."""
+    if output:
+        Path(output).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_train(args) -> int:
     config = _load_run_config(args)
     docs = corpus.read_corpus(args.corpus)
@@ -110,27 +120,20 @@ def cmd_tag(args) -> int:
                            f"without it)") from None
     docs = _read_input_docs(args, config)
     outputs = []
-    tagged_docs = []
     n_timexes = 0
     for doc, labels in zip(docs, pipeline.label_documents(
             docs, model, featurizer, config, priors), strict=True):
         if args.no_normalize:
             # the labels the inline output implies: an orphan I opens a
             # span, as `extract_timexes` reads it
-            tagged_docs.append(corpus.with_labels(
-                doc, [corpus.repair_bio(seq_labels) for seq_labels in labels]))
+            tagged = corpus.with_labels(doc, [
+                corpus.repair_bio(seq_labels) for seq_labels in labels])
+            outputs.append(corpus.format_document(tagged))
             continue
         timexes = pipeline.extract_timexes(doc, labels, config, rules)
         n_timexes += len(timexes)
         outputs.append(corpus.emit_inline_timex(doc, timexes))
-    if args.no_normalize:
-        corpus.write_corpus(tagged_docs, args.output or "/dev/stdout")
-    else:
-        out_text = "\n".join(outputs)
-        if args.output:
-            Path(args.output).write_text(out_text + "\n", encoding="utf-8")
-        else:
-            print(out_text)
+    _write_output("\n".join(outputs) + "\n", args.output)
     if args.strict_exit and not args.no_normalize and n_timexes == 0:
         return 1
     return 0
@@ -153,6 +156,11 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if bool(args.gold_attrs) != bool(args.pred_attrs):
+        given, missing = (("--gold-attrs", "--pred-attrs") if args.gold_attrs
+                          else ("--pred-attrs", "--gold-attrs"))
+        raise CliError(f"{given} needs {missing}: type and value accuracy "
+                       f"compare the two attribute tables")
     gold = corpus.read_corpus(args.gold)
     pred = corpus.read_corpus(args.pred)
     gold_attrs = corpus.read_attrs(args.gold_attrs) if args.gold_attrs \
@@ -222,11 +230,7 @@ def cmd_cv(args) -> int:
                                         per_condition["pipeline_off"])
         lines.append(f"#paired_t\t{test['t']}\t{test['p_two_sided']}"
                      f"\t{test['degenerate']}")
-    out = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(out, encoding="utf-8")
-    else:
-        print(out, end="")
+    _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -316,10 +320,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # one BLAS thread: models do not depend on the machine's CPUs, and
-        # cv's forked workers do not compete with BLAS threads
-        with blas.one_thread():
-            return args.fn(args)
+        return args.fn(args)
     except (CliError, ConfigError, CorpusError, crf.CrfError,
             evaluation.EvalError, postproc.PostprocError,
             normalizer.NormalizerError, blas.BlasError, FileNotFoundError,

@@ -371,20 +371,25 @@ def pack_sequences(sequences: Iterable[Sequence]) -> list[Sequence]:
     return packed
 
 
+def format_document(doc: Document) -> str:
+    """One document in the column format, without its last line break:
+    the `#doc` line, then each sequence's token lines and a blank line."""
+    lines = [f"#doc {doc.id} {doc.dct.isoformat()}"]
+    for seq in doc.sequences:
+        for i, tok in enumerate(seq.tokens):
+            label = seq.gold_labels[i] if seq.gold_labels else MISSING
+            lines.append("\t".join([
+                tok.surface, str(tok.char_start), str(tok.char_end),
+                tok.pos or MISSING, tok.lemma or MISSING,
+                tok.chunk or MISSING, tok.pnp or MISSING, label,
+            ]))
+        lines.append("")
+    return "\n".join(lines)
+
+
 def write_corpus(docs: Iterable[Document], path) -> None:
-    lines = []
-    for doc in docs:
-        lines.append(f"#doc {doc.id} {doc.dct.isoformat()}")
-        for seq in doc.sequences:
-            for i, tok in enumerate(seq.tokens):
-                label = seq.gold_labels[i] if seq.gold_labels else MISSING
-                lines.append("\t".join([
-                    tok.surface, str(tok.char_start), str(tok.char_end),
-                    tok.pos or MISSING, tok.lemma or MISSING,
-                    tok.chunk or MISSING, tok.pnp or MISSING, label,
-                ]))
-            lines.append("")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(map(format_document, docs)) + "\n",
+                          encoding="utf-8")
 
 
 def with_labels(doc: Document, labels_per_seq: list[list[str]]) -> Document:

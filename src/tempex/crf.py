@@ -32,6 +32,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import minimize
 
+from . import blas
 from .corpus import LABELS, read_text
 from .features import PROFILES, ObservationTable
 
@@ -148,7 +149,8 @@ class _EncodedBatch:
     step-by-observation count matrix in batch order, and `mask` marks the
     real steps of the padded (B, T) layout.  Given `labels`, `empirical`
     holds the gold feature counts in weight-vector order, so the gold
-    paths' total score is `empirical @ weights`.
+    paths' total score is `empirical @ weights`, and `xt` is `x`'s
+    transpose, built once: `x.T` builds a new matrix on every access.
     """
 
     def __init__(self, model: CrfModel, table: ObservationTable,
@@ -186,8 +188,9 @@ class _EncodedBatch:
                    for a, b in zip(label_ids[i], label_ids[i][1:])]
         gold = np.zeros((len(gold_ids), N_LABELS))
         gold[np.arange(len(gold_ids)), gold_ids] = 1.0
+        self.xt = self.x.T
         self.empirical = np.concatenate([
-            (self.x.T @ gold).ravel(),
+            (self.xt @ gold).ravel(),
             np.bincount(bigrams, minlength=N_LABELS * N_LABELS)])
 
     def unbatch(self, steps: np.ndarray) -> list[np.ndarray]:
@@ -338,7 +341,7 @@ def _ll_grad(batch: _EncodedBatch, weights: np.ndarray, c: float):
     probs, log_z, pair_counts = _forward_backward(
         batch, _unary(batch, weights), trans)
     value -= float(log_z.sum())
-    grad[:n_unary] -= (batch.x.T @ probs).ravel()
+    grad[:n_unary] -= (batch.xt @ probs).ravel()
     grad[n_unary:] -= pair_counts.ravel()
     return value, grad
 
@@ -369,7 +372,9 @@ def train(table: ObservationTable, labels: Seq[Seq[str]],
 
     Stops when the relative objective change falls below `eta` or after
     `max_iter` iterations.  Deterministic: same corpus and config yield
-    identical weights.
+    identical weights on any machine, since the optimizer runs with BLAS
+    on one thread (`blas.one_thread`); raises BlasError when BLAS cannot
+    be pinned.
     """
     config = config or TrainConfig()
     obs_index = build_feature_index(table, config.cutoff)
@@ -385,10 +390,13 @@ def train(table: ObservationTable, labels: Seq[Seq[str]],
             raise CrfError("non-finite training objective")
         return -value, -grad
 
-    result = minimize(
-        objective, model.weights, jac=True, method="L-BFGS-B",
-        options={"maxiter": config.max_iter, "maxcor": LBFGS_HISTORY,
-                 "ftol": config.eta, "gtol": 1e-10})
+    # the objective's dot products and L-BFGS-B's own BLAS calls sum in
+    # an order that depends on the thread count
+    with blas.one_thread():
+        result = minimize(
+            objective, model.weights, jac=True, method="L-BFGS-B",
+            options={"maxiter": config.max_iter, "maxcor": LBFGS_HISTORY,
+                     "ftol": config.eta, "gtol": 1e-10})
     model.weights = np.asarray(result.x, dtype=float)
     model.training_log = {
         "iterations": int(result.nit),

@@ -185,6 +185,8 @@ def cross_validate(items: Seq, fold_fn: Callable, k: int = 10,
     items = list(items)
     if k < 2:
         raise EvalError(f"k must be >= 2, got {k}")
+    if repeats < 1:
+        raise EvalError(f"repeats must be >= 1, got {repeats}")
     if k > len(items):
         raise EvalError(f"k={k} exceeds corpus size {len(items)}")
     rng = random.Random(seed)

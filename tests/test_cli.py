@@ -83,41 +83,145 @@ class TestTrain:
         assert models[0] == models[1]
 
 
+def without_blas_setting() -> dict:
+    """The environment with no `*_NUM_THREADS` variable, where OpenBLAS
+    would use a thread per CPU, and `src` on the module path."""
+    env = {name: value for name, value in os.environ.items()
+           if not name.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+# Train through the library, as `bench/workloads.py` does, not through
+# the command line: corpus, run configuration, model path.
+TRAIN_ON_DOCS = """
+import sys
+from tempex import corpus, crf, pipeline
+from tempex.config import load_config
+docs = corpus.read_corpus(sys.argv[1])
+model, _ = pipeline.train_on_docs(docs, load_config(sys.argv[2]))
+crf.save_model(model, sys.argv[3])
+"""
+
+
+def with_no_openblas(monkeypatch):
+    """Make `blas.thread_controls` find neither library."""
+    monkeypatch.setattr(blas, "OPENBLAS", tuple(
+        (package, libs, "no-such-library-*.so", setter, getter)
+        for package, libs, _, setter, getter in blas.OPENBLAS))
+    blas.thread_controls.cache_clear()
+
+
 class TestBlasThreads:
-    def test_one_thread_during_a_command(self, workdir, tmp_path,
-                                         monkeypatch, capsys):
-        """Each OpenBLAS runs one thread while a command runs, and gets its
-        previous count back when it returns."""
+    @pytest.fixture
+    def table(self, workdir):
+        seqs = [seq for doc in corpus.read_corpus(workdir / "train.tsv")
+                for seq in doc.sequences]
+        return pipeline.featurize_corpus(
+            seqs, RunConfig().featurizer("model1"))
+
+    def test_one_thread_during_training(self, table, monkeypatch):
+        """Each OpenBLAS runs one thread while `crf.train` computes its
+        objective, called as a library, and gets its previous count back
+        when training returns."""
+        controls = blas.thread_controls()
+        saved = [get() for _, get in controls]
         seen = []
-        original = tempex.cli.cmd_priors
+        original = crf._ll_grad
 
-        def cmd_priors(args):
-            seen.append([get() for _, get in blas.thread_controls()])
-            return original(args)
+        def ll_grad(*args):
+            seen.append([get() for _, get in controls])
+            return original(*args)
 
-        monkeypatch.setattr(tempex.cli, "cmd_priors", cmd_priors)
-        before = [get() for _, get in blas.thread_controls()]
-        assert main(["priors", str(workdir / "train.tsv"),
-                     str(tmp_path / "p.priors")]) == 0
-        assert seen == [[1] * len(before)]
-        assert [get() for _, get in blas.thread_controls()] == before
-
-    def test_no_openblas_exit_2(self, workdir, tmp_path, monkeypatch,
-                                capsys):
-        """Without a library to pin, a command refuses to run rather than
-        give results that depend on the machine's CPUs."""
-        monkeypatch.setattr(blas, "OPENBLAS", tuple(
-            (package, libs, "no-such-library-*.so", setter, getter)
-            for package, libs, _, setter, getter in blas.OPENBLAS))
-        blas.thread_controls.cache_clear()
+        monkeypatch.setattr(crf, "_ll_grad", ll_grad)
         try:
-            rc = main(["priors", str(workdir / "train.tsv"),
-                       str(tmp_path / "p.priors")])
+            for set_threads, _ in controls:
+                set_threads(2)
+            before = [get() for _, get in controls]
+            crf.train(*table, crf.TrainConfig(max_iter=3))
+            after = [get() for _, get in controls]
+        finally:
+            for (set_threads, _), count in zip(controls, saved):
+                set_threads(count)
+        assert seen and all(counts == [1] * len(controls)
+                            for counts in seen)
+        assert after == before
+
+    def test_library_training_does_not_depend_on_blas_threads(
+            self, workdir, tmp_path):
+        """`pipeline.train_on_docs` then `crf.save_model`, with no BLAS
+        setting, writes the bytes it writes under OPENBLAS_NUM_THREADS=1:
+        training pins both libraries, whatever calls it."""
+        env = without_blas_setting()
+        models = []
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            model = tmp_path / f"model{len(models)}.crf"
+            subprocess.run(
+                [sys.executable, "-c", TRAIN_ON_DOCS,
+                 str(workdir / "train.tsv"), str(workdir / "run.ini"),
+                 str(model)],
+                env={**env, **threads}, check=True, capture_output=True,
+                timeout=300)
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_training_without_openblas_exit_2(self, workdir, tmp_path,
+                                              monkeypatch, capsys, command):
+        """Without a library to pin, training refuses to run rather than
+        give a model that depends on the machine's CPUs, and writes
+        nothing."""
+        argv = {"train": ["train", workdir / "train.tsv",
+                          tmp_path / "m.crf"],
+                "cv": ["cv", workdir / "train.tsv", "--k", "2",
+                       "--repeats", "1", "--output", tmp_path / "cv.tsv"]}
+        with_no_openblas(monkeypatch)
+        try:
+            rc = main(["--config", str(workdir / "run.ini"),
+                       *map(str, argv[command])])
         finally:
             blas.thread_controls.cache_clear()
-        assert rc == 2
-        assert "no OpenBLAS library" in capsys.readouterr().err
-        assert not (tmp_path / "p.priors").exists()
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "no OpenBLAS library" in captured.err
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", [
+        ["priors", "{train}", "{out}"],
+        ["tag", "{test}", "{model}", "--output", "{out}"],
+        ["tag", "{test}", "{model}", "--no-normalize"],
+        ["normalize", "next monday", "--dct", DCT],
+        ["evaluate", "{test}", "{test}", "--output", "{out}"],
+        ["rules", "dump"],
+    ], ids=["priors", "tag", "tag-no-normalize", "normalize", "evaluate",
+            "rules-dump"])
+    def test_other_commands_need_no_openblas(self, workdir, tmp_path,
+                                             monkeypatch, capsys, command):
+        """Decoding, normalizing, scoring and the prior and rule tables
+        use no BLAS: without OpenBLAS they print and write what they do
+        with it."""
+        out = tmp_path / "out"
+        argv = [arg.format(train=workdir / "train.tsv",
+                           test=workdir / "test.tsv",
+                           model=workdir / "model.crf", out=out)
+                for arg in command]
+        results = []
+        for library_found in (True, False):
+            if not library_found:
+                with_no_openblas(monkeypatch)
+            try:
+                rc = main(argv)
+            finally:
+                blas.thread_controls.cache_clear()
+            captured = capsys.readouterr()
+            results.append((rc, captured.out, captured.err,
+                            out.read_bytes() if out.exists() else None))
+            out.unlink(missing_ok=True)
+        assert results[0][0] == 0
+        assert results[0][1] or results[0][3]
+        assert results[1] == results[0]
 
 
 class TestTag:
@@ -132,6 +236,27 @@ class TestTag:
         labels = {lab for seq in tagged[0].sequences
                   for lab in seq.gold_labels}
         assert labels <= {"B", "I", "O"} and "B" in labels
+
+    @pytest.mark.parametrize("flags", [(), ("--no-normalize",)])
+    def test_appends_to_redirected_output(self, workdir, tmp_path, flags):
+        """`tempex tag ... >> all.tsv` keeps what the file held, and adds
+        the bytes `--output` writes: the text goes to the process's
+        standard output, not to a reopened /dev/stdout."""
+        tagged = tmp_path / "tagged"
+        assert main(["tag", str(workdir / "test.tsv"),
+                     str(workdir / "model.crf"), *flags,
+                     "--output", str(tagged)]) == 0
+        appended = tmp_path / "all.tsv"
+        appended.write_text("earlier line\n", encoding="utf-8")
+        with appended.open("a", encoding="utf-8") as stdout:
+            subprocess.run(
+                [sys.executable, "-m", "tempex.cli", "tag",
+                 str(workdir / "test.tsv"), str(workdir / "model.crf"),
+                 *flags],
+                stdout=stdout, env=without_blas_setting(), check=True,
+                timeout=300)
+        assert appended.read_bytes() == (b"earlier line\n"
+                                         + tagged.read_bytes())
 
     def test_no_normalize_writes_orphan_i_as_b(self, tmp_path, capsys):
         """Raw Viterbi labels with an orphan I are written as the inline
@@ -593,6 +718,22 @@ class TestEvaluate:
             in captured.err
         table = dict(line.split() for line in captured.out.splitlines())
         assert table["type_accuracy"] == table["value_accuracy"] == "0.00"
+
+    @pytest.mark.parametrize("given, missing", [
+        ("--gold-attrs", "--pred-attrs"), ("--pred-attrs", "--gold-attrs")])
+    def test_one_attribute_table_exit_2(self, workdir, tmp_path, capsys,
+                                        given, missing):
+        """Type and value accuracy compare two tables: one alone is an
+        error, not a report without them."""
+        attrs = tmp_path / "attrs.tsv"
+        attrs.write_text("", encoding="utf-8")
+        rc = main(["evaluate", str(workdir / "test.tsv"),
+                   str(workdir / "test.tsv"), given, str(attrs),
+                   "--output", str(tmp_path / "report.tsv")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"{given} needs {missing}" in captured.err
+        assert not (tmp_path / "report.tsv").exists()
 
     def test_mismatched_doc_ids_exit_2(self, workdir, capsys):
         rc = main(["evaluate", str(workdir / "train.tsv"),
@@ -1154,6 +1295,15 @@ class TestCrossValidation:
         assert raised_in[0] == {str(os.getpid())}
         assert raised_in[1] - raised_in[0]  # a worker raised too
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("flags", [(), ("--no-pipeline",)])
+    def test_no_repeats_exit_2(self, workdir, tmp_path, capsys, flags):
+        rc = main([*flags, "cv", str(workdir / "train.tsv"), "--k", "2",
+                   "--repeats", "0", "--output", str(tmp_path / "cv.tsv")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "repeats must be >= 1, got 0" in captured.err
+        assert not (tmp_path / "cv.tsv").exists()
 
     def test_k_larger_than_corpus_exit_2(self, workdir, capsys):
         rc = main(["cv", str(workdir / "test.tsv"), "--k", "999"])

@@ -278,6 +278,12 @@ class TestCrossValidate:
         with pytest.raises(EvalError, match="exceeds"):
             cross_validate([1, 2, 3], lambda a, b: 0, k=4)
 
+    @pytest.mark.parametrize("repeats", [0, -3])
+    def test_bad_repeats(self, repeats):
+        with pytest.raises(EvalError, match=f"repeats must be >= 1, got "
+                                            f"{repeats}"):
+            cross_validate([1, 2, 3], lambda a, b: 0, k=2, repeats=repeats)
+
     def test_first_failing_fold_raises(self, monkeypatch):
         """Of several folds that raise, wherever they run, the one a
         serial run reaches first is raised."""
