@@ -12,8 +12,8 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from . import (blas, corpus, crf, evaluation, features, normalizer,
-               pipeline, postproc)
+from . import (corpus, crf, evaluation, features, normalizer, pipeline,
+               postproc)
 from .config import ConfigError, RunConfig, configured_profile, load_config
 from .corpus import CorpusError
 
@@ -183,9 +183,6 @@ def cmd_cv(args) -> int:
     docs = corpus.read_corpus(args.corpus)
     items = [seq for doc in docs for seq in doc.sequences
              if seq.gold_labels is not None]
-    if len(items) < args.k:
-        raise CliError(f"corpus has {len(items)} labeled sentences, "
-                       f"fewer than k={args.k}")
 
     def fold_doc(seqs) -> corpus.Document:
         # cv never normalizes, so any DCT serves; take the corpus's first
@@ -323,8 +320,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (CliError, ConfigError, CorpusError, crf.CrfError,
             evaluation.EvalError, postproc.PostprocError,
-            normalizer.NormalizerError, blas.BlasError, FileNotFoundError,
-            OSError) as exc:
+            normalizer.NormalizerError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

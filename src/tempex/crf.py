@@ -15,6 +15,10 @@ their maxima and rescaled to sum to 1 at every step (Rabiner, 1989,
 transition counts, and training collects the expected observation counts
 with the matrix's transpose.  Viterbi runs in log space, in the max-plus
 semiring.
+
+Training runs a two-loop L-BFGS (`minimize`) whose inner products, like
+the objective's, are numpy sums (`_dot`), not BLAS calls, so a model
+does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import methodcaller
@@ -30,9 +35,7 @@ from typing import Optional, Sequence as Seq
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import minimize
 
-from . import blas
 from .corpus import LABELS, read_text
 from .features import PROFILES, ObservationTable
 
@@ -331,12 +334,18 @@ def sequence_score(model: CrfModel, obs_ids: list[np.ndarray],
                  + sum(trans[a, b] for a, b in zip(y, y[1:])))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product summed by numpy's own pairwise reduction, which calls
+    no BLAS, so its bits do not depend on the thread count."""
+    return float(np.add.reduce(a * b))
+
+
 def _ll_grad(batch: _EncodedBatch, weights: np.ndarray, c: float):
     """Penalized log-likelihood of a labeled batch, and its gradient."""
     n_unary = weights.size - N_LABELS * N_LABELS
     trans = weights[n_unary:].reshape(N_LABELS, N_LABELS)
-    value = float(batch.empirical @ weights) \
-        - float(weights @ weights) / (2.0 * c)
+    value = _dot(batch.empirical, weights) \
+        - _dot(weights, weights) / (2.0 * c)
     grad = batch.empirical - weights / c
     probs, log_z, pair_counts = _forward_backward(
         batch, _unary(batch, weights), trans)
@@ -359,6 +368,83 @@ def log_likelihood_and_gradient(model: CrfModel, table: ObservationTable,
 
 
 @dataclass
+class MinimizeResult:
+    """Where `minimize` stopped, named as in scipy's `OptimizeResult`."""
+    x: np.ndarray
+    fun: float
+    nit: int
+    success: bool
+    message: str
+
+
+def _lbfgs_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
+    """-H g by the two-loop recursion over the kept (s, y, s'y) pairs,
+    with H0 scaled by the newest pair's s'y / y'y; with no pair, the
+    steepest descent direction scaled to unit length."""
+    if not pairs:
+        return -g / math.sqrt(_dot(g, g))
+    q, alphas = -g, []
+    for s, y, sy in reversed(pairs):
+        alphas.append(_dot(s, q) / sy)
+        q = q - alphas[-1] * y
+    q = q * (pairs[-1][2] / _dot(pairs[-1][1], pairs[-1][1]))
+    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - _dot(y, q) / sy) * s
+    return q
+
+
+def minimize(fun, x0: np.ndarray, max_iter: int, ftol: float
+             ) -> MinimizeResult:
+    """Minimize `fun(x) -> (value, gradient)` by L-BFGS (Nocedal, 1980;
+    Liu & Nocedal, 1989) over the last `LBFGS_HISTORY` corrections,
+    keeping a correction only when s'y > 1e-10, so that the inverse
+    Hessian stays positive definite.  The line search halves the step
+    from 1, at most 20 times, until Armijo's condition (c1 = 1e-4) holds
+    and the slope along the direction has not risen above 0.9 times its
+    starting size, the upper half of the strong Wolfe condition: a step
+    far past the line's minimum may still pass Armijo's test with almost
+    no decrease, and would end the run through `ftol`.
+
+    Succeeds when the relative reduction of the objective,
+    (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1), falls to `ftol` (scipy's
+    L-BFGS-B rule) or no gradient component exceeds 1e-10; fails after
+    `max_iter` iterations or when the line search finds no step.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    pairs: deque = deque(maxlen=LBFGS_HISTORY)
+    nit = 0
+    while np.abs(g).max() > 1e-10:
+        if nit == max_iter:
+            return MinimizeResult(x, f, nit, False,
+                                  f"iteration limit {max_iter} reached")
+        d = _lbfgs_direction(g, pairs)
+        slope = _dot(g, d)
+        step = 1.0
+        for _ in range(20):
+            x_new = x + step * d
+            f_new, g_new = fun(x_new)
+            if (f_new <= f + step * 1e-4 * slope
+                    and _dot(g_new, d) <= -0.9 * slope):
+                break
+            step /= 2.0
+        else:
+            return MinimizeResult(x, f, nit, False,
+                                  "line search found no step")
+        nit += 1
+        s, y = x_new - x, g_new - g
+        sy = _dot(s, y)
+        if sy > 1e-10:
+            pairs.append((s, y, sy))
+        reduction = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if reduction <= ftol:
+            return MinimizeResult(x, f, nit, True,
+                                  "relative reduction of f below ftol")
+    return MinimizeResult(x, f, nit, True, "gradient max-norm below 1e-10")
+
+
+@dataclass
 class TrainConfig:
     c: float = 1.0
     eta: float = 1e-4
@@ -368,13 +454,12 @@ class TrainConfig:
 
 def train(table: ObservationTable, labels: Seq[Seq[str]],
           config: Optional[TrainConfig] = None) -> CrfModel:
-    """L2-regularized maximum likelihood via limited-memory quasi-Newton.
+    """L2-regularized maximum likelihood by L-BFGS (`minimize`).
 
     Stops when the relative objective change falls below `eta` or after
     `max_iter` iterations.  Deterministic: same corpus and config yield
-    identical weights on any machine, since the optimizer runs with BLAS
-    on one thread (`blas.one_thread`); raises BlasError when BLAS cannot
-    be pinned.
+    identical weights on any machine, since no step of training calls
+    BLAS, whose summation order depends on the thread count.
     """
     config = config or TrainConfig()
     obs_index = build_feature_index(table, config.cutoff)
@@ -390,13 +475,8 @@ def train(table: ObservationTable, labels: Seq[Seq[str]],
             raise CrfError("non-finite training objective")
         return -value, -grad
 
-    # the objective's dot products and L-BFGS-B's own BLAS calls sum in
-    # an order that depends on the thread count
-    with blas.one_thread():
-        result = minimize(
-            objective, model.weights, jac=True, method="L-BFGS-B",
-            options={"maxiter": config.max_iter, "maxcor": LBFGS_HISTORY,
-                     "ftol": config.eta, "gtol": 1e-10})
+    result = minimize(objective, model.weights, max_iter=config.max_iter,
+                      ftol=config.eta)
     model.weights = np.asarray(result.x, dtype=float)
     model.training_log = {
         "iterations": int(result.nit),

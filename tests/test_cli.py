@@ -15,7 +15,7 @@ import pytest
 
 import tempex.cli
 import tempex.config
-from tempex import (blas, corpus, crf, evaluation, features, normalizer,
+from tempex import (corpus, crf, evaluation, features, normalizer,
                     pipeline, postproc)
 from tempex.cli import build_parser, main
 from tempex.config import ConfigError, RunConfig, load_config
@@ -43,46 +43,6 @@ def workdir(tmp_path_factory):
     return root
 
 
-class TestTrain:
-    def test_outputs_exist(self, workdir):
-        assert (workdir / "model.crf").exists()
-        assert (workdir / "model.priors").exists()
-
-    def test_summary_printed(self, workdir, capsys):
-        rc = main(["--config", str(workdir / "run.ini"), "train",
-                   str(workdir / "train.tsv"),
-                   str(workdir / "model2.crf")])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "features:" in out and "iterations:" in out
-
-    def test_missing_corpus_exit_2(self, tmp_path, capsys):
-        rc = main(["train", str(tmp_path / "nope.tsv"),
-                   str(tmp_path / "m.crf")])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_model_does_not_depend_on_blas_threads(self, workdir, tmp_path):
-        """Run with no BLAS setting, where OpenBLAS would use a thread per
-        CPU, `train` writes the bytes it writes under
-        OPENBLAS_NUM_THREADS=1: it pins both libraries itself."""
-        env = {name: value for name, value in os.environ.items()
-               if not name.endswith("_NUM_THREADS")}
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        models = []
-        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
-            model = tmp_path / f"model{len(models)}.crf"
-            subprocess.run(
-                [sys.executable, "-m", "tempex.cli", "--config",
-                 str(workdir / "run.ini"), "train",
-                 str(workdir / "train.tsv"), str(model)],
-                env={**env, **threads}, check=True, capture_output=True,
-                timeout=300)
-            models.append(model.read_bytes())
-        assert models[0] == models[1]
-
-
 def without_blas_setting() -> dict:
     """The environment with no `*_NUM_THREADS` variable, where OpenBLAS
     would use a thread per CPU, and `src` on the module path."""
@@ -105,54 +65,50 @@ crf.save_model(model, sys.argv[3])
 """
 
 
-def with_no_openblas(monkeypatch):
-    """Make `blas.thread_controls` find neither library."""
-    monkeypatch.setattr(blas, "OPENBLAS", tuple(
-        (package, libs, "no-such-library-*.so", setter, getter)
-        for package, libs, _, setter, getter in blas.OPENBLAS))
-    blas.thread_controls.cache_clear()
+class TestTrain:
+    def test_outputs_exist(self, workdir):
+        assert (workdir / "model.crf").exists()
+        assert (workdir / "model.priors").exists()
 
+    def test_summary_printed(self, workdir, capsys):
+        rc = main(["--config", str(workdir / "run.ini"), "train",
+                   str(workdir / "train.tsv"),
+                   str(workdir / "model2.crf")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "features:" in out and "iterations:" in out
 
-class TestBlasThreads:
-    @pytest.fixture
-    def table(self, workdir):
-        seqs = [seq for doc in corpus.read_corpus(workdir / "train.tsv")
-                for seq in doc.sequences]
-        return pipeline.featurize_corpus(
-            seqs, RunConfig().featurizer("model1"))
+    def test_missing_corpus_exit_2(self, tmp_path, capsys):
+        rc = main(["train", str(tmp_path / "nope.tsv"),
+                   str(tmp_path / "m.crf")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
-    def test_one_thread_during_training(self, table, monkeypatch):
-        """Each OpenBLAS runs one thread while `crf.train` computes its
-        objective, called as a library, and gets its previous count back
-        when training returns."""
-        controls = blas.thread_controls()
-        saved = [get() for _, get in controls]
-        seen = []
-        original = crf._ll_grad
-
-        def ll_grad(*args):
-            seen.append([get() for _, get in controls])
-            return original(*args)
-
-        monkeypatch.setattr(crf, "_ll_grad", ll_grad)
-        try:
-            for set_threads, _ in controls:
-                set_threads(2)
-            before = [get() for _, get in controls]
-            crf.train(*table, crf.TrainConfig(max_iter=3))
-            after = [get() for _, get in controls]
-        finally:
-            for (set_threads, _), count in zip(controls, saved):
-                set_threads(count)
-        assert seen and all(counts == [1] * len(controls)
-                            for counts in seen)
-        assert after == before
+    def test_model_does_not_depend_on_blas_threads(self, workdir, tmp_path):
+        """Run with no BLAS setting, where OpenBLAS would use a thread per
+        CPU, `train` writes the bytes it writes under
+        OPENBLAS_NUM_THREADS=1: training calls no BLAS."""
+        env = {name: value for name, value in os.environ.items()
+               if not name.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        models = []
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            model = tmp_path / f"model{len(models)}.crf"
+            subprocess.run(
+                [sys.executable, "-m", "tempex.cli", "--config",
+                 str(workdir / "run.ini"), "train",
+                 str(workdir / "train.tsv"), str(model)],
+                env={**env, **threads}, check=True, capture_output=True,
+                timeout=300)
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
 
     def test_library_training_does_not_depend_on_blas_threads(
             self, workdir, tmp_path):
         """`pipeline.train_on_docs` then `crf.save_model`, with no BLAS
         setting, writes the bytes it writes under OPENBLAS_NUM_THREADS=1:
-        training pins both libraries, whatever calls it."""
+        training calls no BLAS, whatever calls it."""
         env = without_blas_setting()
         models = []
         for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
@@ -165,63 +121,6 @@ class TestBlasThreads:
                 timeout=300)
             models.append(model.read_bytes())
         assert models[0] == models[1]
-
-    @pytest.mark.parametrize("command", ["train", "cv"])
-    def test_training_without_openblas_exit_2(self, workdir, tmp_path,
-                                              monkeypatch, capsys, command):
-        """Without a library to pin, training refuses to run rather than
-        give a model that depends on the machine's CPUs, and writes
-        nothing."""
-        argv = {"train": ["train", workdir / "train.tsv",
-                          tmp_path / "m.crf"],
-                "cv": ["cv", workdir / "train.tsv", "--k", "2",
-                       "--repeats", "1", "--output", tmp_path / "cv.tsv"]}
-        with_no_openblas(monkeypatch)
-        try:
-            rc = main(["--config", str(workdir / "run.ini"),
-                       *map(str, argv[command])])
-        finally:
-            blas.thread_controls.cache_clear()
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == ""
-        assert "no OpenBLAS library" in captured.err
-        assert list(tmp_path.iterdir()) == []
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("command", [
-        ["priors", "{train}", "{out}"],
-        ["tag", "{test}", "{model}", "--output", "{out}"],
-        ["tag", "{test}", "{model}", "--no-normalize"],
-        ["normalize", "next monday", "--dct", DCT],
-        ["evaluate", "{test}", "{test}", "--output", "{out}"],
-        ["rules", "dump"],
-    ], ids=["priors", "tag", "tag-no-normalize", "normalize", "evaluate",
-            "rules-dump"])
-    def test_other_commands_need_no_openblas(self, workdir, tmp_path,
-                                             monkeypatch, capsys, command):
-        """Decoding, normalizing, scoring and the prior and rule tables
-        use no BLAS: without OpenBLAS they print and write what they do
-        with it."""
-        out = tmp_path / "out"
-        argv = [arg.format(train=workdir / "train.tsv",
-                           test=workdir / "test.tsv",
-                           model=workdir / "model.crf", out=out)
-                for arg in command]
-        results = []
-        for library_found in (True, False):
-            if not library_found:
-                with_no_openblas(monkeypatch)
-            try:
-                rc = main(argv)
-            finally:
-                blas.thread_controls.cache_clear()
-            captured = capsys.readouterr()
-            results.append((rc, captured.out, captured.err,
-                            out.read_bytes() if out.exists() else None))
-            out.unlink(missing_ok=True)
-        assert results[0][0] == 0
-        assert results[0][1] or results[0][3]
-        assert results[1] == results[0]
 
 
 class TestTag:
@@ -1305,10 +1204,20 @@ class TestCrossValidation:
         assert "repeats must be >= 1, got 0" in captured.err
         assert not (tmp_path / "cv.tsv").exists()
 
-    def test_k_larger_than_corpus_exit_2(self, workdir, capsys):
-        rc = main(["cv", str(workdir / "test.tsv"), "--k", "999"])
-        capsys.readouterr()
-        assert rc == 2
+    def test_k_larger_than_corpus_exit_2(self, workdir, tmp_path, capsys):
+        """The corpus-size rule is `evaluation.cross_validate`'s: its
+        message names k and the sentence count, before anything is
+        trained, written or forked."""
+        n_sentences = len(corpus.read_corpus(workdir / "test.tsv")[0]
+                          .sequences)
+        rc = main(["cv", str(workdir / "test.tsv"), "--k", "999",
+                   "--output", str(tmp_path / "cv.tsv")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert (f"k=999 exceeds corpus size {n_sentences}"
+                in captured.err)
+        assert not (tmp_path / "cv.tsv").exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestPriors:

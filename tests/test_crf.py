@@ -506,25 +506,64 @@ class TestTrain:
         assert lls[0] <= lls[1] + 1e-6 <= lls[2] + 2e-6
 
     @pytest.mark.parametrize("max_iter", [3, 100])
-    def test_iterations_logged(self, monkeypatch, max_iter):
-        """The logged iteration count is the number of L-BFGS iterations,
-        as a per-iteration callback counts them."""
-        counted = []
-        original = crf.minimize
-
-        def counting(*args, **kwargs):
-            kwargs["callback"] = lambda _: counted.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(crf, "minimize", counting)
+    def test_iterations_logged(self, max_iter):
+        """The log holds the iterations taken: all of a budget too small
+        to converge in, without convergence, and fewer than a large one,
+        with it."""
         feats, labels = self.make_batch()
-        model = train(T(feats), labels, TrainConfig(max_iter=max_iter))
-        assert model.training_log["iterations"] == len(counted)
-        assert 0 < len(counted) <= max_iter
+        log = train(T(feats), labels,
+                    TrainConfig(max_iter=max_iter)).training_log
+        if max_iter == 3:
+            assert log["iterations"] == 3 and not log["converged"]
+        else:
+            assert 0 < log["iterations"] < 100 and log["converged"]
 
     def test_empty_corpus(self):
         with pytest.raises(CrfError, match="empty"):
             train(T([]), [])
+
+
+class TestMinimize:
+    """The optimizer on a strictly convex quadratic 0.5 x'Ax - b'x in 50
+    dimensions, condition number 100, whose minimizer is A^-1 b."""
+
+    @staticmethod
+    def quadratic():
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((50, 50)))
+        a = (q * np.geomspace(1.0, 100.0, 50)) @ q.T
+        b = rng.standard_normal(50)
+        return (lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)), \
+            np.linalg.solve(a, b)
+
+    def test_reaches_the_minimizer(self):
+        fun, x_star = self.quadratic()
+        result = crf.minimize(fun, np.zeros(50), max_iter=1000, ftol=1e-15)
+        assert result.success
+        assert np.abs(result.x - x_star).max() < 1e-6
+        assert result.fun == pytest.approx(fun(x_star)[0], rel=1e-12)
+
+    def test_iteration_limit_is_no_convergence(self):
+        fun, _ = self.quadratic()
+        result = crf.minimize(fun, np.zeros(50), max_iter=3, ftol=1e-15)
+        assert result.nit == 3 and not result.success
+
+    def test_step_far_past_the_minimum_is_cut(self):
+        """From |x0| = 0.5005 on 0.5 |x|^2, the first step of length 1
+        ends just past the other side of the minimum, 5e-4 lower: enough
+        for Armijo's test, and a relative reduction below `ftol`."""
+        result = crf.minimize(lambda x: (0.5 * float(x @ x), x.copy()),
+                              np.array([0.5005, 0.0]), max_iter=100,
+                              ftol=1e-3)
+        assert result.success and result.fun < 1e-6
+
+    def test_failed_line_search_is_no_convergence(self):
+        """A gradient of the wrong sign: no step along the direction
+        decreases the objective, and the start point comes back."""
+        result = crf.minimize(lambda x: (float(x @ x), -2.0 * x),
+                              np.ones(2), max_iter=100, ftol=1e-15)
+        assert result.nit == 0 and not result.success
+        assert np.array_equal(result.x, np.ones(2))
 
 
 DIGEST = "0123456789abcdef" * 4

@@ -12,10 +12,8 @@
 - Only the command line reads `RunConfig.pipeline_enabled`: it turns the
   switch into a prior table or none, and the code below it post-processes
   exactly when it is handed a table.
-- One module starts processes (`multiprocessing`, `concurrent.futures`)
-  and one calls native code (`ctypes`), so each is done in one place.
-- Only the CRF trainer pins BLAS (`blas.one_thread`): training is the
-  only BLAS work, so the other commands run without OpenBLAS.
+- One module starts processes (`multiprocessing`, `concurrent.futures`),
+  so that is done in one place, and none calls native code (`ctypes`).
 - The number of worker processes is the number of CPUs the process may
   use: no command-line option, configuration key, settings field or
   parameter of the module that starts processes names workers, jobs,
@@ -128,24 +126,6 @@ def importers(trees: dict[str, ast.Module], modules) -> dict[str, list]:
     return found
 
 
-def uses_of(trees: dict[str, ast.Module], module: str,
-            name: str) -> list[str]:
-    """`file:line` of each use of `module.name`, and of each import of
-    `name` from a module whose last part is `module`."""
-    found = []
-    for file, tree in trees.items():
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr == name
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == module):
-                found.append((file, node.lineno))
-            elif (isinstance(node, ast.ImportFrom) and node.module
-                  and node.module.split(".")[-1] == module):
-                found += [(file, node.lineno) for alias in node.names
-                          if alias.name == name]
-    return [f"{file}:{line}" for file, line in sorted(found)]
-
-
 PARALLEL_WORDS = re.compile(r"worker|job|process|cpu|core|parallel|pool",
                             re.IGNORECASE)
 
@@ -251,28 +231,9 @@ def test_one_module_starts_processes():
 
 
 def test_one_module_calls_native_code():
-    assert list(importers(parse_package(), NATIVE_MODULES)) == ["blas.py"]
-
-
-def test_only_training_pins_blas():
-    assert [use.split(":")[0] for use in uses_of(
-        parse_package(), "blas", "one_thread")] == ["crf.py"]
-
-
-def test_pin_guard_catches_planted_uses():
-    """A command line that pins BLAS around every command, twice over;
-    naming the error the pin raises is no use of it."""
-    cli = ast.parse(
-        "from . import blas\n"
-        "from .blas import BlasError, one_thread as pinned\n"
-        "def main(args):\n"
-        "    try:\n"
-        "        with blas.one_thread():\n"
-        "            return args.fn(args)\n"
-        "    except blas.BlasError:\n"
-        "        return 2\n")
-    assert uses_of({"cli.py": cli}, "blas", "one_thread") == [
-        "cli.py:2", "cli.py:5"]
+    """None does: training sums its inner products with numpy, not
+    through BLAS."""
+    assert importers(parse_package(), NATIVE_MODULES) == {}
 
 
 def test_worker_count_is_no_setting():
