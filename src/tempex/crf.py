@@ -393,17 +393,65 @@ def _lbfgs_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
     return q
 
 
+def _trial_step(a, f_a, d_a, b, f_b, d_b) -> float:
+    """More & Thuente's (1994) next trial step from the best step `a` and
+    the newest `b`, given the line's value f and slope d at each, in
+    their cases 1 (f_b > f_a) and 2 (the slopes differ in sign), which
+    bracket a minimizer; NaN in their other cases."""
+    theta = 3 * (f_a - f_b) / (b - a) + d_a + d_b
+    gamma = math.sqrt(max(theta * theta - d_a * d_b, 0.0))
+    if f_b > f_a:
+        # the cubic step, or halfway to the quadratic one if that is
+        # nearer a
+        gamma = math.copysign(gamma, b - a)
+        cubic = a + (gamma - d_a + theta) / (2 * gamma - d_a + d_b) * (b - a)
+        quad = a + d_a / ((f_a - f_b) / (b - a) + d_a) / 2 * (b - a)
+        return cubic if abs(cubic - a) <= abs(quad - a) else (cubic + quad) / 2
+    if d_a * d_b < 0:
+        # the cubic step or the secant step, whichever is further from b
+        gamma = math.copysign(gamma, a - b)
+        cubic = b + (gamma - d_b + theta) / (2 * gamma - d_b + d_a) * (a - b)
+        secant = b + d_b / (d_b - d_a) * (a - b)
+        return cubic if abs(cubic - b) > abs(secant - b) else secant
+    return math.nan
+
+
+def _line_search(fun, x: np.ndarray, f: float, d: np.ndarray, slope: float):
+    """A point x + t d meeting the strong Wolfe conditions (c1 = 1e-4,
+    c2 = 0.9), with f and the gradient there.  From t = 1, it keeps the
+    best step that passes Armijo's test and the far end of the bracket
+    around a minimizer, once it has one: the next step is `_trial_step`'s
+    inside the bracket, else the bracket's midpoint, and twice the last
+    while nothing is bracketed.  After 20 evaluations it returns the best
+    step, as More & Thuente's search does, if it lowered f; else None."""
+    best, other, step, found = (0.0, f, slope), math.inf, 1.0, None
+    for _ in range(20):
+        x_new = x + step * d
+        f_new, g_new = fun(x_new)
+        new = (step, f_new, _dot(g_new, d))
+        armijo = f_new <= f + 1e-4 * step * slope
+        if armijo and abs(new[2]) <= -0.9 * slope:
+            return x_new, f_new, g_new
+        trial = _trial_step(*best, *new)
+        if not armijo or f_new > best[1]:
+            other = step
+        else:
+            if new[2] * best[2] < 0:
+                other = best[0]
+            best, found = new, (x_new, f_new, g_new)
+        lo, hi = sorted((best[0], other))
+        step = (trial if lo < trial < hi else 2 * step if hi == math.inf
+                else (lo + hi) / 2)
+    return found if best[1] < f else None
+
+
 def minimize(fun, x0: np.ndarray, max_iter: int, ftol: float
              ) -> MinimizeResult:
     """Minimize `fun(x) -> (value, gradient)` by L-BFGS (Nocedal, 1980;
     Liu & Nocedal, 1989) over the last `LBFGS_HISTORY` corrections,
     keeping a correction only when s'y > 1e-10, so that the inverse
-    Hessian stays positive definite.  The line search halves the step
-    from 1, at most 20 times, until Armijo's condition (c1 = 1e-4) holds
-    and the slope along the direction has not risen above 0.9 times its
-    starting size, the upper half of the strong Wolfe condition: a step
-    far past the line's minimum may still pass Armijo's test with almost
-    no decrease, and would end the run through `ftol`.
+    Hessian stays positive definite, with L-BFGS-B's and libLBFGS's
+    strong Wolfe line search (`_line_search`).
 
     Succeeds when the relative reduction of the objective,
     (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1), falls to `ftol` (scipy's
@@ -419,19 +467,12 @@ def minimize(fun, x0: np.ndarray, max_iter: int, ftol: float
             return MinimizeResult(x, f, nit, False,
                                   f"iteration limit {max_iter} reached")
         d = _lbfgs_direction(g, pairs)
-        slope = _dot(g, d)
-        step = 1.0
-        for _ in range(20):
-            x_new = x + step * d
-            f_new, g_new = fun(x_new)
-            if (f_new <= f + step * 1e-4 * slope
-                    and _dot(g_new, d) <= -0.9 * slope):
-                break
-            step /= 2.0
-        else:
+        found = _line_search(fun, x, f, d, _dot(g, d))
+        if found is None:
             return MinimizeResult(x, f, nit, False,
                                   "line search found no step")
         nit += 1
+        x_new, f_new, g_new = found
         s, y = x_new - x, g_new - g
         sy = _dot(s, y)
         if sy > 1e-10:

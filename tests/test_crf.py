@@ -557,6 +557,44 @@ class TestMinimize:
                               ftol=1e-3)
         assert result.success and result.fun < 1e-6
 
+    def test_short_step_is_lengthened(self):
+        """From |x0| = 100 on 0.5 |x|^2, the first step of length 1
+        leaves the slope at 0.99 of its size, and lowers f by 2%: below
+        `ftol` 0.05.  The search doubles the step instead of stopping
+        there."""
+        result = crf.minimize(lambda x: (0.5 * float(x @ x), x.copy()),
+                              np.array([100.0, 0.0]), max_iter=100,
+                              ftol=0.05)
+        assert result.success and result.fun < 1e-6
+
+    def test_best_armijo_step_when_no_step_is_wolfe(self):
+        """On |x - 0.3| the slope is 1 in size everywhere, so no step
+        meets the curvature condition; the search returns its lowest
+        point that passes Armijo's test."""
+        result = crf.minimize(
+            lambda x: (float(abs(x[0] - 0.3)), np.sign(x - 0.3)),
+            np.zeros(1), max_iter=100, ftol=1e-3)
+        assert result.success and abs(result.x[0] - 0.3) < 1e-3
+
+    def test_trial_step_is_more_thuente(self):
+        """In the two cases that bracket a minimizer, the trial step is
+        the one MINPACK-2's `dcstep`, as scipy ships it, takes."""
+        from scipy.optimize._dcsrch import dcstep
+        rng = np.random.default_rng(17)
+        for case in range(200):
+            a, b = rng.uniform(0, 2, size=2)
+            d_a = -math.copysign(rng.uniform(0.1, 10), b - a)
+            f_a = rng.normal()
+            if case % 2:  # case 1: f is higher at b
+                f_b, d_b = f_a + rng.uniform(0.01, 5), rng.normal(scale=5)
+            else:  # case 2: lower, and the slope has changed sign
+                f_b = f_a - rng.uniform(0.01, 5)
+                d_b = -d_a * rng.uniform(0.1, 2)
+            want = dcstep(a, f_a, d_a, 0.0, 0.0, 0.0, b, f_b, d_b, False,
+                          0.0, 1e10)[6]
+            assert crf._trial_step(a, f_a, d_a, b, f_b, d_b) == \
+                pytest.approx(want, rel=1e-12), case
+
     def test_failed_line_search_is_no_convergence(self):
         """A gradient of the wrong sign: no step along the direction
         decreases the objective, and the start point comes back."""
