@@ -69,6 +69,7 @@ def cmd_train(args) -> int:
     log = model.training_log
     print(f"profile: {config.profile}")
     print(f"features: {log['n_features']}")
+    print(f"columns: {log['n_columns']}")
     print(f"iterations: {log['iterations']}")
     print(f"final objective: {log['final_objective']:.6f}")
     print(f"model: {args.model}")

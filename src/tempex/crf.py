@@ -16,7 +16,13 @@ transition counts, and training collects the expected observation counts
 with the matrix's transpose.  Viterbi runs in log space, in the max-plus
 semiring.
 
-Training runs a two-loop L-BFGS (`minimize`) whose inner products, like
+Training first groups the observations whose columns of that matrix
+are identical: observations that always occur together get the same
+gradient at every iterate, so they keep equal weights.  The objective
+scores each group once, by its members' summed weights, and training
+runs a two-loop L-BFGS (`minimize`) over one weight per group and label,
+its inner products weighted by the group sizes, so that its iterates
+are the per-observation ones up to rounding.  Those inner products, like
 the objective's, are numpy sums (`_dot`), not BLAS calls, so a model
 does not depend on the BLAS thread count.
 """
@@ -148,12 +154,17 @@ class _EncodedBatch:
 
     The non-empty sequences are ordered longest first, so the ones still
     running at step t are the first `active[t]` of the batch; `order`
-    maps each batch row to its input position.  `x` is the sparse
-    step-by-observation count matrix in batch order, and `mask` marks the
-    real steps of the padded (B, T) layout.  Given `labels`, `empirical`
-    holds the gold feature counts in weight-vector order, so the gold
-    paths' total score is `empirical @ weights`, and `xt` is `x`'s
-    transpose, built once: `x.T` builds a new matrix on every access.
+    maps each batch row to its input position.  `mask` marks the real
+    steps of the padded (B, T) layout.  Without `labels`, `x` is the
+    sparse step-by-observation count matrix in batch order.
+
+    Given `labels`, the observations whose columns of that matrix are
+    identical form one group (`_group_columns`): `group` maps each
+    observation to its group and `multiplicity` counts each group's
+    members.  `x` then has one column per group, `xt` is its transpose,
+    built once (`x.T` builds a new matrix on every access), and
+    `empirical` holds the gold feature counts of each group and label,
+    then of each label bigram.  The full-width matrix is not kept.
     """
 
     def __init__(self, model: CrfModel, table: ObservationTable,
@@ -170,13 +181,13 @@ class _EncodedBatch:
                  for p in range(starts[i], starts[i + 1])]
         indptr = np.cumsum([0] + [len(ids) for ids in steps])
         indices = np.concatenate([np.zeros(0, dtype=np.int64), *steps])
-        self.x = sparse.csr_matrix(
-            (np.ones(len(indices)), indices, indptr),
-            shape=(len(steps), model.n_obs))
+        x = sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
+                              shape=(len(steps), model.n_obs))
         self.mask = self.lengths[:, None] > np.arange(
             self.lengths.max(initial=0))
         self.active = self.mask.sum(axis=0)
         if labels is None:
+            self.x = x
             return
         label_ids = []
         for n, labs in zip(lengths, labels, strict=True):
@@ -191,10 +202,23 @@ class _EncodedBatch:
                    for a, b in zip(label_ids[i], label_ids[i][1:])]
         gold = np.zeros((len(gold_ids), N_LABELS))
         gold[np.arange(len(gold_ids)), gold_ids] = 1.0
+        x = x.tocsc()  # rebound, so the row-major copy is freed first
+        self.group, self.x = _group_columns(x)
+        self.multiplicity = np.bincount(self.group,
+                                        minlength=self.x.shape[1])
         self.xt = self.x.T
         self.empirical = np.concatenate([
             (self.xt @ gold).ravel(),
             np.bincount(bigrams, minlength=N_LABELS * N_LABELS)])
+
+    def expand(self, by_group: np.ndarray) -> np.ndarray:
+        """A weight-vector-shaped array by group (`x`'s columns) spread
+        over the observations, each member a copy of its group's row;
+        the transition block is kept."""
+        n_unary = by_group.size - N_LABELS * N_LABELS
+        return np.concatenate([
+            by_group[:n_unary].reshape(-1, N_LABELS)[self.group].ravel(),
+            by_group[n_unary:]])
 
     def unbatch(self, steps: np.ndarray) -> list[np.ndarray]:
         """Per-step rows in batch order, split back into the input
@@ -204,9 +228,64 @@ class _EncodedBatch:
         return [parts.get(i, steps[:0]) for i in range(self.n_input)]
 
 
+def _mix(h: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer (Steele et al., 2014), elementwise on
+    uint64, wrapping."""
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
+
+
+def _row_hashes(n_rows: int) -> np.ndarray:
+    """Two 64-bit hashes of each row index, (n_rows, 2)."""
+    first = _mix(np.arange(n_rows, dtype=np.uint64))
+    return np.stack([first, _mix(first ^ np.uint64(0x9E3779B97F4A7C15))],
+                    axis=1)
+
+
+def _group_columns(xc: sparse.csc_matrix):
+    """The group of each column of `xc` and the matrix with one column
+    per group, groups numbered in first-occurrence order.
+
+    A column's signature is its nonzero count and two hash sums, each
+    the sum of its entries' row hashes (`_row_hashes`) times their
+    counts, modulo 2**64; the first column with a signature represents
+    it.  Every column is then compared with its representative entry by
+    entry, and one that differs (two columns whose hashes collide) keeps
+    a group of its own, so only identical columns are merged.
+    """
+    xc.sum_duplicates()  # sorted rows, one entry per (row, column)
+    n_rows, n_cols = xc.shape
+    nnz = np.diff(xc.indptr)
+    sums = sparse.csr_matrix(
+        (xc.data.astype(np.uint64), xc.indices, xc.indptr),
+        shape=(n_cols, n_rows)) @ _row_hashes(n_rows)
+    # a stable sort: each run of equal signatures starts at its first
+    # column
+    order = np.lexsort((sums[:, 1], sums[:, 0], nnz))
+    starts = np.ones(n_cols, dtype=bool)
+    starts[1:] = ((nnz[order[1:]] != nnz[order[:-1]])
+                  | (sums[order[1:]] != sums[order[:-1]]).any(axis=1))
+    rep = np.empty(n_cols, dtype=np.int64)
+    rep[order] = order[starts][np.cumsum(starts) - 1]
+    # entry k of each column against entry k of its representative
+    at_rep = np.repeat(xc.indptr[rep] - xc.indptr[:-1], nnz)
+    at_rep += np.arange(xc.nnz, dtype=at_rep.dtype)
+    differs = xc.indices[at_rep] != xc.indices
+    differs |= xc.data[at_rep] != xc.data
+    odd = np.searchsorted(xc.indptr, np.flatnonzero(differs), "right") - 1
+    rep[odd] = odd
+    # a group's representative is its first member, so counting the
+    # representatives up to each numbers the groups in first-occurrence
+    # order
+    is_rep = rep == np.arange(n_cols)
+    return (np.cumsum(is_rep) - 1)[rep], xc[:, is_rep].tocsr()
+
+
 def _unary(batch: _EncodedBatch, weights: np.ndarray) -> np.ndarray:
     """Label scores (B, T, 3) of the padded batch, `x @ W` on the real
-    steps and zero past each sequence's end."""
+    steps and zero past each sequence's end; W has a row per column of
+    `x`, an observation's weights, or a group's summed ones."""
     unary = np.zeros(batch.mask.shape + (N_LABELS,))
     unary[batch.mask] = batch.x @ weights[:-N_LABELS * N_LABELS].reshape(
         -1, N_LABELS)
@@ -340,15 +419,26 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(a * b))
 
 
-def _ll_grad(batch: _EncodedBatch, weights: np.ndarray, c: float):
-    """Penalized log-likelihood of a labeled batch, and its gradient."""
-    n_unary = weights.size - N_LABELS * N_LABELS
-    trans = weights[n_unary:].reshape(N_LABELS, N_LABELS)
-    value = _dot(batch.empirical, weights) \
-        - _dot(weights, weights) / (2.0 * c)
-    grad = batch.empirical - weights / c
+def _ll_grad(batch: _EncodedBatch, sums: np.ndarray, penalty: float,
+             penalty_grad=0.0):
+    """Penalized log-likelihood of a labeled batch, and its gradient by
+    group.
+
+    `sums` holds each group's unary weights summed over its members,
+    then the transition weights: `x @ S` scores every step, since the
+    members' columns are equal.  A group and label's gradient entry is
+    the empirical minus the expected count of any one of its members,
+    the same for all of them, minus `penalty_grad`'s entry.  The penalty
+    and its gradient are the caller's, subtracted where the
+    per-observation objective subtracted them, so that rounding follows
+    it closely.
+    """
+    n_unary = sums.size - N_LABELS * N_LABELS
+    value = _dot(batch.empirical, sums) - penalty
+    grad = batch.empirical - penalty_grad
     probs, log_z, pair_counts = _forward_backward(
-        batch, _unary(batch, weights), trans)
+        batch, _unary(batch, sums), sums[n_unary:].reshape(N_LABELS,
+                                                             N_LABELS))
     value -= float(log_z.sum())
     grad[:n_unary] -= (batch.xt @ probs).ravel()
     grad[n_unary:] -= pair_counts.ravel()
@@ -361,10 +451,20 @@ def log_likelihood_and_gradient(model: CrfModel, table: ObservationTable,
 
     `labels` holds the gold labels of each sequence of `table`.  Value is
     sum log p(y|x) - ||w||^2 / (2C); the gradient is empirical minus
-    expected feature counts minus w/C.
+    expected feature counts minus w/C.  Computed by `_ll_grad` over the
+    groups of identical observation columns, for any weights, equal
+    within a group or not.
     """
-    return _ll_grad(_EncodedBatch(model, table, labels), model.weights,
-                    model.c)
+    batch = _EncodedBatch(model, table, labels)
+    w = model.weights
+    n_unary = model.n_obs * N_LABELS
+    sums = np.zeros(batch.multiplicity.size * N_LABELS
+                    + N_LABELS * N_LABELS)
+    np.add.at(sums[:-N_LABELS * N_LABELS].reshape(-1, N_LABELS),
+              batch.group, w[:n_unary].reshape(-1, N_LABELS))
+    sums[-N_LABELS * N_LABELS:] = w[n_unary:]
+    value, grad = _ll_grad(batch, sums, _dot(w, w) / (2.0 * model.c))
+    return value, batch.expand(grad) - w / model.c
 
 
 @dataclass
@@ -377,19 +477,21 @@ class MinimizeResult:
     message: str
 
 
-def _lbfgs_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
+def _lbfgs_direction(g: np.ndarray, pairs: deque, m: np.ndarray
+                     ) -> np.ndarray:
     """-H g by the two-loop recursion over the kept (s, y, s'y) pairs,
     with H0 scaled by the newest pair's s'y / y'y; with no pair, the
-    steepest descent direction scaled to unit length."""
+    steepest descent direction scaled to unit length.  Inner products
+    weight entry i by m[i]."""
     if not pairs:
-        return -g / math.sqrt(_dot(g, g))
+        return -g / math.sqrt(_dot(g * m, g))
     q, alphas = -g, []
     for s, y, sy in reversed(pairs):
-        alphas.append(_dot(s, q) / sy)
+        alphas.append(_dot(s * m, q) / sy)
         q = q - alphas[-1] * y
-    q = q * (pairs[-1][2] / _dot(pairs[-1][1], pairs[-1][1]))
+    q = q * (pairs[-1][2] / _dot(pairs[-1][1] * m, pairs[-1][1]))
     for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
-        q = q + (alpha - _dot(y, q) / sy) * s
+        q = q + (alpha - _dot(y * m, q) / sy) * s
     return q
 
 
@@ -416,9 +518,11 @@ def _trial_step(a, f_a, d_a, b, f_b, d_b) -> float:
     return math.nan
 
 
-def _line_search(fun, x: np.ndarray, f: float, d: np.ndarray, slope: float):
+def _line_search(fun, x: np.ndarray, f: float, d: np.ndarray,
+                 slope: float, dm: np.ndarray):
     """A point x + t d meeting the strong Wolfe conditions (c1 = 1e-4,
-    c2 = 0.9), with f and the gradient there.  From t = 1, it keeps the
+    c2 = 0.9), with f and the gradient there; `dm` is d with each entry
+    weighted as inner products weigh it.  From t = 1, it keeps the
     best step that passes Armijo's test and the far end of the bracket
     around a minimizer, once it has one: the next step is `_trial_step`'s
     inside the bracket, else the bracket's midpoint, and twice the last
@@ -428,7 +532,7 @@ def _line_search(fun, x: np.ndarray, f: float, d: np.ndarray, slope: float):
     for _ in range(20):
         x_new = x + step * d
         f_new, g_new = fun(x_new)
-        new = (step, f_new, _dot(g_new, d))
+        new = (step, f_new, _dot(g_new, dm))
         armijo = f_new <= f + 1e-4 * step * slope
         if armijo and abs(new[2]) <= -0.9 * slope:
             return x_new, f_new, g_new
@@ -445,13 +549,19 @@ def _line_search(fun, x: np.ndarray, f: float, d: np.ndarray, slope: float):
     return found if best[1] < f else None
 
 
-def minimize(fun, x0: np.ndarray, max_iter: int, ftol: float
-             ) -> MinimizeResult:
+def minimize(fun, x0: np.ndarray, max_iter: int, ftol: float,
+             multiplicity: Optional[np.ndarray] = None) -> MinimizeResult:
     """Minimize `fun(x) -> (value, gradient)` by L-BFGS (Nocedal, 1980;
     Liu & Nocedal, 1989) over the last `LBFGS_HISTORY` corrections,
     keeping a correction only when s'y > 1e-10, so that the inverse
     Hessian stays positive definite, with L-BFGS-B's and libLBFGS's
     strong Wolfe line search (`_line_search`).
+
+    With `multiplicity`, x is a reduced vector whose entry i stands for
+    `multiplicity[i]` equal coordinates of a full one, and the gradient
+    is that of any one of them: every inner product weights entry i by
+    its multiplicity, so the iterates are those of the full-space run
+    from the expanded x0, up to rounding.
 
     Succeeds when the relative reduction of the objective,
     (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1), falls to `ftol` (scipy's
@@ -459,6 +569,7 @@ def minimize(fun, x0: np.ndarray, max_iter: int, ftol: float
     `max_iter` iterations or when the line search finds no step.
     """
     x = np.array(x0, dtype=float)
+    m = np.ones_like(x) if multiplicity is None else multiplicity
     f, g = fun(x)
     pairs: deque = deque(maxlen=LBFGS_HISTORY)
     nit = 0
@@ -466,15 +577,16 @@ def minimize(fun, x0: np.ndarray, max_iter: int, ftol: float
         if nit == max_iter:
             return MinimizeResult(x, f, nit, False,
                                   f"iteration limit {max_iter} reached")
-        d = _lbfgs_direction(g, pairs)
-        found = _line_search(fun, x, f, d, _dot(g, d))
+        d = _lbfgs_direction(g, pairs, m)
+        dm = d * m
+        found = _line_search(fun, x, f, d, _dot(g, dm), dm)
         if found is None:
             return MinimizeResult(x, f, nit, False,
                                   "line search found no step")
         nit += 1
         x_new, f_new, g_new = found
         s, y = x_new - x, g_new - g
-        sy = _dot(s, y)
+        sy = _dot(s * m, y)
         if sy > 1e-10:
             pairs.append((s, y, sy))
         reduction = (f - f_new) / max(abs(f), abs(f_new), 1.0)
@@ -497,6 +609,14 @@ def train(table: ObservationTable, labels: Seq[Seq[str]],
           config: Optional[TrainConfig] = None) -> CrfModel:
     """L2-regularized maximum likelihood by L-BFGS (`minimize`).
 
+    Observations with identical columns (`_EncodedBatch`) get the same
+    gradient at every iterate from zero, so they keep equal weights: the
+    optimizer runs over one weight per group and label, with the group
+    sizes as the multiplicities of its inner products, and the members
+    get bitwise copies of their group's weights.  The value and penalty
+    are the per-observation ones, the penalty summing each group's
+    weights squared once per member.
+
     Stops when the relative objective change falls below `eta` or after
     `max_iter` iterations.  Deterministic: same corpus and config yield
     identical weights on any machine, since no step of training calls
@@ -509,20 +629,25 @@ def train(table: ObservationTable, labels: Seq[Seq[str]],
         np.zeros(len(obs_index) * N_LABELS + N_LABELS * N_LABELS),
         c=config.c, eta=config.eta)
     batch = _EncodedBatch(model, table, labels)
+    m = np.concatenate([np.repeat(batch.multiplicity, N_LABELS),
+                        np.ones(N_LABELS * N_LABELS)])
 
-    def objective(w):
-        value, grad = _ll_grad(batch, w, config.c)
+    def objective(v):
+        sums = v * m
+        value, grad = _ll_grad(batch, sums, _dot(sums, v) / (2.0 * config.c),
+                               v / config.c)
         if not np.isfinite(value):
             raise CrfError("non-finite training objective")
         return -value, -grad
 
-    result = minimize(objective, model.weights, max_iter=config.max_iter,
-                      ftol=config.eta)
-    model.weights = np.asarray(result.x, dtype=float)
+    result = minimize(objective, np.zeros(m.size), max_iter=config.max_iter,
+                      ftol=config.eta, multiplicity=m)
+    model.weights = batch.expand(np.asarray(result.x, dtype=float))
     model.training_log = {
         "iterations": int(result.nit),
         "final_objective": -float(result.fun),
         "n_features": len(obs_index),
+        "n_columns": int(batch.multiplicity.size),
         "converged": bool(result.success),
         "message": str(result.message),
     }

@@ -485,7 +485,7 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
                  for v in spelled[f]]
 
     keys: list[str] = []
-    codes = np.empty((len(slots), n), dtype=np.int64)
+    codes = np.empty((n, len(slots)), dtype=np.int64)
     for arity in (1, 2, 3):
         group = [s for s, (t, _) in enumerate(slots)
                  if len(t.offsets) == arity]
@@ -502,7 +502,7 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
         local = columns[feats[:, None], at + offsets[:, :1]]
         flat = local + first[:, None]
         if arity == 1:
-            codes[group] = flat + len(keys)
+            codes[:, group] = (flat + len(keys)).T
             for t, f in zip(tmpls, feats.tolist()):
                 head = t.tid + ":" + _fragment_prefixes(names,
                                                         t.offsets[0])[f]
@@ -523,13 +523,13 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
                                        feats[rows_of]] + value)
             first = _row_starts(counts)
             local = flat - first[:, None]
-        codes[group] = flat + len(keys)
+        codes[:, group] = (flat + len(keys)).T
         heads = [t.tid + ":" for t in tmpls]
         pieces = [map(heads.__getitem__, rows_of.tolist())]
         for p in parts:
             pieces += (map(fragments.__getitem__, p.tolist()), repeat("|"))
         keys += map("".join, zip(*pieces[:-1]))
-    return ObservationTable(keys, np.ascontiguousarray(codes.T), lengths)
+    return ObservationTable(keys, codes, lengths)
 
 
 def featurize_sequence(seqs: Seq[Sequence], featurizer: Featurizer

@@ -78,6 +78,32 @@ class TestTrain:
         assert rc == 0
         assert "features:" in out and "iterations:" in out
 
+    def test_columns_are_the_distinct_observation_columns(self, tmp_path,
+                                                          capsys):
+        """`columns:` counts the distinct token-by-observation count
+        columns of the corpus, worked out here string by string, and is
+        at most `features:`."""
+        doc = build_corpus(n_sentences=4, seed=11)
+        corpus.write_corpus([doc], tmp_path / "tiny.tsv")
+        rc = main(["train", str(tmp_path / "tiny.tsv"),
+                   str(tmp_path / "tiny.crf")])
+        assert rc == 0
+        printed = dict(line.split(": ", 1)
+                       for line in capsys.readouterr().out.splitlines())
+        config = RunConfig()
+        seqs = [seq for d in corpus.read_corpus(tmp_path / "tiny.tsv")
+                for seq in d.sequences]
+        table, _ = pipeline.featurize_corpus(
+            seqs, config.featurizer(config.profile))
+        column: dict[str, Counter] = {}
+        for token, codes in enumerate(table.codes.tolist()):
+            for code in codes:
+                if code >= 0:
+                    column.setdefault(table.keys[code], Counter())[token] += 1
+        distinct = {frozenset(c.items()) for c in column.values()}
+        assert int(printed["features"]) == len(column)
+        assert int(printed["columns"]) == len(distinct) < len(column)
+
     def test_missing_corpus_exit_2(self, tmp_path, capsys):
         rc = main(["train", str(tmp_path / "nope.tsv"),
                    str(tmp_path / "m.crf")])

@@ -595,6 +595,48 @@ class TestMinimize:
             assert crf._trial_step(a, f_a, d_a, b, f_b, d_b) == \
                 pytest.approx(want, rel=1e-12), case
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multiplicities_give_the_full_space_iterates(self, seed):
+        """0.5 x'Ax - b'x with A = P K P' + I and b = P c, where P copies
+        each of 20 coordinates 1 to 3 times, is minimized from zero in
+        full and over one entry per set of copies, given the copies'
+        gradient and their counts as multiplicities.  The gradients agree
+        on the copies to the bit, so the two runs differ only in how
+        their inner products round: they take as many iterations to the
+        same minimizer."""
+        rng = np.random.default_rng(seed)
+        m = rng.integers(1, 4, size=20).astype(float)
+        copy_of = np.repeat(np.arange(20), m.astype(int))
+        p = np.zeros((copy_of.size, 20))
+        p[np.arange(copy_of.size), copy_of] = 1.0
+        q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        k = (q * np.geomspace(0.2, 1.0, 20)) @ q.T
+        a = p @ k @ p.T + np.eye(copy_of.size)
+        c = rng.standard_normal(20)
+        b = p @ c
+
+        def full(x):
+            return 0.5 * x @ a @ x - b @ x, p @ (k @ (p.T @ x)) + x - b
+
+        def reduced(v):
+            return full(v[copy_of])[0], k @ (m * v) + v - c
+
+        want = crf.minimize(full, np.zeros(copy_of.size), max_iter=1000,
+                            ftol=1e-12)
+        got = crf.minimize(reduced, np.zeros(20), max_iter=1000,
+                           ftol=1e-12, multiplicity=m)
+        assert want.success and got.success and got.nit == want.nit
+        assert np.abs(got.x[copy_of] - want.x).max() <= 1e-12
+        assert np.abs(want.x - np.linalg.solve(a, b)).max() < 1e-5
+
+    def test_unit_multiplicities_change_no_bit(self):
+        fun, _ = self.quadratic()
+        want = crf.minimize(fun, np.zeros(50), max_iter=1000, ftol=1e-15)
+        got = crf.minimize(fun, np.zeros(50), max_iter=1000, ftol=1e-15,
+                           multiplicity=np.ones(50))
+        assert got.nit == want.nit
+        assert got.x.tobytes() == want.x.tobytes()
+
     def test_failed_line_search_is_no_convergence(self):
         """A gradient of the wrong sign: no step along the direction
         decreases the objective, and the start point comes back."""
@@ -605,6 +647,173 @@ class TestMinimize:
 
 
 DIGEST = "0123456789abcdef" * 4
+
+
+def dense_ll_grad(model, batch):
+    """Value and gradient of `log_likelihood_and_gradient`, observation
+    by observation: a dense token-by-observation count matrix per
+    sequence and an enumeration of its label paths."""
+    n = model.n_obs
+    w = model.weights
+    value = -float(np.add.reduce(w * w)) / (2 * model.c)
+    grad = -w / model.c
+    for feats, labels in batch:
+        x = np.zeros((len(feats), n))
+        for t, keys in enumerate(feats):
+            for key in keys:
+                if key in model.obs_index:
+                    x[t, model.obs_index[key]] += 1
+
+        def phi(path):
+            v = np.zeros(w.size)
+            for t, y in enumerate(path):
+                v[y:3 * n:3] += x[t]
+            for a, b in zip(path, path[1:]):
+                v[3 * n + 3 * a + b] += 1
+            return v
+
+        paths = np.array([phi(p) for p in
+                          itertools.product(range(3), repeat=len(feats))])
+        scores = paths @ w
+        log_z = scores.max() + math.log(np.exp(scores - scores.max()).sum())
+        gold = phi([LABELS.index(lab) for lab in labels])
+        value += float(gold @ w) - log_z
+        grad += gold - np.exp(scores - log_z) @ paths
+    return value, grad
+
+
+def aliased_batch(rng, n_base=6, n_aliases=3, max_len=5):
+    """Random sequences over `f0`..., where `g<i>` occurs exactly where
+    `f<i>` does, so their columns coincide; gold labels at random; one
+    sequence of length 1."""
+    batch = []
+    for n in [1, *rng.integers(1, max_len + 1, size=rng.integers(1, 4))]:
+        feats = [keys + [f"g{k[1:]}" for k in keys
+                         if int(k[1:]) < n_aliases]
+                 for keys in random_features(rng, n_base, n)]
+        batch.append((feats, [LABELS[i] for i in rng.integers(0, 3, size=n)]))
+    return batch
+
+
+def distinct_columns(table):
+    """Each observation string's column of counts, {token: count}, and
+    the number of distinct columns, worked out position by position."""
+    column = {}
+    for token, codes in enumerate(table.codes.tolist()):
+        for code in codes:
+            if code >= 0:
+                counts = column.setdefault(table.keys[code], {})
+                counts[token] = counts.get(token, 0) + 1
+    return column, len({frozenset(c.items()) for c in column.values()})
+
+
+class TestMergedColumns:
+    """Training and the objective run over groups of observations whose
+    token-by-observation columns are identical."""
+
+    def test_objective_matches_dense_per_observation(self):
+        """Weights that differ within a group, ragged batches with a
+        length-1 sequence, and two never-seen observations (two zero
+        columns, one group): the grouped objective is the dense one."""
+        rng = np.random.default_rng(21)
+        names = [f"f{i}" for i in range(6)] + [f"g{i}" for i in range(3)] \
+            + ["unseen_a", "unseen_b"]
+        merged = 0
+        for _ in range(20):
+            order = rng.permutation(len(names))
+            model = CrfModel({names[i]: j for j, i in enumerate(order)},
+                             rng.normal(scale=1.5, size=len(names) * 3 + 9),
+                             c=float(rng.uniform(0.5, 2.0)))
+            batch = aliased_batch(rng)
+            value, grad = ll_grad(model, batch)
+            want_value, want_grad = dense_ll_grad(model, batch)
+            assert value == pytest.approx(want_value, abs=1e-10)
+            assert np.abs(grad - want_grad).max() <= 1e-10
+            feats, labels = zip(*batch)
+            encoded = crf._EncodedBatch(model, T(feats), labels)
+            merged += len(names) - encoded.multiplicity.size
+        assert merged >= 20 * 4  # three alias pairs and the unseen pair
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_only_identical_columns_merge(self, collide, monkeypatch):
+        """The columns of `a` and `d` are equal; `b` and `c` have two
+        entries, as `a` has, in other rows; `e` and `f` have one entry in
+        the same row, counts 2 and 1.  With every entry hashing to 0, the
+        columns with as many entries collide, and still only `a` and `d`
+        merge."""
+        if collide:
+            monkeypatch.setattr(crf, "_row_hashes", lambda n: np.zeros(
+                (n, 2), dtype=np.uint64))
+        rng = np.random.default_rng(22)
+        model = CrfModel({k: i for i, k in enumerate("abcdef")},
+                         rng.normal(size=6 * 3 + 9))
+        batch = [([["a", "b", "d"], ["a", "c", "d"],
+                   ["b", "c", "e", "e", "f"]], ["B", "I", "O"])]
+        feats, labels = zip(*batch)
+        encoded = crf._EncodedBatch(model, T(feats), labels)
+        assert encoded.group.tolist() == [0, 1, 2, 0, 3, 4]
+        assert encoded.multiplicity.tolist() == [2, 1, 1, 1, 1]
+        value, grad = ll_grad(model, batch)
+        want_value, want_grad = dense_ll_grad(model, batch)
+        assert value == pytest.approx(want_value, abs=1e-10)
+        assert np.abs(grad - want_grad).max() <= 1e-10
+
+    @staticmethod
+    def aliased_toy():
+        """The toy corpus with `W=<word>` beside every `w=<word>`."""
+        feats = [[keys + ["W" + keys[0][1:]] for keys in toy_features(w)]
+                 for w, _ in TOY_SENTENCES]
+        return feats, [labels for _, labels in TOY_SENTENCES]
+
+    def test_members_train_to_equal_weights(self, tmp_path):
+        """Observations with one column have bitwise-equal weights, the
+        log counts the distinct columns, and the model reloads bit for
+        bit."""
+        feats, labels = self.aliased_toy()
+        table = T(feats)
+        model = train(table, labels, TrainConfig(max_iter=100))
+        column, n_distinct = distinct_columns(table)
+        assert model.training_log["n_columns"] == n_distinct < len(column)
+        unary = model.unary_weights()
+        rows = {}
+        for key, counts in column.items():
+            rows.setdefault(frozenset(counts.items()), []).append(
+                unary[model.obs_index[key]].tobytes())
+        assert all(len(set(r)) == 1 for r in rows.values())
+        model.digest = DIGEST
+        save_model(model, tmp_path / "model.tsv")
+        loaded = load_model(tmp_path / "model.tsv")
+        assert loaded.obs_index == model.obs_index
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+
+    def test_no_observation_column(self):
+        """A cutoff that indexes no observation leaves no column: the
+        transitions alone are trained."""
+        model = train(T([[["a"], ["b"]]]), [["B", "I"]],
+                      TrainConfig(cutoff=5))
+        assert model.n_obs == model.training_log["n_columns"] == 0
+        assert model.training_log["converged"]
+
+    def test_iterates_are_the_per_observation_ones(self):
+        """L-BFGS over every observation's own weight, on the
+        per-observation objective, takes as many iterations and stops
+        at the same weights, up to rounding."""
+        feats, labels = self.aliased_toy()
+        table = T(feats)
+        config = TrainConfig(max_iter=100)
+        model = train(table, labels, config)
+
+        def objective(w):
+            value, grad = log_likelihood_and_gradient(
+                CrfModel(model.obs_index, w, c=config.c), table, labels)
+            return -value, -grad
+
+        full = crf.minimize(objective, np.zeros_like(model.weights),
+                            config.max_iter, config.eta)
+        assert full.nit == model.training_log["iterations"]
+        assert np.abs(full.x - model.weights).max() <= 1e-7
+        assert -full.fun == pytest.approx(
+            model.training_log["final_objective"], rel=1e-10)
 
 
 class TestPersistence:

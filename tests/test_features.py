@@ -417,6 +417,8 @@ class TestExpansionOracle:
         table = expand(rows_per_sequence, templates, unigram, conj)
         assert table.lengths == tuple(map(len, rows_per_sequence))
         assert table.codes.shape[0] == len(table)
+        # filled in place, positions by slots, not copied from a transpose
+        assert table.codes.flags.c_contiguous and table.codes.base is None
         assert strings(table) == [
             feats for rows in rows_per_sequence
             for feats in reference_expand(rows, templates, unigram, conj)]
