@@ -191,19 +191,25 @@ def cmd_cv(args) -> int:
                                         corpus.pack_sequences(seqs))
 
     featurizer = config.featurizer(config.profile)
+    # a sentence's observations depend on that sentence alone, so the
+    # corpus is featurized once, before the workers fork, and each fold
+    # trains and tags on its slices of that table
+    table = features.featurize_sequence(items, featurizer)
     # pipeline on against off is compared only when the run post-processes
     conditions = (("pipeline_on", "pipeline_off") if config.pipeline_enabled
                   else ("pipeline_off",))
 
-    def fold_fn(train_items, test_items):
-        """Strict F1 per condition; the fold's model is trained and its
-        test items featurized once, and the conditions differ only in the
-        prior table: the training items' for pipeline_on, none for
-        pipeline_off."""
-        model = pipeline.train_on_sequences(train_items, config, featurizer)
-        test_doc = fold_doc(test_items)
-        test_features = features.featurize_sequence(test_doc.sequences,
-                                                    featurizer)
+    def fold_fn(train_ids, test_ids):
+        """Strict F1 per condition, for the fold of the sentences numbered
+        `train_ids` and `test_ids`: the fold's model is trained once on
+        its training slice of the table, its test slice serves both
+        conditions, and the conditions differ only in the prior table:
+        the training items' for pipeline_on, none for pipeline_off."""
+        train_items = [items[i] for i in train_ids]
+        model = pipeline.train_on_sequences(train_items, config, featurizer,
+                                            table.take(train_ids))
+        test_doc = fold_doc([items[i] for i in test_ids])
+        test_features = table.take(test_ids)
         tables = {"pipeline_off": None}
         if config.pipeline_enabled:
             tables["pipeline_on"] = postproc.build_prior_table(train_items)
@@ -216,7 +222,8 @@ def cmd_cv(args) -> int:
         return f1
 
     results = evaluation.cross_validate(
-        items, fold_fn, k=args.k, repeats=args.repeats, seed=config.seed)
+        range(len(items)), fold_fn, k=args.k, repeats=args.repeats,
+        seed=config.seed)
     lines = ["condition\trepeat\tfold\tstrict_f1"]
     per_condition: dict[str, list[float]] = {}
     for name in conditions:

@@ -112,12 +112,12 @@ class CrfModel:
 
         One `dict.get` per key of the table, then one gather of the
         table's codes; the lookup's extra last entry is what an empty
-        slot (code -1) reads.
+        slot (code -1) reads.  The ids are int32, as the codes are.
         """
         keys = table.keys
         lookup = np.fromiter(
             chain(map(self.obs_index.get, keys, repeat(-1, len(keys))),
-                  (-1,)), dtype=np.int64, count=len(keys) + 1)
+                  (-1,)), dtype=np.int32, count=len(keys) + 1)
         ids = lookup[table.codes]
         kept = ids >= 0
         return np.split(ids[kept], np.cumsum(kept.sum(axis=1)))[:-1]

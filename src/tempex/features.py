@@ -349,17 +349,20 @@ def extract_rows(seqs: Seq[Sequence], featurizer: Featurizer
 
 @dataclass
 class ObservationTable:
-    """The observations of a list of sequences (a document, or a training
-    corpus), each distinct string stored once.
+    """The observations of a list of sequences (a document, a training
+    corpus, or the whole corpus of a `cv` command), each distinct string
+    stored once.
 
-    `codes[p, s]` is the index into `keys` of slot s of position p; the
-    positions of all sequences follow each other, `lengths` tokens per
-    sequence, and -1 marks an empty slot.  Slots are in template order,
-    then feature order.  Two keys may spell the same string (a value
-    holding ``|f[o]=`` makes a string ambiguous); the CRF index and
+    `codes[p, s]` (int32) is the index into `keys` of slot s of position
+    p; the positions of all sequences follow each other, `lengths` tokens
+    per sequence, and -1 marks an empty slot.  Slots are in template
+    order, then feature order.  Two keys may spell the same string (a
+    value holding ``|f[o]=`` makes a string ambiguous); the CRF index and
     encoding go by the string, so they count as one observation.
     `len()` is the number of positions, and iterating yields each
-    position's row of slot codes.
+    position's row of slot codes.  A sequence's rows depend on that
+    sequence alone, so `take` of some sequences gives the strings, and
+    so the CRF index and encoding, of featurizing them afresh.
     """
     keys: list[str]
     codes: np.ndarray
@@ -371,6 +374,19 @@ class ObservationTable:
     def __iter__(self):
         return iter(self.codes)
 
+    def take(self, sequences: Seq[int]) -> "ObservationTable":
+        """The table of the sequences numbered `sequences`, in that order:
+        their rows of `codes` and their `lengths`, under the same
+        `keys`."""
+        sequences = np.asarray(sequences, dtype=np.intp)
+        lengths = np.asarray(self.lengths, dtype=np.intp)
+        starts = _row_starts(lengths)[sequences]
+        lengths = lengths[sequences]
+        rows = (np.repeat(starts - _row_starts(lengths), lengths)
+                + np.arange(lengths.sum()))
+        return ObservationTable(self.keys, self.codes[rows],
+                                tuple(lengths.tolist()))
+
     @classmethod
     def from_strings(cls, sequences) -> "ObservationTable":
         """The table of sequences given as per-position lists of
@@ -379,7 +395,7 @@ class ObservationTable:
         rows = [[index.setdefault(f, len(index)) for f in feats]
                 for seq in sequences for feats in seq]
         codes = np.full((len(rows), max(map(len, rows), default=0)), -1,
-                        dtype=np.int64)
+                        dtype=np.int32)
         for row, ids in zip(codes, rows):
             row[:len(ids)] = ids
         return cls(list(index), codes, tuple(map(len, sequences)))
@@ -485,7 +501,7 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
                  for v in spelled[f]]
 
     keys: list[str] = []
-    codes = np.empty((n, len(slots)), dtype=np.int64)
+    codes = np.empty((n, len(slots)), dtype=np.int32)
     for arity in (1, 2, 3):
         group = [s for s, (t, _) in enumerate(slots)
                  if len(t.offsets) == arity]

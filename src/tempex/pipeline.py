@@ -14,11 +14,15 @@ from .corpus import (Document, Sequence, bio_to_spans, doc_spans,
 from .normalizer import Timex
 
 
-def featurize_corpus(seqs: Seq[Sequence], featurizer: features.Featurizer):
+def featurize_corpus(seqs: Seq[Sequence], featurizer: features.Featurizer,
+                     table: Optional[features.ObservationTable] = None):
     """The observation table of the sequences, and the gold labels of
-    each; a sequence without gold labels is labeled all O."""
-    return (features.featurize_sequence(seqs, featurizer),
-            [list(s.gold_labels or ["O"] * len(s)) for s in seqs])
+    each; a sequence without gold labels is labeled all O.  `table` is
+    `features.featurize_sequence(seqs, featurizer)`, computed here when
+    not given."""
+    if table is None:
+        table = features.featurize_sequence(seqs, featurizer)
+    return table, [list(s.gold_labels or ["O"] * len(s)) for s in seqs]
 
 
 def train_on_docs(docs: Seq[Document], config: RunConfig
@@ -30,11 +34,15 @@ def train_on_docs(docs: Seq[Document], config: RunConfig
 
 
 def train_on_sequences(seqs: Seq[Sequence], config: RunConfig,
-                       featurizer: features.Featurizer) -> crf.CrfModel:
+                       featurizer: features.Featurizer,
+                       table: Optional[features.ObservationTable] = None
+                       ) -> crf.CrfModel:
     """A model trained on `seqs` under `featurizer`, which it records as
-    its profile and feature digest."""
+    its profile and feature digest.  `table` is their observation table
+    (`featurize_corpus`), computed here when not given; `cv` passes each
+    fold its slice of the corpus's one table."""
     model = crf.train(
-        *featurize_corpus(seqs, featurizer),
+        *featurize_corpus(seqs, featurizer, table),
         crf.TrainConfig(config.c, config.eta, config.max_iter,
                         config.cutoff))
     return replace(model, profile=featurizer.profile,

@@ -1079,10 +1079,11 @@ class TestCrossValidation:
         # k x repeats, shared by both conditions
         assert len(log.read_text().splitlines()) == 2 * 2
 
-    def test_featurizes_each_sentence_once_per_fold(self, workdir, tmp_path,
-                                                    monkeypatch, capsys):
-        """Per fold, every sentence is featurized once: the training ones
-        for training, the test ones for both conditions together."""
+    def test_featurizes_each_sentence_once_per_command(self, workdir,
+                                                       tmp_path, monkeypatch,
+                                                       capsys):
+        """One `cv` command featurizes each labeled sentence once, in one
+        table: every fold trains and tags on slices of it."""
         log = tmp_path / "calls"
         original = features.featurize_sequence
 
@@ -1094,10 +1095,33 @@ class TestCrossValidation:
         self.run_cv(workdir, workdir / "cv_featurized.tsv")
         n_sentences = len(corpus.read_corpus(workdir / "train.tsv")[0]
                           .sequences)
-        tables = [int(n) for n in log.read_text().splitlines()]
-        assert sum(tables) == 2 * 2 * n_sentences  # k x repeats folds
-        # one table of the training sentences, one of the test sentences
-        assert len(tables) == 2 * 2 * 2
+        assert n_sentences == 45
+        assert log.read_text().splitlines() == [str(n_sentences)]
+
+    def test_unlabeled_sentence_changes_nothing(self, workdir, tmp_path,
+                                                capsys):
+        """A sentence without gold labels takes no part in any fold: `cv`
+        prints the same bytes with it as without it."""
+        doc = corpus.read_corpus(workdir / "train.tsv")[0]
+        # a copy of a sentence holding an expression, which as "all O"
+        # would change the training data
+        seqs = list(doc.sequences)
+        tokens = next(s.tokens for s in seqs if "B" in s.gold_labels)
+        seqs.insert(7, corpus.Sequence(tokens, None))
+        corpus.write_corpus([corpus.assemble_document(
+            doc.id, doc.dct, corpus.pack_sequences(seqs))],
+            tmp_path / "mixed.tsv")
+        mixed = corpus.read_corpus(tmp_path / "mixed.tsv")[0].sequences
+        assert [s.gold_labels is None for s in mixed].count(True) == 1
+        outputs = []
+        for path in (workdir / "train.tsv", tmp_path / "mixed.tsv"):
+            out_path = tmp_path / f"cv{len(outputs)}.tsv"
+            rc = main(["--config", str(workdir / "run.ini"), "--seed", "490",
+                       "cv", str(path), "--k", "2", "--repeats", "2",
+                       "--output", str(out_path)])
+            assert rc == 0
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_same_output_as_training_per_condition(self, workdir, capsys):
         """One training per fold gives the same file as training the fold

@@ -1,7 +1,9 @@
+import random
 import re
 import shutil
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -419,9 +421,16 @@ class TestExpansionOracle:
         assert table.codes.shape[0] == len(table)
         # filled in place, positions by slots, not copied from a transpose
         assert table.codes.flags.c_contiguous and table.codes.base is None
+        assert table.codes.dtype == np.int32
         assert strings(table) == [
             feats for rows in rows_per_sequence
             for feats in reference_expand(rows, templates, unigram, conj)]
+
+    def test_from_strings_pads_rows_with_empty_slots(self):
+        table = ObservationTable.from_strings([[["a", "b"], ["b"]], [[]]])
+        assert table.keys == ["a", "b"] and table.lengths == (2, 1)
+        assert table.codes.dtype == np.int32
+        assert table.codes.tolist() == [[0, 1], [1, -1], [-1, -1]]
 
     def test_matches_reference_on_every_profile(self):
         doc = build_corpus(n_sentences=40, seed=5)
@@ -502,6 +511,50 @@ class TestFeatureIndexOnTables:
         table = expand(rows_per_sequence, TEMPLATES, unigram, conj)
         self.check(table, [reference_expand(rows, TEMPLATES, unigram, conj)
                            for rows in rows_per_sequence])
+
+
+class TestTableSlices:
+    """`take` of some sequences of a table gives their rows, and so the
+    CRF index and encoding of featurizing them afresh."""
+    # under T07, `x|word[+1]=y` then `z` spells what `x` then
+    # `y|word[+1]=z` spells: two keys, one string
+    AMBIGUOUS = [make_seq(["x|word[+1]=y", "z"]),
+                 make_seq(["x", "y|word[+1]=z"])]
+
+    @pytest.mark.parametrize("profile", ["model1", "model3"])
+    def test_slice_equals_fresh_featurization(self, profile):
+        featurizer = FEATURIZERS[profile]
+        seqs = [*build_corpus(n_sentences=24, seed=3).sequences,
+                *self.AMBIGUOUS]
+        table = featurize_sequence(seqs, featurizer)
+        assert len(set(table.keys)) < len(table.keys)
+        n = len(seqs)
+        rng = random.Random(profile)
+        picks = [list(range(n)), [n - 1, 0, n - 2],
+                 *(rng.sample(range(n), rng.randint(1, n))
+                   for _ in range(6))]
+        for pick in picks:
+            part = table.take(pick)
+            fresh = featurize_sequence([seqs[i] for i in pick], featurizer)
+            assert part.keys is table.keys
+            assert part.lengths == fresh.lengths
+            assert part.codes.dtype == np.int32
+            assert strings(part) == strings(fresh)
+            for cutoff in (1, 2):
+                index = crf.build_feature_index(part, cutoff)
+                assert list(index.items()) == list(
+                    crf.build_feature_index(fresh, cutoff).items())
+                model = crf.CrfModel(index, [0.0] * (3 * len(index) + 9))
+                for a, b in zip(model.encode(part), model.encode(fresh),
+                                strict=True):
+                    assert a.tolist() == b.tolist()
+
+    def test_empty_selection(self):
+        table = featurize_sequence(self.AMBIGUOUS, MODEL1)
+        empty = table.take([])
+        assert empty.lengths == () and len(empty) == 0
+        assert empty.codes.shape == (0, table.codes.shape[1])
+        assert strings(empty) == []
 
 
 _OLD_CARDINAL = re.compile(r"\d+")
