@@ -479,19 +479,20 @@ class MinimizeResult:
 
 def _lbfgs_direction(g: np.ndarray, pairs: deque, m: np.ndarray
                      ) -> np.ndarray:
-    """-H g by the two-loop recursion over the kept (s, y, s'y) pairs,
-    with H0 scaled by the newest pair's s'y / y'y; with no pair, the
-    steepest descent direction scaled to unit length.  Inner products
+    """-H g by the two-loop recursion over the kept (s, y, s*m, y*m, s'y)
+    corrections, with H0 scaled by the newest one's s'y / y'y; with none,
+    the steepest descent direction scaled to unit length.  Inner products
     weight entry i by m[i]."""
     if not pairs:
         return -g / math.sqrt(_dot(g * m, g))
     q, alphas = -g, []
-    for s, y, sy in reversed(pairs):
-        alphas.append(_dot(s * m, q) / sy)
+    for s, y, sm, _, sy in reversed(pairs):
+        alphas.append(_dot(sm, q) / sy)
         q = q - alphas[-1] * y
-    q = q * (pairs[-1][2] / _dot(pairs[-1][1] * m, pairs[-1][1]))
-    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
-        q = q + (alpha - _dot(y * m, q) / sy) * s
+    _, y, _, ym, sy = pairs[-1]
+    q = q * (sy / _dot(ym, y))
+    for (s, _, _, ym, sy), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - _dot(ym, q) / sy) * s
     return q
 
 
@@ -586,9 +587,10 @@ def minimize(fun, x0: np.ndarray, max_iter: int, ftol: float,
         nit += 1
         x_new, f_new, g_new = found
         s, y = x_new - x, g_new - g
-        sy = _dot(s * m, y)
+        sm = s * m
+        sy = _dot(sm, y)
         if sy > 1e-10:
-            pairs.append((s, y, sy))
+            pairs.append((s, y, sm, y * m, sy))
         reduction = (f - f_new) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         if reduction <= ftol:

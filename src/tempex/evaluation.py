@@ -8,14 +8,13 @@ counts.  The overall score is lenient F1 times value accuracy.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
+import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+import signal
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence as Seq
+from typing import BinaryIO, Callable, Optional, Sequence as Seq
 
 from scipy.special import fdtrc, stdtr
 
@@ -177,10 +176,12 @@ def cross_validate(items: Seq, fold_fn: Callable, k: int = 10,
 
     The folds run on every CPU available to the process.  With `workers`
     CPUs, this process runs every `workers`-th fold from the first and
-    `workers - 1` processes forked for the call run the others, so
-    `fold_fn` may be a closure and its reports come back pickled.  The
-    result does not depend on the number of CPUs.  A fold that raises
-    raises here; of several, the first in order, as run one by one.
+    `workers - 1` children forked for the call run the others, each
+    sending its reports back pickled through a pipe, so `fold_fn` may be
+    a closure.  The result does not depend on the number of CPUs.  A
+    fold that raises raises here; of several, the first in order, as run
+    one by one.  A child that dies before it reports raises EvalError.
+    No child outlives the call.
     """
     items = list(items)
     if k < 2:
@@ -202,9 +203,7 @@ def cross_validate(items: Seq, fold_fn: Callable, k: int = 10,
             tasks.append((rep, fi, train, test))
     workers = max(1, min(len(tasks), available_cpus()))
     shares = [tasks[w::workers] for w in range(workers)]
-    with _forked_shares(fold_fn, shares) as futures:
-        outcomes = [_run_share(fold_fn, shares[0])]
-        outcomes += [future.result() for future in futures]
+    outcomes = _run_shares(fold_fn, shares)
     # a share stops at its first failure, so the fold that failed is the
     # one after the share's last report
     failures = [(w + len(reports) * workers, exc)
@@ -232,42 +231,67 @@ def _run_share(fold_fn: Callable, share: list
     return reports, None
 
 
-# The fold function and shares of the call that forked this process, set
-# by the pool's initializer in the forked workers only.
-_forked_work: Optional[tuple[Callable, list]] = None
+def _run_shares(fold_fn: Callable, shares: list) -> list:
+    """`_run_share`'s outcome of each share: the first run here, each
+    other in a child forked for it, which sends its outcome back pickled.
 
-
-def _install_work(fold_fn: Callable, shares: list) -> None:
-    global _forked_work
-    _forked_work = fold_fn, shares
-
-
-def _run_forked_share(w: int) -> tuple[list, Optional[Exception]]:
-    fold_fn, shares = _forked_work
-    return _run_share(fold_fn, shares[w])
-
-
-@contextmanager
-def _forked_shares(fold_fn: Callable, shares: list) -> Iterator[list]:
-    """Futures of `_run_share` over `shares[1:]`, in processes forked
-    when entered, none for a single share.  Exits once every worker has
-    exited.
-
-    Forked, not spawned: a worker inherits `fold_fn`, often a closure that
-    pickle cannot send, and the shares without pickling them, and imports
-    nothing again.  The executor, unlike `multiprocessing.Pool`, raises
-    BrokenProcessPool when a worker dies instead of waiting for it."""
-    if len(shares) == 1:
-        yield []
-        return
-    pool = ProcessPoolExecutor(
-        len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
-        initializer=_install_work, initargs=(fold_fn, shares))
+    Returns once every child has exited.  A child that sends nothing
+    counts as failing at its share's first fold, with an EvalError that
+    names its exit status.  A failure of the very first fold comes first
+    in serial order whatever the children send, so it is raised at once;
+    then, as when this process's share or a read raises otherwise, the
+    children still running are killed."""
+    children: list[tuple[int, BinaryIO]] = []
+    sent: list[bytes] = []
     try:
-        yield [pool.submit(_run_forked_share, w)
-               for w in range(1, len(shares))]
+        for share in shares[1:]:
+            children.append(_fork_share(fold_fn, share))
+        own = _run_share(fold_fn, shares[0])
+        if not own[0] and own[1] is not None:
+            raise own[1]
+        sent = [pipe.read() for _, pipe in children]
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            if len(sent) < len(children):
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    return [own] + [
+        pickle.loads(data) if data else ([], EvalError(
+            f"a cross-validation worker exited with status "
+            f"{os.waitstatus_to_exitcode(status)} without reporting"))
+        for data, status in zip(sent, statuses)]
+
+
+def _fork_share(fold_fn: Callable, share: list) -> tuple[int, BinaryIO]:
+    """Fork a child that sends `_run_share(fold_fn, share)` pickled
+    through a pipe; the child's pid and the pipe's read end.
+
+    Forked, so the child inherits `fold_fn`, often a closure that pickle
+    cannot send, and the share without pickling them, and imports nothing
+    again.  The child leaves by `os._exit`, running none of this process's
+    `finally` blocks, exit handlers or stdio flushes."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(_run_share(fold_fn, share)))
+            status = 0
+        finally:
+            os._exit(status)
+    # closed here at once, so that no later child holds this write end
+    # and the read reaches the end when this child exits
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def paired_t_test(a: Seq[float], b: Seq[float]) -> dict:

@@ -1,6 +1,5 @@
 import configparser
 import datetime
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -20,6 +19,7 @@ from tempex import (corpus, crf, evaluation, features, normalizer,
 from tempex.cli import build_parser, main
 from tempex.config import ConfigError, RunConfig, load_config
 
+from children import assert_no_child_process
 from synth import build_corpus, split_corpus
 
 DCT = "2013-04-11"
@@ -1207,7 +1207,7 @@ class TestCrossValidation:
                                capsys):
         assert self.cv_on_cpus(workdir, monkeypatch, 2,
                                tmp_path / "cv.tsv") == 0
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
     def test_fold_error_in_a_worker_exit_2(self, workdir, tmp_path,
                                            monkeypatch, capsys):
@@ -1243,7 +1243,30 @@ class TestCrossValidation:
         assert errors[0].startswith("error: cannot train on")
         assert raised_in[0] == {str(os.getpid())}
         assert raised_in[1] - raised_in[0]  # a worker raised too
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
+
+    def test_killed_worker_exit_2(self, workdir, tmp_path, monkeypatch,
+                                  capsys):
+        """A forked worker that dies exits 2 with its exit status, writes
+        no output and leaves no process."""
+        parent = os.getpid()
+        original = pipeline.train_on_sequences
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "train_on_sequences", dying)
+        out_path = tmp_path / "cv.tsv"
+        rc = self.cv_on_cpus(workdir, monkeypatch, 2, out_path)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (
+            "error: a cross-validation worker exited with status 3 "
+            "without reporting\n")
+        assert not out_path.exists()
+        assert_no_child_process()
 
     @pytest.mark.parametrize("flags", [(), ("--no-pipeline",)])
     def test_no_repeats_exit_2(self, workdir, tmp_path, capsys, flags):
@@ -1267,7 +1290,7 @@ class TestCrossValidation:
         assert (f"k=999 exceeds corpus size {n_sentences}"
                 in captured.err)
         assert not (tmp_path / "cv.tsv").exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
 
 class TestPriors:

@@ -1,9 +1,8 @@
 import math
-import multiprocessing
 import os
 import random
 import threading
-from concurrent.futures.process import BrokenProcessPool
+import time
 
 import pytest
 import scipy.stats
@@ -13,6 +12,8 @@ from tempex.evaluation import (EvalError, EvalReport, MatchCounts,
                                fold_indices, match_spans, one_way_anova,
                                overall_score, paired_t_test, prf,
                                report_from_counts)
+
+from children import assert_no_child_process
 
 # Published benchmark rows (percent): per run, strict P/R/F1, lenient
 # P/R/F1, value accuracy and overall score.  The integer match counts
@@ -307,11 +308,11 @@ class TestCrossValidate:
         for n in CPU_COUNTS:
             sees_cpus(monkeypatch, n)
             cross_validate(list(range(20)), folds_of, k=5, repeats=1)
-            assert multiprocessing.active_children() == []
+            assert_no_child_process()
 
     def test_a_killed_worker_raises(self, monkeypatch):
-        """A worker that dies raises in the caller instead of leaving it
-        waiting for the worker's folds."""
+        """A worker that dies raises EvalError naming its exit status in
+        the caller instead of leaving it waiting for the worker's folds."""
         sees_cpus(monkeypatch, 2)
         parent = os.getpid()
 
@@ -325,15 +326,38 @@ class TestCrossValidate:
         def run():
             try:
                 cross_validate(list(range(20)), fold_fn, k=2, repeats=1)
-            except BrokenProcessPool as exc:
+            except EvalError as exc:
                 raised.append(exc)
 
         caller = threading.Thread(target=run, daemon=True)
         caller.start()
         caller.join(timeout=120)
         assert not caller.is_alive()
-        assert len(raised) == 1
-        assert multiprocessing.active_children() == []
+        assert [str(exc) for exc in raised] == [
+            "a cross-validation worker exited with status 3 without "
+            "reporting"]
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("error", [EvalError, KeyboardInterrupt])
+    def test_own_share_failing_kills_running_workers(self, monkeypatch,
+                                                     error):
+        """When this process's first fold, the first of all, raises, the
+        caller gets that failure at once: the worker still running its
+        folds is killed and reaped, not waited for."""
+        sees_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def fold_fn(train, test):
+            if os.getpid() != parent:
+                time.sleep(120)
+                return len(test)
+            raise error(f"fold testing {sorted(test)}")
+
+        started = time.monotonic()
+        with pytest.raises(error, match="fold testing"):
+            cross_validate(list(range(20)), fold_fn, k=2, repeats=1)
+        assert time.monotonic() - started < 60
+        assert_no_child_process()
 
 
 class TestPairedTTest:

@@ -12,8 +12,9 @@
 - Only the command line reads `RunConfig.pipeline_enabled`: it turns the
   switch into a prior table or none, and the code below it post-processes
   exactly when it is handed a table.
-- One module starts processes (`multiprocessing`, `concurrent.futures`),
-  so that is done in one place, and none calls native code (`ctypes`).
+- One module starts processes, by `os.fork`, so that is done in one
+  place; no module imports the process pools (`multiprocessing`,
+  `concurrent.futures`) or calls native code (`ctypes`).
 - The number of worker processes is the number of CPUs the process may
   use: no command-line option, configuration key, settings field or
   parameter of the module that starts processes names workers, jobs,
@@ -126,6 +127,34 @@ def importers(trees: dict[str, ast.Module], modules) -> dict[str, list]:
     return found
 
 
+def fork_calls(trees: dict[str, ast.Module]) -> dict[str, list]:
+    """File name -> the lines where it calls `os.fork` or a `fork`
+    imported from `os`."""
+    found: dict[str, list] = {}
+    for name, tree in trees.items():
+        imported = any(isinstance(node, ast.ImportFrom)
+                       and node.module == "os"
+                       and any(alias.name == "fork" for alias in node.names)
+                       for node in ast.walk(tree))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if ((isinstance(func, ast.Attribute) and func.attr == "fork"
+                 and isinstance(func.value, ast.Name)
+                 and func.value.id == "os")
+                    or (imported and isinstance(func, ast.Name)
+                        and func.id == "fork")):
+                found.setdefault(name, []).append(node.lineno)
+    return found
+
+
+def process_starters(trees: dict[str, ast.Module]) -> list[str]:
+    """The files that fork or import a process pool."""
+    return sorted(set(fork_calls(trees)) | set(importers(trees,
+                                                         POOL_MODULES)))
+
+
 PARALLEL_WORDS = re.compile(r"worker|job|process|cpu|core|parallel|pool",
                             re.IGNORECASE)
 
@@ -226,8 +255,10 @@ def test_environment_guard_catches_planted_reads():
 
 
 def test_one_module_starts_processes():
-    assert list(importers(parse_package(), POOL_MODULES)) == [
-        "evaluation.py"]
+    """`evaluation.py` forks its workers itself, through no pool."""
+    trees = parse_package()
+    assert list(fork_calls(trees)) == ["evaluation.py"]
+    assert importers(trees, POOL_MODULES) == {}
 
 
 def test_one_module_calls_native_code():
@@ -238,18 +269,25 @@ def test_one_module_calls_native_code():
 
 def test_worker_count_is_no_setting():
     trees = parse_package()
-    assert parallelism_settings(
-        trees, importers(trees, POOL_MODULES)) == []
+    assert process_starters(trees) == ["evaluation.py"]
+    assert parallelism_settings(trees, process_starters(trees)) == []
 
 
 def test_process_guards_catch_planted_violations():
-    """A second module with a pool and native calls, and a worker count
-    taken from an option, a config key, a field and a parameter."""
+    """A second and a third module that start processes, by a pool and
+    by `os.fork`, native calls, and a worker count taken from an option,
+    a config key, a field and parameters."""
     pool = ast.parse(
         "import ctypes.util\n"
         "from concurrent.futures import ProcessPoolExecutor\n"
         "def cross_validate(items, fold_fn, n_workers=None):\n"
         "    return ProcessPoolExecutor(n_workers)\n")
+    forks = ast.parse(
+        "import os\n"
+        "from os import fork\n"
+        "def spawn(n_processes):\n"
+        "    pids = [os.fork() for _ in range(n_processes)]\n"
+        "    return pids + [fork()], os.getpid()\n")
     cli = ast.parse(
         "import multiprocessing.pool\n"
         "from . import evaluation\n"
@@ -259,10 +297,13 @@ def test_process_guards_catch_planted_violations():
         "class RunConfig:\n"
         "    cpus: int = 2\n"
         "    seed: int = 490\n")
-    trees = {"cli.py": cli, "evaluation.py": pool}
+    trees = {"cli.py": cli, "evaluation.py": pool, "features.py": forks}
     assert importers(trees, POOL_MODULES) == {"cli.py": [1],
                                               "evaluation.py": [2]}
+    assert fork_calls(trees) == {"features.py": [4, 5]}
+    assert process_starters(trees) == ["cli.py", "evaluation.py",
+                                       "features.py"]
     assert importers(trees, NATIVE_MODULES) == {"evaluation.py": [1]}
-    assert parallelism_settings(trees, ["evaluation.py"]) == [
+    assert parallelism_settings(trees, process_starters(trees)) == [
         "cli.py:3 --jobs", "cli.py:4 processes", "cli.py:6 cpus",
-        "evaluation.py:3 n_workers"]
+        "evaluation.py:3 n_workers", "features.py:3 n_processes"]
