@@ -78,6 +78,22 @@ class MarginalTable:
 
 
 @dataclass
+class EncodedTable:
+    """The observation ids of a table's positions in CSR form: position
+    p's ids are `indices[indptr[p]:indptr[p + 1]]`.  `len()` is the
+    number of positions, and iterating yields each position's ids."""
+    indices: np.ndarray  # int32
+    indptr: np.ndarray   # int64, one more entry than positions
+
+    def __len__(self):
+        return len(self.indptr) - 1
+
+    def __iter__(self):
+        bounds = self.indptr.tolist()
+        return map(self.indices.__getitem__, map(slice, bounds, bounds[1:]))
+
+
+@dataclass
 class CrfModel:
     obs_index: dict[str, int]          # observation string -> obs id
     weights: np.ndarray                # len = n_obs * 3 + 9
@@ -106,7 +122,7 @@ class CrfModel:
     def transition_weights(self) -> np.ndarray:
         return self.weights[self.n_obs * N_LABELS:].reshape(N_LABELS, N_LABELS)
 
-    def encode(self, table: ObservationTable) -> list[np.ndarray]:
+    def encode(self, table: ObservationTable) -> EncodedTable:
         """Observation ids of each position of `table`, in slot order;
         unknown observations and empty slots dropped.
 
@@ -120,7 +136,9 @@ class CrfModel:
                   (-1,)), dtype=np.int32, count=len(keys) + 1)
         ids = lookup[table.codes]
         kept = ids >= 0
-        return np.split(ids[kept], np.cumsum(kept.sum(axis=1)))[:-1]
+        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(kept.sum(axis=1), out=indptr[1:])
+        return EncodedTable(ids[kept], indptr)
 
 
 def build_feature_index(table: ObservationTable,
@@ -156,7 +174,8 @@ class _EncodedBatch:
     running at step t are the first `active[t]` of the batch; `order`
     maps each batch row to its input position.  `mask` marks the real
     steps of the padded (B, T) layout.  Without `labels`, `x` is the
-    sparse step-by-observation count matrix in batch order.
+    sparse step-by-observation count matrix in batch order: the CSR
+    arrays of the encoded `table.take(order)` as they are.
 
     Given `labels`, the observations whose columns of that matrix are
     identical form one group (`_group_columns`): `group` maps each
@@ -169,20 +188,16 @@ class _EncodedBatch:
 
     def __init__(self, model: CrfModel, table: ObservationTable,
                  labels=None):
-        obs_ids = model.encode(table)
         lengths = table.lengths
-        starts = np.cumsum((0, *lengths))
         self.n_input = len(lengths)
         self.order = sorted((i for i, n in enumerate(lengths) if n),
                             key=lambda i: -lengths[i])
         self.lengths = np.array([lengths[i] for i in self.order],
                                 dtype=np.int64)
-        steps = [obs_ids[p] for i in self.order
-                 for p in range(starts[i], starts[i + 1])]
-        indptr = np.cumsum([0] + [len(ids) for ids in steps])
-        indices = np.concatenate([np.zeros(0, dtype=np.int64), *steps])
-        x = sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
-                              shape=(len(steps), model.n_obs))
+        steps = model.encode(table.take(self.order))
+        x = sparse.csr_matrix(
+            (np.ones(len(steps.indices)), steps.indices, steps.indptr),
+            shape=(len(steps), model.n_obs))
         self.mask = self.lengths[:, None] > np.arange(
             self.lengths.max(initial=0))
         self.active = self.mask.sum(axis=0)
@@ -401,10 +416,11 @@ def viterbi(model: CrfModel, table: ObservationTable) -> list[list[str]]:
     return [[LABELS[y] for y in ids.tolist()] for ids in batch.unbatch(best)]
 
 
-def sequence_score(model: CrfModel, obs_ids: list[np.ndarray],
+def sequence_score(model: CrfModel, obs_ids: EncodedTable,
                    label_ids: Seq[int]) -> float:
-    """Total score of one labeled sequence, summed position by position:
-    the independent scorer the decoding tests compare against."""
+    """Total score of one labeled sequence, summed position by position
+    over `obs_ids`, the sequence's `CrfModel.encode`: the independent
+    scorer the decoding tests compare against."""
     y = [int(lab) for lab in label_ids]
     unary = model.unary_weights()
     trans = model.transition_weights()
@@ -765,21 +781,27 @@ def load_model(path) -> CrfModel:
             f"{path}: model declares {n_features} features, so "
             f"{n_features + N_LABELS} weight rows with the transitions; "
             f"the file has {len(rows)}")
-    # the whole weight block in bulk; row by row only to name a bad line
+    # the whole weight block in bulk; row by row only to name a bad line.
+    # Members of a group of observations train to bitwise-equal weights,
+    # so few weight rows are distinct: each distinct one is parsed once
+    # and gathered back into place.
     keys, _, weights = zip(*map(methodcaller("partition", "\t"), rows))
     obs_index = dict(zip(keys[:n_features], range(n_features)))
+    distinct = {w: k for k, w in enumerate(dict.fromkeys(weights))}
     try:
-        values = np.fromiter(map(float, "\t".join(weights).split("\t")),
-                             dtype=float, count=N_LABELS * len(rows))
+        parsed = np.fromiter(map(float, "\t".join(distinct).split("\t")),
+                             dtype=float, count=N_LABELS * len(distinct))
     except ValueError:
-        values = None
-    if (values is None or not np.isfinite(values).all()
-            or set(map(str.count, weights, repeat("\t"))) != {N_LABELS - 1}
+        parsed = None
+    if (parsed is None or not np.isfinite(parsed).all()
+            or set(map(str.count, distinct, repeat("\t"))) != {N_LABELS - 1}
             or keys[n_features:] != TRANSITION_KEYS
             or len(obs_index) != n_features):
         _raise_row_error(path, lines, i, n_features)
-    return CrfModel(obs_index, values, c=c, eta=eta, profile=profile,
-                    digest=digest)
+    row = np.fromiter(map(distinct.__getitem__, weights), dtype=np.intp,
+                      count=len(weights))
+    return CrfModel(obs_index, parsed.reshape(-1, N_LABELS)[row].ravel(),
+                    c=c, eta=eta, profile=profile, digest=digest)
 
 
 def _raise_row_error(path, lines: list[str], start: int,

@@ -7,7 +7,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from tempex import cli, corpus, crf, normalizer, pipeline, postproc
+from tempex import (cli, corpus, crf, features, normalizer, pipeline,
+                    postproc)
 from tempex.config import RunConfig
 
 from synth import build_corpus
@@ -71,3 +72,25 @@ def test_tracer_counts_a_batched_tag_run(tmp_path, capsys):
         assert tracer.counts[count] == n_tokens, count
     assert tracer.counts["crf.decode_obs"] == 371 * n_tokens
     assert len(tracer.durations("crf.forward_backward")) > 1
+
+
+def test_oov_share_counts_unseen_observations():
+    """Tagging a text with words unseen in training: the tracer's OOV
+    share is the share of the table's slots whose string the model's
+    index does not hold, counted here slot by slot."""
+    config = RunConfig()
+    model = pipeline.train_on_docs([build_corpus(n_sentences=6, seed=3)],
+                                   config)[0]
+    doc = build_corpus(n_sentences=8, seed=11)
+    featurizer = config.featurizer(model.profile)
+    table = features.featurize_sequence(doc.sequences, featurizer)
+    kept = sum(code >= 0 and table.keys[code] in model.obs_index
+               for row in table.codes.tolist() for code in row)
+    observed = table.codes.size
+    with tracing.Tracer() as tracer:
+        pipeline.label_document(doc, model, featurizer, config)
+        metrics = tracer.metrics()
+    assert 0 < kept < observed
+    assert tracer.counts["crf.decode_obs"] == observed
+    assert tracer.counts["crf.decode_obs_kept"] == kept
+    assert metrics["crf.oov_share"][0] == 1.0 - kept / observed

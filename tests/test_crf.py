@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from tempex import crf
 from tempex.crf import (CrfError, CrfModel, LABELS, MarginalTable,
@@ -95,6 +96,116 @@ class TestFeatureIndex:
     def test_empty_corpus(self):
         with pytest.raises(CrfError, match="empty"):
             build_feature_index(T([]))
+
+
+def split_encode(model, table):
+    """The encoding as one id array per position, split from the gather
+    of the table's codes: the reference for `CrfModel.encode`."""
+    lookup = np.array([model.obs_index.get(k, -1) for k in table.keys]
+                      + [-1], dtype=np.int32)
+    ids = lookup[table.codes]
+    kept = ids >= 0
+    return np.split(ids[kept], np.cumsum(kept.sum(axis=1)))[:-1]
+
+
+def stacked_batch(model, table, labels=None):
+    """`_EncodedBatch`'s order, step-by-observation matrix and, given
+    `labels`, groups, multiplicities and gold counts, built by stacking
+    the per-position id arrays of `split_encode` in longest-first order:
+    the reference for the batch built from the encoding's CSR arrays."""
+    obs_ids = split_encode(model, table)
+    lengths = table.lengths
+    starts = np.cumsum((0, *lengths))
+    order = sorted((i for i, n in enumerate(lengths) if n),
+                   key=lambda i: -lengths[i])
+    steps = [obs_ids[p] for i in order
+             for p in range(starts[i], starts[i + 1])]
+    indptr = np.cumsum([0] + [len(ids) for ids in steps])
+    indices = np.concatenate([np.zeros(0, dtype=np.int64), *steps])
+    x = sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
+                          shape=(len(steps), model.n_obs))
+    if labels is None:
+        return order, x
+    label_ids = [[LABELS.index(l) for l in labs] for labs in labels]
+    gold = np.zeros((len(steps), 3))
+    gold[np.arange(len(steps)),
+         [y for i in order for y in label_ids[i]]] = 1.0
+    bigrams = [a * 3 + b for i in order
+               for a, b in zip(label_ids[i], label_ids[i][1:])]
+    group, xg = crf._group_columns(x.tocsc())
+    empirical = np.concatenate([(xg.T @ gold).ravel(),
+                                np.bincount(bigrams, minlength=9)])
+    return order, xg, group, np.bincount(group, minlength=xg.shape[1]), \
+        empirical
+
+
+def same_csr(a, b):
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+class TestEncode:
+    """`CrfModel.encode`'s CSR arrays, and the batch built from them,
+    against the per-position arrays they replaced."""
+
+    @staticmethod
+    def tables(rng):
+        """Random tables: keys that spell one string, strings the model
+        does not know, empty slots anywhere and empty sequences; then the
+        empty table and a table of empty sequences."""
+        for _ in range(40):
+            n_keys = int(rng.integers(0, 10))
+            keys = [f"f{i}" for i in rng.integers(0, 12, size=n_keys)]
+            lengths = rng.integers(0, 6, size=rng.integers(0, 7))
+            codes = rng.integers(-1, n_keys, size=(int(lengths.sum()),
+                                                   int(rng.integers(0, 5))))
+            yield ObservationTable(keys, codes.astype(np.int32),
+                                   tuple(lengths.tolist()))
+        yield ObservationTable([], np.zeros((0, 0), dtype=np.int32), ())
+        yield ObservationTable(["f0"], np.zeros((0, 3), dtype=np.int32),
+                               (0, 0))
+
+    @staticmethod
+    def model(rng):
+        order = rng.permutation(8)  # f8 to f11 are unknown
+        return CrfModel({f"f{i}": j for j, i in enumerate(order)},
+                        np.zeros(8 * 3 + 9))
+
+    def test_positions_match_split_arrays(self):
+        rng = np.random.default_rng(41)
+        for table in self.tables(rng):
+            model = self.model(rng)
+            encoded = model.encode(table)
+            want = split_encode(model, table)
+            assert len(encoded) == len(want) == len(table)
+            for got, ids in zip(encoded, want, strict=True):
+                assert got.dtype == ids.dtype == np.int32
+                assert got.tolist() == ids.tolist()
+
+    def test_batch_matches_stacked_positions(self):
+        rng = np.random.default_rng(42)
+        for table in self.tables(rng):
+            model = self.model(rng)
+            batch = crf._EncodedBatch(model, table)
+            order, x = stacked_batch(model, table)
+            assert batch.order == order
+            assert same_csr(batch.x, x)
+
+    def test_labeled_batch_matches_stacked_positions(self):
+        rng = np.random.default_rng(43)
+        for table in self.tables(rng):
+            model = self.model(rng)
+            labels = [[LABELS[y] for y in rng.integers(0, 3, size=n)]
+                      for n in table.lengths]
+            batch = crf._EncodedBatch(model, table, labels)
+            order, xg, group, multiplicity, empirical = stacked_batch(
+                model, table, labels)
+            assert batch.order == order
+            assert same_csr(batch.x, xg)
+            assert batch.group.tolist() == group.tolist()
+            assert batch.multiplicity.tolist() == multiplicity.tolist()
+            assert batch.empirical.tobytes() == empirical.tobytes()
 
 
 class TestForwardBackward:
@@ -853,6 +964,44 @@ class TestPersistence:
         assert path.read_text().splitlines()[6:] == want
         loaded = load_model(path)
         assert loaded.weights.tobytes() == model.weights.tobytes()
+
+    @pytest.mark.parametrize("distinct_rows", [1, 4, 23])
+    def test_repeated_rows_reload_exactly(self, tmp_path, distinct_rows):
+        """A model whose 23 weight rows (20 observations, 3 transitions)
+        are all equal, repeat 4 rows in shuffled order, or are all
+        distinct reloads bit for bit."""
+        rng = np.random.default_rng(17)
+        rows = rng.normal(size=(distinct_rows, 3))
+        rows[0] = (0.0, -0.0, 5e-324)
+        weights = rows[rng.permutation(np.arange(23) % distinct_rows)].ravel()
+        model = CrfModel({f"k{i}": i for i in range(20)}, weights,
+                         digest=DIGEST)
+        path = tmp_path / "model.tsv"
+        save_model(model, path)
+        rows = [line.partition("\t")[2]
+                for line in path.read_text().splitlines()[6:]]
+        assert len(set(rows)) == distinct_rows
+        assert load_model(path).weights.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("bad,message", [
+        ("1.0\tx\t2.0", "bad weight"),
+        ("1.0\tinf\t2.0", "bad weight"),
+        ("1.0\t2.0", "expected key<TAB>w_B<TAB>w_I<TAB>w_O"),
+    ])
+    def test_repeated_bad_row_named_at_first_line(self, tmp_path, bad,
+                                                  message):
+        """A malformed weight row that occurs twice is reported at its
+        first line."""
+        model = CrfModel({f"k{i}": i for i in range(5)}, np.zeros(5 * 3 + 9),
+                         digest=DIGEST)
+        path = tmp_path / "model.tsv"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        for lineno in (9, 11):
+            lines[lineno - 1] = f"k{lineno - 7}\t{bad}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CrfError, match=f"line 9: {message}"):
+            load_model(path)
 
     def test_round_trip_predictions(self, tmp_path):
         rng = np.random.default_rng(9)
