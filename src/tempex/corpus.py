@@ -59,6 +59,13 @@ class Token:
             )
         if not self.surface or any(c.isspace() for c in self.surface):
             raise CorpusError(f"invalid token surface {self.surface!r}")
+        # annotations are parts of tab-separated feature keys
+        if self.pos or self.lemma or self.chunk or self.pnp:
+            for name, value in zip(("pos", "lemma", "chunk", "pnp"), (
+                    self.pos, self.lemma, self.chunk, self.pnp)):
+                if value and ("\t" in value or value.splitlines() != [value]):
+                    raise CorpusError(f"token {self.surface!r}: {name} "
+                                      f"{value!r} holds a tab or line break")
 
 
 @dataclass(frozen=True)

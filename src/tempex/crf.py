@@ -6,7 +6,7 @@ followed by the 9 label-bigram transition slots.
 Training, decoding and the tests share one path.  The observation table
 of a list of sequences (a training corpus, or a batch of documents
 when decoding; `features.ObservationTable`) is encoded once, one lookup
-per distinct observation string, as a sparse token-by-observation matrix
+per distinct observation key, as a sparse token-by-observation matrix
 over a length-padded, longest-first batch, so that one sparse product
 scores every token.  Two recursions then run over the whole batch.
 Forward-backward runs in probability space, on potentials shifted by
@@ -45,7 +45,7 @@ from scipy import sparse
 from .corpus import LABELS, read_text
 from .features import PROFILES, ObservationTable
 
-MODEL_FORMAT_VERSION = "tempex-crf-2"
+MODEL_FORMAT_VERSION = "tempex-crf-3"
 # L-BFGS history length (corrections kept).
 LBFGS_HISTORY = 5
 
@@ -95,7 +95,7 @@ class EncodedTable:
 
 @dataclass
 class CrfModel:
-    obs_index: dict[str, int]          # observation string -> obs id
+    obs_index: dict[str, int]          # observation key -> obs id
     weights: np.ndarray                # len = n_obs * 3 + 9
     c: float = 1.0
     eta: float = 1e-4
@@ -143,14 +143,14 @@ class CrfModel:
 
 def build_feature_index(table: ObservationTable,
                         cutoff: int = 1) -> dict[str, int]:
-    """Intern every observation string seen at least `cutoff` times.
+    """Intern every observation key seen at least `cutoff` times.
 
     Slot order is first-occurrence order (position by position, slot by
-    slot), so the index is deterministic for a fixed corpus.  Keys of the
-    table that spell the same string are one observation: their counts
-    add up and the first of them places it.  Keys are interned: models
-    trained on similar corpora share most observation strings, and then
-    share their storage.
+    slot), so the index is deterministic for a fixed corpus.  The
+    table's keys are pairwise distinct, so the codes are counted and
+    ordered by `np.unique` alone, and a key is fetched only for the
+    codes kept.  Keys are interned: models trained on similar corpora
+    share most observation keys, and then share their storage.
     """
     if not table.lengths:
         raise CrfError("empty corpus")
@@ -158,12 +158,11 @@ def build_feature_index(table: ObservationTable,
     codes, first, counts = np.unique(codes[codes >= 0], return_index=True,
                                      return_counts=True)
     order = np.argsort(first)
-    totals: dict[str, int] = {}
-    for key, count in zip(map(table.keys.__getitem__, codes[order].tolist()),
-                          counts[order].tolist()):
-        totals[key] = totals.get(key, 0) + count
-    return {sys.intern(f): i for i, f in
-            enumerate(f for f, n in totals.items() if n >= cutoff)}
+    kept = codes[order][counts[order] >= cutoff].tolist()
+    index = {sys.intern(table.keys[c]): i for i, c in enumerate(kept)}
+    if len(index) < len(kept):
+        raise CrfError("two observations of the table share a key")
+    return index
 
 
 class _EncodedBatch:
@@ -672,23 +671,31 @@ def train(table: ObservationTable, labels: Seq[Seq[str]],
     return model
 
 
-# Row keys of the transition block: row a holds the weights of a -> B, I, O.
-TRANSITION_KEYS = tuple(f"__T__:{lab}" for lab in LABELS)
-
-
 def save_model(model: CrfModel, path) -> None:
-    """Write a `tempex-crf-2` model: a header, then one row per
-    observation, `key<TAB>w_B<TAB>w_I<TAB>w_O`, in id order, then the
-    transition block, one row per from-label.  Keys are token-derived
-    strings, which hold no tab or line break.  A model without a valid
-    feature digest is refused before the file is opened, since
-    `load_model` would refuse it."""
+    """Write a `tempex-crf-3` model: seven header lines, the weight
+    block, then `row<TAB>key` per observation, in id order.
+
+    The block holds each distinct unary weight row once (by bit pattern:
+    -0.0 is not 0.0), then the transition rows from B, I and O, each
+    `w_B<TAB>w_I<TAB>w_O` in `repr`s; `row` numbers an observation's
+    block row.  A model without a valid feature digest is refused before
+    the file is opened, since `load_model` would refuse it."""
     try:
         _parse_digest(model.digest)
     except ValueError:
         raise CrfError(f"model has no valid feature digest "
                        f"({model.digest!r}); it could not be loaded back"
                        ) from None
+    # equal rows are adjacent in lexicographic order of their bits
+    bits = model.unary_weights().view(np.int64)
+    order = np.lexsort(bits.T)
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
+    row_of = np.empty(len(order), dtype=np.int64)
+    row_of[order] = np.cumsum(new) - 1
+    block = np.concatenate([model.unary_weights()[order[new]],
+                            model.transition_weights()])
+    keys = sorted(model.obs_index, key=model.obs_index.__getitem__)
     lines = [
         f"#version\t{MODEL_FORMAT_VERSION}",
         f"#labels\t{','.join(LABELS)}",
@@ -696,19 +703,10 @@ def save_model(model: CrfModel, path) -> None:
         f"#features\t{model.digest}",
         f"#hyperparams\tC={model.c!r},eta={model.eta!r}",
         f"#n_features\t{model.n_obs}",
+        f"#n_rows\t{len(block) - N_LABELS}",
+        *("\t".join(map(repr, row)) for row in block.tolist()),
+        *(f"{row}\t{key}" for row, key in zip(row_of.tolist(), keys)),
     ]
-    keys = sorted(model.obs_index, key=model.obs_index.__getitem__)
-    # Observations that always occur together train to equal weights, so
-    # few weights are distinct: each distinct bit pattern (-0.0 is not
-    # 0.0) is formatted once.
-    bits, inverse = np.unique(model.weights.view(np.int64),
-                              return_inverse=True)
-    text = list(map(repr, bits.view(np.float64).tolist()))
-    text = list(map(text.__getitem__, inverse.tolist()))
-    # the weight vector's rows are the observations in id order, then
-    # the transition matrix
-    lines += map("\t".join, zip(keys + list(TRANSITION_KEYS), text[0::3],
-                                text[1::3], text[2::3], strict=True))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -741,9 +739,13 @@ def _line_error(path, lineno: int, message: str) -> CrfError:
 
 
 def load_model(path) -> CrfModel:
-    """Read a `tempex-crf-2` model file; any malformed content raises
-    CrfError naming the file and, where there is one, the offending
-    line.  Other format versions are rejected by name."""
+    """Read a `tempex-crf-3` model file (`save_model`); any malformed
+    content raises CrfError naming the file and, where there is one, the
+    offending line.  Other format versions are rejected by name.
+
+    The weight block is parsed in bulk and the row numbers by one
+    `np.array`; only if either fails are the lines read one by one, to
+    name the first bad one."""
     lines = read_text(path, CrfError).splitlines()
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}
@@ -774,60 +776,70 @@ def load_model(path) -> CrfModel:
     digest = field("features", _parse_digest)
     c, eta = field("hyperparams", _parse_hyperparams)
     n_features = field("n_features", _parse_count)
+    n_rows = field("n_rows", _parse_count)
 
     rows = list(filter(str.strip, lines[i:]))
-    if len(rows) != n_features + N_LABELS:
+    n_block = n_rows + N_LABELS
+    if len(rows) != n_block + n_features:
         raise CrfError(
-            f"{path}: model declares {n_features} features, so "
-            f"{n_features + N_LABELS} weight rows with the transitions; "
-            f"the file has {len(rows)}")
-    # the whole weight block in bulk; row by row only to name a bad line.
-    # Members of a group of observations train to bitwise-equal weights,
-    # so few weight rows are distinct: each distinct one is parsed once
-    # and gathered back into place.
-    keys, _, weights = zip(*map(methodcaller("partition", "\t"), rows))
-    obs_index = dict(zip(keys[:n_features], range(n_features)))
-    distinct = {w: k for k, w in enumerate(dict.fromkeys(weights))}
+            f"{path}: model declares {n_features} features and {n_rows} "
+            f"weight rows, so {n_block + n_features} lines with the "
+            f"transitions; the file has {len(rows)}")
+    block = rows[:n_block]
+    obs = list(map(methodcaller("partition", "\t"), rows[n_block:]))
+    row_ids, tabs, keys = zip(*obs) if obs else ((), (), ())
+    obs_index = dict(zip(keys, range(n_features)))
     try:
-        parsed = np.fromiter(map(float, "\t".join(distinct).split("\t")),
-                             dtype=float, count=N_LABELS * len(distinct))
-    except ValueError:
-        parsed = None
-    if (parsed is None or not np.isfinite(parsed).all()
-            or set(map(str.count, distinct, repeat("\t"))) != {N_LABELS - 1}
-            or keys[n_features:] != TRANSITION_KEYS
-            or len(obs_index) != n_features):
-        _raise_row_error(path, lines, i, n_features)
-    row = np.fromiter(map(distinct.__getitem__, weights), dtype=np.intp,
-                      count=len(weights))
-    return CrfModel(obs_index, parsed.reshape(-1, N_LABELS)[row].ravel(),
+        weights = np.fromiter(map(float, "\t".join(block).split("\t")),
+                              dtype=float, count=N_LABELS * n_block)
+        row_of = np.array(row_ids, dtype=np.int64)
+    except (ValueError, OverflowError):
+        weights = row_of = None
+    if (weights is None or not np.isfinite(weights).all()
+            or set(map(str.count, block, repeat("\t"))) - {N_LABELS - 1}
+            or "" in tabs or len(obs_index) != n_features
+            or not ((row_of >= 0) & (row_of < n_rows)).all()):
+        _raise_row_error(path, lines, i, n_rows)
+    weights = weights.reshape(-1, N_LABELS)
+    return CrfModel(obs_index, np.concatenate([weights[row_of].ravel(),
+                                               weights[n_rows:].ravel()]),
                     c=c, eta=eta, profile=profile, digest=digest)
 
 
 def _raise_row_error(path, lines: list[str], start: int,
-                     n_features: int) -> None:
-    """Raise the error of the first malformed weight row at or after
-    line `start` (0-based), naming its line."""
+                     n_rows: int) -> None:
+    """Raise the error of the first malformed line of the weight block
+    or of the observation lines, which start at line `start` (0-based),
+    naming its line."""
     seen: set[str] = set()
     rows = ((lineno, line) for lineno, line in enumerate(lines[start:],
                                                           start + 1)
             if line.strip())
     for row, (lineno, line) in enumerate(rows):
-        key, *weights = line.split("\t")
-        if len(weights) != N_LABELS:
-            raise _line_error(path, lineno,
-                              "expected key<TAB>w_B<TAB>w_I<TAB>w_O")
+        if row < n_rows + N_LABELS:
+            weights = line.split("\t")
+            if len(weights) != N_LABELS:
+                raise _line_error(path, lineno,
+                                  "expected w_B<TAB>w_I<TAB>w_O")
+            try:
+                if not all(map(math.isfinite, map(float, weights))):
+                    raise ValueError
+            except ValueError:
+                raise _line_error(path, lineno,
+                                  f"bad weight in {line!r}") from None
+            continue
+        row_id, tab, key = line.partition("\t")
+        if not tab:
+            raise _line_error(path, lineno, "expected row<TAB>key")
         try:
-            if not all(map(math.isfinite, map(float, weights))):
-                raise ValueError
+            number = int(row_id)
         except ValueError:
             raise _line_error(path, lineno,
-                              f"bad weight in {line!r}") from None
-        if row >= n_features and key != TRANSITION_KEYS[row - n_features]:
-            raise _line_error(path, lineno, f"expected transition row "
-                              f"{TRANSITION_KEYS[row - n_features]!r}, "
-                              f"got {key!r}")
-        elif row < n_features and key in seen:
+                              f"bad row number {row_id!r}") from None
+        if not 0 <= number < n_rows:
+            raise _line_error(path, lineno, f"row {number} out of range; "
+                              f"the model has {n_rows} rows")
+        if key in seen:
             raise _line_error(path, lineno,
                               f"repeated observation key {key!r}")
         seen.add(key)

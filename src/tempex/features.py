@@ -13,7 +13,6 @@ import json
 import re
 import string
 from dataclasses import astuple, dataclass
-from functools import lru_cache
 from itertools import groupby, repeat
 from pathlib import Path
 from typing import Iterable, Sequence as Seq
@@ -350,18 +349,17 @@ def extract_rows(seqs: Seq[Sequence], featurizer: Featurizer
 @dataclass
 class ObservationTable:
     """The observations of a list of sequences (a document, a training
-    corpus, or the whole corpus of a `cv` command), each distinct string
+    corpus, or the whole corpus of a `cv` command), each distinct key
     stored once.
 
     `codes[p, s]` (int32) is the index into `keys` of slot s of position
     p; the positions of all sequences follow each other, `lengths` tokens
     per sequence, and -1 marks an empty slot.  Slots are in template
-    order, then feature order.  Two keys may spell the same string (a
-    value holding ``|f[o]=`` makes a string ambiguous); the CRF index and
-    encoding go by the string, so they count as one observation.
+    order, then feature order.  The keys are pairwise distinct, so a
+    code names one observation and the CRF index can go by codes.
     `len()` is the number of positions, and iterating yields each
     position's row of slot codes.  A sequence's rows depend on that
-    sequence alone, so `take` of some sequences gives the strings, and
+    sequence alone, so `take` of some sequences gives the keys, and
     so the CRF index and encoding, of featurizing them afresh.
     """
     keys: list[str]
@@ -401,14 +399,6 @@ class ObservationTable:
         return cls(list(index), codes, tuple(map(len, sequences)))
 
 
-@lru_cache(maxsize=1024)
-def _fragment_prefixes(names: tuple[str, ...], offset: int
-                       ) -> tuple[str, ...]:
-    """``f[o]=`` for each feature name f, ``[+0]`` spelled ``[0]``."""
-    return tuple(f"{f}[{offset:+d}]=".replace("[+0]", "[0]")
-                 for f in names)
-
-
 def _distinct_per_row(values: np.ndarray):
     """The distinct entries of each row of a 2-D int array, row after row
     in one flat array (ascending within a row), their count per row, and
@@ -439,12 +429,17 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
     Position p reads row `rows[types[p]]`; the positions of all
     sequences follow each other, `lengths` per sequence.
 
-    For position p, template t and feature name f the observation string
-    is ``tid:f[o1]=v1|f[o2]=v2...``, with every ``[+0]`` in a ``f[o]=v``
-    part spelled ``[0]``.  Offsets outside the sequence read the _BOS_ /
-    _EOS_ sentinels, so every position gets the same number of strings.
+    For position p, template t and feature name f the observation key
+    is the tab-joined template id, the name, then the value at each of
+    the template's offsets: ``T05<TAB>word<TAB>_BOS_<TAB>three``.
+    Offsets outside the sequence read the _BOS_ / _EOS_ sentinels, so
+    every position gets the same number of keys.  Repeated templates
+    and names are expanded once.  No name or value may hold a tab or a
+    line break (`corpus.Token` refuses such annotations); then, as the
+    template id fixes the offsets, each key names one observation and
+    the table's keys are pairwise distinct.
 
-    Each string is built once per call, not once per position.  Each
+    Each key is built once per call, not once per position.  Each
     feature's values get small int codes (sentinels first), looked up
     once per row and laid out per sequence between two _BOS_ and two
     _EOS_ slots of its own, so that a shifted read never crosses into
@@ -456,9 +451,9 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
     positions times the number of values, and it has one key per
     distinct combination.
     """
-    templates = tuple(templates)
-    unigram_features = tuple(unigram_features)
-    conjunction_features = tuple(conjunction_features)
+    templates = tuple(dict.fromkeys(templates))
+    unigram_features = tuple(dict.fromkeys(unigram_features))
+    conjunction_features = tuple(dict.fromkeys(conjunction_features))
     names = tuple(dict.fromkeys(unigram_features + conjunction_features))
     lengths = tuple(lengths)
     n = len(types)
@@ -469,37 +464,24 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
               + 4 * np.arange(len(lengths)))
     columns = np.ones((len(names), n + 4 * len(lengths)), dtype=np.int64)
     columns[:, starts] = columns[:, starts + 1] = 0
-    spelled = []  # per feature, its value strings by code
+    spelled = []  # per feature, a tab and each value, by code
     by_name = list(zip(*(tuple(map(row.get, names, repeat("_")))
                          for row in rows))) or [()] * len(names)
     for column, values in zip(columns, by_name):
-        code = dict.fromkeys((BOS, EOS, *values))
-        distinct: dict[str, int] = {}
-        for v in code:
-            code[v] = distinct.setdefault(v.replace("[+0]", "[0]"),
-                                          len(distinct))
+        code = {v: i for i, v in enumerate(dict.fromkeys((BOS, EOS,
+                                                          *values)))}
         column[at] = np.fromiter(map(code.__getitem__, values),
                                  dtype=np.int64, count=len(rows))[types]
-        spelled.append(list(distinct))
+        spelled.append(["\t" + v for v in code])
     n_values = np.array([len(v) for v in spelled], dtype=np.int64)
+    # a tab and value v of feature f, at fragments[base[f] + v]
+    base = _row_starts(n_values)
+    fragments = [v for values in spelled for v in values]
 
     index = {f: i for i, f in enumerate(names)}
     slots = [(t, index[f]) for t in templates
              for f in (unigram_features if len(t.offsets) == 1
                        else conjunction_features)]
-    # `f[o]=v` of each conjunction feature f, value v and offset o, at
-    # fragments[fragment_base[o + 2, f] + v]
-    conj = sorted({index[f] for f in conjunction_features})
-    conj_values = n_values[conj]
-    fragment_base = np.zeros((5, len(names)), dtype=np.int64)
-    fragment_base[:, conj] = (_row_starts(conj_values)
-                              + conj_values.sum() * np.arange(5)[:, None])
-    fragments = [prefix + v for o in range(-2, 3)
-                 for prefix, f in zip(
-                     _fragment_prefixes(tuple(names[f] for f in conj), o),
-                     conj)
-                 for v in spelled[f]]
-
     keys: list[str] = []
     codes = np.empty((n, len(slots)), dtype=np.int32)
     for arity in (1, 2, 3):
@@ -511,23 +493,18 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
         feats = np.array([slots[s][1] for s in group], dtype=np.int64)
         offsets = np.array([t.offsets for t in tmpls], dtype=np.int64)
         sizes = n_values[feats]
+        heads = [f"{t.tid}\t{names[f]}" for t, f in zip(tmpls,
+                                                        feats.tolist())]
         # a slot's entries start as the values of its feature: `local` is
         # each position's entry within the slot's row, `flat` its index
         # over all rows
         first = _row_starts(sizes)
         local = columns[feats[:, None], at + offsets[:, :1]]
         flat = local + first[:, None]
-        if arity == 1:
-            codes[:, group] = (flat + len(keys)).T
-            for t, f in zip(tmpls, feats.tolist()):
-                head = t.tid + ":" + _fragment_prefixes(names,
-                                                        t.offsets[0])[f]
-                keys += [head + v for v in spelled[f]]
-            continue
         # `parts` holds each entry's fragment at each offset so far
         rows_of = np.repeat(np.arange(len(group)), sizes)
-        parts = [fragment_base[offsets[rows_of, 0] + 2, feats[rows_of]]
-                 + np.arange(len(rows_of)) - first[rows_of]]
+        parts = [base[feats[rows_of]] + np.arange(len(rows_of))
+                 - first[rows_of]]
         for k in range(1, arity):
             pairs, counts, flat = _distinct_per_row(
                 local * sizes[:, None]
@@ -535,16 +512,13 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
             rows_of = np.repeat(np.arange(len(group)), counts)
             entry, value = np.divmod(pairs, sizes[rows_of])
             parts = [p[first[rows_of] + entry] for p in parts]
-            parts.append(fragment_base[offsets[rows_of, k] + 2,
-                                       feats[rows_of]] + value)
+            parts.append(base[feats[rows_of]] + value)
             first = _row_starts(counts)
             local = flat - first[:, None]
         codes[:, group] = (flat + len(keys)).T
-        heads = [t.tid + ":" for t in tmpls]
-        pieces = [map(heads.__getitem__, rows_of.tolist())]
-        for p in parts:
-            pieces += (map(fragments.__getitem__, p.tolist()), repeat("|"))
-        keys += map("".join, zip(*pieces[:-1]))
+        keys += map("".join, zip(
+            map(heads.__getitem__, rows_of.tolist()),
+            *(map(fragments.__getitem__, p.tolist()) for p in parts)))
     return ObservationTable(keys, codes, lengths)
 
 

@@ -429,6 +429,15 @@ def _vf_set_every(m, anchor, config, args):
     return _period(n, m["unit"])
 
 
+_FREQ_VALUES = {"daily": "P1D", "weekly": "P1W", "monthly": "P1M",
+                "yearly": "P1Y", "annually": "P1Y", "hourly": "PT1H",
+                "nightly": "P1D", "quarterly": "P3M"}
+
+
+def _vf_freq(m, anchor, config, args):
+    return _FREQ_VALUES[m.group(0)]
+
+
 VALUE_FNS: dict[str, Callable] = {
     "fixed": _vf_fixed,
     "date_mdy": _vf_date_mdy,
@@ -449,6 +458,7 @@ VALUE_FNS: dict[str, Callable] = {
     "clock": _vf_clock,
     "duration": _vf_duration,
     "set_every": _vf_set_every,
+    "freq": _vf_freq,
 }
 
 
@@ -555,7 +565,7 @@ def builtin_rules() -> tuple[NormRule, ...]:
         # sets / frequencies
         r("freq_adverb", 240,
           r"daily|weekly|monthly|yearly|annually|hourly|nightly|quarterly",
-          "SET", "fixed", "FREQ"),
+          "SET", "freq"),
         r("every_other", 241, r"every (?P<other>other) (?P<unit>{unit})s?",
           "SET", "set_every"),
         r("every_n", 242,
@@ -583,11 +593,6 @@ def builtin_rules() -> tuple[NormRule, ...]:
           "DATE", "fixed", "FUTURE_REF"),
     ]
     return tuple(rules)
-
-
-_FREQ_VALUES = {"daily": "P1D", "weekly": "P1W", "monthly": "P1M",
-                "yearly": "P1Y", "annually": "P1Y", "hourly": "PT1H",
-                "nightly": "P1D", "quarterly": "P3M"}
 
 
 def load_rule_overrides(path) -> list[NormRule]:
@@ -669,9 +674,6 @@ def normalize(surfaces: Seq[str], anchor: date,
         if m is None:
             continue
         try:
-            if (rule.value_fn == "fixed" and rule.args
-                    and rule.args[0] == "FREQ"):
-                return (rule.type_out, _FREQ_VALUES[m.group(0)])
             result = VALUE_FNS[rule.value_fn](m, anchor, config, rule.args)
         except NormalizerError:
             continue

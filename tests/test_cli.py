@@ -389,15 +389,24 @@ class TestCorruptModel:
     """Every malformed model file is a typed error: exit 2 and a message
     naming the line, never a traceback."""
 
-    FIRST_WEIGHT_LINE = 7  # after the six header lines
+    FIRST_WEIGHT_LINE = 8  # after the seven header lines
 
     def corrupt(self, workdir, tmp_path, edit):
         lines = (workdir / "model.crf").read_text(
             encoding="utf-8").splitlines()
-        assert lines[self.FIRST_WEIGHT_LINE - 1].count("\t") == 3
+        assert lines[self.FIRST_WEIGHT_LINE - 2].startswith("#n_rows\t")
+        assert lines[self.FIRST_WEIGHT_LINE - 1].count("\t") == 2
         path = tmp_path / "bad.crf"
         path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
         return path
+
+    def n_rows(self, lines):
+        return int(lines[self.FIRST_WEIGHT_LINE - 2].split("\t")[1])
+
+    def first_observation_line(self, lines):
+        """The line number of the first `row<TAB>key` line: after the
+        `#n_rows` distinct rows and the three transition rows."""
+        return self.FIRST_WEIGHT_LINE + self.n_rows(lines) + 3
 
     def tag_err(self, workdir, path, capsys):
         rc = main(["tag", str(workdir / "test.tsv"), str(path)])
@@ -409,22 +418,27 @@ class TestCorruptModel:
     def edit_weight_line(self, edit):
         def apply(lines):
             i = self.FIRST_WEIGHT_LINE - 1
-            key, *weights = lines[i].split("\t")
-            lines[i] = edit(key, *weights)
+            lines[i] = edit(*lines[i].split("\t"))
             return lines
         return apply
 
-    ROW = "expected key<TAB>w_B<TAB>w_I<TAB>w_O"
+    def edit_observation_line(self, edit):
+        def apply(lines):
+            i = self.first_observation_line(lines) - 1
+            lines[i] = edit(*lines[i].partition("\t")[::2])
+            return lines
+        return apply
+
+    ROW = "expected w_B<TAB>w_I<TAB>w_O"
 
     @pytest.mark.parametrize("edit,message", [
-        pytest.param(lambda k, b, i, o: f"{k} {b} {i} {o}", ROW,
-                     id="no-tabs"),
-        pytest.param(lambda k, b, i, o: f"{k}\t{b}", ROW, id="one-tab"),
-        pytest.param(lambda k, b, i, o: f"{k}\t{b}\tnot-a-number\t{o}",
+        pytest.param(lambda b, i, o: f"{b} {i} {o}", ROW, id="no-tabs"),
+        pytest.param(lambda b, i, o: f"{b}\t{i}", ROW, id="one-tab"),
+        pytest.param(lambda b, i, o: f"{b}\tnot-a-number\t{o}",
                      "bad weight", id="bad-float"),
-        pytest.param(lambda k, b, i, o: f"{k}\t{b}\t{i}\tnan", "bad weight",
+        pytest.param(lambda b, i, o: f"{b}\t{i}\tnan", "bad weight",
                      id="nan"),
-        pytest.param(lambda k, b, i, o: f"{k}\t{b}\t{i}\t{o}\t{o}", ROW,
+        pytest.param(lambda b, i, o: f"{b}\t{i}\t{o}\t{o}", ROW,
                      id="four-weights"),
     ])
     def test_bad_weight_line(self, workdir, tmp_path, capsys, edit,
@@ -433,30 +447,77 @@ class TestCorruptModel:
         err = self.tag_err(workdir, path, capsys)
         assert f"line {self.FIRST_WEIGHT_LINE}:" in err and message in err
 
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda row, key: row, "expected row<TAB>key",
+                     id="no-key"),
+        pytest.param(lambda row, key: f"{row} {key}", "bad row number",
+                     id="space-for-tab"),
+        pytest.param(lambda row, key: f"x{row}\t{key}", "bad row number",
+                     id="non-integer"),
+        pytest.param(lambda row, key: f"{row}.0\t{key}", "bad row number",
+                     id="float"),
+        pytest.param(lambda row, key: f"-1\t{key}", "row -1 out of range",
+                     id="negative"),
+        pytest.param(lambda row, key: f"{10 ** 30}\t{key}",
+                     f"row {10 ** 30} out of range", id="huge"),
+    ])
+    def test_bad_observation_line(self, workdir, tmp_path, capsys, edit,
+                                  message):
+        path = self.corrupt(workdir, tmp_path,
+                            self.edit_observation_line(edit))
+        lineno = self.first_observation_line(
+            path.read_text(encoding="utf-8").splitlines())
+        err = self.tag_err(workdir, path, capsys)
+        assert f"line {lineno}: {message}" in err
+
+    def test_row_past_the_block(self, workdir, tmp_path, capsys):
+        """A row number one past the distinct rows would read a
+        transition row: it is out of range."""
+        lines = (workdir / "model.crf").read_text(
+            encoding="utf-8").splitlines()
+        n_rows = self.n_rows(lines)
+        path = self.corrupt(workdir, tmp_path, self.edit_observation_line(
+            lambda row, key: f"{n_rows}\t{key}"))
+        err = self.tag_err(workdir, path, capsys)
+        assert (f"line {self.first_observation_line(lines)}: row {n_rows} "
+                f"out of range; the model has {n_rows} rows") in err
+
     def test_repeated_observation_key(self, workdir, tmp_path, capsys):
         def edit(lines):
-            first, second = self.FIRST_WEIGHT_LINE - 1, self.FIRST_WEIGHT_LINE
-            key = lines[first].split("\t")[0]
-            lines[second] = key + lines[second][lines[second].index("\t"):]
+            first = self.first_observation_line(lines) - 1
+            key = lines[first].partition("\t")[2]
+            row = lines[first + 1].partition("\t")[0]
+            lines[first + 1] = f"{row}\t{key}"
             return lines
         path = self.corrupt(workdir, tmp_path, edit)
+        lineno = self.first_observation_line(
+            path.read_text(encoding="utf-8").splitlines())
         err = self.tag_err(workdir, path, capsys)
-        assert f"line {self.FIRST_WEIGHT_LINE + 1}: repeated observation " \
-            "key" in err
+        assert f"line {lineno + 1}: repeated observation key" in err
 
-    def test_bad_transition_label(self, workdir, tmp_path, capsys):
+    def test_short_weight_block(self, workdir, tmp_path, capsys):
+        """A block one row shorter than `#n_rows` declares, with a line
+        count that still adds up: the first observation line is read as
+        the last transition row, and named."""
         def edit(lines):
-            lines[-1] = lines[-1].replace("__T__:O", "__T__:Z")
+            shift = {"#n_rows": 1, "#n_features": -1}
+            for i, line in enumerate(lines[:self.FIRST_WEIGHT_LINE - 1]):
+                key, _, value = line.partition("\t")
+                if key in shift:
+                    lines[i] = f"{key}\t{int(value) + shift[key]}"
             return lines
+        lineno = self.first_observation_line(
+            (workdir / "model.crf").read_text(encoding="utf-8").splitlines())
         path = self.corrupt(workdir, tmp_path, edit)
         err = self.tag_err(workdir, path, capsys)
-        assert "expected transition row '__T__:O', got '__T__:Z'" in err
+        assert f"line {lineno}: {self.ROW}" in err
 
     @pytest.mark.parametrize("key", ["features", "hyperparams",
-                                     "n_features", "profile"])
+                                     "n_features", "n_rows", "profile"])
     def test_missing_header_key(self, workdir, tmp_path, capsys, key):
         path = self.corrupt(workdir, tmp_path, lambda lines: [
-            line for line in lines if not line.startswith(f"#{key}\t")])
+            line for line in lines if not line.startswith(f"#{key}\t")]
+            + ["#n_rows\t0"] * (key == "n_rows"))
         err = self.tag_err(workdir, path, capsys)
         assert f"no #{key} line" in err
 
@@ -464,8 +525,8 @@ class TestCorruptModel:
         ("features", "T00:zero"),
         pytest.param("features", "ABCDEF" * 10 + "ABCD", id="features-upper"),
         pytest.param("features", "0" * 63, id="features-63-digits"),
-        ("hyperparams", "C=1.0"), ("n_features", "-3"),
-        ("profile", "model9"), ("profile", "model4")])
+        ("hyperparams", "C=1.0"), ("n_features", "-3"), ("n_rows", "x"),
+        ("n_rows", "-1"), ("profile", "model9"), ("profile", "model4")])
     def test_bad_header_value(self, workdir, tmp_path, capsys, key, value):
         def edit(lines):
             return [f"#{key}\t{value}" if line.startswith(f"#{key}\t")
@@ -479,8 +540,10 @@ class TestCorruptModel:
             return ["#n_features\t1" if line.startswith("#n_features\t")
                     else line for line in lines]
         path = self.corrupt(workdir, tmp_path, edit)
+        n_rows = self.n_rows(path.read_text(encoding="utf-8").splitlines())
         err = self.tag_err(workdir, path, capsys)
-        assert "model declares 1 features, so 4 weight rows" in err
+        assert (f"model declares 1 features and {n_rows} weight rows, so "
+                f"{n_rows + 4} lines") in err
 
     def test_format_1_rejected_by_name(self, workdir, tmp_path, capsys):
         """A model in the earlier one-row-per-(observation, label) format
@@ -494,6 +557,21 @@ class TestCorruptModel:
             encoding="utf-8")
         err = self.tag_err(workdir, path, capsys)
         assert "model format 'tempex-crf-1' not supported" in err
+
+    def test_format_2_rejected_by_name(self, workdir, tmp_path, capsys):
+        """A model in the earlier one-row-per-observation format, keys
+        spelled `tid:f[o]=v|...`, is refused, naming its version."""
+        path = tmp_path / "v2.crf"
+        digest = features.Featurizer("model1").digest
+        path.write_text(
+            "#version\ttempex-crf-2\n#labels\tB,I,O\n#profile\tmodel1\n"
+            f"#features\t{digest}\n#hyperparams\tC=1.0,eta=0.0001\n"
+            "#n_features\t1\nT00:word[0]=May\t1.0\t0.0\t-1.0\n"
+            + "".join(f"__T__:{a}\t0.0\t0.0\t0.0\n" for a in "BIO"),
+            encoding="utf-8")
+        err = self.tag_err(workdir, path, capsys)
+        assert ("model format 'tempex-crf-2' not supported (expected "
+                f"'{crf.MODEL_FORMAT_VERSION}'; retrain the model)") in err
 
 
 class TestNormalize:
@@ -792,7 +870,7 @@ class TestReaderErrors:
         assert capsys.readouterr().out.strip() == "DURATION\tP2W"
 
     @pytest.mark.parametrize("fn", ["fixed", "offset:+", "date_mdy",
-                                    "deictic_day:x", "fixed:FREQ"])
+                                    "deictic_day:x", "freq"])
     def test_rule_that_cannot_compute_exit_2(self, tmp_path, capsys, fn):
         """An override whose value function does not fit its pattern or
         arguments is named when it matches."""

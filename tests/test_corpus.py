@@ -132,6 +132,24 @@ def sample_doc():
     return Document("d1", datetime.date(2013, 4, 11), (seq1, seq2), text)
 
 
+class TestToken:
+    """Annotations become parts of tab-separated observation keys, so a
+    token refuses one that holds a tab or a line break."""
+
+    @pytest.mark.parametrize("name", ["pos", "lemma", "chunk", "pnp"])
+    @pytest.mark.parametrize("value", ["a\tb", "\t", "a\nb", "a\r", "\x0b",
+                                       "a\x1c", "\x85", "a\u2028b"])
+    def test_tab_or_line_break_refused(self, name, value):
+        with pytest.raises(CorpusError, match=name):
+            Token("x", 0, 1, **{name: value})
+
+    def test_other_annotations_kept(self):
+        tok = Token("x", 0, 1, pos="NN P", lemma="", chunk="|x[+0]=",
+                    pnp=" ")
+        assert (tok.pos, tok.lemma, tok.chunk, tok.pnp) == \
+            ("NN P", "", "|x[+0]=", " ")
+
+
 class TestCorpusIO:
     def test_round_trip(self, tmp_path):
         doc = sample_doc()

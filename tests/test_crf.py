@@ -97,6 +97,15 @@ class TestFeatureIndex:
         with pytest.raises(CrfError, match="empty"):
             build_feature_index(T([]))
 
+    def test_keys_that_repeat_refused(self):
+        """The index goes by codes, so two codes of one key would be two
+        observations under one key."""
+        table = ObservationTable(["a", "b", "a"],
+                                 np.array([[0, 1], [2, -1]], dtype=np.int32),
+                                 (2,))
+        with pytest.raises(CrfError, match="share a key"):
+            build_feature_index(table)
+
 
 def split_encode(model, table):
     """The encoding as one id array per position, split from the gather
@@ -927,6 +936,20 @@ class TestMergedColumns:
             model.training_log["final_objective"], rel=1e-10)
 
 
+def saved_parts(path):
+    """A saved model's header lines, weight block (the `#n_rows` distinct
+    rows, then the transition rows) and `row<TAB>key` lines."""
+    lines = path.read_text().splitlines()
+    header = lines[:7]
+    assert header[6].startswith("#n_rows\t")
+    end = 7 + int(header[6].split("\t")[1]) + 3
+    return header, lines[7:end], lines[end:]
+
+
+def row_text(row):
+    return "\t".join(map(repr, row))
+
+
 class TestPersistence:
     def test_round_trip_is_exact(self, tmp_path):
         """Index, weights (bit for bit), profile and digest survive a save
@@ -942,34 +965,66 @@ class TestPersistence:
         assert np.array_equal(loaded.weights, model.weights)
         assert (loaded.c, loaded.eta, loaded.profile, loaded.digest) == \
             (0.3, 1e-5, "model2", DIGEST)
-        # one row per observation, then three transition rows
-        assert len(path.read_text().splitlines()) == 6 + 4 + 3
+        # four distinct rows, three transition rows, four observations
+        header, block, observations = saved_parts(path)
+        assert header[0] == "#version\ttempex-crf-3"
+        assert (len(block), len(observations)) == (4 + 3, 4)
+        assert [line.partition("\t")[2] for line in observations] == \
+            ["b", "a", "d", "c"]
 
     def test_rows_are_per_weight_repr(self, tmp_path):
-        """Each weight is written as its own `repr`, bit for bit: repeated
-        values, both zeros, subnormals and large exponents."""
+        """Each distinct unary row is written once as the `repr` of its
+        weights, bit for bit: repeated values, both zeros, subnormals and
+        large exponents; the transition rows follow, from B, I and O, and
+        each observation names its row."""
         special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-320, 1.7976931348623157e308,
                    -1e300, 1e-300, 1.0, -3.0, 0.1, 1 / 3, 123456789.125]
         rng = np.random.default_rng(16)
         weights = rng.choice(special, size=20 * 3 + 9)
         weights[:len(special)] = special
+        weights[30:36] = weights[:6]  # observations 10, 11 repeat 0, 1
         model = CrfModel({f"k{i}": i for i in range(20)}, weights,
                          digest=DIGEST)
         path = tmp_path / "model.tsv"
         save_model(model, path)
-        keys = [f"k{i}" for i in range(20)] + [f"__T__:{lab}"
-                                               for lab in LABELS]
-        want = [f"{key}\t{b!r}\t{i!r}\t{o!r}" for key, (b, i, o) in zip(
-            keys, weights.reshape(-1, 3).tolist())]
-        assert path.read_text().splitlines()[6:] == want
+        rows = list(map(row_text, weights.reshape(-1, 3).tolist()))
+        _, block, observations = saved_parts(path)
+        assert block[-3:] == rows[20:]
+        assert sorted(block[:-3]) == sorted(set(rows[:20]))
+        assert len(block) - 3 < 20
+        assert observations == [f"{block.index(rows[i])}\tk{i}"
+                                for i in range(20)]
         loaded = load_model(path)
         assert loaded.weights.tobytes() == model.weights.tobytes()
+
+    def test_rows_distinct_by_bit_pattern(self, tmp_path):
+        """Rows that differ only in a zero's sign, or in the last bit, are
+        two rows; bitwise-equal rows are one.  All read back bit for
+        bit."""
+        unary = [(0.0, -0.0, 5e-324), (-0.0, 0.0, 5e-324),
+                 (0.0, -0.0, 5e-324), (1.7976931348623157e308, 2.5e-320, 1.0),
+                 (1.7976931348623157e308, 2.5e-320, 1.0000000000000002),
+                 (-0.0, 0.0, 5e-324)]
+        weights = np.array(unary + [(-5e-324, -0.0, 0.0)] * 3).ravel()
+        model = CrfModel({f"k{i}": i for i in range(6)}, weights,
+                         digest=DIGEST)
+        path = tmp_path / "model.tsv"
+        save_model(model, path)
+        _, block, observations = saved_parts(path)
+        assert sorted(block[:-3]) == sorted(set(map(row_text, unary)))
+        assert len(block) == 4 + 3
+        assert block[-3:] == ["-5e-324\t-0.0\t0.0"] * 3
+        row_of = [int(line.partition("\t")[0]) for line in observations]
+        assert row_of[0] == row_of[2] and row_of[1] == row_of[5]
+        assert len(set(row_of)) == 4
+        assert load_model(path).weights.tobytes() == weights.tobytes()
 
     @pytest.mark.parametrize("distinct_rows", [1, 4, 23])
     def test_repeated_rows_reload_exactly(self, tmp_path, distinct_rows):
         """A model whose 23 weight rows (20 observations, 3 transitions)
         are all equal, repeat 4 rows in shuffled order, or are all
-        distinct reloads bit for bit."""
+        distinct reloads bit for bit, each distinct unary row written
+        once."""
         rng = np.random.default_rng(17)
         rows = rng.normal(size=(distinct_rows, 3))
         rows[0] = (0.0, -0.0, 5e-324)
@@ -978,15 +1033,15 @@ class TestPersistence:
                          digest=DIGEST)
         path = tmp_path / "model.tsv"
         save_model(model, path)
-        rows = [line.partition("\t")[2]
-                for line in path.read_text().splitlines()[6:]]
-        assert len(set(rows)) == distinct_rows
+        _, block, _ = saved_parts(path)
+        unary = {row_text(row) for row in weights[:60].reshape(-1, 3).tolist()}
+        assert sorted(block[:-3]) == sorted(unary)
         assert load_model(path).weights.tobytes() == weights.tobytes()
 
     @pytest.mark.parametrize("bad,message", [
         ("1.0\tx\t2.0", "bad weight"),
         ("1.0\tinf\t2.0", "bad weight"),
-        ("1.0\t2.0", "expected key<TAB>w_B<TAB>w_I<TAB>w_O"),
+        ("1.0\t2.0", "expected w_B<TAB>w_I<TAB>w_O"),
     ])
     def test_repeated_bad_row_named_at_first_line(self, tmp_path, bad,
                                                   message):
@@ -997,8 +1052,10 @@ class TestPersistence:
         path = tmp_path / "model.tsv"
         save_model(model, path)
         lines = path.read_text().splitlines()
+        # one distinct row and three transition rows, lines 8 to 11
+        assert lines[6:11] == ["#n_rows\t1"] + ["0.0\t0.0\t0.0"] * 4
         for lineno in (9, 11):
-            lines[lineno - 1] = f"k{lineno - 7}\t{bad}"
+            lines[lineno - 1] = bad
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CrfError, match=f"line 9: {message}"):
             load_model(path)

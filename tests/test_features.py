@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tempex import crf, features, pipeline
 from tempex.config import RunConfig
-from tempex.corpus import Sequence, Token, is_valid_bio
+from tempex.corpus import CorpusError, Sequence, Token, is_valid_bio
 from tempex.features import (BOS, EOS, DATA_DIR, Featurizer, Gazetteer,
                              ObservationTable, TEMPLATES, collapsed_pattern,
                              expand_templates, extract_rows,
@@ -22,7 +22,7 @@ MODEL1 = Featurizer("model1")
 
 
 def strings(table):
-    """Each position's observation strings, empty slots left out."""
+    """Each position's observation keys, empty slots left out."""
     return [[table.keys[c] for c in row if c >= 0] for row in table]
 
 
@@ -41,7 +41,7 @@ def expand(rows_per_sequence, templates, unigram, conj):
 
 
 def expand_one(rows, templates, unigram, conj):
-    """Observation strings per position of one sequence's rows."""
+    """Observation keys per position of one sequence's rows."""
     return strings(expand([rows], templates, unigram, conj))
 
 
@@ -149,12 +149,12 @@ class TestTemplates:
     def test_boundary_sentinel(self):
         rows = [{"word": "three"}]
         out = expand_one(rows, TEMPLATES, ("word",), ("word",))
-        assert "T05:word[-1]=_BOS_|word[0]=three" in out[0]
+        assert "T05\tword\t_BOS_\tthree" in out[0]
 
     def test_unigram_string(self):
         rows = [{"word": "three"}, {"word": "days"}]
         out = expand_one(rows, TEMPLATES, ("word",), ("word",))
-        assert "T00:word[0]=days" in out[1]
+        assert "T00\tword\tdays" in out[1]
 
     def test_count_is_templates_times_features(self):
         names = ("word", "pattern", "stem")
@@ -201,7 +201,7 @@ class TestProfiles:
         seq = make_seq(["New", "York", "today"])
         out = strings(featurize_sequence(
             [seq], Featurizer("model3", gazetteer_dir=tmp_path)))
-        assert any("gaz_cities[0]=B" in f for f in out[0])
+        assert "T00\tgaz_cities\tB" in out[0]
 
 
 class TestFeaturizer:
@@ -248,12 +248,14 @@ class TestFeaturizer:
             Featurizer("model3").digest
 
 
-def reference_expand(rows, templates=TEMPLATES, unigram_features=(),
-                     conjunction_features=()):
-    """Position-by-position expansion: the definition of the observation
-    strings that `expand_templates` must reproduce exactly."""
-    unigram_features = tuple(unigram_features)
-    conjunction_features = tuple(conjunction_features)
+def reference_observations(rows, templates=TEMPLATES, unigram_features=(),
+                           conjunction_features=()):
+    """Position-by-position expansion: each position's observations, as
+    (template id, feature name, value at each offset) tuples, repeated
+    templates and names taken once."""
+    templates = tuple(dict.fromkeys(templates))
+    unigram_features = tuple(dict.fromkeys(unigram_features))
+    conjunction_features = tuple(dict.fromkeys(conjunction_features))
     n = len(rows)
 
     def value(p, name):
@@ -270,21 +272,39 @@ def reference_expand(rows, templates=TEMPLATES, unigram_features=(),
             names = (unigram_features if len(t.offsets) == 1
                      else conjunction_features)
             for f in names:
-                parts = "|".join(
-                    f"{f}[{o:+d}]={value(p + o, f)}".replace("[+0]", "[0]")
-                    for o in t.offsets)
-                feats.append(f"{t.tid}:{parts}")
+                feats.append((t.tid, f, *(value(p + o, f)
+                                          for o in t.offsets)))
         out.append(feats)
     return out
 
 
-# Pieces that could confuse the string layout if it were parsed or
-# assembled carelessly: the separators, the offset spellings, sentinels.
+def reference_expand(rows, templates=TEMPLATES, unigram_features=(),
+                     conjunction_features=()):
+    """The definition of the observation keys that `expand_templates`
+    must reproduce exactly: each observation's fields, tab-joined."""
+    return [list(map("\t".join, feats)) for feats in reference_observations(
+        rows, templates, unigram_features, conjunction_features)]
+
+
+def token_accepts(value):
+    """Whether `corpus.Token` takes `value` as an annotation."""
+    try:
+        Token("x", 0, 1, lemma=value)
+    except CorpusError:
+        return False
+    return True
+
+
+# Pieces that could confuse the key layout if it were parsed or
+# assembled carelessly: the separators and offset spellings of keys
+# as they once were, template ids, feature names, sentinels.  Values
+# exclude only what a token refuses: tabs and line breaks.
 HOSTILE = ("|", "[", "]", "=", "+0", "[+0]", "[0]", "_BOS_", "_EOS_", "_",
-           "|word[+1]=x", ":", "é", "時", "\u00a0", "a", "7")
+           "|word[+1]=x", ":", "é", "時", "\u00a0", "a", "7", "T05", "word",
+           " ", "\\t")
 VALUES = st.one_of(st.text(max_size=6),
                    st.lists(st.sampled_from(HOSTILE), max_size=4).map(
-                       "".join))
+                       "".join)).filter(token_accepts)
 NAMES = ("word", "pattern", "stem", "gaz_x", "f[+0", "a|b")
 ROWS = st.lists(st.dictionaries(st.sampled_from(NAMES), VALUES),
                 max_size=6)
@@ -426,6 +446,24 @@ class TestExpansionOracle:
             feats for rows in rows_per_sequence
             for feats in reference_expand(rows, templates, unigram, conj)]
 
+    @settings(max_examples=200, deadline=None)
+    @given(SEQUENCES, TEMPLATE_SETS, NAME_SETS, NAME_SETS)
+    def test_keys_are_injective(self, rows_per_sequence, templates, unigram,
+                                conj):
+        """Whatever the values spell, no two observations share a key:
+        the table's keys are pairwise distinct, and each names one
+        (template, feature, values) observation."""
+        table = expand(rows_per_sequence, templates, unigram, conj)
+        assert len(set(table.keys)) == len(table.keys)
+        observations = [
+            obs for rows in rows_per_sequence
+            for feats in reference_observations(rows, templates, unigram,
+                                                conj)
+            for obs in feats]
+        keys = [key for feats in strings(table) for key in feats]
+        pairs = set(zip(observations, keys, strict=True))
+        assert len(pairs) == len(set(observations)) == len(set(keys))
+
     def test_from_strings_pads_rows_with_empty_slots(self):
         table = ObservationTable.from_strings([[["a", "b"], ["b"]], [[]]])
         assert table.keys == ["a", "b"] and table.lengths == (2, 1)
@@ -444,7 +482,7 @@ class TestExpansionOracle:
             assert strings(table) == [
                 feats for r in rows
                 for feats in reference_expand(r, TEMPLATES, unigram, conj)]
-            # each distinct string built once (no ambiguous values here)
+            # each distinct key built once
             assert len(set(table.keys)) == len(table.keys)
 
     def test_model_file_identical_to_reference(self, tmp_path, monkeypatch):
@@ -464,7 +502,7 @@ class TestExpansionOracle:
 
 
 def reference_index(sequences, cutoff):
-    """Observation strings seen at least `cutoff` times, in order of
+    """Observation keys seen at least `cutoff` times, in order of
     first occurrence, with their counts."""
     counts: dict[str, int] = {}
     for seq in sequences:
@@ -475,8 +513,9 @@ def reference_index(sequences, cutoff):
 
 
 class TestFeatureIndexOnTables:
-    # `x|word[0]=y` then `z` spells what `x` then `y|word[0]=z` spells,
-    # and `a[+0]` is written as `a[0]`: different codes, one string
+    # values that made two observations spell one string in the earlier
+    # `tid:f[o1]=v1|f[o2]=v2` keys: `x|word[0]=y` then `z` against `x`
+    # then `y|word[0]=z`, and `a[+0]`, which was written `a[0]`
     AMBIGUOUS = [[{"word": "x|word[0]=y"}, {"word": "z"}, {"word": "a[+0]"}],
                  [{"word": "x"}, {"word": "y|word[0]=z"}, {"word": "a[0]"}],
                  [{"word": "z"}]]
@@ -497,10 +536,11 @@ class TestFeatureIndexOnTables:
                     seen[i] += 1
             assert seen == [n for _, n in want]
 
-    def test_colliding_slots_merge(self):
-        names = ("word", "word")  # a repeated name: two slots, one string
+    def test_ambiguous_values_keep_distinct_keys(self):
+        names = ("word", "word")  # a repeated name, expanded once
         table = expand(self.AMBIGUOUS, TEMPLATES, names, names)
-        assert len(set(table.keys)) < len(table.keys)
+        assert len(set(table.keys)) == len(table.keys)
+        assert table.codes.shape[1] == len(TEMPLATES)
         self.check(table, [reference_expand(rows, TEMPLATES, names, names)
                            for rows in self.AMBIGUOUS])
 
@@ -516,8 +556,8 @@ class TestFeatureIndexOnTables:
 class TestTableSlices:
     """`take` of some sequences of a table gives their rows, and so the
     CRF index and encoding of featurizing them afresh."""
-    # under T07, `x|word[+1]=y` then `z` spells what `x` then
-    # `y|word[+1]=z` spells: two keys, one string
+    # under T07, `x|word[+1]=y` then `z` spelled what `x` then
+    # `y|word[+1]=z` spelled in the earlier `tid:f[o1]=v1|f[o2]=v2` keys
     AMBIGUOUS = [make_seq(["x|word[+1]=y", "z"]),
                  make_seq(["x", "y|word[+1]=z"])]
 
@@ -527,7 +567,7 @@ class TestTableSlices:
         seqs = [*build_corpus(n_sentences=24, seed=3).sequences,
                 *self.AMBIGUOUS]
         table = featurize_sequence(seqs, featurizer)
-        assert len(set(table.keys)) < len(table.keys)
+        assert len(set(table.keys)) == len(table.keys)
         n = len(seqs)
         rng = random.Random(profile)
         picks = [list(range(n)), [n - 1, 0, n - 2],
@@ -548,6 +588,19 @@ class TestTableSlices:
                 for a, b in zip(model.encode(part), model.encode(fresh),
                                 strict=True):
                     assert a.tolist() == b.tolist()
+
+    def test_ambiguous_values_train_distinct_observations(self):
+        """The two windows are two observations, each with weights of its
+        own: 674 features, where the earlier keys merged three pairs of
+        observations into 671."""
+        table = featurize_sequence(self.AMBIGUOUS, MODEL1)
+        model = crf.train(table, [["B", "O"], ["O", "B"]],
+                          crf.TrainConfig(max_iter=5))
+        assert model.training_log["n_features"] == 674
+        first = model.obs_index["T07\tword\tx|word[+1]=y\tz"]
+        second = model.obs_index["T07\tword\tx\ty|word[+1]=z"]
+        assert not np.array_equal(model.unary_weights()[first],
+                                  model.unary_weights()[second])
 
     def test_empty_selection(self):
         table = featurize_sequence(self.AMBIGUOUS, MODEL1)

@@ -8,7 +8,7 @@ from tempex.corpus import Token, TimexSpan, tokenize
 from tempex.normalizer import (VALUE_FNS, WEEKDAY_DIRECTIONS, WEEKDAYS,
                                NormConfig, NormalizerError, Timex,
                                add_period, dump_rules, load_rules,
-                               normalize,
+                               load_rule_overrides, normalize,
                                resolve_weekday, validate_value)
 
 ANCHOR = date(2013, 4, 11)  # a Thursday
@@ -356,6 +356,17 @@ class TestRuleEngine:
     def test_dump_contains_builtins(self):
         text = dump_rules()
         assert "tomorrow" in text and "decade" in text
+
+    def test_freq_is_a_value_function(self, tmp_path):
+        """`freq_adverb` dumps as the `freq` value function, which a rule
+        file can name like any other."""
+        [line] = [line for line in dump_rules().splitlines()
+                  if line.startswith("freq_adverb\t")]
+        assert line.endswith("\tSET\tfreq")
+        path = tmp_path / "rules.tsv"
+        path.write_text("every_day\t5\tnightly\tSET\tfreq\n")
+        [rule] = load_rule_overrides(path)
+        assert normalize(["nightly"], ANCHOR, [rule]) == ("SET", "P1D")
 
     def test_month_day_order_configurable(self):
         day_first = NormConfig(month_first=False)

@@ -64,7 +64,7 @@ def mangled(draw, valid: str) -> bytes:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    model = crf.CrfModel({"T00:word[0]=Friday": 0, "T00:word[0]=on": 1},
+    model = crf.CrfModel({"T00\tword\tFriday": 0, "T00\tword\ton": 1},
                          np.linspace(-1.0, 1.0, 15),
                          digest=Featurizer("model1").digest)
     crf.save_model(model, root / "model.crf")

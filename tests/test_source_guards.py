@@ -19,6 +19,9 @@
   use: no command-line option, configuration key, settings field or
   parameter of the module that starts processes names workers, jobs,
   processes, CPUs or pools.  Like the field check, this goes by name.
+- The README names the model format `crf.MODEL_FORMAT_VERSION` writes,
+  and names any other `tempex-crf-N` only in a sentence that says it is
+  rejected.
 """
 
 import ast
@@ -26,6 +29,7 @@ import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tempex"
+README = SRC.parents[1] / "README.md"
 CHECKED_CLASSES = ("RunConfig", "FeatureConfig", "TrainConfig", "CrfModel")
 CLOCK_CALLS = {("date", "today"), ("datetime", "now"),
                ("datetime", "today"), ("datetime", "utcnow")}
@@ -194,6 +198,23 @@ def parallelism_settings(trees: dict[str, ast.Module],
     return [f"{name}:{line} {n}" for name, line, n in sorted(found)]
 
 
+def model_format_version(trees: dict[str, ast.Module]) -> str:
+    """The value `crf.py` assigns to `MODEL_FORMAT_VERSION`."""
+    [value] = [node.value.value for node in ast.walk(trees["crf.py"])
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets]
+               == ["MODEL_FORMAT_VERSION"]]
+    return value
+
+
+def stale_format_names(text: str, current: str) -> list[str]:
+    """Each `tempex-crf-N` of `text` other than `current` in a sentence
+    that does not say it is rejected."""
+    return [name for sentence in re.split(r"(?<=\.)\s+", text)
+            for name in re.findall(r"tempex-crf-\d+", sentence)
+            if name != current and "reject" not in sentence]
+
+
 def test_checked_classes_exist():
     defined = {node.name for tree in parse_package().values()
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
@@ -307,3 +328,20 @@ def test_process_guards_catch_planted_violations():
     assert parallelism_settings(trees, process_starters(trees)) == [
         "cli.py:3 --jobs", "cli.py:4 processes", "cli.py:6 cpus",
         "evaluation.py:3 n_workers", "features.py:3 n_processes"]
+
+
+def test_readme_names_the_model_format():
+    readme = README.read_text(encoding="utf-8")
+    current = model_format_version(parse_package())
+    assert f"`{current}`" in readme
+    assert stale_format_names(readme, current) == []
+
+
+def test_format_guard_catches_a_stale_name():
+    """A format paragraph left at the previous version."""
+    text = ("A model file (format `tempex-crf-2`) is six header lines.\n"
+            "The earlier `tempex-crf-1` format is rejected by its version;\n"
+            "retrain such a model.  `load_model` reads `tempex-crf-2`.")
+    assert stale_format_names(text, "tempex-crf-3") == ["tempex-crf-2",
+                                                        "tempex-crf-2"]
+    assert stale_format_names(text, "tempex-crf-2") == []
