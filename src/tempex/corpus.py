@@ -57,7 +57,8 @@ class Token:
                 f"token {self.surface!r}: char_start {self.char_start} "
                 f">= char_end {self.char_end}"
             )
-        if not self.surface or any(c.isspace() for c in self.surface):
+        # str.split and str.isspace share one whitespace table
+        if self.surface.split() != [self.surface]:
             raise CorpusError(f"invalid token surface {self.surface!r}")
         # annotations are parts of tab-separated feature keys
         if self.pos or self.lemma or self.chunk or self.pnp:

@@ -34,6 +34,7 @@ import re
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from operator import methodcaller
 from pathlib import Path
@@ -122,19 +123,32 @@ class CrfModel:
     def transition_weights(self) -> np.ndarray:
         return self.weights[self.n_obs * N_LABELS:].reshape(N_LABELS, N_LABELS)
 
+    @cached_property
+    def keys(self) -> list[str]:
+        """The observation keys in id order."""
+        return sorted(self.obs_index, key=self.obs_index.__getitem__)
+
     def encode(self, table: ObservationTable) -> EncodedTable:
         """Observation ids of each position of `table`, in slot order;
         unknown observations and empty slots dropped.
 
-        One `dict.get` per key of the table, then one gather of the
-        table's codes; the lookup's extra last entry is what an empty
-        slot (code -1) reads.  The ids are int32, as the codes are.
+        A table whose keys are this model's `keys` (the list itself, as
+        `features.Vocabulary` expansion gives, once they are listed) has
+        the ids as its codes.
+        Otherwise one `dict.get` per key of the table, then one gather
+        of the table's codes; the lookup's extra last entry is what an
+        empty slot (code -1) reads.  The ids are int32, as the codes
+        are.
         """
         keys = table.keys
-        lookup = np.fromiter(
-            chain(map(self.obs_index.get, keys, repeat(-1, len(keys))),
-                  (-1,)), dtype=np.int32, count=len(keys) + 1)
-        ids = lookup[table.codes]
+        # `keys` is listed for a vocabulary, not for encoding
+        if keys is vars(self).get("keys"):
+            ids = table.codes
+        else:
+            lookup = np.fromiter(
+                chain(map(self.obs_index.get, keys, repeat(-1, len(keys))),
+                      (-1,)), dtype=np.int32, count=len(keys) + 1)
+            ids = lookup[table.codes]
         kept = ids >= 0
         indptr = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(kept.sum(axis=1), out=indptr[1:])

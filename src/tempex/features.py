@@ -13,9 +13,9 @@ import json
 import re
 import string
 from dataclasses import astuple, dataclass
-from itertools import groupby, repeat
+from itertools import chain, count, groupby, repeat
 from pathlib import Path
-from typing import Iterable, Sequence as Seq
+from typing import Iterable, Optional, Sequence as Seq
 
 import numpy as np
 
@@ -309,6 +309,12 @@ class Featurizer:
         self.digest = hashlib.sha256(
             json.dumps(contract).encode("utf-8")).hexdigest()
 
+    def vocabulary(self, keys: list[str]) -> "Vocabulary":
+        """The `Vocabulary` of a model's keys, in id order, under this
+        featurizer's templates and names."""
+        return Vocabulary(keys, TEMPLATES, self.unigram_features,
+                          self.config.conjunction_features)
+
 
 def extract_rows(seqs: Seq[Sequence], featurizer: Featurizer
                  ) -> tuple[list[dict[str, str]], np.ndarray]:
@@ -354,9 +360,11 @@ class ObservationTable:
 
     `codes[p, s]` (int32) is the index into `keys` of slot s of position
     p; the positions of all sequences follow each other, `lengths` tokens
-    per sequence, and -1 marks an empty slot.  Slots are in template
-    order, then feature order.  The keys are pairwise distinct, so a
-    code names one observation and the CRF index can go by codes.
+    per sequence, and -1 marks an empty slot (in a table expanded under
+    a model's `Vocabulary`, an observation the model does not have).
+    Slots are in template order, then feature order.  The keys are
+    pairwise distinct, so a code names one observation and the CRF
+    index can go by codes.
     `len()` is the number of positions, and iterating yields each
     position's row of slot codes.  A sequence's rows depend on that
     sequence alone, so `take` of some sequences gives the keys, and
@@ -419,10 +427,185 @@ def _row_starts(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
+def _slots(templates: Iterable[Template], unigram_features: Iterable[str],
+           conjunction_features: Iterable[str]):
+    """The feature names an expansion reads, and its slots: (template,
+    index into the names) in template order, then feature order, each
+    template and name taken once."""
+    templates = tuple(dict.fromkeys(templates))
+    unigram_features = tuple(dict.fromkeys(unigram_features))
+    conjunction_features = tuple(dict.fromkeys(conjunction_features))
+    names = tuple(dict.fromkeys(unigram_features + conjunction_features))
+    index = {f: i for i, f in enumerate(names)}
+    return names, tuple((t, index[f]) for t in templates
+                        for f in (unigram_features if len(t.offsets) == 1
+                                  else conjunction_features))
+
+
+def _groups(slots):
+    """The slots of each arity, expanded together: per arity present,
+    the slot numbers, the feature of each and its offsets (slots x
+    arity)."""
+    for arity in (1, 2, 3):
+        group = [s for s, (t, _) in enumerate(slots)
+                 if len(t.offsets) == arity]
+        if group:
+            yield (group,
+                   np.array([slots[s][1] for s in group], dtype=np.int64),
+                   np.array([slots[s][0].offsets for s in group],
+                            dtype=np.int64))
+
+
+# A step map keeps a dense table for a slot of at most this many codes,
+# and searches the sorted codes of its keys for a larger one.
+DENSE_CODES = 1 << 12
+
+
+class _StepMap:
+    """Per slot s (a row of the codes it maps), a map from codes below
+    `spaces[s]` to ints, `defaults[s]` for a code it was not given.
+
+    Built from entries (slot, code, value) sorted by slot, then code, at
+    most one per (slot, code).  The slots of small code spaces share one
+    dense table; each other slot keeps its sorted codes, ended by the
+    largest int64, and its values, ended by its default, for
+    `np.searchsorted`."""
+
+    def __init__(self, slots: np.ndarray, codes: np.ndarray,
+                 values: np.ndarray, spaces: np.ndarray,
+                 defaults: np.ndarray):
+        dense = spaces <= DENSE_CODES
+        base = np.zeros(len(spaces), dtype=np.int64)
+        base[dense] = _row_starts(spaces[dense])
+        self.base = base[:, None]
+        self.table = np.repeat(defaults[dense], spaces[dense])
+        at = dense[slots]
+        self.table[base[slots[at]] + codes[at]] = values[at]
+        bounds = np.searchsorted(slots, np.arange(len(spaces) + 1))
+        self.sparse = [
+            (s, np.append(codes[bounds[s]:bounds[s + 1]],
+                          np.iinfo(np.int64).max),
+             np.append(values[bounds[s]:bounds[s + 1]], defaults[s]))
+            for s in np.flatnonzero(~dense).tolist()]
+
+    def __call__(self, codes: np.ndarray) -> np.ndarray:
+        """The value of each code of `codes`, row s holding slot s's.  A
+        searched slot's row first reads the dense table, clipped (if
+        there is one), and is then overwritten."""
+        out = (self.table.take(codes + self.base, mode="clip")
+               if self.table.size else np.empty(codes.shape, np.int64))
+        for s, keys, values in self.sparse:
+            i = np.searchsorted(keys, codes[s])
+            out[s] = np.where(keys[i] == codes[s], values[i], values[-1])
+        return out
+
+
+def _step_maps(slots: np.ndarray, values: np.ndarray, ids: np.ndarray,
+               radix: np.ndarray) -> list[_StepMap]:
+    """The step maps that send the value codes of a group of slots to
+    observation ids, from the keys the slots build.
+
+    Key j belongs to slot `slots[j]`, reads value codes `values[j]` (one
+    per offset) and has id `ids[j]`; `radix[s]` bounds slot s's value
+    codes.  A position's prefix p, 0 before the first offset, and the
+    code c at the next offset make p * radix + c.  At the last offset
+    its map gives the id of the key with these values, or -1; before,
+    it gives the index of the prefix among the distinct prefixes of the
+    slot's keys, or one past them for a prefix no key has.  So a code
+    stays below (distinct prefixes + 1) * radix, at most (keys + 1) *
+    radix, whatever the arity: within int64 for any number of keys and
+    values that fit int32.
+    """
+    n_slots, arity = len(radix), values.shape[1]
+    prefix = np.zeros(len(ids), dtype=np.int64)
+    spaces = np.ones(n_slots, dtype=np.int64)
+    maps = []
+    for k in range(arity):
+        code = prefix * radix[slots] + values[:, k]
+        spaces = spaces * radix
+        order = np.lexsort((code, slots))
+        slot, code = slots[order], code[order]
+        if k == arity - 1:
+            maps.append(_StepMap(slot, code, ids[order], spaces,
+                                 np.full(n_slots, -1, dtype=np.int64)))
+            break
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (slot[1:] != slot[:-1]) | (code[1:] != code[:-1])
+        distinct = np.bincount(slot[new], minlength=n_slots)
+        index = np.cumsum(new) - 1 - _row_starts(distinct)[slot]
+        maps.append(_StepMap(slot[new], code[new], index[new], spaces,
+                             distinct))
+        prefix[order] = index
+        spaces = distinct + 1
+    return maps
+
+
+class Vocabulary:
+    """A model's observation keys, taken apart for `expand_templates`:
+    under a vocabulary, expansion gives each slot the id of the model's
+    observation, or -1, and builds no key.
+
+    `keys` are the model's keys in id order, as the table's keys.  Each
+    feature's values in those keys get codes 0, 1, ... (`values[f]`); a
+    value in no key reads `len(values[f])`, so its radix is one more.
+    A slot builds keys of its template id, its feature name and one
+    value per offset; a key of another shape (an unknown template or
+    name, another number of values) is one no expansion builds, and is
+    left out.  Each group of slots of one arity (`groups`) keeps one
+    `_StepMap` per offset (`_step_maps`).  The sentinels and values are
+    those of the key strings, so the ids are those that
+    `CrfModel.encode` finds for the string table's keys.
+
+    Built once per command, one split and a few dict operations per
+    key: time that grows with the model's keys, not with the tokens
+    tagged.
+    """
+
+    def __init__(self, keys: list[str], templates: Iterable[Template],
+                 unigram_features: Iterable[str],
+                 conjunction_features: Iterable[str]):
+        self.keys = keys
+        self.names, self.slots = _slots(templates, unigram_features,
+                                        conjunction_features)
+        self.groups = list(_groups(self.slots))
+        # per slot, the ids of its keys and their values, key by key
+        slot_of = {(t.tid, self.names[f]): s
+                   for s, (t, f) in enumerate(self.slots)}
+        n_fields = [2 + len(t.offsets) for t, _ in self.slots]
+        ids = [[] for _ in self.slots]
+        texts = [[] for _ in self.slots]
+        for j, key in enumerate(keys):
+            fields = key.split("\t")
+            s = slot_of.get(tuple(fields[:2]))
+            if s is not None and len(fields) == n_fields[s]:
+                ids[s].append(j)
+                texts[s] += fields[2:]
+        # each feature's values, coded in order of first appearance
+        by_feature = [[] for _ in self.names]
+        for (_, f), values in zip(self.slots, texts):
+            by_feature[f] += values
+        self.values = [dict(zip(dict.fromkeys(v), count()))
+                       for v in by_feature]
+        self.radix = np.array([len(v) + 1 for v in self.values],
+                              dtype=np.int64)
+        self.steps = []  # per group, a `_StepMap` per offset
+        for group, feats, offsets in self.groups:
+            codes = [np.fromiter(map(self.values[f].__getitem__, texts[s]),
+                                 dtype=np.int64, count=len(texts[s]))
+                     for s, f in zip(group, feats.tolist())]
+            self.steps.append(_step_maps(
+                np.repeat(np.arange(len(group)), [len(ids[s]) for s in group]),
+                np.concatenate(codes).reshape(-1, offsets.shape[1]),
+                np.fromiter(chain.from_iterable(ids[s] for s in group),
+                            dtype=np.int64),
+                self.radix[feats]))
+
+
 def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
                      lengths: Seq[int], templates: Iterable[Template],
                      unigram_features: Iterable[str],
-                     conjunction_features: Iterable[str]
+                     conjunction_features: Iterable[str],
+                     vocabulary: Optional[Vocabulary] = None
                      ) -> ObservationTable:
     """Expand the feature rows of sequences into one observation table.
 
@@ -450,11 +633,18 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
     in its row, so that a combined code stays below the number of
     positions times the number of values, and it has one key per
     distinct combination.
+
+    Under a `vocabulary` built for the same templates and names, no key
+    is built: the values get the vocabulary's codes, each slot's codes
+    go through its step maps to the model's ids, and the table's keys
+    are the vocabulary's, the model's in id order, with -1 for an
+    observation the model does not have.
     """
-    templates = tuple(dict.fromkeys(templates))
-    unigram_features = tuple(dict.fromkeys(unigram_features))
-    conjunction_features = tuple(dict.fromkeys(conjunction_features))
-    names = tuple(dict.fromkeys(unigram_features + conjunction_features))
+    names, slots = _slots(templates, unigram_features, conjunction_features)
+    if vocabulary is not None and (vocabulary.names, vocabulary.slots) != (
+            names, slots):
+        raise ValueError("the vocabulary was built for other templates or "
+                         "feature names")
     lengths = tuple(lengths)
     n = len(types)
     # a sequence's padded slots: _BOS_ _BOS_ its values _EOS_ _EOS_;
@@ -462,39 +652,50 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
     at = np.arange(n) + 4 * np.repeat(np.arange(len(lengths)), lengths) + 2
     starts = (np.cumsum((0, *lengths), dtype=np.int64)[:-1]
               + 4 * np.arange(len(lengths)))
-    columns = np.ones((len(names), n + 4 * len(lengths)), dtype=np.int64)
-    columns[:, starts] = columns[:, starts + 1] = 0
+    columns = np.empty((len(names), n + 4 * len(lengths)), dtype=np.int64)
     spelled = []  # per feature, a tab and each value, by code
     by_name = list(zip(*(tuple(map(row.get, names, repeat("_")))
                          for row in rows))) or [()] * len(names)
-    for column, values in zip(columns, by_name):
-        code = {v: i for i, v in enumerate(dict.fromkeys((BOS, EOS,
-                                                          *values)))}
-        column[at] = np.fromiter(map(code.__getitem__, values),
+    for f, (column, values) in enumerate(zip(columns, by_name)):
+        if vocabulary is None:
+            code = {v: i for i, v in enumerate(dict.fromkeys((BOS, EOS,
+                                                              *values)))}
+            spelled.append(["\t" + v for v in code])
+        else:
+            code = vocabulary.values[f]
+        unseen = len(code)
+        column[:] = code.get(EOS, unseen)
+        column[starts] = column[starts + 1] = code.get(BOS, unseen)
+        column[at] = np.fromiter(map(code.get, values, repeat(unseen)),
                                  dtype=np.int64, count=len(rows))[types]
-        spelled.append(["\t" + v for v in code])
+    if vocabulary is not None:
+        # each feature's codes at each offset -2..2 of every position;
+        # a slot's row at an offset is one row of this window
+        window = columns[:, at + np.arange(-2, 3)[:, None]]
+        ids_of = np.empty((len(slots), n), dtype=np.int32)
+        for (group, feats, offsets), steps in zip(vocabulary.groups,
+                                                  vocabulary.steps):
+            radix = vocabulary.radix[feats, None]
+            ids = window[feats, offsets[:, 0] + 2]
+            for k, step in enumerate(steps):
+                if k:
+                    ids = ids * radix + window[feats, offsets[:, k] + 2]
+                ids = step(ids)
+            ids_of[group] = ids
+        return ObservationTable(vocabulary.keys,
+                                np.ascontiguousarray(ids_of.T), lengths)
+
+    codes = np.empty((n, len(slots)), dtype=np.int32)
     n_values = np.array([len(v) for v in spelled], dtype=np.int64)
     # a tab and value v of feature f, at fragments[base[f] + v]
     base = _row_starts(n_values)
     fragments = [v for values in spelled for v in values]
-
-    index = {f: i for i, f in enumerate(names)}
-    slots = [(t, index[f]) for t in templates
-             for f in (unigram_features if len(t.offsets) == 1
-                       else conjunction_features)]
     keys: list[str] = []
-    codes = np.empty((n, len(slots)), dtype=np.int32)
-    for arity in (1, 2, 3):
-        group = [s for s, (t, _) in enumerate(slots)
-                 if len(t.offsets) == arity]
-        if not group:
-            continue
-        tmpls = [slots[s][0] for s in group]
-        feats = np.array([slots[s][1] for s in group], dtype=np.int64)
-        offsets = np.array([t.offsets for t in tmpls], dtype=np.int64)
+    for group, feats, offsets in _groups(slots):
+        arity = offsets.shape[1]
         sizes = n_values[feats]
-        heads = [f"{t.tid}\t{names[f]}" for t, f in zip(tmpls,
-                                                        feats.tolist())]
+        heads = [f"{slots[s][0].tid}\t{names[f]}"
+                 for s, f in zip(group, feats.tolist())]
         # a slot's entries start as the values of its feature: `local` is
         # each position's entry within the slot's row, `flat` its index
         # over all rows
@@ -522,13 +723,23 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
     return ObservationTable(keys, codes, lengths)
 
 
-def featurize_sequence(seqs: Seq[Sequence], featurizer: Featurizer
+def featurize_sequence(seqs: Seq[Sequence], featurizer: Featurizer,
+                       vocabulary: Optional[Vocabulary] = None
                        ) -> ObservationTable:
     """Rows + template expansion of the sequences `seqs` (a batch of
     documents, or a training corpus) in one call: the CRF input, one
-    interned table for them all, with one row per token type.  (The name
-    predates tables; `bench/tracing.py` wraps it by this name.)"""
+    table for them all, with one row per token type.  (The name
+    predates tables; `bench/tracing.py` wraps it by this name.)
+
+    Without a vocabulary the table's keys are the observation strings,
+    each built once: what training indexes and saves, and what `cv`
+    slices for its folds.  With one (`Featurizer.vocabulary` of the
+    model's keys), as `tag` passes when its input is long against the
+    model (`pipeline.label_documents`), the codes are the model's ids
+    and no key is built; `CrfModel.encode` gives the same ids either
+    way."""
     rows, types = extract_rows(seqs, featurizer)
     return expand_templates(rows, types, tuple(map(len, seqs)), TEMPLATES,
                             featurizer.unigram_features,
-                            featurizer.config.conjunction_features)
+                            featurizer.config.conjunction_features,
+                            vocabulary)

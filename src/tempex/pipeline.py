@@ -51,8 +51,8 @@ def train_on_sequences(seqs: Seq[Sequence], config: RunConfig,
 
 # Documents are tagged in batches of up to this many tokens: one
 # featurization, one encoding and one CRF call per batch.  Peak memory
-# grows by about 15 KB per batch token, while time per token falls
-# little past a few hundred tokens.
+# (tracemalloc, over `label_documents`) grows by about 8 KB per batch
+# token, while time per token falls little past a few hundred tokens.
 BATCH_TOKENS = 512
 
 
@@ -96,14 +96,36 @@ def _label_batch(docs: Seq[Document], model: crf.CrfModel,
     return [labels[a:b] for a, b in zip((0, *ends), ends)]
 
 
-def label_documents(docs: Iterable[Document], model: crf.CrfModel,
+# Taking a model's keys apart (`Featurizer.vocabulary`) costs what the
+# key-string path spends on one token per this many keys: 1.3-1.6 us a
+# key against 19-23 us saved a token, for models of 6,114 to 29,013 keys
+# tagging 1,261 tokens (a shared 2-CPU VM).
+KEYS_PER_TOKEN = 15
+
+
+def label_documents(docs: Seq[Document], model: crf.CrfModel,
                     featurizer: features.Featurizer, config: RunConfig,
                     priors: Optional[postproc.PriorTable] = None
                     ) -> Iterator[list[list[str]]]:
     """Predicted BIO labels per sequence of each document, in order,
-    decoded batch by batch (`document_batches`)."""
+    decoded batch by batch (`document_batches`).
+
+    If the documents hold a token per `KEYS_PER_TOKEN` of the model's
+    keys, the keys are taken apart once (`Featurizer.vocabulary`) and
+    each batch is featurized straight into the model's ids, which
+    `CrfModel.encode` takes as they are: no observation string is built
+    and no key looked up.  Fewer tokens take the key-string path, the
+    cheaper one for an input short against its model.  The labels are
+    the same."""
+    tokens = sum(len(seq) for doc in docs for seq in doc.sequences)
+    vocabulary = (featurizer.vocabulary(model.keys)
+                  if tokens * KEYS_PER_TOKEN >= model.n_obs else None)
     for batch in document_batches(docs):
-        yield from _label_batch(batch, model, featurizer, config, priors)
+        yield from _label_batch(
+            batch, model, featurizer, config, priors,
+            features.featurize_sequence(
+                [seq for doc in batch for seq in doc.sequences], featurizer,
+                vocabulary))
 
 
 def label_document(doc: Document, model: crf.CrfModel,

@@ -333,9 +333,9 @@ class TestTagProfile:
         configs = []
         original = features.featurize_sequence
 
-        def spy(seqs, featurizer):
+        def spy(seqs, featurizer, *vocabulary):
             configs.append(featurizer.config)
-            return original(seqs, featurizer)
+            return original(seqs, featurizer, *vocabulary)
 
         monkeypatch.setattr(features, "featurize_sequence", spy)
         assert self.tag(workdir, model2_path) == 0
@@ -1059,9 +1059,9 @@ class TestTagBatches:
         calls = []
         original = features.featurize_sequence
 
-        def counting(seqs, featurizer):
+        def counting(seqs, featurizer, *vocabulary):
             calls.append(len(seqs))
-            return original(seqs, featurizer)
+            return original(seqs, featurizer, *vocabulary)
 
         monkeypatch.setattr(features, "featurize_sequence", counting)
         outputs, batches = [], []
@@ -1109,6 +1109,61 @@ class TestTagBatches:
             assert np.float64(a.log_z).tobytes() == \
                 np.float64(b.log_z).tobytes()
         assert paths == alone_paths
+
+    @pytest.mark.parametrize("flags", [(), ("--no-pipeline",)])
+    def test_tag_builds_no_observation_key(self, workdir, batch_corpus,
+                                           tmp_path, monkeypatch, flags):
+        """On an input of a token per `pipeline.KEYS_PER_TOKEN` of the
+        model's keys, `tag` expands under the model's vocabulary, never
+        through the step that builds key strings, and writes what that
+        path wrote."""
+        path, docs = batch_corpus
+        model = crf.load_model(workdir / "model.crf")
+        assert (sum(len(s) for d in docs for s in d.sequences)
+                * pipeline.KEYS_PER_TOKEN >= model.n_obs)
+        original = features.expand_templates
+
+        def with_strings(*args):
+            return original(*args[:6])  # no vocabulary: key strings
+
+        monkeypatch.setattr(features, "expand_templates", with_strings)
+        expected = self.tag(workdir, path, flags, tmp_path / "strings.out")
+        monkeypatch.setattr(features, "expand_templates", original)
+
+        def refuse(values):
+            raise AssertionError("tag built observation keys")
+
+        monkeypatch.setattr(features, "_distinct_per_row", refuse)
+        assert self.tag(workdir, path, flags, tmp_path / "ids.out") == \
+            expected
+
+    def test_short_input_takes_the_string_path(self, workdir, batch_corpus,
+                                               tmp_path, monkeypatch):
+        """One vocabulary serves every batch of an input of a token per
+        `pipeline.KEYS_PER_TOKEN` keys; a shorter input never takes the
+        model's keys apart."""
+        n_obs = crf.load_model(workdir / "model.crf").n_obs
+        built, passed = [], []
+        vocabulary = features.Featurizer.vocabulary
+        featurize = features.featurize_sequence
+        monkeypatch.setattr(features.Featurizer, "vocabulary",
+                            lambda self, keys: built.append(keys) or
+                            vocabulary(self, keys))
+        monkeypatch.setattr(features, "featurize_sequence",
+                            lambda seqs, featurizer, *vocab: passed.append(
+                                (sum(map(len, seqs)), *vocab)) or
+                            featurize(seqs, featurizer, *vocab))
+        self.tag(workdir, batch_corpus[0], (), tmp_path / "long")
+        assert len(built) == 1 and len(built[0]) == n_obs
+        first = passed[0][1]
+        assert len(passed) > 1 and first is not None
+        assert all(v is first for _, v in passed)
+
+        built.clear()
+        passed.clear()
+        self.tag(workdir, workdir / "test.tsv", (), tmp_path / "short")
+        assert passed[0][0] * pipeline.KEYS_PER_TOKEN < n_obs
+        assert built == [] and passed == [(passed[0][0], None)]
 
 
 def log_line(path: Path, line: str) -> None:
@@ -1165,9 +1220,9 @@ class TestCrossValidation:
         log = tmp_path / "calls"
         original = features.featurize_sequence
 
-        def counting(seqs, featurizer):
+        def counting(seqs, featurizer, *vocabulary):
             log_line(log, str(len(seqs)))
-            return original(seqs, featurizer)
+            return original(seqs, featurizer, *vocabulary)
 
         monkeypatch.setattr(features, "featurize_sequence", counting)
         self.run_cv(workdir, workdir / "cv_featurized.tsv")

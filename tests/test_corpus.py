@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -142,6 +144,17 @@ class TestToken:
     def test_tab_or_line_break_refused(self, name, value):
         with pytest.raises(CorpusError, match=name):
             Token("x", 0, 1, **{name: value})
+
+    def test_every_whitespace_character_refused_in_a_surface(self):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1)
+                  if chr(c).isspace()]
+        assert len(spaces) == 29
+        for c in spaces:
+            for surface in (c, f"a{c}", f"a{c}b"):
+                with pytest.raises(CorpusError, match="surface"):
+                    Token(surface, 0, len(surface))
+        # a zero-width space is no whitespace to str.isspace
+        assert Token("a\u200bb", 0, 3).surface == "a\u200bb"
 
     def test_other_annotations_kept(self):
         tok = Token("x", 0, 1, pos="NN P", lemma="", chunk="|x[+0]=",

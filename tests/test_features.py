@@ -1,20 +1,22 @@
 import random
 import re
 import shutil
+from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tempex import crf, features, pipeline
+from tempex import crf, features, pipeline, postproc
 from tempex.config import RunConfig
-from tempex.corpus import CorpusError, Sequence, Token, is_valid_bio
+from tempex.corpus import (CorpusError, Sequence, Token, assemble_document,
+                           is_valid_bio, pack_sequences)
 from tempex.features import (BOS, EOS, DATA_DIR, Featurizer, Gazetteer,
-                             ObservationTable, TEMPLATES, collapsed_pattern,
-                             expand_templates, extract_rows,
-                             match_gazetteer, pattern, PROFILES,
-                             featurize_sequence)
+                             ObservationTable, TEMPLATES, Vocabulary,
+                             collapsed_pattern, expand_templates,
+                             extract_rows, match_gazetteer, pattern,
+                             PROFILES, featurize_sequence)
 
 from synth import build_corpus
 
@@ -26,7 +28,7 @@ def strings(table):
     return [[table.keys[c] for c in row if c >= 0] for row in table]
 
 
-def expand(rows_per_sequence, templates, unigram, conj):
+def expand(rows_per_sequence, templates, unigram, conj, vocabulary=None):
     """`expand_templates` of per-position rows, each distinct row passed
     once, as `extract_rows` passes one row per token type."""
     index: dict[tuple, int] = {}
@@ -37,7 +39,7 @@ def expand(rows_per_sequence, templates, unigram, conj):
             rows.append(row)
         types.append(t)
     return expand_templates(rows, types, tuple(map(len, rows_per_sequence)),
-                            templates, unigram, conj)
+                            templates, unigram, conj, vocabulary)
 
 
 def expand_one(rows, templates, unigram, conj):
@@ -319,9 +321,11 @@ SEQUENCES = st.lists(ROWS | st.lists(
     max_size=1), max_size=4)
 
 
-def reference_table(rows, types, lengths, templates, unigram, conj):
+def reference_table(rows, types, lengths, templates, unigram, conj,
+                    vocabulary=None):
     """The table of the reference strings of each sequence, from
-    `expand_templates`' arguments."""
+    `expand_templates`' arguments (training passes no vocabulary)."""
+    assert vocabulary is None
     at = [0, *accumulate(lengths)]
     return ObservationTable.from_strings(
         [reference_expand([rows[t] for t in types[a:b]], templates,
@@ -608,6 +612,207 @@ class TestTableSlices:
         assert empty.lengths == () and len(empty) == 0
         assert empty.codes.shape == (0, table.codes.shape[1])
         assert strings(empty) == []
+
+
+def model_of(keys):
+    """A model holding `keys` in order, with zero weights."""
+    return crf.CrfModel(dict(zip(keys, range(len(keys)))),
+                        np.zeros(3 * len(keys) + 9))
+
+
+def encoded(model, table):
+    """`CrfModel.encode` of the table, as lists."""
+    steps = model.encode(table)
+    return steps.indices.tolist(), steps.indptr.tolist()
+
+
+# keys no expansion builds: too few or too many values, an unknown
+# template id or name, a name its template's arity does not expand, an
+# empty value (no token has one), no fields at all
+JUNK_KEYS = ["T05\tword\tMay", "T00\tword\tMay\tMay", "T99\tword\tMay",
+             "T00\tnope\tMay", "T05\tlemma\tmay\tmay", "T05\tword\t\tMay",
+             "T00\tword\t", "T00\tword", "T11", "", "\t\t",
+             "T13\tword\tMay\t\t"]
+
+
+class TestVocabulary:
+    """`tag` expands under the model's vocabulary: each slot gets the
+    model's id, never a key, and `CrfModel.encode` gives exactly the ids
+    it finds for the string path's keys."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SEQUENCES, SEQUENCES, TEMPLATE_SETS, NAME_SETS, NAME_SETS,
+           st.randoms(use_true_random=False))
+    def test_ids_equal_string_path(self, known, unseen, templates, unigram,
+                                   conj, rng):
+        """Values that spell separators, sentinels (a literal _BOS_,
+        _EOS_ or _) and empty strings, keys in any order and some
+        missing: the model's keys, and values it has never seen."""
+        keys = list(dict.fromkeys(expand(known, templates, unigram,
+                                         conj).keys + JUNK_KEYS))
+        keys = rng.sample(keys, rng.randint(0, len(keys)))
+        model = model_of(keys)
+        vocabulary = Vocabulary(model.keys, templates, unigram, conj)
+        seqs = rng.sample(known + unseen, len(known + unseen))
+        table = expand(seqs, templates, unigram, conj, vocabulary)
+        # the model's own key list, whose codes `encode` takes as ids
+        assert table.keys is model.keys
+        assert table.lengths == tuple(map(len, seqs))
+        assert table.codes.dtype == np.int32
+        assert table.codes.flags.c_contiguous
+        assert encoded(model, table) == encoded(
+            model, expand(seqs, templates, unigram, conj))
+
+    # "May" by POS, lemma, chunk and PNP, and "New York City", a
+    # us_cities phrase
+    ANNOTATED = TestRowsPerType.SEQS
+
+    @pytest.mark.parametrize("profile", list(PROFILES))
+    def test_profiles_unseen_words_and_junk_keys(self, profile):
+        featurizer = FEATURIZERS[profile]
+        sentinels = make_seq(["_BOS_", "_", "May", "_EOS_"])
+        known = [*build_corpus(n_sentences=20, seed=3).sequences,
+                 *self.ANNOTATED[:2], sentinels]
+        keys = list(crf.build_feature_index(
+            featurize_sequence(known, featurizer)))
+        # junk keys among the model's, so that ids shift past them
+        for i, junk in enumerate(JUNK_KEYS):
+            keys.insert(i * len(keys) // len(JUNK_KEYS), junk)
+        model = model_of(keys)
+        vocabulary = featurizer.vocabulary(model.keys)
+        rng = random.Random(profile)
+        unseen = [make_seq(["".join(rng.choice("qzxjKQ7_") for _ in
+                                    range(rng.randint(1, 8)))
+                            for _ in range(rng.randint(1, 12))])
+                  for _ in range(6)]
+        empty = Sequence(())
+        for seqs in ([], [empty], unseen, [empty, *unseen, empty],
+                     [sentinels, make_seq(["_EOS_", "x", "_BOS_"])],
+                     [*unseen[:3], *self.ANNOTATED, *known[::-1]],
+                     build_corpus(n_sentences=30, seed=9).sequences):
+            table = featurize_sequence(seqs, featurizer, vocabulary)
+            strings = featurize_sequence(seqs, featurizer)
+            assert table.codes.shape == strings.codes.shape
+            assert encoded(model, table) == encoded(model, strings)
+
+    def test_no_dense_slot(self):
+        """Word conjunctions alone, over more words than a dense table
+        holds: no slot of the group reads a dense table."""
+        rows = [[{"word": f"w{i}"} for i in range(features.DENSE_CODES)]]
+        model = model_of(expand(rows, TEMPLATES, (), ("word",)).keys)
+        vocabulary = Vocabulary(model.keys, TEMPLATES, (), ("word",))
+        assert vocabulary.radix[0] > features.DENSE_CODES
+        seqs = [rows[0][::-1], [{"word": "w1"}, {"word": "new"}], []]
+        assert encoded(model, expand(seqs, TEMPLATES, (), ("word",),
+                                     vocabulary)) == encoded(
+            model, expand(seqs, TEMPLATES, (), ("word",)))
+
+    def test_other_templates_are_refused(self):
+        vocabulary = MODEL1.vocabulary([])
+        rows, types = extract_rows([make_seq(["May"])], MODEL1)
+        with pytest.raises(ValueError, match="other templates"):
+            expand_templates(rows, types, (1,), TEMPLATES[:5],
+                             MODEL1.unigram_features,
+                             MODEL1.config.conjunction_features, vocabulary)
+
+    @pytest.mark.parametrize("profile", list(PROFILES))
+    def test_label_documents_decode_as_the_string_path(self, profile,
+                                                       monkeypatch):
+        """Marginals, logZ and Viterbi paths of `label_documents`, batch
+        by batch, are the bits of `_label_batch` over string tables."""
+        featurizer = FEATURIZERS[profile]
+        config = RunConfig(profile=profile, max_iter=15)
+        train = [*build_corpus(n_sentences=30, seed=3).sequences,
+                 *self.ANNOTATED]
+        model = pipeline.train_on_sequences(train, config, featurizer)
+        priors = postproc.build_prior_table(train)
+        docs = [replace(build_corpus(n_sentences=n, seed=s), id=f"d{s}")
+                for s, n in ((5, 12), (6, 3), (7, 20))]
+        docs.append(assemble_document("annotated", docs[0].dct,
+                                      pack_sequences(self.ANNOTATED)))
+        monkeypatch.setattr(pipeline, "BATCH_TOKENS", 150)
+        # every batch under the vocabulary, however few its tokens
+        monkeypatch.setattr(pipeline, "KEYS_PER_TOKEN", model.n_obs)
+        seen = []
+        for name in ("forward_backward", "viterbi"):
+            original = getattr(crf, name)
+            monkeypatch.setattr(crf, name, lambda m, t, f=original: (
+                seen.append(f(m, t)) or seen[-1]))
+        runs = []
+        for string_path in (False, True):
+            seen.clear()
+            labels = []
+            for p in (priors, None):
+                if string_path:
+                    for batch in pipeline.document_batches(docs):
+                        labels += pipeline._label_batch(
+                            batch, model, featurizer, config, p)
+                else:
+                    labels += pipeline.label_documents(
+                        docs, model, featurizer, config, p)
+            runs.append((labels, list(seen)))
+        (labels, results), (string_labels, string_results) = runs
+        assert labels == string_labels
+        assert len(results) == len(string_results) == 2 * 3
+        for a, b in zip(results, string_results):
+            if isinstance(a[0], crf.MarginalTable):
+                assert [(m.probs.tobytes(), np.float64(m.log_z).tobytes())
+                        for m in a] == [
+                    (m.probs.tobytes(), np.float64(m.log_z).tobytes())
+                    for m in b]
+            else:
+                assert a == b
+
+
+class TestStepMaps:
+    """A slot's codes go through its keys' distinct prefixes, so that a
+    combined code stays below (keys + 1) * radix: no overflow where the
+    radix to the arity reaches 2**63."""
+
+    def ids(self, maps, radix, values):
+        """The ids of value codes (slots, positions, arity), combined as
+        `expand_templates` combines them."""
+        ids = values[:, :, 0]
+        for k, step in enumerate(maps):
+            if k:
+                ids = ids * radix[:, None] + values[:, :, k]
+            ids = step(ids)
+        return ids
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_radices_at_the_int64_bound(self, arity, dense):
+        # 2**21 ** 3 and 2**32 ** 2 reach 2**63; 2**61 with two keys
+        # keeps (prefixes + 1) * radix below it; 5 is a dense slot
+        radix = np.array([2 ** 21, 2 ** 32, 2 ** 61] + [5] * dense,
+                         dtype=np.int64)
+        n = len(radix)
+        rng = random.Random(arity)
+        keys = {}
+        for s, r in enumerate(radix.tolist()):
+            picks = (0, 1, r - 2, r - 1, r // 2)
+            for _ in range(2 if r == 2 ** 61 else 6):
+                keys.setdefault((s, tuple(rng.choice(picks)
+                                          for _ in range(arity))),
+                                len(keys))
+        slots = np.array([s for s, _ in keys], dtype=np.int64)
+        values = np.array([v for _, v in keys], dtype=np.int64)
+        ids = np.array(list(keys.values()), dtype=np.int64)
+        maps = features._step_maps(slots, values.reshape(-1, arity), ids,
+                                   radix)
+        # each slot's keys, then the same values shifted by one code
+        queries = [[v for (t, v) in keys if t == s] for s in range(n)]
+        queries = [q + [tuple((x + 1) % radix[s] for x in v) for v in q]
+                   for s, q in enumerate(queries)]
+        width = max(map(len, queries))
+        grid = np.zeros((n, width, arity), dtype=np.int64)
+        for s, q in enumerate(queries):
+            grid[s, :len(q)] = q
+        got = self.ids(maps, radix, grid)
+        for s in range(n):
+            for p in range(width):
+                want = keys.get((s, tuple(grid[s, p].tolist())), -1)
+                assert got[s, p] == want
 
 
 _OLD_CARDINAL = re.compile(r"\d+")
