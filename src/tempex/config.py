@@ -31,6 +31,7 @@ Example:
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -69,6 +70,16 @@ class RunConfig:
                               f"{', '.join(PROFILES)})")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
+        # training divides by C, and its loop counts iterations up to
+        # max_iter; `not x > 0` holds for NaN too
+        if not self.c > 0.0:
+            raise ConfigError(f"C {self.c} is not positive")
+        if not 0.0 <= self.eta < math.inf:
+            raise ConfigError(f"eta {self.eta} is not finite and >= 0")
+        if self.max_iter < 0:
+            raise ConfigError(f"max_iter {self.max_iter} is negative")
+        if self.cutoff < 1:
+            raise ConfigError(f"cutoff {self.cutoff} is below 1")
         if self.bare_weekday not in WEEKDAY_DIRECTIONS:
             raise ConfigError(
                 f"unknown bare_weekday {self.bare_weekday!r} (known: "

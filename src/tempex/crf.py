@@ -5,16 +5,20 @@ followed by the 9 label-bigram transition slots.
 
 Training, decoding and the tests share one path.  The observation table
 of a list of sequences (a training corpus, or a batch of documents
-when decoding; `features.ObservationTable`) is encoded once, one lookup
-per distinct observation key, as a sparse token-by-observation matrix
-over a length-padded, longest-first batch, so that one sparse product
-scores every token.  Two recursions then run over the whole batch.
-Forward-backward runs in probability space, on potentials shifted by
-their maxima and rescaled to sum to 1 at every step (Rabiner, 1989,
-§V.A; CRFsuite's `crf1d`): it gives logZ, the marginals and the expected
-transition counts, and training collects the expected observation counts
-with the matrix's transpose.  Viterbi runs in log space, in the max-plus
-semiring.
+when decoding; `features.ObservationTable`) is encoded once as a sparse
+token-by-observation matrix over a length-padded, longest-first batch,
+so that one sparse product scores every token.  Training indexes its
+table by codes (`build_feature_index`) and encodes it by one gather of
+the code-to-id array the index gives; decoding looks each distinct key
+up once, or, under a model's vocabulary, has the ids as codes.  Two
+recursions then run over the whole batch.  Forward-backward runs in
+probability space, on potentials shifted by their maxima and rescaled to
+sum to 1 at every step (Rabiner, 1989, §V.A; CRFsuite's `crf1d`): it
+gives logZ, the marginals and the expected transition counts, and
+training collects the expected observation counts with the matrix's
+transpose.  As in `crf1d`, its arrays are allocated once per batch and
+filled in place on every run, so training reuses them across its
+objective calls.  Viterbi runs in log space, in the max-plus semiring.
 
 Training first groups the observations whose columns of that matrix
 are identical: observations that always occur together get the same
@@ -128,21 +132,26 @@ class CrfModel:
         """The observation keys in id order."""
         return sorted(self.obs_index, key=self.obs_index.__getitem__)
 
-    def encode(self, table: ObservationTable) -> EncodedTable:
+    def encode(self, table: ObservationTable,
+               lookup: Optional[np.ndarray] = None) -> EncodedTable:
         """Observation ids of each position of `table`, in slot order;
         unknown observations and empty slots dropped.
 
         A table whose keys are this model's `keys` (the list itself, as
         `features.Vocabulary` expansion gives, once they are listed) has
-        the ids as its codes.
+        the ids as its codes; given `lookup`, the id of each of the
+        table's codes with -1 last (`build_feature_index`'s `ids` for
+        the table this model was indexed from), the ids are one gather.
         Otherwise one `dict.get` per key of the table, then one gather
         of the table's codes; the lookup's extra last entry is what an
         empty slot (code -1) reads.  The ids are int32, as the codes
         are.
         """
         keys = table.keys
+        if lookup is not None:
+            ids = lookup[table.codes]
         # `keys` is listed for a vocabulary, not for encoding
-        if keys is vars(self).get("keys"):
+        elif keys is vars(self).get("keys"):
             ids = table.codes
         else:
             lookup = np.fromiter(
@@ -155,27 +164,44 @@ class CrfModel:
         return EncodedTable(ids[kept], indptr)
 
 
-def build_feature_index(table: ObservationTable,
-                        cutoff: int = 1) -> dict[str, int]:
+def build_feature_index(table: ObservationTable, cutoff: int = 1,
+                        ids: Optional[np.ndarray] = None) -> dict[str, int]:
     """Intern every observation key seen at least `cutoff` times.
 
     Slot order is first-occurrence order (position by position, slot by
     slot), so the index is deterministic for a fixed corpus.  The
-    table's keys are pairwise distinct, so the codes are counted and
-    ordered by `np.unique` alone, and a key is fetched only for the
-    codes kept.  Keys are interned: models trained on similar corpora
-    share most observation keys, and then share their storage.
+    table's keys are pairwise distinct, so the index goes by codes: one
+    `np.bincount` counts them, `np.minimum.at` finds where each first
+    occurs, and only the codes present (a `take` slice uses some of its
+    keys) and kept are sorted by it; a key is fetched only for them.
+
+    Keys are interned: models trained on similar corpora share most
+    observation keys, and then share their storage.  The `train`
+    benchmark job, which holds its 16 models at once, peaked at
+    123.7-123.9 MB RSS without interning and 117.5-117.8 MB with it
+    (two seeds each, a 2-CPU x86-64 VM).
+
+    `ids`, if given (an int32 array of `len(table.keys) + 1`), receives
+    each code's id, or -1 for a code not kept and, last, for an empty
+    slot: `CrfModel.encode` of the table with it is one gather.
     """
     if not table.lengths:
         raise CrfError("empty corpus")
     codes = table.codes.ravel()
-    codes, first, counts = np.unique(codes[codes >= 0], return_index=True,
-                                     return_counts=True)
-    order = np.argsort(first)
-    kept = codes[order][counts[order] >= cutoff].tolist()
-    index = {sys.intern(table.keys[c]): i for i, c in enumerate(kept)}
-    if len(index) < len(kept):
+    codes = codes[codes >= 0]
+    counts = np.bincount(codes, minlength=len(table.keys))
+    first = np.full(counts.size, codes.size, dtype=np.intp)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    kept = np.flatnonzero(counts >= max(cutoff, 1))
+    kept = kept[np.argsort(first[kept])]
+    index = dict(zip(map(sys.intern, map(table.keys.__getitem__,
+                                         kept.tolist())),
+                     range(kept.size)))
+    if len(index) < kept.size:
         raise CrfError("two observations of the table share a key")
+    if ids is not None:
+        ids[:] = -1
+        ids[kept] = np.arange(kept.size)
     return index
 
 
@@ -197,17 +223,20 @@ class _EncodedBatch:
     built once (`x.T` builds a new matrix on every access), and
     `empirical` holds the gold feature counts of each group and label,
     then of each label bigram.  The full-width matrix is not kept.
+
+    `lookup` is passed to `CrfModel.encode`.  `buffers` are
+    forward-backward's, built the first time it runs on the batch.
     """
 
     def __init__(self, model: CrfModel, table: ObservationTable,
-                 labels=None):
+                 labels=None, lookup: Optional[np.ndarray] = None):
         lengths = table.lengths
         self.n_input = len(lengths)
         self.order = sorted((i for i, n in enumerate(lengths) if n),
                             key=lambda i: -lengths[i])
         self.lengths = np.array([lengths[i] for i in self.order],
                                 dtype=np.int64)
-        steps = model.encode(table.take(self.order))
+        steps = model.encode(table.take(self.order), lookup)
         x = sparse.csr_matrix(
             (np.ones(len(steps.indices)), steps.indices, steps.indptr),
             shape=(len(steps), model.n_obs))
@@ -238,6 +267,10 @@ class _EncodedBatch:
         self.empirical = np.concatenate([
             (self.xt @ gold).ravel(),
             np.bincount(bigrams, minlength=N_LABELS * N_LABELS)])
+
+    @cached_property
+    def buffers(self) -> "_Buffers":
+        return _Buffers(self)
 
     def expand(self, by_group: np.ndarray) -> np.ndarray:
         """A weight-vector-shaped array by group (`x`'s columns) spread
@@ -310,21 +343,58 @@ def _group_columns(xc: sparse.csc_matrix):
     return (np.cumsum(is_rep) - 1)[rep], xc[:, is_rep].tocsr()
 
 
-def _unary(batch: _EncodedBatch, weights: np.ndarray) -> np.ndarray:
+def _unary(batch: _EncodedBatch, weights: np.ndarray,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
     """Label scores (B, T, 3) of the padded batch, `x @ W` on the real
     steps and zero past each sequence's end; W has a row per column of
-    `x`, an observation's weights, or a group's summed ones."""
-    unary = np.zeros(batch.mask.shape + (N_LABELS,))
+    `x`, an observation's weights, or a group's summed ones.  `out`, a
+    zero-padded array of scores, gets the real steps' anew."""
+    unary = np.zeros(batch.mask.shape + (N_LABELS,)) if out is None else out
     unary[batch.mask] = batch.x @ weights[:-N_LABELS * N_LABELS].reshape(
         -1, N_LABELS)
     return unary
 
 
-def _forward_backward(batch: _EncodedBatch, unary: np.ndarray,
-                      trans: np.ndarray):
+class _Buffers:
+    """Forward-backward's arrays for one batch, filled in place by each
+    run, and the views of them that each step of its two recursions
+    reads and writes.
+
+    Every run writes the same entries, those of the batch's `active`
+    sequences at each step; the others keep what they are set to here:
+    zero scores and zero alpha and beta past each sequence's end, beta
+    1 at its end, and scale 1 at a padded step.  So a run reads nothing
+    an earlier run left, even one that raised.
+    """
+
+    def __init__(self, batch: _EncodedBatch):
+        n_seqs, n_steps = batch.mask.shape
+        self.rows = np.arange(n_seqs)
+        self.ends = batch.lengths - 1
+        self.unary = np.zeros((n_seqs, n_steps, N_LABELS))
+        self.shift = np.empty((n_seqs, n_steps, 1))
+        self.psi = np.empty_like(self.unary)
+        self.step = np.empty((n_seqs, max(n_steps - 1, 0), N_LABELS,
+                              N_LABELS))
+        self.alpha = np.zeros_like(self.unary)
+        self.beta = np.zeros_like(self.unary)
+        self.beta[self.rows, self.ends] = 1.0
+        self.scale = np.ones_like(self.shift)
+        alpha, beta, step, scale = (self.alpha, self.beta, self.step,
+                                    self.scale)
+        # step t computes only the first active[t] sequences
+        active = list(enumerate(batch.active.tolist()))[1:]
+        self.forward = [(alpha[:k, t - 1], step[:k, t - 1], alpha[:k, t],
+                         scale[:k, t]) for t, k in active]
+        self.backward = [(step[:k, t - 1], beta[:k, t], beta[:k, t - 1])
+                         for t, k in reversed(active)]
+
+
+def _forward_backward(batch: _EncodedBatch, weights: np.ndarray):
     """Label marginals of every real step (steps, 3) in batch order, logZ
     per sequence, and the expected transition counts (3, 3) summed over
-    all steps (t, t + 1) within one sequence.
+    all steps (t, t + 1) within one sequence, under `weights`, a row of
+    unary weights per column of `x` (`_unary`), then the transitions.
 
     The recursion runs in probability space (Rabiner, 1989, §V.A).  Each
     step's unary scores are shifted by their maximum and the transitions
@@ -339,38 +409,35 @@ def _forward_backward(batch: _EncodedBatch, unary: np.ndarray,
     weights span more than about 700 nats, and then CrfError is raised.
     Products are elementwise, or `np.einsum` without BLAS, so each
     sequence gets the same bits in any batch.
+
+    Every array lives in the batch's `buffers`, built on its first run:
+    a training batch runs once per objective call.
     """
-    n_seqs, n_steps = batch.mask.shape
-    active = batch.active.tolist()
-    shift = unary.max(axis=2, keepdims=True)
+    buf = batch.buffers
+    unary, shift, psi, step = buf.unary, buf.shift, buf.psi, buf.step
+    alpha, beta, scale = buf.alpha, buf.beta, buf.scale
+    trans = weights[-N_LABELS * N_LABELS:].reshape(N_LABELS, N_LABELS)
+    _unary(batch, weights, unary)
+    np.max(unary, axis=2, keepdims=True, out=shift)
     trans_max = trans.max()
-    psi = np.exp(unary - shift)
-    step = np.exp(trans - trans_max) * psi[:, 1:, None, :]
-    rows = np.arange(n_seqs)
-    ends = batch.lengths - 1
-    alpha = np.zeros_like(psi)
-    beta = np.zeros_like(psi)
-    beta[rows, ends] = 1.0
-    scale = np.ones_like(shift)
+    np.exp(np.subtract(unary, shift, out=psi), out=psi)
+    np.multiply(np.exp(trans - trans_max), psi[:, 1:, None, :], out=step)
     with np.errstate(divide="ignore", invalid="ignore"):
         # slices: a batch of no steps passes
         np.add.reduce(psi[:, :1], axis=2, keepdims=True, out=scale[:, :1])
         np.divide(psi[:, :1], scale[:, :1], out=alpha[:, :1])
-        for t in range(1, n_steps):
-            k = active[t]
-            a = np.einsum("ba,bac->bc", alpha[:k, t - 1], step[:k, t - 1],
-                          out=alpha[:k, t])
-            np.divide(a, np.add.reduce(a, axis=1, keepdims=True,
-                                       out=scale[:k, t]), out=a)
+        for before, matrix, now, total in buf.forward:
+            np.einsum("ba,bac->bc", before, matrix, out=now)
+            np.divide(now, np.add.reduce(now, axis=1, keepdims=True,
+                                         out=total), out=now)
         step /= scale[:, 1:, :, None]
-        for t in range(n_steps - 2, -1, -1):
-            k = active[t + 1]
-            np.einsum("bac,bc->ba", step[:k, t], beta[:k, t + 1],
-                      out=beta[:k, t])
+        for matrix, after, now in buf.backward:
+            np.einsum("bac,bc->ba", matrix, after, out=now)
         # a running sum along each sequence, read at its end, adds the
         # same terms in the same order in any batch
-        log_z = (np.cumsum(np.log(scale) + shift, axis=1)[rows, ends, 0]
-                 + ends * trans_max)
+        log_z = (np.cumsum(np.log(scale) + shift,
+                           axis=1)[buf.rows, buf.ends, 0]
+                 + buf.ends * trans_max)
     if not np.isfinite(log_z).all():
         raise CrfError(
             f"forward-backward underflowed: the transition weights span "
@@ -379,7 +446,9 @@ def _forward_backward(batch: _EncodedBatch, unary: np.ndarray,
     # pairs add nothing
     pair_counts = np.einsum("bta,btac,btc->ac", alpha[:, :-1], step,
                             beta[:, 1:])
-    return (alpha * beta)[batch.mask], log_z, pair_counts
+    # psi is read no more this run
+    return (np.multiply(alpha, beta, out=psi)[batch.mask], log_z,
+            pair_counts)
 
 
 def _viterbi(batch: _EncodedBatch, unary: np.ndarray,
@@ -411,8 +480,7 @@ def forward_backward(model: CrfModel, table: ObservationTable
     """Exact per-position marginals and logZ of each sequence of `table`,
     all sequences run as one batch."""
     batch = _EncodedBatch(model, table)
-    probs, log_z, _ = _forward_backward(
-        batch, _unary(batch, model.weights), model.transition_weights())
+    probs, log_z, _ = _forward_backward(batch, model.weights)
     probs /= probs.sum(axis=1, keepdims=True)
     input_log_z = np.zeros(batch.n_input)
     input_log_z[batch.order] = log_z
@@ -465,9 +533,7 @@ def _ll_grad(batch: _EncodedBatch, sums: np.ndarray, penalty: float,
     n_unary = sums.size - N_LABELS * N_LABELS
     value = _dot(batch.empirical, sums) - penalty
     grad = batch.empirical - penalty_grad
-    probs, log_z, pair_counts = _forward_backward(
-        batch, _unary(batch, sums), sums[n_unary:].reshape(N_LABELS,
-                                                             N_LABELS))
+    probs, log_z, pair_counts = _forward_backward(batch, sums)
     value -= float(log_z.sum())
     grad[:n_unary] -= (batch.xt @ probs).ravel()
     grad[n_unary:] -= pair_counts.ravel()
@@ -654,12 +720,13 @@ def train(table: ObservationTable, labels: Seq[Seq[str]],
     BLAS, whose summation order depends on the thread count.
     """
     config = config or TrainConfig()
-    obs_index = build_feature_index(table, config.cutoff)
+    lookup = np.empty(len(table.keys) + 1, dtype=np.int32)
+    obs_index = build_feature_index(table, config.cutoff, lookup)
     model = CrfModel(
         obs_index,
         np.zeros(len(obs_index) * N_LABELS + N_LABELS * N_LABELS),
         c=config.c, eta=config.eta)
-    batch = _EncodedBatch(model, table, labels)
+    batch = _EncodedBatch(model, table, labels, lookup)
     m = np.concatenate([np.repeat(batch.multiplicity, N_LABELS),
                         np.ones(N_LABELS * N_LABELS)])
 

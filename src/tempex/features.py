@@ -364,7 +364,9 @@ class ObservationTable:
     a model's `Vocabulary`, an observation the model does not have).
     Slots are in template order, then feature order.  The keys are
     pairwise distinct, so a code names one observation and the CRF
-    index can go by codes.
+    index can go by codes.  A table that `expand_templates` builds keys
+    for references every key it holds from some slot; a `take` of it,
+    or a table expanded under a `Vocabulary`, may reference only some.
     `len()` is the number of positions, and iterating yields each
     position's row of slot codes.  A sequence's rows depend on that
     sequence alone, so `take` of some sequences gives the keys, and
@@ -628,11 +630,12 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
     _EOS_ slots of its own, so that a shifted read never crosses into
     the next sequence.  The templates of one arity are expanded
     together, one row per (template, feature) slot.  A unigram slot has
-    one key per value of its feature.  A conjunction slot combines its
-    offsets' codes two at a time through the index of each distinct pair
-    in its row, so that a combined code stays below the number of
-    positions times the number of values, and it has one key per
-    distinct combination.
+    one key per value of its feature that it reads at some position.  A
+    conjunction slot combines its offsets' codes two at a time through
+    the index of each distinct pair in its row, so that a combined code
+    stays below the number of positions times the number of values, and
+    it has one key per distinct combination.  So the table references
+    every key it holds.
 
     Under a `vocabulary` built for the same templates and names, no key
     is built: the values get the vocabulary's codes, each slot's codes
@@ -716,6 +719,15 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
             parts.append(base[feats[rows_of]] + value)
             first = _row_starts(counts)
             local = flat - first[:, None]
+        if arity == 1:
+            # a conjunction's entries are combinations some position
+            # has, but a unigram slot's are all its feature's values:
+            # keep those a position reads (an offset-0 slot never reads
+            # _BOS_), renumbered in order
+            used = np.zeros(len(rows_of), dtype=bool)
+            used[flat] = True
+            flat = (np.cumsum(used) - 1)[flat]
+            rows_of, parts = rows_of[used], [p[used] for p in parts]
         codes[:, group] = (flat + len(keys)).T
         keys += map("".join, zip(
             map(heads.__getitem__, rows_of.tolist()),

@@ -1544,6 +1544,31 @@ class TestConfig:
         assert rc == 2 and captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("text,message", [
+        ("C = 0", "C 0.0 is not positive"),
+        ("C = -1", "C -1.0 is not positive"),
+        ("C = nan", "C nan is not positive"),
+        ("eta = -1", "eta -1.0 is not finite and >= 0"),
+        ("eta = inf", "eta inf is not finite and >= 0"),
+        ("eta = nan", "eta nan is not finite and >= 0"),
+        ("max_iter = -1", "max_iter -1 is negative"),
+        ("cutoff = 0", "cutoff 0 is below 1"),
+        ("cutoff = -3", "cutoff -3 is below 1"),
+    ])
+    def test_bad_training_setting_exit_2(self, workdir, tmp_path, capsys,
+                                         text, message):
+        """Refused before training starts: no traceback, no model."""
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[crf]\n{text}\n", encoding="utf-8")
+        model = tmp_path / "model.crf"
+        rc = main(["--config", str(path), "train",
+                   str(workdir / "train.tsv"), str(model)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert not model.exists()
+
     @pytest.mark.parametrize("value,expected", [
         ("bogus", None), ("last", "DATE\t2013-04-08"),
         ("next", "DATE\t2013-04-15"), ("nearest-future", "DATE\t2013-04-15")])

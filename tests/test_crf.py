@@ -565,6 +565,95 @@ class TestScaledKernel:
             train(T([self.FEATS]), [self.GOLD])
 
 
+def group_sums(batch, weights):
+    """Per-observation weights summed by the labeled batch's groups, as
+    `log_likelihood_and_gradient` sums them for `_ll_grad`."""
+    sums = np.zeros(batch.multiplicity.size * 3 + 9)
+    np.add.at(sums[:-9].reshape(-1, 3), batch.group,
+              weights[:-9].reshape(-1, 3))
+    sums[-9:] = weights[-9:]
+    return sums
+
+
+def same_bits(got, want):
+    """Forward-backward or objective results, equal bit for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBufferReuse:
+    """Forward-backward's buffers belong to the batch and every run on
+    it fills them again: a run on a used batch gives the bits of a run
+    on a fresh one."""
+
+    # ragged; sequences of one step (no transitions); empty sequences
+    # beside one; a batch whose active count falls to 1
+    LENGTHS = [(7, 1, 0, 40, 2), (1, 1, 1), (0, 3, 0), (6, 2, 1)]
+
+    @staticmethod
+    def corpus(lengths, seed=31):
+        rng = np.random.default_rng(seed)
+        feats = [random_features(rng, 8, n) for n in lengths]
+        labels = [[LABELS[y] for y in rng.integers(0, 3, size=n)]
+                  for n in lengths]
+        weights = [rng.normal(scale=1.5, size=8 * 3 + 9) for _ in "ab"]
+        return T(feats), labels, weights
+
+    @pytest.mark.parametrize("lengths", LENGTHS)
+    def test_objective_a_b_a(self, lengths):
+        table, labels, (a, b) = self.corpus(lengths)
+        model = CrfModel({f"f{i}": i for i in range(8)}, a)
+        batch = crf._EncodedBatch(model, table, labels)
+        for weights in (a, b, a):
+            sums = group_sums(batch, weights)
+            fresh = crf._EncodedBatch(model, table, labels)
+            same_bits(crf._ll_grad(batch, sums, 0.5, sums / 3),
+                      crf._ll_grad(fresh, sums, 0.5, sums / 3))
+
+    @pytest.mark.parametrize("lengths", LENGTHS)
+    def test_decoding_batch_a_b_a(self, lengths):
+        table, _, (a, b) = self.corpus(lengths)
+        model = CrfModel({f"f{i}": i for i in range(8)}, a)
+        batch = crf._EncodedBatch(model, table)
+        for weights in (a, b, a):
+            same_bits(crf._forward_backward(batch, weights),
+                      crf._forward_backward(crf._EncodedBatch(model, table),
+                                            weights))
+
+    @pytest.mark.parametrize("lengths", LENGTHS + [(), (0, 0)])
+    def test_forward_backward_twice(self, lengths):
+        table, _, (a, _) = self.corpus(lengths)
+        model = CrfModel({f"f{i}": i for i in range(8)}, a)
+        first, second = forward_backward(model, table), \
+            forward_backward(model, table)
+        assert len(first) == len(second) == len(lengths)
+        for x, y in zip(first, second):
+            same_bits((x.probs, x.log_z), (y.probs, y.log_z))
+
+    def test_underflow_then_reuse(self):
+        """The 800-nat spread still raises CrfError on a used batch, and
+        the batch then gives a fresh batch's bits again."""
+        feats, gold = TestScaledKernel.FEATS, TestScaledKernel.GOLD
+        good = TestScaledKernel.peaked_model(600.0).weights
+        bad = TestScaledKernel.peaked_model(800.0)
+        batch = crf._EncodedBatch(bad, T([feats]), [gold])
+        decoding = crf._EncodedBatch(bad, T([feats]))
+        for _ in range(2):
+            same_bits(crf._ll_grad(batch, group_sums(batch, good), 0.0),
+                      crf._ll_grad(crf._EncodedBatch(bad, T([feats]),
+                                                     [gold]),
+                                   group_sums(batch, good), 0.0))
+            same_bits(crf._forward_backward(decoding, good),
+                      crf._forward_backward(crf._EncodedBatch(
+                          bad, T([feats])), good))
+            with pytest.raises(CrfError, match="underflow"):
+                crf._ll_grad(batch, group_sums(batch, bad.weights), 0.0)
+            with pytest.raises(CrfError, match="underflow"):
+                crf._forward_backward(decoding, bad.weights)
+
+
 TOY_SENTENCES = [
     (["on", "January", str(d), ",", "2003", "."],
      ["O", "B", "I", "I", "I", "O"])

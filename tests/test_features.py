@@ -468,6 +468,28 @@ class TestExpansionOracle:
         pairs = set(zip(observations, keys, strict=True))
         assert len(pairs) == len(set(observations)) == len(set(keys))
 
+    @pytest.mark.parametrize("profile", ["model1", "model2", "model3"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_key_referenced(self, profile, data):
+        """Rows of the profile's own names with hostile values, sentinels
+        among them: every key the table holds is some slot's code, and
+        the strings are still the reference's."""
+        featurizer = FEATURIZERS[profile]
+        unigram = featurizer.unigram_features
+        conj = featurizer.config.conjunction_features
+        row = st.dictionaries(st.sampled_from(unigram + conj), VALUES,
+                              max_size=8)
+        rows_per_sequence = data.draw(st.lists(st.lists(row, max_size=6),
+                                               max_size=4))
+        table = expand(rows_per_sequence, TEMPLATES, unigram, conj)
+        referenced = np.zeros(len(table.keys), dtype=bool)
+        referenced[table.codes[table.codes >= 0]] = True
+        assert referenced.all()
+        assert strings(table) == [
+            feats for rows in rows_per_sequence
+            for feats in reference_expand(rows, TEMPLATES, unigram, conj)]
+
     def test_from_strings_pads_rows_with_empty_slots(self):
         table = ObservationTable.from_strings([[["a", "b"], ["b"]], [[]]])
         assert table.keys == ["a", "b"] and table.lengths == (2, 1)
@@ -555,6 +577,66 @@ class TestFeatureIndexOnTables:
         table = expand(rows_per_sequence, TEMPLATES, unigram, conj)
         self.check(table, [reference_expand(rows, TEMPLATES, unigram, conj)
                            for rows in rows_per_sequence])
+
+
+def unique_index(table, cutoff):
+    """The feature index by `np.unique` and a dict comprehension, as
+    `crf.build_feature_index` once built it: the oracle for its
+    `np.bincount` version."""
+    codes = table.codes.ravel()
+    codes, first, counts = np.unique(codes[codes >= 0], return_index=True,
+                                     return_counts=True)
+    order = np.argsort(first)
+    kept = codes[order][counts[order] >= cutoff].tolist()
+    return {table.keys[c]: i for i, c in enumerate(kept)}
+
+
+# tables with codes anywhere in their keys' range: keys no code
+# references, empty slots, empty sequences
+RAW_TABLES = st.integers(0, 12).flatmap(lambda n_keys: st.builds(
+    lambda lengths, n_slots, codes: ObservationTable(
+        [f"k{i}" for i in range(n_keys)],
+        np.array(codes[:sum(lengths) * n_slots], dtype=np.int32).reshape(
+            sum(lengths), n_slots), tuple(lengths)),
+    st.lists(st.integers(0, 5), min_size=1, max_size=5),
+    st.integers(0, 4),
+    st.lists(st.integers(-1, n_keys - 1), min_size=100, max_size=100)))
+
+
+class TestIndexOracle:
+    """`crf.build_feature_index` against `unique_index`, and the training
+    gather against the dict lookup of `CrfModel.encode`."""
+
+    @staticmethod
+    def check(table):
+        for cutoff in (1, 2, 3):
+            lookup = np.empty(len(table.keys) + 1, dtype=np.int32)
+            index = crf.build_feature_index(table, cutoff, lookup)
+            assert list(index.items()) == list(
+                unique_index(table, cutoff).items())
+            model = crf.CrfModel(index, np.zeros(3 * len(index) + 9))
+            gathered, looked_up = model.encode(table, lookup), \
+                model.encode(table)
+            assert gathered.indices.dtype == looked_up.indices.dtype
+            assert gathered.indices.tolist() == looked_up.indices.tolist()
+            assert gathered.indptr.tolist() == looked_up.indptr.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(SEQUENCES.filter(bool), TEMPLATE_SETS, NAME_SETS, NAME_SETS,
+           st.randoms(use_true_random=False))
+    def test_expanded_tables_and_slices(self, rows_per_sequence, templates,
+                                        unigram, conj, rng):
+        table = expand(rows_per_sequence, templates, unigram, conj)
+        self.check(table)
+        # a slice that skips sequences, so some keys are referenced by
+        # no code of it
+        n = len(rows_per_sequence)
+        self.check(table.take(rng.sample(range(n), rng.randint(1, n))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(RAW_TABLES)
+    def test_raw_tables(self, table):
+        self.check(table)
 
 
 class TestTableSlices:
