@@ -2,11 +2,11 @@
 """Output parity: SHA-256s of what `tempex` writes on fixed inputs.
 
     python3 tools/parity.py [--repo DIR] [--workloads tag,train,cv]
-        [--tag-seeds 301-320] [--train-seeds 301-303] [--cv-seeds 301-303]
         [--out FILE] [--check FILE]
 
 The inputs are the benchmark's corpora (`bench/gen.py`, unchanged), at
-the sizes of its workloads, for each seed:
+the sizes of its workloads, for each of a workload's fixed seeds
+(`SEEDS`: 301-320 for `tag`, 301-303 for `train` and `cv`):
 
 - `tag`: a model and prior table trained by `tempex train` on 2 short
   documents, then `tempex tag` of 8 held-out documents with the pipeline
@@ -22,7 +22,7 @@ one copy of the script hashes two checkouts: run it with `--out` on one
 and with `--check` on the other.  `--check FILE` compares the hashes
 with those in FILE, prints each one that differs or that FILE lacks,
 and exits 1 if there is any; hashes FILE holds that this run did not
-make (other workloads or seeds) are only counted.  `cv` runs its folds
+make (other workloads) are only counted.  `cv` runs its folds
 on every CPU the process may use, so running it again under
 `taskset -c 0` checks that one CPU gives the same bytes.
 
@@ -48,12 +48,9 @@ SENTENCES_PER_DOC = 8
 TAG_TRAIN_DOCS, TAG_TEST_DOCS = 2, 8
 TRAIN_CORPORA = 16
 CV_CORPORA, CV_K, CV_REPEATS = 7, 2, 2
-WORKLOADS = ("tag", "train", "cv")
-
-
-def seed_range(text: str) -> list[int]:
-    first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+SEEDS = {"tag": range(301, 321), "train": range(301, 304),
+         "cv": range(301, 304)}
+WORKLOADS = tuple(SEEDS)
 
 
 class Run:
@@ -137,12 +134,6 @@ def main(argv=None) -> int:
     parser.add_argument("--repo", type=Path, default=ROOT,
                         help="checkout whose src/ is hashed")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--tag-seeds", type=seed_range,
-                        default=seed_range("301-320"))
-    parser.add_argument("--train-seeds", type=seed_range,
-                        default=seed_range("301-303"))
-    parser.add_argument("--cv-seeds", type=seed_range,
-                        default=seed_range("301-303"))
     parser.add_argument("--out", type=Path, help="write the hashes here")
     parser.add_argument("--check", type=Path,
                         help="compare the hashes with this file's")
@@ -157,7 +148,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="tempex-parity-") as work:
         run = Run(Path(work), cli)
         for workload in workloads:
-            for seed in getattr(args, f"{workload}_seeds"):
+            for seed in SEEDS[workload]:
                 getattr(run, workload)(seed)
     hashes = dict(sorted(run.hashes.items()))
     if args.out:
