@@ -327,8 +327,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CliError, ConfigError, CorpusError, crf.CrfError,
-            evaluation.EvalError, postproc.PostprocError,
-            normalizer.NormalizerError, FileNotFoundError, OSError) as exc:
+            features.FeatureError, evaluation.EvalError,
+            postproc.PostprocError, normalizer.NormalizerError,
+            FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

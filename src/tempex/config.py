@@ -31,12 +31,12 @@ Example:
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .corpus import read_text
+from .crf import CrfError, TrainConfig
 from .features import PROFILES, Featurizer
 from .postproc import DEFAULT_THRESHOLD
 from .normalizer import WEEKDAY_DIRECTIONS, NormConfig
@@ -70,16 +70,10 @@ class RunConfig:
                               f"{', '.join(PROFILES)})")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
-        # training divides by C, and its loop counts iterations up to
-        # max_iter; `not x > 0` holds for NaN too
-        if not self.c > 0.0:
-            raise ConfigError(f"C {self.c} is not positive")
-        if not 0.0 <= self.eta < math.inf:
-            raise ConfigError(f"eta {self.eta} is not finite and >= 0")
-        if self.max_iter < 0:
-            raise ConfigError(f"max_iter {self.max_iter} is negative")
-        if self.cutoff < 1:
-            raise ConfigError(f"cutoff {self.cutoff} is below 1")
+        try:
+            self.train_config()
+        except CrfError as exc:
+            raise ConfigError(str(exc)) from None
         if self.bare_weekday not in WEEKDAY_DIRECTIONS:
             raise ConfigError(
                 f"unknown bare_weekday {self.bare_weekday!r} (known: "
@@ -92,6 +86,9 @@ class RunConfig:
 
     def norm_config(self) -> NormConfig:
         return NormConfig(self.month_first, self.bare_weekday)
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(self.c, self.eta, self.max_iter, self.cutoff)
 
     def featurizer(self, profile: str) -> Featurizer:
         """The featurizer of `profile` over this run's word lists."""

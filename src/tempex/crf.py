@@ -116,6 +116,11 @@ class CrfModel:
             raise CrfError(
                 f"weight vector has {self.weights.shape[0]} slots, "
                 f"index requires {expected}")
+        ids = np.fromiter(self.obs_index.values(), dtype=np.int64,
+                          count=len(self.obs_index))
+        if not np.array_equal(np.sort(ids), np.arange(len(ids))):
+            raise CrfError(f"observation ids are not 0..{len(ids) - 1}, "
+                           "each once")
 
     @property
     def n_obs(self) -> int:
@@ -700,6 +705,18 @@ class TrainConfig:
     eta: float = 1e-4
     max_iter: int = 300
     cutoff: int = 1
+
+    def __post_init__(self):
+        # training divides by C, and its loop counts iterations up to
+        # max_iter; `not x > 0` holds for NaN too
+        if not self.c > 0.0:
+            raise CrfError(f"C {self.c} is not positive")
+        if not 0.0 <= self.eta < math.inf:
+            raise CrfError(f"eta {self.eta} is not finite and >= 0")
+        if self.max_iter < 0:
+            raise CrfError(f"max_iter {self.max_iter} is negative")
+        if self.cutoff < 1:
+            raise CrfError(f"cutoff {self.cutoff} is below 1")
 
 
 def train(table: ObservationTable, labels: Seq[Seq[str]],

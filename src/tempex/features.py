@@ -458,88 +458,79 @@ def _groups(slots):
                             dtype=np.int64))
 
 
+class FeatureError(ValueError):
+    """An expansion whose combined codes would not fit int64."""
+
+
+# The combined codes of a group of slots stay below radix ** arity, and
+# at most this many: about 1.66 million codes of a feature for a
+# 3-offset template, 2 ** 31 for a pair.
+MAX_CODES = 1 << 62
+
+
+def _combine(digits: np.ndarray, radix: np.ndarray) -> np.ndarray:
+    """The one mixed-radix code of each slot's values at a position:
+    `digits[k]` holds the code of the value at the slot's k-th offset,
+    below `radix` (its feature's number of codes, broadcast against
+    each `digits[k]`), and the first offset is the most significant, so
+    the code is the sum over k of digits[k] * radix ** (arity - 1 - k).
+    Codes thus order as the tuples of values do.
+
+    Raises FeatureError when radix ** arity passes `MAX_CODES`."""
+    arity = len(digits)
+    if radix.size and int(radix.max()) ** arity > MAX_CODES:
+        raise FeatureError(
+            f"a feature of {int(radix.max()):,} codes has more than "
+            f"2**62 combinations at {arity} offsets: too many values")
+    code = digits[0]
+    for k in range(1, arity):
+        code = code * radix + digits[k]
+    return code
+
+
 # A step map keeps a dense table for a slot of at most this many codes,
 # and searches the sorted codes of its keys for a larger one.
 DENSE_CODES = 1 << 12
 
 
 class _StepMap:
-    """Per slot s (a row of the codes it maps), a map from codes below
-    `spaces[s]` to ints, `defaults[s]` for a code it was not given.
+    """Per slot s (a row of the codes it maps), a map from the combined
+    codes of its keys (`_combine`), below `spaces[s]`, to their ids, and
+    from any other code to -1.
 
-    Built from entries (slot, code, value) sorted by slot, then code, at
-    most one per (slot, code).  The slots of small code spaces share one
-    dense table; each other slot keeps its sorted codes, ended by the
-    largest int64, and its values, ended by its default, for
-    `np.searchsorted`."""
+    Built from one entry (slot, code, id) per key.  The slots of small
+    code spaces share one dense table; each other slot keeps its keys'
+    sorted codes, ended by the largest int64, and their ids, ended by
+    -1, for `np.searchsorted`."""
 
     def __init__(self, slots: np.ndarray, codes: np.ndarray,
-                 values: np.ndarray, spaces: np.ndarray,
-                 defaults: np.ndarray):
+                 ids: np.ndarray, spaces: np.ndarray):
+        order = np.lexsort((codes, slots))
+        slots, codes, ids = slots[order], codes[order], ids[order]
         dense = spaces <= DENSE_CODES
         base = np.zeros(len(spaces), dtype=np.int64)
         base[dense] = _row_starts(spaces[dense])
         self.base = base[:, None]
-        self.table = np.repeat(defaults[dense], spaces[dense])
+        self.table = np.full(spaces[dense].sum(), -1, dtype=np.int64)
         at = dense[slots]
-        self.table[base[slots[at]] + codes[at]] = values[at]
+        self.table[base[slots[at]] + codes[at]] = ids[at]
         bounds = np.searchsorted(slots, np.arange(len(spaces) + 1))
         self.sparse = [
             (s, np.append(codes[bounds[s]:bounds[s + 1]],
                           np.iinfo(np.int64).max),
-             np.append(values[bounds[s]:bounds[s + 1]], defaults[s]))
+             np.append(ids[bounds[s]:bounds[s + 1]], -1))
             for s in np.flatnonzero(~dense).tolist()]
 
     def __call__(self, codes: np.ndarray) -> np.ndarray:
-        """The value of each code of `codes`, row s holding slot s's.  A
+        """The id of each code of `codes`, row s holding slot s's.  A
         searched slot's row first reads the dense table, clipped (if
         there is one), and is then overwritten."""
         out = (self.table.take(codes + self.base, mode="clip")
                if self.table.size else np.empty(codes.shape, np.int64))
-        for s, keys, values in self.sparse:
+        for s, keys, ids in self.sparse:
             i = np.searchsorted(keys, codes[s])
-            out[s] = np.where(keys[i] == codes[s], values[i], values[-1])
+            out[s] = np.where(keys[i] == codes[s], ids[i], -1)
         return out
-
-
-def _step_maps(slots: np.ndarray, values: np.ndarray, ids: np.ndarray,
-               radix: np.ndarray) -> list[_StepMap]:
-    """The step maps that send the value codes of a group of slots to
-    observation ids, from the keys the slots build.
-
-    Key j belongs to slot `slots[j]`, reads value codes `values[j]` (one
-    per offset) and has id `ids[j]`; `radix[s]` bounds slot s's value
-    codes.  A position's prefix p, 0 before the first offset, and the
-    code c at the next offset make p * radix + c.  At the last offset
-    its map gives the id of the key with these values, or -1; before,
-    it gives the index of the prefix among the distinct prefixes of the
-    slot's keys, or one past them for a prefix no key has.  So a code
-    stays below (distinct prefixes + 1) * radix, at most (keys + 1) *
-    radix, whatever the arity: within int64 for any number of keys and
-    values that fit int32.
-    """
-    n_slots, arity = len(radix), values.shape[1]
-    prefix = np.zeros(len(ids), dtype=np.int64)
-    spaces = np.ones(n_slots, dtype=np.int64)
-    maps = []
-    for k in range(arity):
-        code = prefix * radix[slots] + values[:, k]
-        spaces = spaces * radix
-        order = np.lexsort((code, slots))
-        slot, code = slots[order], code[order]
-        if k == arity - 1:
-            maps.append(_StepMap(slot, code, ids[order], spaces,
-                                 np.full(n_slots, -1, dtype=np.int64)))
-            break
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (slot[1:] != slot[:-1]) | (code[1:] != code[:-1])
-        distinct = np.bincount(slot[new], minlength=n_slots)
-        index = np.cumsum(new) - 1 - _row_starts(distinct)[slot]
-        maps.append(_StepMap(slot[new], code[new], index[new], spaces,
-                             distinct))
-        prefix[order] = index
-        spaces = distinct + 1
-    return maps
 
 
 class Vocabulary:
@@ -553,10 +544,11 @@ class Vocabulary:
     A slot builds keys of its template id, its feature name and one
     value per offset; a key of another shape (an unknown template or
     name, another number of values) is one no expansion builds, and is
-    left out.  Each group of slots of one arity (`groups`) keeps one
-    `_StepMap` per offset (`_step_maps`).  The sentinels and values are
-    those of the key strings, so the ids are those that
-    `CrfModel.encode` finds for the string table's keys.
+    left out.  Each group of slots of one arity (`_groups`) keeps one
+    `_StepMap` (in `maps`) from the combined code of a key's values
+    (`_combine`, the code the expansion gives a position) to its id.
+    The sentinels and values are those of the key strings, so the ids
+    are those that `CrfModel.encode` finds for the string table's keys.
 
     Built once per command, one split and a few dict operations per
     key: time that grows with the model's keys, not with the tokens
@@ -569,7 +561,6 @@ class Vocabulary:
         self.keys = keys
         self.names, self.slots = _slots(templates, unigram_features,
                                         conjunction_features)
-        self.groups = list(_groups(self.slots))
         # per slot, the ids of its keys and their values, key by key
         slot_of = {(t.tid, self.names[f]): s
                    for s, (t, f) in enumerate(self.slots)}
@@ -590,17 +581,21 @@ class Vocabulary:
                        for v in by_feature]
         self.radix = np.array([len(v) + 1 for v in self.values],
                               dtype=np.int64)
-        self.steps = []  # per group, a `_StepMap` per offset
-        for group, feats, offsets in self.groups:
-            codes = [np.fromiter(map(self.values[f].__getitem__, texts[s]),
-                                 dtype=np.int64, count=len(texts[s]))
-                     for s, f in zip(group, feats.tolist())]
-            self.steps.append(_step_maps(
-                np.repeat(np.arange(len(group)), [len(ids[s]) for s in group]),
-                np.concatenate(codes).reshape(-1, offsets.shape[1]),
+        self.maps = []  # per group, its `_StepMap`
+        for group, feats, offsets in _groups(self.slots):
+            arity = offsets.shape[1]
+            values = np.concatenate([
+                np.fromiter(map(self.values[f].__getitem__, texts[s]),
+                            dtype=np.int64, count=len(texts[s]))
+                for s, f in zip(group, feats.tolist())]).reshape(-1, arity)
+            slot = np.repeat(np.arange(len(group)),
+                             [len(ids[s]) for s in group])
+            radix = self.radix[feats]
+            self.maps.append(_StepMap(
+                slot, _combine(values.T, radix[slot]),
                 np.fromiter(chain.from_iterable(ids[s] for s in group),
                             dtype=np.int64),
-                self.radix[feats]))
+                radix ** arity))
 
 
 def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
@@ -628,20 +623,23 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
     feature's values get small int codes (sentinels first), looked up
     once per row and laid out per sequence between two _BOS_ and two
     _EOS_ slots of its own, so that a shifted read never crosses into
-    the next sequence.  The templates of one arity are expanded
-    together, one row per (template, feature) slot.  A unigram slot has
-    one key per value of its feature that it reads at some position.  A
-    conjunction slot combines its offsets' codes two at a time through
-    the index of each distinct pair in its row, so that a combined code
-    stays below the number of positions times the number of values, and
-    it has one key per distinct combination.  So the table references
-    every key it holds.
+    the next sequence; one gather reads every feature's codes at
+    offsets -2..2 of every position.  The templates of one arity are
+    expanded together, one row per (template, feature) slot, and a slot
+    gives each position one mixed-radix code of its values
+    (`_combine`): the radix is the feature's number of codes, so a
+    feature of more than about 1.66 million values under a 3-offset
+    template (2 ** 31 under a pair) raises FeatureError.  A unigram
+    slot has one key per value of its feature that it reads at some
+    position, a conjunction slot one per distinct code of its row, each
+    spelled from its code's digits; a slot's keys follow in ascending
+    code.  So the table references every key it holds.
 
     Under a `vocabulary` built for the same templates and names, no key
-    is built: the values get the vocabulary's codes, each slot's codes
-    go through its step maps to the model's ids, and the table's keys
-    are the vocabulary's, the model's in id order, with -1 for an
-    observation the model does not have.
+    is built: the values get the vocabulary's codes, each slot's
+    combined codes go through its group's step map to the model's ids,
+    and the table's keys are the vocabulary's, the model's in id order,
+    with -1 for an observation the model does not have.
     """
     names, slots = _slots(templates, unigram_features, conjunction_features)
     if vocabulary is not None and (vocabulary.names, vocabulary.slots) != (
@@ -671,68 +669,52 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
         column[starts] = column[starts + 1] = code.get(BOS, unseen)
         column[at] = np.fromiter(map(code.get, values, repeat(unseen)),
                                  dtype=np.int64, count=len(rows))[types]
-    if vocabulary is not None:
-        # each feature's codes at each offset -2..2 of every position;
-        # a slot's row at an offset is one row of this window
-        window = columns[:, at + np.arange(-2, 3)[:, None]]
-        ids_of = np.empty((len(slots), n), dtype=np.int32)
-        for (group, feats, offsets), steps in zip(vocabulary.groups,
-                                                  vocabulary.steps):
-            radix = vocabulary.radix[feats, None]
-            ids = window[feats, offsets[:, 0] + 2]
-            for k, step in enumerate(steps):
-                if k:
-                    ids = ids * radix + window[feats, offsets[:, k] + 2]
-                ids = step(ids)
-            ids_of[group] = ids
-        return ObservationTable(vocabulary.keys,
-                                np.ascontiguousarray(ids_of.T), lengths)
-
-    codes = np.empty((n, len(slots)), dtype=np.int32)
-    n_values = np.array([len(v) for v in spelled], dtype=np.int64)
-    # a tab and value v of feature f, at fragments[base[f] + v]
-    base = _row_starts(n_values)
-    fragments = [v for values in spelled for v in values]
-    keys: list[str] = []
-    for group, feats, offsets in _groups(slots):
+    if vocabulary is None:
+        radix = np.array([len(v) for v in spelled], dtype=np.int64)
+        # a tab and value v of feature f, at fragments[base[f] + v]
+        base = _row_starts(radix)
+        fragments = [v for values in spelled for v in values]
+        keys: list[str] = []
+    else:
+        radix, keys = vocabulary.radix, vocabulary.keys
+    # each feature's codes at each offset -2..2 of every position; a
+    # slot's digits are rows of this window
+    window = columns[:, at + np.arange(-2, 3)[:, None]]
+    codes = np.empty((len(slots), n), dtype=np.int32)
+    for g, (group, feats, offsets) in enumerate(_groups(slots)):
+        combined = _combine(window[feats, offsets.T + 2], radix[feats, None])
+        if vocabulary is not None:
+            codes[group] = vocabulary.maps[g](combined)
+            continue
         arity = offsets.shape[1]
-        sizes = n_values[feats]
-        heads = [f"{slots[s][0].tid}\t{names[f]}"
-                 for s, f in zip(group, feats.tolist())]
-        # a slot's entries start as the values of its feature: `local` is
-        # each position's entry within the slot's row, `flat` its index
-        # over all rows
-        first = _row_starts(sizes)
-        local = columns[feats[:, None], at + offsets[:, :1]]
-        flat = local + first[:, None]
-        # `parts` holds each entry's fragment at each offset so far
-        rows_of = np.repeat(np.arange(len(group)), sizes)
-        parts = [base[feats[rows_of]] + np.arange(len(rows_of))
-                 - first[rows_of]]
-        for k in range(1, arity):
-            pairs, counts, flat = _distinct_per_row(
-                local * sizes[:, None]
-                + columns[feats[:, None], at + offsets[:, k:k + 1]])
-            rows_of = np.repeat(np.arange(len(group)), counts)
-            entry, value = np.divmod(pairs, sizes[rows_of])
-            parts = [p[first[rows_of] + entry] for p in parts]
-            parts.append(base[feats[rows_of]] + value)
-            first = _row_starts(counts)
-            local = flat - first[:, None]
         if arity == 1:
-            # a conjunction's entries are combinations some position
-            # has, but a unigram slot's are all its feature's values:
-            # keep those a position reads (an offset-0 slot never reads
-            # _BOS_), renumbered in order
-            used = np.zeros(len(rows_of), dtype=bool)
+            # a unigram slot's keys are the values it reads (an offset-0
+            # slot never reads _BOS_): `flat` is each position's index
+            # among all the group's keys
+            sizes = radix[feats]
+            first = _row_starts(sizes)
+            flat = combined + first[:, None]
+            used = np.zeros(sizes.sum(), dtype=bool)
             used[flat] = True
             flat = (np.cumsum(used) - 1)[flat]
-            rows_of, parts = rows_of[used], [p[used] for p in parts]
-        codes[:, group] = (flat + len(keys)).T
+            rows_of = np.repeat(np.arange(len(group)), sizes)[used]
+            distinct = np.flatnonzero(used) - first[rows_of]
+        else:
+            distinct, counts, flat = _distinct_per_row(combined)
+            rows_of = np.repeat(np.arange(len(group)), counts)
+        codes[group] = flat + len(keys)
+        # each key's fragment at each offset, last offset first
+        feat_of = feats[rows_of]
+        parts = []
+        for _ in range(arity):
+            distinct, value = np.divmod(distinct, radix[feat_of])
+            parts.append(base[feat_of] + value)
+        heads = [f"{slots[s][0].tid}\t{names[f]}"
+                 for s, f in zip(group, feats.tolist())]
         keys += map("".join, zip(
             map(heads.__getitem__, rows_of.tolist()),
-            *(map(fragments.__getitem__, p.tolist()) for p in parts)))
-    return ObservationTable(keys, codes, lengths)
+            *(map(fragments.__getitem__, p.tolist()) for p in parts[::-1])))
+    return ObservationTable(keys, codes.T.copy(), lengths)
 
 
 def featurize_sequence(seqs: Seq[Sequence], featurizer: Featurizer,

@@ -42,9 +42,7 @@ def train_on_sequences(seqs: Seq[Sequence], config: RunConfig,
     (`featurize_corpus`), computed here when not given; `cv` passes each
     fold its slice of the corpus's one table."""
     model = crf.train(
-        *featurize_corpus(seqs, featurizer, table),
-        crf.TrainConfig(config.c, config.eta, config.max_iter,
-                        config.cutoff))
+        *featurize_corpus(seqs, featurizer, table), config.train_config())
     return replace(model, profile=featurizer.profile,
                    digest=featurizer.digest)
 
@@ -97,10 +95,10 @@ def _label_batch(docs: Seq[Document], model: crf.CrfModel,
 
 
 # Taking a model's keys apart (`Featurizer.vocabulary`) costs what the
-# key-string path spends on one token per this many keys: 1.3-1.6 us a
-# key against 19-23 us saved a token, for models of 6,114 to 29,013 keys
-# tagging 1,261 tokens (a shared 2-CPU VM).
-KEYS_PER_TOKEN = 15
+# key-string path spends on one token per this many keys: 0.95-1.02 us a
+# key against 10-12.5 us saved a token, for models of 5,968 to 29,047
+# keys tagging 1,269 tokens (a shared 2-CPU x86-64 VM).
+KEYS_PER_TOKEN = 12
 
 
 def label_documents(docs: Seq[Document], model: crf.CrfModel,

@@ -110,6 +110,20 @@ class TestTrain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_too_many_values_exit_2(self, workdir, tmp_path, capsys,
+                                    monkeypatch):
+        """A feature whose values' combinations would not fit the
+        combined codes (`features.MAX_CODES`, lowered here) is refused
+        before training: no traceback, no model."""
+        monkeypatch.setattr(features, "MAX_CODES", 1000)
+        model = tmp_path / "model.crf"
+        rc = main(["train", str(workdir / "train.tsv"), str(model)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "combinations at 2 offsets" in captured.err
+        assert "Traceback" not in captured.err
+        assert not model.exists()
+
     def test_model_does_not_depend_on_blas_threads(self, workdir, tmp_path):
         """Run with no BLAS setting, where OpenBLAS would use a thread per
         CPU, `train` writes the bytes it writes under

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -731,6 +732,24 @@ class TestTrain:
         with pytest.raises(CrfError, match="empty"):
             train(T([]), [])
 
+    @pytest.mark.parametrize("setting,message", [
+        ({"c": 0.0}, "C 0.0 is not positive"),
+        ({"c": -1.0}, "C -1.0 is not positive"),
+        ({"c": math.nan}, "C nan is not positive"),
+        ({"eta": -1.0}, "eta -1.0 is not finite and >= 0"),
+        ({"eta": math.inf}, "eta inf is not finite and >= 0"),
+        ({"eta": math.nan}, "eta nan is not finite and >= 0"),
+        ({"max_iter": -1}, "max_iter -1 is negative"),
+        ({"cutoff": 0}, "cutoff 0 is below 1"),
+    ])
+    def test_bad_setting_refused(self, setting, message):
+        """`TrainConfig` refuses a setting training cannot use, so a
+        library caller gets the error `tempex` reports: C = 0 divided by
+        zero in the penalty, and max_iter = -1, cutoff = 0 and eta = nan
+        trained without complaint."""
+        with pytest.raises(CrfError, match=re.escape(message)):
+            TrainConfig(**setting)
+
 
 class TestMinimize:
     """The optimizer on a strictly convex quadratic 0.5 x'Ax - b'x in 50
@@ -1037,6 +1056,25 @@ def saved_parts(path):
 
 def row_text(row):
     return "\t".join(map(repr, row))
+
+
+class TestObservationIds:
+    """A model's observation ids are exactly 0..n-1: weight row i is
+    observation i's, and a save writes one line per id."""
+
+    @pytest.mark.parametrize("index", [
+        {"a": 5}, {"a": -1}, {"a": 0, "b": 0}, {"a": 1, "b": 2},
+        {"a": 0, "b": 2, "c": 2}])
+    def test_other_ids_refused(self, index):
+        weights = np.zeros(3 * len(index) + 9)
+        with pytest.raises(CrfError, match=r"are not 0\.\.\d+, each once"):
+            CrfModel(index, weights)
+
+    @pytest.mark.parametrize("index", [
+        {}, {"a": 0}, {"b": 1, "a": 0}, {"c": 2, "a": 0, "b": 1}])
+    def test_permutations_accepted(self, index):
+        assert CrfModel(index, np.zeros(3 * len(index) + 9)).obs_index \
+            == index
 
 
 class TestPersistence:

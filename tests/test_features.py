@@ -846,42 +846,30 @@ class TestVocabulary:
                 assert a == b
 
 
-class TestStepMaps:
-    """A slot's codes go through its keys' distinct prefixes, so that a
-    combined code stays below (keys + 1) * radix: no overflow where the
-    radix to the arity reaches 2**63."""
+class TestMixedRadix:
+    """A slot's offsets combine into one mixed-radix code (`_combine`),
+    exact while radix ** arity stays within 2 ** 62, the code that both
+    the key spelling and the vocabulary's step map read; one radix more
+    is refused."""
 
-    def ids(self, maps, radix, values):
-        """The ids of value codes (slots, positions, arity), combined as
-        `expand_templates` combines them."""
-        ids = values[:, :, 0]
-        for k, step in enumerate(maps):
-            if k:
-                ids = ids * radix[:, None] + values[:, :, k]
-            ids = step(ids)
-        return ids
+    LARGEST = {1: 2 ** 62, 2: 2 ** 31, 3: 1_664_510}
 
     @pytest.mark.parametrize("dense", [True, False])
     @pytest.mark.parametrize("arity", [1, 2, 3])
-    def test_radices_at_the_int64_bound(self, arity, dense):
-        # 2**21 ** 3 and 2**32 ** 2 reach 2**63; 2**61 with two keys
-        # keeps (prefixes + 1) * radix below it; 5 is a dense slot
-        radix = np.array([2 ** 21, 2 ** 32, 2 ** 61] + [5] * dense,
-                         dtype=np.int64)
+    def test_largest_radix(self, arity, dense):
+        largest = self.LARGEST[arity]
+        assert largest ** arity <= 2 ** 62 < (largest + 1) ** arity
+        # 5 is a dense slot
+        radix = np.array([largest] + [5] * dense, dtype=np.int64)
         n = len(radix)
         rng = random.Random(arity)
         keys = {}
         for s, r in enumerate(radix.tolist()):
             picks = (0, 1, r - 2, r - 1, r // 2)
-            for _ in range(2 if r == 2 ** 61 else 6):
+            for _ in range(6):
                 keys.setdefault((s, tuple(rng.choice(picks)
                                           for _ in range(arity))),
                                 len(keys))
-        slots = np.array([s for s, _ in keys], dtype=np.int64)
-        values = np.array([v for _, v in keys], dtype=np.int64)
-        ids = np.array(list(keys.values()), dtype=np.int64)
-        maps = features._step_maps(slots, values.reshape(-1, arity), ids,
-                                   radix)
         # each slot's keys, then the same values shifted by one code
         queries = [[v for (t, v) in keys if t == s] for s in range(n)]
         queries = [q + [tuple((x + 1) % radix[s] for x in v) for v in q]
@@ -890,11 +878,36 @@ class TestStepMaps:
         grid = np.zeros((n, width, arity), dtype=np.int64)
         for s, q in enumerate(queries):
             grid[s, :len(q)] = q
-        got = self.ids(maps, radix, grid)
+        digits = grid.transpose(2, 0, 1)  # offset, slot, position
+        codes = features._combine(digits, radix[:, None])
+        # the string path's codes, and its spelling by divmod
+        for s, r in enumerate(radix.tolist()):
+            for p in range(width):
+                values = grid[s, p].tolist()
+                assert int(codes[s, p]) == sum(
+                    v * r ** (arity - 1 - k) for k, v in enumerate(values))
+                rest, spelled = int(codes[s, p]), []
+                for _ in range(arity):
+                    rest, v = divmod(rest, r)
+                    spelled.append(v)
+                assert spelled[::-1] == values
+        # the vocabulary's map from the keys' codes to their ids
+        slots = np.array([s for s, _ in keys], dtype=np.int64)
+        values = np.array([v for _, v in keys], dtype=np.int64)
+        to_id = features._StepMap(
+            slots, features._combine(values.T, radix[slots]),
+            np.array(list(keys.values()), dtype=np.int64), radix ** arity)
+        got = to_id(codes)
         for s in range(n):
             for p in range(width):
                 want = keys.get((s, tuple(grid[s, p].tolist())), -1)
                 assert got[s, p] == want
+        # one radix more passes 2 ** 62, for either path
+        radix[0] += 1
+        with pytest.raises(features.FeatureError, match="2\\*\\*62"):
+            features._combine(digits, radix[:, None])
+        with pytest.raises(features.FeatureError):
+            features._combine(values.T, radix[slots])
 
 
 _OLD_CARDINAL = re.compile(r"\d+")

@@ -22,9 +22,12 @@ one copy of the script hashes two checkouts: run it with `--out` on one
 and with `--check` on the other.  `--check FILE` compares the hashes
 with those in FILE, prints each one that differs or that FILE lacks,
 and exits 1 if there is any; hashes FILE holds that this run did not
-make (other workloads) are only counted.  `cv` runs its folds
-on every CPU the process may use, so running it again under
-`taskset -c 0` checks that one CPU gives the same bytes.
+make (other workloads) are only counted.  `cv` runs its folds in
+forked children, one per CPU the process may use, so `--check` runs
+`cv` a second time with this process pinned to one CPU
+(`os.sched_setaffinity`, restored afterwards), where the folds run one
+after another in the process, and checks those hashes against the same
+FILE: one command covers both fold paths.
 
 `tools/parity.json` holds the hashes of the default run.
 """
@@ -36,6 +39,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -114,6 +118,16 @@ class Run:
             self.hash("cv", seed, out)
 
 
+def run_workloads(tempex, workloads) -> dict[str, str]:
+    """The hashes of the given workloads, by name."""
+    with tempfile.TemporaryDirectory(prefix="tempex-parity-") as work:
+        run = Run(Path(work), tempex)
+        for workload in workloads:
+            for seed in SEEDS[workload]:
+                getattr(run, workload)(seed)
+    return dict(sorted(run.hashes.items()))
+
+
 def check(hashes: dict[str, str], reference: dict[str, str]) -> int:
     bad = 0
     for name, digest in hashes.items():
@@ -145,17 +159,22 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.repo.resolve() / "src"))
     from tempex import cli
 
-    with tempfile.TemporaryDirectory(prefix="tempex-parity-") as work:
-        run = Run(Path(work), cli)
-        for workload in workloads:
-            for seed in SEEDS[workload]:
-                getattr(run, workload)(seed)
-    hashes = dict(sorted(run.hashes.items()))
+    hashes = run_workloads(cli, workloads)
     if args.out:
         args.out.write_text(json.dumps(hashes, indent=1) + "\n",
                             encoding="utf-8")
     if args.check:
-        return check(hashes, json.loads(args.check.read_text("utf-8")))
+        reference = json.loads(args.check.read_text("utf-8"))
+        bad = check(hashes, reference)
+        if "cv" in workloads:
+            cpus = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {min(cpus)})
+            try:
+                print("cv on one CPU:")
+                bad |= check(run_workloads(cli, ["cv"]), reference)
+            finally:
+                os.sched_setaffinity(0, cpus)
+        return bad
     if not args.out:
         print(json.dumps(hashes, indent=1))
     return 0
