@@ -690,7 +690,7 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
         if arity == 1:
             # a unigram slot's keys are the values it reads (an offset-0
             # slot never reads _BOS_): `flat` is each position's index
-            # among all the group's keys
+            # among all the group's keys, `distinct` each key's code
             sizes = radix[feats]
             first = _row_starts(sizes)
             flat = combined + first[:, None]

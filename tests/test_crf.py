@@ -743,10 +743,9 @@ class TestTrain:
         ({"cutoff": 0}, "cutoff 0 is below 1"),
     ])
     def test_bad_setting_refused(self, setting, message):
-        """`TrainConfig` refuses a setting training cannot use, so a
-        library caller gets the error `tempex` reports: C = 0 divided by
-        zero in the penalty, and max_iter = -1, cutoff = 0 and eta = nan
-        trained without complaint."""
+        """`TrainConfig` refuses a setting training cannot use, with
+        the message `tempex` reports for it, so that a library caller
+        meets the command line's check."""
         with pytest.raises(CrfError, match=re.escape(message)):
             TrainConfig(**setting)
 

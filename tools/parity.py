@@ -25,9 +25,10 @@ and exits 1 if there is any; hashes FILE holds that this run did not
 make (other workloads) are only counted.  `cv` runs its folds in
 forked children, one per CPU the process may use, so `--check` runs
 `cv` a second time with this process pinned to one CPU
-(`os.sched_setaffinity`, restored afterwards), where the folds run one
-after another in the process, and checks those hashes against the same
-FILE: one command covers both fold paths.
+(`os.sched_setaffinity`, restored afterwards; where the platform has
+no such call, this run is skipped), where the folds run one after
+another in the process, and checks those hashes against the same FILE:
+one command covers both fold paths.
 
 `tools/parity.json` holds the hashes of the default run.
 """
@@ -166,7 +167,7 @@ def main(argv=None) -> int:
     if args.check:
         reference = json.loads(args.check.read_text("utf-8"))
         bad = check(hashes, reference)
-        if "cv" in workloads:
+        if "cv" in workloads and hasattr(os, "sched_setaffinity"):
             cpus = os.sched_getaffinity(0)
             os.sched_setaffinity(0, {min(cpus)})
             try:
