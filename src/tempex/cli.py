@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 empty-result warnings escalated under --strict,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from datetime import date
 from pathlib import Path
@@ -61,8 +62,10 @@ def _write_output(text: str, output) -> None:
 
 def cmd_train(args) -> int:
     config = _load_run_config(args)
+    corpus_sha256 = hashlib.sha256(Path(args.corpus).read_bytes()).hexdigest()
     docs = corpus.read_corpus(args.corpus)
     model, priors = pipeline.train_on_docs(docs, config)
+    model.training_log["corpus_sha256"] = corpus_sha256
     crf.save_model(model, args.model)
     priors_path = args.priors or str(Path(args.model).with_suffix(".priors"))
     priors.save(priors_path)
@@ -71,6 +74,8 @@ def cmd_train(args) -> int:
     print(f"features: {log['n_features']}")
     print(f"columns: {log['n_columns']}")
     print(f"iterations: {log['iterations']}")
+    print(f"converged: {'yes' if log['converged'] else 'no'} "
+          f"({log['message']})")
     print(f"final objective: {log['final_objective']:.6f}")
     print(f"model: {args.model}")
     print(f"priors: {priors_path}")

@@ -134,14 +134,6 @@ def check_bio(labels: Iterable[str], where: str = "") -> None:
         prev = lab
 
 
-def is_valid_bio(labels: Iterable[str]) -> bool:
-    try:
-        check_bio(labels)
-        return True
-    except CorpusError:
-        return False
-
-
 def tokenize(text: str, offset: int = 0) -> list[Token]:
     """Split `text` into tokens with character offsets (shifted by `offset`).
 
@@ -180,23 +172,6 @@ def span_char_range(doc: Document, span: TimexSpan) -> tuple[int, int]:
     seq = doc.sequences[span.sequence_index]
     return (seq.tokens[span.first_token].char_start,
             seq.tokens[span.last_token].char_end)
-
-
-def spans_to_bio(spans: list[TimexSpan], seq: Sequence) -> list[str]:
-    """Project non-overlapping spans of one sequence onto BIO labels."""
-    labels = ["O"] * len(seq)
-    seen: list[TimexSpan] = []
-    for span in sorted(spans, key=lambda s: s.first_token):
-        if span.last_token >= len(seq):
-            raise CorpusError(f"span {span} out of bounds")
-        for other in seen:
-            if span.first_token <= other.last_token and other.first_token <= span.last_token:
-                raise CorpusError(f"overlapping spans {other} / {span}")
-        seen.append(span)
-        labels[span.first_token] = "B"
-        for i in range(span.first_token + 1, span.last_token + 1):
-            labels[i] = "I"
-    return labels
 
 
 def bio_to_spans(labels: list[str], seq: Sequence, sequence_index: int = 0,

@@ -7,11 +7,13 @@ Training, decoding and the tests share one path.  The observation table
 of a list of sequences (a training corpus, or a batch of documents
 when decoding; `features.ObservationTable`) is encoded once as a sparse
 token-by-observation matrix over a length-padded, longest-first batch,
-so that one sparse product scores every token.  Training indexes its
-table by codes (`build_feature_index`) and encodes it by one gather of
-the code-to-id array the index gives; decoding looks each distinct key
-up once, or, under a model's vocabulary, has the ids as codes.  Two
-recursions then run over the whole batch.  Forward-backward runs in
+so that one sparse product scores every token.  Observations stay in
+code space throughout: a slot and the combined code of its values
+(`features.Observations`).  Training indexes its table's observations
+(`build_feature_index`) and encodes the table by one gather of the id
+each gets; decoding expands its documents under the model's index, so
+that the table's codes are the ids.  Two recursions then run over the
+whole batch.  Forward-backward runs in
 probability space, on potentials shifted by their maxima and rescaled to
 sum to 1 at every step (Rabiner, 1989, §V.A; CRFsuite's `crf1d`): it
 gives logZ, the marginals and the expected transition counts, and
@@ -29,18 +31,22 @@ its inner products weighted by the group sizes, so that its iterates
 are the per-observation ones up to rounding.  Those inner products, like
 the objective's, are numpy sums (`_dot`), not BLAS calls, so a model
 does not depend on the BLAS thread count.
+
+A model file (`save_model`, format `tempex-crf-4`) holds a header, the
+slot list, each feature's values once, the weight block, then each
+observation as its weight row, slot and code, in id order.  Reading it
+(`load_model`) parses each section in bulk and builds the model's step
+maps from those arrays; no observation is spelled.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
-from operator import methodcaller
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence as Seq
 
@@ -48,9 +54,10 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import LABELS, read_text
-from .features import PROFILES, ObservationTable
+from .features import (MAX_CODES, PROFILES, TEMPLATES, ObservationTable,
+                       Observations)
 
-MODEL_FORMAT_VERSION = "tempex-crf-3"
+MODEL_FORMAT_VERSION = "tempex-crf-4"
 # L-BFGS history length (corrections kept).
 LBFGS_HISTORY = 5
 
@@ -100,7 +107,7 @@ class EncodedTable:
 
 @dataclass
 class CrfModel:
-    obs_index: dict[str, int]          # observation key -> obs id
+    obs_index: Observations            # observation i has weight row i
     weights: np.ndarray                # len = n_obs * 3 + 9
     c: float = 1.0
     eta: float = 1e-4
@@ -116,11 +123,6 @@ class CrfModel:
             raise CrfError(
                 f"weight vector has {self.weights.shape[0]} slots, "
                 f"index requires {expected}")
-        ids = np.fromiter(self.obs_index.values(), dtype=np.int64,
-                          count=len(self.obs_index))
-        if not np.array_equal(np.sort(ids), np.arange(len(ids))):
-            raise CrfError(f"observation ids are not 0..{len(ids) - 1}, "
-                           "each once")
 
     @property
     def n_obs(self) -> int:
@@ -132,63 +134,36 @@ class CrfModel:
     def transition_weights(self) -> np.ndarray:
         return self.weights[self.n_obs * N_LABELS:].reshape(N_LABELS, N_LABELS)
 
-    @cached_property
-    def keys(self) -> list[str]:
-        """The observation keys in id order."""
-        return sorted(self.obs_index, key=self.obs_index.__getitem__)
-
-    def encode(self, table: ObservationTable,
-               lookup: Optional[np.ndarray] = None) -> EncodedTable:
+    def encode(self, table: ObservationTable) -> EncodedTable:
         """Observation ids of each position of `table`, in slot order;
         unknown observations and empty slots dropped.
 
-        A table whose keys are this model's `keys` (the list itself, as
-        `features.Vocabulary` expansion gives, once they are listed) has
-        the ids as its codes; given `lookup`, the id of each of the
-        table's codes with -1 last (`build_feature_index`'s `ids` for
-        the table this model was indexed from), the ids are one gather.
-        Otherwise one `dict.get` per key of the table, then one gather
-        of the table's codes; the lookup's extra last entry is what an
-        empty slot (code -1) reads.  The ids are int32, as the codes
-        are.
+        A table expanded under this model's index has the ids as its
+        codes.  A table of the observations the index was made from
+        (`build_feature_index`: the training table, or a slice of it
+        such as a `cv` fold's test sentences) gets them by one gather of
+        the index's `lookup`, whose extra last entry is what an empty
+        slot (code -1) reads.  The ids are int32, as the codes are.
         """
-        keys = table.keys
-        if lookup is not None:
-            ids = lookup[table.codes]
-        # `keys` is listed for a vocabulary, not for encoding
-        elif keys is vars(self).get("keys"):
+        if table.keys is self.obs_index:
             ids = table.codes
         else:
-            lookup = np.fromiter(
-                chain(map(self.obs_index.get, keys, repeat(-1, len(keys))),
-                      (-1,)), dtype=np.int32, count=len(keys) + 1)
-            ids = lookup[table.codes]
+            ids = self.obs_index.lookup(table.keys)[table.codes]
         kept = ids >= 0
         indptr = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(kept.sum(axis=1), out=indptr[1:])
         return EncodedTable(ids[kept], indptr)
 
 
-def build_feature_index(table: ObservationTable, cutoff: int = 1,
-                        ids: Optional[np.ndarray] = None) -> dict[str, int]:
-    """Intern every observation key seen at least `cutoff` times.
-
-    Slot order is first-occurrence order (position by position, slot by
-    slot), so the index is deterministic for a fixed corpus.  The
-    table's keys are pairwise distinct, so the index goes by codes: one
-    `np.bincount` counts them, `np.minimum.at` finds where each first
-    occurs, and only the codes present (a `take` slice uses some of its
-    keys) and kept are sorted by it; a key is fetched only for them.
-
-    Keys are interned: models trained on similar corpora share most
-    observation keys, and then share their storage.  The `train`
-    benchmark job, which holds its 16 models at once, peaked at
-    123.7-123.9 MB RSS without interning and 117.5-117.8 MB with it
-    (two seeds each, a 2-CPU x86-64 VM).
-
-    `ids`, if given (an int32 array of `len(table.keys) + 1`), receives
-    each code's id, or -1 for a code not kept and, last, for an empty
-    slot: `CrfModel.encode` of the table with it is one gather.
+def build_feature_index(table: ObservationTable, cutoff: int = 1
+                        ) -> Observations:
+    """The index of the table's observations seen at least `cutoff`
+    times (`Observations.subset`), numbered in first-occurrence order
+    (position by position, slot by slot), so the index is deterministic
+    for a fixed corpus.  The table's codes name its distinct
+    observations, so one `np.bincount` counts them, `np.minimum.at`
+    finds where each first occurs, and only the codes present (a `take`
+    slice uses some of its observations) and kept are sorted by it.
     """
     if not table.lengths:
         raise CrfError("empty corpus")
@@ -198,16 +173,7 @@ def build_feature_index(table: ObservationTable, cutoff: int = 1,
     first = np.full(counts.size, codes.size, dtype=np.intp)
     np.minimum.at(first, codes, np.arange(codes.size))
     kept = np.flatnonzero(counts >= max(cutoff, 1))
-    kept = kept[np.argsort(first[kept])]
-    index = dict(zip(map(sys.intern, map(table.keys.__getitem__,
-                                         kept.tolist())),
-                     range(kept.size)))
-    if len(index) < kept.size:
-        raise CrfError("two observations of the table share a key")
-    if ids is not None:
-        ids[:] = -1
-        ids[kept] = np.arange(kept.size)
-    return index
+    return table.keys.subset(kept[np.argsort(first[kept])])
 
 
 class _EncodedBatch:
@@ -229,19 +195,19 @@ class _EncodedBatch:
     `empirical` holds the gold feature counts of each group and label,
     then of each label bigram.  The full-width matrix is not kept.
 
-    `lookup` is passed to `CrfModel.encode`.  `buffers` are
-    forward-backward's, built the first time it runs on the batch.
+    `buffers` are forward-backward's, built the first time it runs on
+    the batch.
     """
 
     def __init__(self, model: CrfModel, table: ObservationTable,
-                 labels=None, lookup: Optional[np.ndarray] = None):
+                 labels=None):
         lengths = table.lengths
         self.n_input = len(lengths)
         self.order = sorted((i for i, n in enumerate(lengths) if n),
                             key=lambda i: -lengths[i])
         self.lengths = np.array([lengths[i] for i in self.order],
                                 dtype=np.int64)
-        steps = model.encode(table.take(self.order), lookup)
+        steps = model.encode(table.take(self.order))
         x = sparse.csr_matrix(
             (np.ones(len(steps.indices)), steps.indices, steps.indptr),
             shape=(len(steps), model.n_obs))
@@ -502,19 +468,6 @@ def viterbi(model: CrfModel, table: ObservationTable) -> list[list[str]]:
     return [[LABELS[y] for y in ids.tolist()] for ids in batch.unbatch(best)]
 
 
-def sequence_score(model: CrfModel, obs_ids: EncodedTable,
-                   label_ids: Seq[int]) -> float:
-    """Total score of one labeled sequence, summed position by position
-    over `obs_ids`, the sequence's `CrfModel.encode`: the independent
-    scorer the decoding tests compare against."""
-    y = [int(lab) for lab in label_ids]
-    unary = model.unary_weights()
-    trans = model.transition_weights()
-    return float(sum(unary[ids, lab].sum()
-                     for ids, lab in zip(obs_ids, y, strict=True))
-                 + sum(trans[a, b] for a, b in zip(y, y[1:])))
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product summed by numpy's own pairwise reduction, which calls
     no BLAS, so its bits do not depend on the thread count."""
@@ -543,28 +496,6 @@ def _ll_grad(batch: _EncodedBatch, sums: np.ndarray, penalty: float,
     grad[:n_unary] -= (batch.xt @ probs).ravel()
     grad[n_unary:] -= pair_counts.ravel()
     return value, grad
-
-
-def log_likelihood_and_gradient(model: CrfModel, table: ObservationTable,
-                                labels: Seq[Seq[str]]):
-    """Regularized conditional log-likelihood and its gradient.
-
-    `labels` holds the gold labels of each sequence of `table`.  Value is
-    sum log p(y|x) - ||w||^2 / (2C); the gradient is empirical minus
-    expected feature counts minus w/C.  Computed by `_ll_grad` over the
-    groups of identical observation columns, for any weights, equal
-    within a group or not.
-    """
-    batch = _EncodedBatch(model, table, labels)
-    w = model.weights
-    n_unary = model.n_obs * N_LABELS
-    sums = np.zeros(batch.multiplicity.size * N_LABELS
-                    + N_LABELS * N_LABELS)
-    np.add.at(sums[:-N_LABELS * N_LABELS].reshape(-1, N_LABELS),
-              batch.group, w[:n_unary].reshape(-1, N_LABELS))
-    sums[-N_LABELS * N_LABELS:] = w[n_unary:]
-    value, grad = _ll_grad(batch, sums, _dot(w, w) / (2.0 * model.c))
-    return value, batch.expand(grad) - w / model.c
 
 
 @dataclass
@@ -737,13 +668,12 @@ def train(table: ObservationTable, labels: Seq[Seq[str]],
     BLAS, whose summation order depends on the thread count.
     """
     config = config or TrainConfig()
-    lookup = np.empty(len(table.keys) + 1, dtype=np.int32)
-    obs_index = build_feature_index(table, config.cutoff, lookup)
+    obs_index = build_feature_index(table, config.cutoff)
     model = CrfModel(
         obs_index,
         np.zeros(len(obs_index) * N_LABELS + N_LABELS * N_LABELS),
         c=config.c, eta=config.eta)
-    batch = _EncodedBatch(model, table, labels, lookup)
+    batch = _EncodedBatch(model, table, labels)
     m = np.concatenate([np.repeat(batch.multiplicity, N_LABELS),
                         np.ones(N_LABELS * N_LABELS)])
 
@@ -759,25 +689,41 @@ def train(table: ObservationTable, labels: Seq[Seq[str]],
                       ftol=config.eta, multiplicity=m)
     model.weights = batch.expand(np.asarray(result.x, dtype=float))
     model.training_log = {
+        "max_iter": config.max_iter,
+        "cutoff": config.cutoff,
         "iterations": int(result.nit),
+        "converged": bool(result.success),
+        "message": str(result.message),
+        "sentences": len(table.lengths),
+        "tokens": int(sum(table.lengths)),
         "final_objective": -float(result.fun),
         "n_features": len(obs_index),
         "n_columns": int(batch.multiplicity.size),
-        "converged": bool(result.success),
-        "message": str(result.message),
     }
     return model
 
 
-def save_model(model: CrfModel, path) -> None:
-    """Write a `tempex-crf-3` model: seven header lines, the weight
-    block, then `row<TAB>key` per observation, in id order.
+# The fields of a `#training` line, in order: how a model was trained.
+TRAINING_FIELDS = ("max_iter", "cutoff", "iterations", "converged",
+                   "sentences", "tokens", "corpus_sha256", "message")
 
-    The block holds each distinct unary weight row once (by bit pattern:
-    -0.0 is not 0.0), then the transition rows from B, I and O, each
-    `w_B<TAB>w_I<TAB>w_O` in `repr`s; `row` numbers an observation's
-    block row.  A model without a valid feature digest is refused before
-    the file is opened, since `load_model` would refuse it."""
+
+def save_model(model: CrfModel, path) -> None:
+    """Write a `tempex-crf-4` model: the header, the slot list
+    (`tid<TAB>name`), each feature's values in code order
+    (`name<TAB>value`), the weight block, then `row<TAB>slot<TAB>code`
+    per observation, in id order.
+
+    The header names the version, labels, profile, feature digest and
+    hyperparameters; a trained model's `#training` line
+    (`TRAINING_FIELDS`, tab-separated `name=value`; the corpus SHA-256
+    is `-` for a model not trained from a file); then the size of each
+    section.  The block holds each distinct unary weight row once (by
+    bit pattern: -0.0 is not 0.0), then the transition rows from B, I
+    and O, each `w_B<TAB>w_I<TAB>w_O` in `repr`s; `row` numbers an
+    observation's block row.  A model without a valid feature digest is
+    refused before the file is opened, since `load_model` would refuse
+    it."""
     try:
         _parse_digest(model.digest)
     except ValueError:
@@ -793,19 +739,34 @@ def save_model(model: CrfModel, path) -> None:
     row_of[order] = np.cumsum(new) - 1
     block = np.concatenate([model.unary_weights()[order[new]],
                             model.transition_weights()])
-    keys = sorted(model.obs_index, key=model.obs_index.__getitem__)
+    index = model.obs_index
+    training = []
+    if "iterations" in model.training_log:
+        log = {"corpus_sha256": "-", **model.training_log}
+        log["converged"] = "yes" if log["converged"] else "no"
+        training.append("#training\t" + "\t".join(
+            f"{name}={log[name]}" for name in TRAINING_FIELDS))
+    triples = np.column_stack([row_of, index.pairs]).ravel().tolist()
     lines = [
         f"#version\t{MODEL_FORMAT_VERSION}",
         f"#labels\t{','.join(LABELS)}",
         f"#profile\t{model.profile}",
         f"#features\t{model.digest}",
         f"#hyperparams\tC={model.c!r},eta={model.eta!r}",
+        *training,
+        f"#n_slots\t{len(index.slots)}",
+        f"#n_values\t{sum(map(len, index.values))}",
         f"#n_features\t{model.n_obs}",
         f"#n_rows\t{len(block) - N_LABELS}",
-        *("\t".join(map(repr, row)) for row in block.tolist()),
-        *(f"{row}\t{key}" for row, key in zip(row_of.tolist(), keys)),
+        *(f"{t.tid}\t{name}" for t, name in index.slots),
+        *(f"{name}\t{value}" for name, values in zip(index.names,
+                                                    index.values)
+          for value in values),
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(
+        "\n".join(lines) + "\n"
+        + "%r\t%r\t%r\n" * len(block) % tuple(block.ravel().tolist())
+        + "%d\t%d\t%d\n" * model.n_obs % tuple(triples), encoding="utf-8")
 
 
 def _parse_digest(value: str) -> str:
@@ -832,18 +793,35 @@ def _parse_profile(value: str) -> str:
     return value
 
 
+def _parse_training(value: str) -> dict:
+    fields = dict(f.split("=", 1) for f in value.split("\t"))
+    if tuple(fields) != TRAINING_FIELDS:
+        raise ValueError(value)
+    if fields["corpus_sha256"] != "-":
+        _parse_digest(fields["corpus_sha256"])
+    return {**fields, **{name: _parse_count(fields[name]) for name in (
+        "max_iter", "cutoff", "iterations", "sentences", "tokens")},
+        "converged": {"yes": True, "no": False}[fields["converged"]]}
+
+
+_INT64 = np.iinfo(np.int64)
+
+
 def _line_error(path, lineno: int, message: str) -> CrfError:
     return CrfError(f"{path}: line {lineno}: {message}")
 
 
 def load_model(path) -> CrfModel:
-    """Read a `tempex-crf-3` model file (`save_model`); any malformed
+    """Read a `tempex-crf-4` model file (`save_model`); any malformed
     content raises CrfError naming the file and, where there is one, the
     offending line.  Other format versions are rejected by name.
 
-    The weight block is parsed in bulk and the row numbers by one
-    `np.array`; only if either fails are the lines read one by one, to
-    name the first bad one."""
+    The slot and value lines are read one by one.  The weight block is
+    parsed in bulk, and so are the observation triples, by one
+    `np.fromstring`; only if either fails are their lines read one by
+    one, to name the first bad one.  The triples are then checked as
+    arrays (`_observation_errors`), and the index's step maps are built
+    from them when it first expands a table."""
     lines = read_text(path, CrfError).splitlines()
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}
@@ -873,72 +851,147 @@ def load_model(path) -> CrfModel:
     profile = field("profile", _parse_profile)
     digest = field("features", _parse_digest)
     c, eta = field("hyperparams", _parse_hyperparams)
+    training = (field("training", _parse_training) if "training" in header
+                else {})
+    n_slots = field("n_slots", _parse_count)
+    n_values = field("n_values", _parse_count)
     n_features = field("n_features", _parse_count)
     n_rows = field("n_rows", _parse_count)
 
-    rows = list(filter(str.strip, lines[i:]))
+    body = lines[i:]
     n_block = n_rows + N_LABELS
-    if len(rows) != n_block + n_features:
+    sizes = (n_slots, n_values, n_block, n_features)
+    if len(body) != sum(sizes):
         raise CrfError(
-            f"{path}: model declares {n_features} features and {n_rows} "
-            f"weight rows, so {n_block + n_features} lines with the "
-            f"transitions; the file has {len(rows)}")
-    block = rows[:n_block]
-    obs = list(map(methodcaller("partition", "\t"), rows[n_block:]))
-    row_ids, tabs, keys = zip(*obs) if obs else ((), (), ())
-    obs_index = dict(zip(keys, range(n_features)))
+            f"{path}: model declares {n_slots} slots, {n_values} values, "
+            f"{n_features} features and {n_rows} weight rows, so "
+            f"{sum(sizes)} lines with the transitions; the file has "
+            f"{len(body)}")
+    bounds = np.cumsum((0, *sizes)).tolist()
+    slot_lines, value_lines, block, triples = (
+        body[a:b] for a, b in zip(bounds, bounds[1:]))
+    # the line number of each part's first line
+    first = [i + 1 + b for b in bounds]
+    templates = {t.tid: t for t in TEMPLATES}
+    slots: dict[tuple, int] = {}
+    for lineno, line in enumerate(slot_lines, first[0]):
+        tid, _, name = line.partition("\t")
+        if tid not in templates or not name or "\t" in name:
+            raise _line_error(path, lineno,
+                              "expected template id<TAB>feature name")
+        if slots.setdefault((templates[tid], name), lineno) != lineno:
+            raise _line_error(path, lineno, f"repeated slot {line!r}")
+    names = {name: [] for _, name in slots}
+    seen: set[str] = set()
+    for lineno, line in enumerate(value_lines, first[1]):
+        name, tab, value = line.partition("\t")
+        if name not in names or not tab or "\t" in value:
+            raise _line_error(path, lineno,
+                              "expected slot feature name<TAB>value")
+        seen.add(line)
+        if len(seen) == lineno - first[1]:
+            raise _line_error(path, lineno, f"repeated value {line!r}")
+        names[name].append(value)
+    for lineno, (t, name) in enumerate(slots, first[0]):
+        if (len(names[name]) + 1) ** len(t.offsets) > MAX_CODES:
+            raise _line_error(path, lineno, f"too many values of {name}")
+
     try:
         weights = np.fromiter(map(float, "\t".join(block).split("\t")),
                               dtype=float, count=N_LABELS * n_block)
-        row_of = np.array(row_ids, dtype=np.int64)
-    except (ValueError, OverflowError):
-        weights = row_of = None
+        # int64's ends are what an integer beyond them reads as
+        obs = np.fromstring("\t".join(triples), dtype=np.int64, sep="\t")
+    except ValueError:
+        weights = obs = None
     if (weights is None or not np.isfinite(weights).all()
+            or obs.size != 3 * n_features
+            or (obs.size and (obs.min() == _INT64.min
+                              or obs.max() == _INT64.max))
             or set(map(str.count, block, repeat("\t"))) - {N_LABELS - 1}
-            or "" in tabs or len(obs_index) != n_features
-            or not ((row_of >= 0) & (row_of < n_rows)).all()):
-        _raise_row_error(path, lines, i, n_rows)
+            or set(map(str.count, triples, repeat("\t"))) - {2}):
+        _raise_row_error(path, block + triples, first[2], n_block)
+    obs = obs.reshape(-1, 3)
+    index = Observations(slots, list(names.values()),
+                         np.ascontiguousarray(obs[:, 1:]))
+    error = _observation_errors(obs[:, 0], index, n_rows)
+    if error is not None:
+        raise _line_error(path, first[3] + error[0], error[1])
+    # each distinct row is written once, for the observations that have it
+    unused = np.flatnonzero(np.bincount(obs[:, 0], minlength=n_rows) == 0)
+    if unused.size:
+        raise _line_error(path, first[2] + unused[0],
+                          f"weight row {unused[0]} is no observation's")
     weights = weights.reshape(-1, N_LABELS)
-    return CrfModel(obs_index, np.concatenate([weights[row_of].ravel(),
-                                               weights[n_rows:].ravel()]),
-                    c=c, eta=eta, profile=profile, digest=digest)
+    return CrfModel(index, np.concatenate([weights[obs[:, 0]].ravel(),
+                                           weights[n_rows:].ravel()]),
+                    c=c, eta=eta, profile=profile, digest=digest,
+                    training_log=training)
+
+
+def _observation_errors(row: np.ndarray, index: Observations,
+                        n_rows: int) -> Optional[tuple[int, str]]:
+    """The first bad observation of `index` (its number) and what is
+    wrong with it, or None, given the weight row `row` of each and
+    `n_rows` rows: a row or slot out of range, a code that is no
+    combination of the slot feature's values, or an observation already
+    named."""
+    slot, code = index.pairs.T
+    n_slots = len(index.slots)
+    bad_slot = (slot < 0) | (slot >= n_slots)
+    # a slot out of range reads a last entry of no offsets
+    s = np.where(bad_slot, n_slots, slot)
+    feature = {name: f for f, name in enumerate(index.names)}
+    radix = np.append(index.radix[[feature[name] for _, name in index.slots]
+                                  ], 1)[s]
+    arity = np.array([len(t.offsets) for t, _ in index.slots] + [0])[s]
+    # a digit of radix - 1 is the code of no value
+    bad_code, rest = code < 0, code.copy()
+    for k in range(3):
+        bad_code |= (k < arity) & (rest % radix == radix - 1)
+        rest = np.where(k < arity, rest // radix, rest)
+    bad_code |= rest != 0
+    order = np.lexsort((code, slot))
+    repeated = np.zeros(len(code), dtype=bool)
+    repeated[order[1:]] = ((slot[order[1:]] == slot[order[:-1]])
+                           & (code[order[1:]] == code[order[:-1]]))
+    problems = [
+        ((row < 0) | (row >= n_rows),
+         "row {r} out of range; the model has {n_rows} rows"),
+        (bad_slot, "slot {s} out of range; the model has {n_slots} slots"),
+        (bad_code & ~bad_slot, "code {c} names no values of slot {s}"),
+        (repeated, "repeated observation")]
+    found = [(int(np.argmax(bad)), message) for bad, message in problems
+             if bad.any()]
+    if not found:
+        return None
+    i, message = min(found, key=lambda p: p[0])
+    return i, message.format(r=row[i], s=slot[i], c=code[i], n_rows=n_rows,
+                             n_slots=n_slots)
 
 
 def _raise_row_error(path, lines: list[str], start: int,
-                     n_rows: int) -> None:
+                     n_block: int) -> None:
     """Raise the error of the first malformed line of the weight block
-    or of the observation lines, which start at line `start` (0-based),
-    naming its line."""
-    seen: set[str] = set()
-    rows = ((lineno, line) for lineno, line in enumerate(lines[start:],
-                                                          start + 1)
-            if line.strip())
-    for row, (lineno, line) in enumerate(rows):
-        if row < n_rows + N_LABELS:
+    and the observation triples that follow it, `lines` from line
+    number `start` on, naming its line."""
+    for k, line in enumerate(lines):
+        if k < n_block:
             weights = line.split("\t")
             if len(weights) != N_LABELS:
-                raise _line_error(path, lineno,
+                raise _line_error(path, start + k,
                                   "expected w_B<TAB>w_I<TAB>w_O")
             try:
                 if not all(map(math.isfinite, map(float, weights))):
                     raise ValueError
             except ValueError:
-                raise _line_error(path, lineno,
+                raise _line_error(path, start + k,
                                   f"bad weight in {line!r}") from None
             continue
-        row_id, tab, key = line.partition("\t")
-        if not tab:
-            raise _line_error(path, lineno, "expected row<TAB>key")
-        try:
-            number = int(row_id)
-        except ValueError:
-            raise _line_error(path, lineno,
-                              f"bad row number {row_id!r}") from None
-        if not 0 <= number < n_rows:
-            raise _line_error(path, lineno, f"row {number} out of range; "
-                              f"the model has {n_rows} rows")
-        if key in seen:
-            raise _line_error(path, lineno,
-                              f"repeated observation key {key!r}")
-        seen.add(key)
-    raise CrfError(f"{path}: malformed weight rows")
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise _line_error(path, start + k,
+                              "expected row<TAB>slot<TAB>code")
+        if not all(re.fullmatch("-?[0-9]+", f)
+                   and -2 ** 63 < int(f) < 2 ** 63 - 1 for f in fields):
+            raise _line_error(path, start + k, f"bad number in {line!r}")
+    raise CrfError(f"{path}: malformed weight rows or observations")

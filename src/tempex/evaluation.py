@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import BinaryIO, Callable, Optional, Sequence as Seq
 
-from scipy.special import fdtrc, stdtr
-
 
 class EvalError(ValueError):
     pass
@@ -308,6 +306,9 @@ def paired_t_test(a: Seq[float], b: Seq[float]) -> dict:
     if var == 0.0:
         return {"t": math.nan, "p_two_sided": math.nan, "degenerate": True,
                 "mean_diff": mean, "n": n}
+    # imported here, not with the module: `scipy.special` takes about
+    # 90 ms to import, which every command would pay for `cv`'s test
+    from scipy.special import stdtr
     t = mean / math.sqrt(var / n)
     p = 2.0 * float(stdtr(n - 1, -abs(t)))
     return {"t": t, "p_two_sided": p, "degenerate": False,
@@ -333,6 +334,7 @@ def one_way_anova(groups: Seq[Seq[float]]) -> dict:
         if ss_between == 0.0:
             return {"F": 0.0, "p": 1.0, "degenerate": True}
         return {"F": math.inf, "p": 0.0, "degenerate": True}
+    from scipy.special import fdtrc  # as in `paired_t_test`
     f = (ss_between / df_b) / (ss_within / df_w)
     p = float(fdtrc(df_b, df_w, f))
     return {"F": f, "p": p, "degenerate": False}

@@ -13,7 +13,8 @@ import json
 import re
 import string
 from dataclasses import astuple, dataclass
-from itertools import chain, count, groupby, repeat
+from functools import cached_property
+from itertools import count, groupby, repeat
 from pathlib import Path
 from typing import Iterable, Optional, Sequence as Seq
 
@@ -309,12 +310,6 @@ class Featurizer:
         self.digest = hashlib.sha256(
             json.dumps(contract).encode("utf-8")).hexdigest()
 
-    def vocabulary(self, keys: list[str]) -> "Vocabulary":
-        """The `Vocabulary` of a model's keys, in id order, under this
-        featurizer's templates and names."""
-        return Vocabulary(keys, TEMPLATES, self.unigram_features,
-                          self.config.conjunction_features)
-
 
 def extract_rows(seqs: Seq[Sequence], featurizer: Featurizer
                  ) -> tuple[list[dict[str, str]], np.ndarray]:
@@ -354,25 +349,24 @@ def extract_rows(seqs: Seq[Sequence], featurizer: Featurizer
 
 @dataclass
 class ObservationTable:
-    """The observations of a list of sequences (a document, a training
-    corpus, or the whole corpus of a `cv` command), each distinct key
-    stored once.
+    """The observations of a list of sequences (a document, a batch of
+    documents, a training corpus, or the whole corpus of a `cv`
+    command), each distinct observation stored once, in `keys`.
 
-    `codes[p, s]` (int32) is the index into `keys` of slot s of position
-    p; the positions of all sequences follow each other, `lengths` tokens
-    per sequence, and -1 marks an empty slot (in a table expanded under
-    a model's `Vocabulary`, an observation the model does not have).
-    Slots are in template order, then feature order.  The keys are
-    pairwise distinct, so a code names one observation and the CRF
-    index can go by codes.  A table that `expand_templates` builds keys
-    for references every key it holds from some slot; a `take` of it,
-    or a table expanded under a `Vocabulary`, may reference only some.
-    `len()` is the number of positions, and iterating yields each
-    position's row of slot codes.  A sequence's rows depend on that
-    sequence alone, so `take` of some sequences gives the keys, and
-    so the CRF index and encoding, of featurizing them afresh.
+    `codes[p, s]` (int32) numbers, among `keys`, the observation of slot
+    s at position p; the positions of all sequences follow each other,
+    `lengths` tokens per sequence, and -1 marks an empty slot (in a
+    table expanded under a model's index, an observation the model does
+    not have).  Slots are in template order, then feature order.  A
+    table that `expand_templates` builds without an index references
+    every observation it holds from some slot; a `take` of it may
+    reference only some.  `len()` is the number of positions, and
+    iterating yields each position's row of slot codes.  A sequence's
+    rows depend on that sequence alone, so `take` of some sequences
+    gives their positions the observations, and so the CRF index and
+    encoding, of featurizing them afresh.
     """
-    keys: list[str]
+    keys: "Observations"
     codes: np.ndarray
     lengths: tuple[int, ...]
 
@@ -394,19 +388,6 @@ class ObservationTable:
                 + np.arange(lengths.sum()))
         return ObservationTable(self.keys, self.codes[rows],
                                 tuple(lengths.tolist()))
-
-    @classmethod
-    def from_strings(cls, sequences) -> "ObservationTable":
-        """The table of sequences given as per-position lists of
-        observation strings, rows padded with empty slots."""
-        index: dict[str, int] = {}
-        rows = [[index.setdefault(f, len(index)) for f in feats]
-                for seq in sequences for feats in seq]
-        codes = np.full((len(rows), max(map(len, rows), default=0)), -1,
-                        dtype=np.int32)
-        for row, ids in zip(codes, rows):
-            row[:len(ids)] = ids
-        return cls(list(index), codes, tuple(map(len, sequences)))
 
 
 def _distinct_per_row(values: np.ndarray):
@@ -431,35 +412,34 @@ def _row_starts(counts: np.ndarray) -> np.ndarray:
 
 def _slots(templates: Iterable[Template], unigram_features: Iterable[str],
            conjunction_features: Iterable[str]):
-    """The feature names an expansion reads, and its slots: (template,
-    index into the names) in template order, then feature order, each
-    template and name taken once."""
-    templates = tuple(dict.fromkeys(templates))
+    """The slots of an expansion, (template, feature name) in template
+    order, then feature order, each template and name taken once."""
     unigram_features = tuple(dict.fromkeys(unigram_features))
     conjunction_features = tuple(dict.fromkeys(conjunction_features))
-    names = tuple(dict.fromkeys(unigram_features + conjunction_features))
-    index = {f: i for i, f in enumerate(names)}
-    return names, tuple((t, index[f]) for t in templates
-                        for f in (unigram_features if len(t.offsets) == 1
-                                  else conjunction_features))
+    return tuple((t, f) for t in dict.fromkeys(templates)
+                 for f in (unigram_features if len(t.offsets) == 1
+                           else conjunction_features))
 
 
-def _groups(slots):
+def _groups(slots, names):
     """The slots of each arity, expanded together: per arity present,
-    the slot numbers, the feature of each and its offsets (slots x
-    arity)."""
+    the slot numbers, the feature of each (an index into `names`) and
+    its offsets (slots x arity)."""
+    index = {f: i for i, f in enumerate(names)}
     for arity in (1, 2, 3):
         group = [s for s, (t, _) in enumerate(slots)
                  if len(t.offsets) == arity]
         if group:
             yield (group,
-                   np.array([slots[s][1] for s in group], dtype=np.int64),
+                   np.array([index[slots[s][1]] for s in group],
+                            dtype=np.int64),
                    np.array([slots[s][0].offsets for s in group],
                             dtype=np.int64))
 
 
 class FeatureError(ValueError):
-    """An expansion whose combined codes would not fit int64."""
+    """An expansion whose combined codes would not fit int64, or under
+    an index of other slots."""
 
 
 # The combined codes of a group of slots stay below radix ** arity, and
@@ -489,19 +469,19 @@ def _combine(digits: np.ndarray, radix: np.ndarray) -> np.ndarray:
 
 
 # A step map keeps a dense table for a slot of at most this many codes,
-# and searches the sorted codes of its keys for a larger one.
+# and searches the sorted codes of its observations for a larger one.
 DENSE_CODES = 1 << 12
 
 
 class _StepMap:
     """Per slot s (a row of the codes it maps), a map from the combined
-    codes of its keys (`_combine`), below `spaces[s]`, to their ids, and
-    from any other code to -1.
+    codes of its observations (`_combine`), below `spaces[s]`, to their
+    ids, and from any other code to -1.
 
-    Built from one entry (slot, code, id) per key.  The slots of small
-    code spaces share one dense table; each other slot keeps its keys'
-    sorted codes, ended by the largest int64, and their ids, ended by
-    -1, for `np.searchsorted`."""
+    Built from one entry (slot, code, id) per observation.  The slots of
+    small code spaces share one dense table; each other slot keeps its
+    observations' sorted codes, ended by the largest int64, and their
+    ids, ended by -1, for `np.searchsorted`."""
 
     def __init__(self, slots: np.ndarray, codes: np.ndarray,
                  ids: np.ndarray, spaces: np.ndarray):
@@ -533,119 +513,145 @@ class _StepMap:
         return out
 
 
-class Vocabulary:
-    """A model's observation keys, taken apart for `expand_templates`:
-    under a vocabulary, expansion gives each slot the id of the model's
-    observation, or -1, and builds no key.
+class Observations:
+    """Distinct observations in code space: those of an
+    `ObservationTable`, or a model's index, where observation i has id i.
 
-    `keys` are the model's keys in id order, as the table's keys.  Each
-    feature's values in those keys get codes 0, 1, ... (`values[f]`); a
-    value in no key reads `len(values[f])`, so its radix is one more.
-    A slot builds keys of its template id, its feature name and one
-    value per offset; a key of another shape (an unknown template or
-    name, another number of values) is one no expansion builds, and is
-    left out.  Each group of slots of one arity (`_groups`) keeps one
-    `_StepMap` (in `maps`) from the combined code of a key's values
-    (`_combine`, the code the expansion gives a position) to its id.
-    The sentinels and values are those of the key strings, so the ids
-    are those that `CrfModel.encode` finds for the string table's keys.
+    `slots` are (template, feature name) pairs (`_slots`), and `names`
+    their feature names in order of first use.  `values[f]` holds
+    feature f's values by code; the code `len(values[f])` stands for any
+    other value, so the feature's radix is one more (`radix`).
+    Observation i is slot `pairs[i, 0]` (int64) with the mixed-radix
+    code `pairs[i, 1]` of the values at the slot's offsets (`_combine`).
+    No name or value holds a tab or a line break (`corpus.Token` refuses
+    such annotations).
 
-    Built once per command, one split and a few dict operations per
-    key: time that grows with the model's keys, not with the tokens
-    tagged.
+    `obs[i]` spells observation i as (template id, feature name, value
+    at each offset), which names it whatever its codes, and `in` takes
+    such a tuple.  As a model's index, the observations map each slot's
+    combined codes to their ids through one `_StepMap` per group of
+    slots of one arity (`maps`); an index made by `subset` also knows
+    the id of each observation of the set it was made from (`lookup`).
     """
 
-    def __init__(self, keys: list[str], templates: Iterable[Template],
-                 unigram_features: Iterable[str],
-                 conjunction_features: Iterable[str]):
-        self.keys = keys
-        self.names, self.slots = _slots(templates, unigram_features,
-                                        conjunction_features)
-        # per slot, the ids of its keys and their values, key by key
-        slot_of = {(t.tid, self.names[f]): s
-                   for s, (t, f) in enumerate(self.slots)}
-        n_fields = [2 + len(t.offsets) for t, _ in self.slots]
-        ids = [[] for _ in self.slots]
-        texts = [[] for _ in self.slots]
-        for j, key in enumerate(keys):
-            fields = key.split("\t")
-            s = slot_of.get(tuple(fields[:2]))
-            if s is not None and len(fields) == n_fields[s]:
-                ids[s].append(j)
-                texts[s] += fields[2:]
-        # each feature's values, coded in order of first appearance
-        by_feature = [[] for _ in self.names]
-        for (_, f), values in zip(self.slots, texts):
-            by_feature[f] += values
-        self.values = [dict(zip(dict.fromkeys(v), count()))
-                       for v in by_feature]
-        self.radix = np.array([len(v) + 1 for v in self.values],
-                              dtype=np.int64)
-        self.maps = []  # per group, its `_StepMap`
-        for group, feats, offsets in _groups(self.slots):
-            arity = offsets.shape[1]
-            values = np.concatenate([
-                np.fromiter(map(self.values[f].__getitem__, texts[s]),
-                            dtype=np.int64, count=len(texts[s]))
-                for s, f in zip(group, feats.tolist())]).reshape(-1, arity)
-            slot = np.repeat(np.arange(len(group)),
-                             [len(ids[s]) for s in group])
-            radix = self.radix[feats]
-            self.maps.append(_StepMap(
-                slot, _combine(values.T, radix[slot]),
-                np.fromiter(chain.from_iterable(ids[s] for s in group),
-                            dtype=np.int64),
-                radix ** arity))
+    def __init__(self, slots, values: list[list[str]], pairs: np.ndarray,
+                 parent: Optional[tuple["Observations", np.ndarray]] = None):
+        self.slots = tuple(slots)
+        self.names = tuple(dict.fromkeys(f for _, f in self.slots))
+        self.values = values
+        self.pairs = pairs
+        self.parent = parent
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __eq__(self, other):
+        return (isinstance(other, Observations)
+                and (self.slots, self.values) == (other.slots, other.values)
+                and np.array_equal(self.pairs, other.pairs))
+
+    def __getitem__(self, i: int) -> tuple[str, ...]:
+        slot, code = self.pairs[i].tolist()
+        template, name = self.slots[slot]
+        values = self.values[self.names.index(name)]
+        spelled = []
+        for _ in template.offsets:
+            code, value = divmod(code, len(values) + 1)
+            spelled.append(values[value])
+        return (template.tid, name, *spelled[::-1])
+
+    def __contains__(self, observation) -> bool:
+        return tuple(observation) in self._spelled
+
+    @cached_property
+    def _spelled(self) -> set[tuple[str, ...]]:
+        return set(map(self.__getitem__, range(len(self))))
+
+    @cached_property
+    def radix(self) -> np.ndarray:
+        return np.array([len(v) + 1 for v in self.values], dtype=np.int64)
+
+    @cached_property
+    def value_codes(self) -> list[dict[str, int]]:
+        """Per feature, each value's code."""
+        return [dict(zip(v, count())) for v in self.values]
+
+    @cached_property
+    def maps(self) -> list[_StepMap]:
+        """Per group of slots of one arity (`_groups`), the step map from
+        a slot's combined codes to its observations' ids."""
+        slot = self.pairs[:, 0]
+        maps = []
+        for group, feats, offsets in _groups(self.slots, self.names):
+            at = np.full(len(self.slots), -1, dtype=np.int64)
+            at[group] = np.arange(len(group))
+            ids = np.flatnonzero(at[slot] >= 0)
+            maps.append(_StepMap(at[slot[ids]], self.pairs[ids, 1], ids,
+                                 self.radix[feats] ** offsets.shape[1]))
+        return maps
+
+    def subset(self, kept: np.ndarray) -> "Observations":
+        """The observations numbered `kept`, renumbered in that order:
+        an index whose `lookup` of this set gives each observation's new
+        number."""
+        ids = np.full(len(self) + 1, -1, dtype=np.int32)
+        ids[kept] = np.arange(kept.size)
+        return Observations(self.slots, self.values, self.pairs[kept],
+                            (self, ids))
+
+    def lookup(self, other: "Observations") -> np.ndarray:
+        """The id of each observation of `other`, the set this index was
+        made from by `subset`, or -1, then -1 for what an empty slot's
+        code reads: one gather of a table's codes gives their ids."""
+        if self.parent is None or other is not self.parent[0]:
+            raise ValueError("a table is encoded under the index it was "
+                             "expanded under, or the one it was indexed "
+                             "from")
+        return self.parent[1]
 
 
 def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
                      lengths: Seq[int], templates: Iterable[Template],
                      unigram_features: Iterable[str],
                      conjunction_features: Iterable[str],
-                     vocabulary: Optional[Vocabulary] = None
+                     index: Optional[Observations] = None
                      ) -> ObservationTable:
     """Expand the feature rows of sequences into one observation table.
 
     Position p reads row `rows[types[p]]`; the positions of all
     sequences follow each other, `lengths` per sequence.
 
-    For position p, template t and feature name f the observation key
-    is the tab-joined template id, the name, then the value at each of
-    the template's offsets: ``T05<TAB>word<TAB>_BOS_<TAB>three``.
-    Offsets outside the sequence read the _BOS_ / _EOS_ sentinels, so
-    every position gets the same number of keys.  Repeated templates
-    and names are expanded once.  No name or value may hold a tab or a
-    line break (`corpus.Token` refuses such annotations); then, as the
-    template id fixes the offsets, each key names one observation and
-    the table's keys are pairwise distinct.
+    For position p, slot (template t, feature name f) observes the
+    values of f at t's offsets.  Offsets outside the sequence read the
+    _BOS_ / _EOS_ sentinels, so every position fills every slot.
+    Repeated templates and names are expanded once.
 
-    Each key is built once per call, not once per position.  Each
-    feature's values get small int codes (sentinels first), looked up
-    once per row and laid out per sequence between two _BOS_ and two
+    Each feature's values get small int codes (sentinels first), looked
+    up once per row and laid out per sequence between two _BOS_ and two
     _EOS_ slots of its own, so that a shifted read never crosses into
     the next sequence; one gather reads every feature's codes at
     offsets -2..2 of every position.  The templates of one arity are
-    expanded together, one row per (template, feature) slot, and a slot
-    gives each position one mixed-radix code of its values
-    (`_combine`): the radix is the feature's number of codes, so a
-    feature of more than about 1.66 million values under a 3-offset
-    template (2 ** 31 under a pair) raises FeatureError.  A unigram
-    slot has one key per value of its feature that it reads at some
-    position, a conjunction slot one per distinct code of its row, each
-    spelled from its code's digits; a slot's keys follow in ascending
-    code.  So the table references every key it holds.
+    expanded together, one row per slot, and a slot gives each position
+    one mixed-radix code of its values (`_combine`): the radix is the
+    feature's number of codes plus one, so a feature of more than about
+    1.66 million values under a 3-offset template (2 ** 31 under a pair)
+    raises FeatureError.  A unigram slot has one observation per value
+    of its feature that it reads at some position, a conjunction slot
+    one per distinct code of its row (`_distinct_per_row`); a slot's
+    observations follow in ascending code, so the table references
+    every observation it holds, and none is spelled.
 
-    Under a `vocabulary` built for the same templates and names, no key
-    is built: the values get the vocabulary's codes, each slot's
-    combined codes go through its group's step map to the model's ids,
-    and the table's keys are the vocabulary's, the model's in id order,
-    with -1 for an observation the model does not have.
+    Under an `index` (a model's `Observations`) of the same slots, the
+    values get the index's codes, one dict lookup per distinct value
+    and feature, each slot's combined codes go through its group's step
+    map to the model's ids, and the table's keys are the index, with -1
+    for an observation the model does not have.
     """
-    names, slots = _slots(templates, unigram_features, conjunction_features)
-    if vocabulary is not None and (vocabulary.names, vocabulary.slots) != (
-            names, slots):
-        raise ValueError("the vocabulary was built for other templates or "
-                         "feature names")
+    slots = _slots(templates, unigram_features, conjunction_features)
+    if index is not None and index.slots != slots:
+        raise FeatureError("the index was built for other templates or "
+                           "feature names")
+    names = tuple(dict.fromkeys(f for _, f in slots))
     lengths = tuple(lengths)
     n = len(types)
     # a sequence's padded slots: _BOS_ _BOS_ its values _EOS_ _EOS_;
@@ -654,43 +660,38 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
     starts = (np.cumsum((0, *lengths), dtype=np.int64)[:-1]
               + 4 * np.arange(len(lengths)))
     columns = np.empty((len(names), n + 4 * len(lengths)), dtype=np.int64)
-    spelled = []  # per feature, a tab and each value, by code
+    values = []  # per feature, its values by code
     by_name = list(zip(*(tuple(map(row.get, names, repeat("_")))
                          for row in rows))) or [()] * len(names)
-    for f, (column, values) in enumerate(zip(columns, by_name)):
-        if vocabulary is None:
-            code = {v: i for i, v in enumerate(dict.fromkeys((BOS, EOS,
-                                                              *values)))}
-            spelled.append(["\t" + v for v in code])
+    for f, (column, row_values) in enumerate(zip(columns, by_name)):
+        if index is None:
+            code = dict(zip(dict.fromkeys((BOS, EOS, *row_values)),
+                            count()))
+            values.append(list(code))
         else:
-            code = vocabulary.values[f]
+            code = index.value_codes[f]
         unseen = len(code)
         column[:] = code.get(EOS, unseen)
         column[starts] = column[starts + 1] = code.get(BOS, unseen)
-        column[at] = np.fromiter(map(code.get, values, repeat(unseen)),
+        column[at] = np.fromiter(map(code.get, row_values, repeat(unseen)),
                                  dtype=np.int64, count=len(rows))[types]
-    if vocabulary is None:
-        radix = np.array([len(v) for v in spelled], dtype=np.int64)
-        # a tab and value v of feature f, at fragments[base[f] + v]
-        base = _row_starts(radix)
-        fragments = [v for values in spelled for v in values]
-        keys: list[str] = []
-    else:
-        radix, keys = vocabulary.radix, vocabulary.keys
+    radix = (np.array([len(v) + 1 for v in values], dtype=np.int64)
+             if index is None else index.radix)
     # each feature's codes at each offset -2..2 of every position; a
     # slot's digits are rows of this window
     window = columns[:, at + np.arange(-2, 3)[:, None]]
     codes = np.empty((len(slots), n), dtype=np.int32)
-    for g, (group, feats, offsets) in enumerate(_groups(slots)):
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    n_obs = 0
+    for g, (group, feats, offsets) in enumerate(_groups(slots, names)):
         combined = _combine(window[feats, offsets.T + 2], radix[feats, None])
-        if vocabulary is not None:
-            codes[group] = vocabulary.maps[g](combined)
+        if index is not None:
+            codes[group] = index.maps[g](combined)
             continue
-        arity = offsets.shape[1]
-        if arity == 1:
-            # a unigram slot's keys are the values it reads (an offset-0
-            # slot never reads _BOS_): `flat` is each position's index
-            # among all the group's keys, `distinct` each key's code
+        if offsets.shape[1] == 1:
+            # a unigram slot's observations are the values it reads (an
+            # offset-0 slot never reads _BOS_): `flat` is each position's
+            # index among all the group's, `distinct` each one's code
             sizes = radix[feats]
             first = _row_starts(sizes)
             flat = combined + first[:, None]
@@ -702,38 +703,27 @@ def expand_templates(rows: Seq[dict[str, str]], types: np.ndarray,
         else:
             distinct, counts, flat = _distinct_per_row(combined)
             rows_of = np.repeat(np.arange(len(group)), counts)
-        codes[group] = flat + len(keys)
-        # each key's fragment at each offset, last offset first
-        feat_of = feats[rows_of]
-        parts = []
-        for _ in range(arity):
-            distinct, value = np.divmod(distinct, radix[feat_of])
-            parts.append(base[feat_of] + value)
-        heads = [f"{slots[s][0].tid}\t{names[f]}"
-                 for s, f in zip(group, feats.tolist())]
-        keys += map("".join, zip(
-            map(heads.__getitem__, rows_of.tolist()),
-            *(map(fragments.__getitem__, p.tolist()) for p in parts[::-1])))
+        codes[group] = flat + n_obs
+        n_obs += len(distinct)
+        pairs.append(np.stack([np.asarray(group)[rows_of], distinct], axis=1))
+    keys = (index if index is not None
+            else Observations(slots, values, np.concatenate(pairs)))
     return ObservationTable(keys, codes.T.copy(), lengths)
 
 
 def featurize_sequence(seqs: Seq[Sequence], featurizer: Featurizer,
-                       vocabulary: Optional[Vocabulary] = None
+                       index: Optional[Observations] = None
                        ) -> ObservationTable:
     """Rows + template expansion of the sequences `seqs` (a batch of
     documents, or a training corpus) in one call: the CRF input, one
     table for them all, with one row per token type.  (The name
     predates tables; `bench/tracing.py` wraps it by this name.)
 
-    Without a vocabulary the table's keys are the observation strings,
-    each built once: what training indexes and saves, and what `cv`
-    slices for its folds.  With one (`Featurizer.vocabulary` of the
-    model's keys), as `tag` passes when its input is long against the
-    model (`pipeline.label_documents`), the codes are the model's ids
-    and no key is built; `CrfModel.encode` gives the same ids either
-    way."""
+    Without an index the table holds its own observations: what
+    training indexes, and what `cv` slices for its folds.  Decoding
+    passes the model's index (`CrfModel.obs_index`), and the codes are
+    then the model's ids."""
     rows, types = extract_rows(seqs, featurizer)
     return expand_templates(rows, types, tuple(map(len, seqs)), TEMPLATES,
                             featurizer.unigram_features,
-                            featurizer.config.conjunction_features,
-                            vocabulary)
+                            featurizer.config.conjunction_features, index)

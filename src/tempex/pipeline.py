@@ -76,13 +76,14 @@ def _label_batch(docs: Seq[Document], model: crf.CrfModel,
                  table: Optional[features.ObservationTable] = None
                  ) -> list[list[list[str]]]:
     """The decode core: predicted BIO labels per sequence of each of
-    `docs`, from one featurization (unless `table` is given) and one CRF
-    call over all their sequences.  With a prior table, the labels are
-    those of the post-processing pipeline over the marginals; without
-    one, the Viterbi path."""
+    `docs`, from one featurization under the model's index (unless
+    `table` is given) and one CRF call over all their sequences.  With
+    a prior table, the labels are those of the post-processing pipeline
+    over the marginals; without one, the Viterbi path."""
     seqs = [seq for doc in docs for seq in doc.sequences]
     if table is None:
-        table = features.featurize_sequence(seqs, featurizer)
+        table = features.featurize_sequence(seqs, featurizer,
+                                            model.obs_index)
     if priors is None:
         labels = crf.viterbi(model, table)
     else:
@@ -94,36 +95,16 @@ def _label_batch(docs: Seq[Document], model: crf.CrfModel,
     return [labels[a:b] for a, b in zip((0, *ends), ends)]
 
 
-# Taking a model's keys apart (`Featurizer.vocabulary`) costs what the
-# key-string path spends on one token per this many keys: 0.95-1.02 us a
-# key against 10-12.5 us saved a token, for models of 5,968 to 29,047
-# keys tagging 1,269 tokens (a shared 2-CPU x86-64 VM).
-KEYS_PER_TOKEN = 12
-
-
 def label_documents(docs: Seq[Document], model: crf.CrfModel,
                     featurizer: features.Featurizer, config: RunConfig,
                     priors: Optional[postproc.PriorTable] = None
                     ) -> Iterator[list[list[str]]]:
     """Predicted BIO labels per sequence of each document, in order,
-    decoded batch by batch (`document_batches`).
-
-    If the documents hold a token per `KEYS_PER_TOKEN` of the model's
-    keys, the keys are taken apart once (`Featurizer.vocabulary`) and
-    each batch is featurized straight into the model's ids, which
-    `CrfModel.encode` takes as they are: no observation string is built
-    and no key looked up.  Fewer tokens take the key-string path, the
-    cheaper one for an input short against its model.  The labels are
-    the same."""
-    tokens = sum(len(seq) for doc in docs for seq in doc.sequences)
-    vocabulary = (featurizer.vocabulary(model.keys)
-                  if tokens * KEYS_PER_TOKEN >= model.n_obs else None)
+    decoded batch by batch (`document_batches`).  Each batch is
+    featurized under the model's index, so that its table's codes are
+    the model's ids: no observation is spelled or looked up."""
     for batch in document_batches(docs):
-        yield from _label_batch(
-            batch, model, featurizer, config, priors,
-            features.featurize_sequence(
-                [seq for doc in batch for seq in doc.sequences], featurizer,
-                vocabulary))
+        yield from _label_batch(batch, model, featurizer, config, priors)
 
 
 def label_document(doc: Document, model: crf.CrfModel,
@@ -134,9 +115,11 @@ def label_document(doc: Document, model: crf.CrfModel,
     """Predicted BIO labels per sequence of one document (CRF plus
     optional pipeline), through the same core as `label_documents`.
 
-    `doc_features` is `features.featurize_sequence(doc.sequences,
-    featurizer)`, computed here when not given; pass it to label one
-    document several ways without featurizing it again.
+    `doc_features` is the document's table, featurized under the
+    model's index when not given; a slice of the table the model was
+    trained from serves too (`cv` passes its fold's test sentences).
+    Pass it to label one document several ways without featurizing it
+    again.
     """
     return _label_batch([doc], model, featurizer, config, priors,
                         doc_features)[0]

@@ -10,7 +10,9 @@ import random
 from datetime import date
 
 from tempex.corpus import (Document, Sequence, TimexSpan, assemble_document,
-                           pack_sequences, spans_to_bio, tokenize)
+                           pack_sequences, tokenize)
+
+from oracles import spans_to_bio
 
 MONTH_NAMES = ("January", "February", "March", "April", "May", "June",
                "July", "August", "September", "October", "November",

@@ -10,7 +10,7 @@ import scipy.stats
 
 from tempex import pipeline as pl
 from tempex.config import RunConfig
-from tempex.corpus import Token, is_valid_bio
+from tempex.corpus import Token
 from tempex.crf import CrfModel, forward_backward, viterbi
 from tempex.evaluation import (MatchCounts, one_way_anova, overall_score,
                                paired_t_test, prf)
@@ -18,6 +18,7 @@ from tempex.normalizer import normalize, validate_value
 from tempex.postproc import (PriorTable, bio_fixer, build_prior_table,
                              threshold_label_switcher)
 
+from oracles import StringIndex, is_valid_bio
 from synth import build_corpus, split_corpus
 from test_crf import T, brute_force, ll_grad, random_features, random_model
 from test_evaluation import BENCHMARK, oracle_counts
@@ -76,7 +77,8 @@ def test_crf_correctness_suite():
             assert np.abs(table.probs - marg).max() <= 1e-8
             assert viterbi(model, T([feats]))[0] == best
         # gradient vs central differences on a <=100-weight toy model
-        obs_index = {f"g{i}": i for i in range(8)}  # 8*3+9 = 33 weights
+        # 8*3+9 = 33 weights
+        obs_index = StringIndex({f"g{i}": i for i in range(8)})
         weights = np.asarray(
             np.random.default_rng(7).normal(scale=0.8, size=33))
         model = CrfModel(obs_index, weights)

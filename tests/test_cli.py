@@ -1,5 +1,6 @@
 import configparser
 import datetime
+import hashlib
 import os
 import shutil
 import subprocess
@@ -20,10 +21,19 @@ from tempex.cli import build_parser, main
 from tempex.config import ConfigError, RunConfig, load_config
 
 from children import assert_no_child_process
+from oracles import encode_by_keys, is_valid_bio
 from synth import build_corpus, split_corpus
 
 DCT = "2013-04-11"
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def empty_model(weights) -> crf.CrfModel:
+    """A model of no observations under model1's slots: only its
+    transition weights score."""
+    featurizer = features.Featurizer("model1")
+    return crf.CrfModel(features.featurize_sequence([], featurizer).keys,
+                        weights, digest=featurizer.digest)
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +51,14 @@ def workdir(tmp_path_factory):
                str(root / "train.tsv"), str(root / "model.crf")])
     assert rc == 0
     return root
+
+
+def test_import_leaves_scipy_special_out():
+    """`scipy.special`, about 90 ms of import, is loaded by the
+    significance tests that use it, not with the command line."""
+    subprocess.run([sys.executable, "-c", "import sys, tempex.cli; "
+                    "sys.exit('scipy.special' in sys.modules)"],
+                   env=without_blas_setting(), check=True, timeout=120)
 
 
 def without_blas_setting() -> dict:
@@ -77,6 +95,24 @@ class TestTrain:
         out = capsys.readouterr().out
         assert rc == 0
         assert "features:" in out and "iterations:" in out
+
+    def test_not_converged_printed(self, workdir, tmp_path, capsys):
+        """`converged:` says whether the optimizer converged, and why it
+        stopped: under an iteration limit of 2 it did not, and the model
+        is still written, with exit 0; its `#training` line says so and
+        names the corpus by its SHA-256."""
+        ini = tmp_path / "two.ini"
+        ini.write_text("[crf]\nmax_iter = 2\n", encoding="utf-8")
+        rc = main(["--config", str(ini), "train", str(workdir / "train.tsv"),
+                   str(tmp_path / "two.crf")])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert "converged: no (iteration limit 2 reached)" in out
+        log = crf.load_model(tmp_path / "two.crf").training_log
+        assert (log["max_iter"], log["iterations"], log["converged"],
+                log["sentences"]) == (2, 2, False, 45)
+        assert log["corpus_sha256"] == hashlib.sha256(
+            (workdir / "train.tsv").read_bytes()).hexdigest()
 
     def test_columns_are_the_distinct_observation_columns(self, tmp_path,
                                                           capsys):
@@ -203,15 +239,15 @@ class TestTag:
         weights = np.zeros(9)
         weights[3 * crf.LABEL_INDEX["O"] + crf.LABEL_INDEX["I"]] = 5.0
         # no features: O -> I wins
-        model = crf.CrfModel({}, weights,
-                             digest=features.Featurizer("model1").digest)
+        model = empty_model(weights)
         model_path = tmp_path / "orphan.crf"
         crf.save_model(model, model_path)
         raw = tmp_path / "raw.txt"
         raw.write_text("They met on Friday .\n", encoding="utf-8")
-        decoded = crf.viterbi(
-            model, features.ObservationTable.from_strings([[[]] * 5]))[0]
-        assert not corpus.is_valid_bio(decoded)
+        decoded = crf.viterbi(model, features.featurize_sequence(
+            [corpus.Sequence(tuple(corpus.tokenize("They met on Friday .")))],
+            features.Featurizer("model1"), model.obs_index))[0]
+        assert not is_valid_bio(decoded)
         out_path = tmp_path / "tagged.tsv"
         rc = main(["--no-pipeline", "tag", str(raw), str(model_path),
                    "--dct", DCT, "--no-normalize", "--output",
@@ -228,9 +264,7 @@ class TestTag:
             weights[3 * crf.LABEL_INDEX[a] + crf.LABEL_INDEX["I"]] = 5.0
         # no features: each sentence is decoded as one span
         model_path = tmp_path / "spans.crf"
-        crf.save_model(crf.CrfModel(
-            {}, weights, digest=features.Featurizer("model1").digest),
-            model_path)
+        crf.save_model(empty_model(weights), model_path)
         tagged = tmp_path / "timed.tsv"
         tagged.write_text(
             "#doc d2 2013-04-12T10:00\n"
@@ -307,31 +341,20 @@ class TestTag:
         [doc] = corpus.read_corpus(workdir / "test.tsv")
         model = crf.load_model(lone_model)
         paths = crf.viterbi(model, features.featurize_sequence(
-            doc.sequences, RunConfig().featurizer(model.profile)))
+            doc.sequences, RunConfig().featurizer(model.profile),
+            model.obs_index))
         [tagged] = corpus.read_corpus(out_path)
         assert [list(seq.gold_labels) for seq in tagged.sequences] == \
             [corpus.repair_bio(path) for path in paths]
 
 
-def relabel(text: str, profile: str) -> str:
-    """Model file text with its profile and feature digest replaced by
-    those of `profile` over the bundled word lists."""
-    model1 = features.Featurizer("model1").digest
-    assert f"#profile\tmodel1\n#features\t{model1}\n" in text
-    return text.replace(
-        f"#profile\tmodel1\n#features\t{model1}\n",
-        f"#profile\t{profile}\n"
-        f"#features\t{features.Featurizer(profile).digest}\n")
-
-
-@pytest.fixture
-def model2_path(workdir, tmp_path):
-    """The session model relabelled as trained under profile model2,
-    beside a copy of the session prior table."""
-    text = (workdir / "model.crf").read_text(encoding="utf-8")
-    path = tmp_path / "model2.crf"
-    path.write_text(relabel(text, "model2"), encoding="utf-8")
-    shutil.copy(workdir / "model.priors", path.with_suffix(".priors"))
+@pytest.fixture(scope="session")
+def model2_path(workdir):
+    """A model trained under profile model2 on the session corpus,
+    beside its prior table."""
+    path = workdir / "profile2.crf"
+    assert main(["--config", str(workdir / "run.ini"), "--profile", "model2",
+                 "train", str(workdir / "train.tsv"), str(path)]) == 0
     return path
 
 
@@ -403,24 +426,33 @@ class TestCorruptModel:
     """Every malformed model file is a typed error: exit 2 and a message
     naming the line, never a traceback."""
 
-    FIRST_WEIGHT_LINE = 8  # after the seven header lines
-
     def corrupt(self, workdir, tmp_path, edit):
         lines = (workdir / "model.crf").read_text(
             encoding="utf-8").splitlines()
-        assert lines[self.FIRST_WEIGHT_LINE - 2].startswith("#n_rows\t")
-        assert lines[self.FIRST_WEIGHT_LINE - 1].count("\t") == 2
+        assert lines[self.first_weight_line(lines) - 1].count("\t") == 2
         path = tmp_path / "bad.crf"
         path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
         return path
 
+    def sizes(self, lines):
+        return {line[1:].split("\t")[0]: int(line.split("\t")[1])
+                for line in lines if line.startswith("#n_")}
+
     def n_rows(self, lines):
-        return int(lines[self.FIRST_WEIGHT_LINE - 2].split("\t")[1])
+        return self.sizes(lines)["n_rows"]
+
+    def first_weight_line(self, lines):
+        """The line number of the first weight row: after the header,
+        the slot lines and the value lines."""
+        size = self.sizes(lines)
+        n_header = sum(1 for line in lines if line.startswith("#"))
+        return n_header + size["n_slots"] + size["n_values"] + 1
 
     def first_observation_line(self, lines):
-        """The line number of the first `row<TAB>key` line: after the
-        `#n_rows` distinct rows and the three transition rows."""
-        return self.FIRST_WEIGHT_LINE + self.n_rows(lines) + 3
+        """The line number of the first `row<TAB>slot<TAB>code` line:
+        after the `#n_rows` distinct rows and the three transition
+        rows."""
+        return self.first_weight_line(lines) + self.n_rows(lines) + 3
 
     def tag_err(self, workdir, path, capsys):
         rc = main(["tag", str(workdir / "test.tsv"), str(path)])
@@ -431,7 +463,7 @@ class TestCorruptModel:
 
     def edit_weight_line(self, edit):
         def apply(lines):
-            i = self.FIRST_WEIGHT_LINE - 1
+            i = self.first_weight_line(lines) - 1
             lines[i] = edit(*lines[i].split("\t"))
             return lines
         return apply
@@ -439,11 +471,12 @@ class TestCorruptModel:
     def edit_observation_line(self, edit):
         def apply(lines):
             i = self.first_observation_line(lines) - 1
-            lines[i] = edit(*lines[i].partition("\t")[::2])
+            lines[i] = edit(*lines[i].split("\t"))
             return lines
         return apply
 
     ROW = "expected w_B<TAB>w_I<TAB>w_O"
+    TRIPLE = "expected row<TAB>slot<TAB>code"
 
     @pytest.mark.parametrize("edit,message", [
         pytest.param(lambda b, i, o: f"{b} {i} {o}", ROW, id="no-tabs"),
@@ -458,22 +491,23 @@ class TestCorruptModel:
     def test_bad_weight_line(self, workdir, tmp_path, capsys, edit,
                              message):
         path = self.corrupt(workdir, tmp_path, self.edit_weight_line(edit))
+        lineno = self.first_weight_line(
+            path.read_text(encoding="utf-8").splitlines())
         err = self.tag_err(workdir, path, capsys)
-        assert f"line {self.FIRST_WEIGHT_LINE}:" in err and message in err
+        assert f"line {lineno}:" in err and message in err
 
     @pytest.mark.parametrize("edit,message", [
-        pytest.param(lambda row, key: row, "expected row<TAB>key",
-                     id="no-key"),
-        pytest.param(lambda row, key: f"{row} {key}", "bad row number",
-                     id="space-for-tab"),
-        pytest.param(lambda row, key: f"x{row}\t{key}", "bad row number",
-                     id="non-integer"),
-        pytest.param(lambda row, key: f"{row}.0\t{key}", "bad row number",
-                     id="float"),
-        pytest.param(lambda row, key: f"-1\t{key}", "row -1 out of range",
-                     id="negative"),
-        pytest.param(lambda row, key: f"{10 ** 30}\t{key}",
-                     f"row {10 ** 30} out of range", id="huge"),
+        pytest.param(lambda row, slot, code: row, TRIPLE, id="no-key"),
+        pytest.param(lambda row, slot, code: f"{row} {slot}\t{code}",
+                     TRIPLE, id="space-for-tab"),
+        pytest.param(lambda row, slot, code: f"x{row}\t{slot}\t{code}",
+                     "bad number", id="non-integer"),
+        pytest.param(lambda row, slot, code: f"{row}.0\t{slot}\t{code}",
+                     "bad number", id="float"),
+        pytest.param(lambda row, slot, code: f"-1\t{slot}\t{code}",
+                     "row -1 out of range", id="negative"),
+        pytest.param(lambda row, slot, code: f"{10 ** 30}\t{slot}\t{code}",
+                     "bad number", id="huge"),
     ])
     def test_bad_observation_line(self, workdir, tmp_path, capsys, edit,
                                   message):
@@ -491,40 +525,45 @@ class TestCorruptModel:
             encoding="utf-8").splitlines()
         n_rows = self.n_rows(lines)
         path = self.corrupt(workdir, tmp_path, self.edit_observation_line(
-            lambda row, key: f"{n_rows}\t{key}"))
+            lambda row, slot, code: f"{n_rows}\t{slot}\t{code}"))
         err = self.tag_err(workdir, path, capsys)
         assert (f"line {self.first_observation_line(lines)}: row {n_rows} "
                 f"out of range; the model has {n_rows} rows") in err
 
     def test_repeated_observation_key(self, workdir, tmp_path, capsys):
+        """The second line naming an observation already named, with
+        another weight row, is refused."""
         def edit(lines):
             first = self.first_observation_line(lines) - 1
-            key = lines[first].partition("\t")[2]
+            _, slot, code = lines[first].split("\t")
             row = lines[first + 1].partition("\t")[0]
-            lines[first + 1] = f"{row}\t{key}"
+            lines[first + 1] = f"{row}\t{slot}\t{code}"
             return lines
         path = self.corrupt(workdir, tmp_path, edit)
         lineno = self.first_observation_line(
             path.read_text(encoding="utf-8").splitlines())
         err = self.tag_err(workdir, path, capsys)
-        assert f"line {lineno + 1}: repeated observation key" in err
+        assert f"line {lineno + 1}: repeated observation" in err
 
     def test_short_weight_block(self, workdir, tmp_path, capsys):
-        """A block one row shorter than `#n_rows` declares, with a line
+        """A block one row longer than `#n_rows` declares, with a line
         count that still adds up: the first observation line is read as
-        the last transition row, and named."""
+        the last transition row, and the B transition row as a distinct
+        row that no observation has, which is named."""
         def edit(lines):
             shift = {"#n_rows": 1, "#n_features": -1}
-            for i, line in enumerate(lines[:self.FIRST_WEIGHT_LINE - 1]):
+            for i, line in enumerate(lines):
                 key, _, value = line.partition("\t")
                 if key in shift:
                     lines[i] = f"{key}\t{int(value) + shift[key]}"
             return lines
-        lineno = self.first_observation_line(
-            (workdir / "model.crf").read_text(encoding="utf-8").splitlines())
+        lines = (workdir / "model.crf").read_text(
+            encoding="utf-8").splitlines()
+        lineno = self.first_observation_line(lines) - 3
         path = self.corrupt(workdir, tmp_path, edit)
         err = self.tag_err(workdir, path, capsys)
-        assert f"line {lineno}: {self.ROW}" in err
+        assert (f"line {lineno}: weight row {self.n_rows(lines)} is no "
+                f"observation's") in err
 
     @pytest.mark.parametrize("key", ["features", "hyperparams",
                                      "n_features", "n_rows", "profile"])
@@ -554,10 +593,11 @@ class TestCorruptModel:
             return ["#n_features\t1" if line.startswith("#n_features\t")
                     else line for line in lines]
         path = self.corrupt(workdir, tmp_path, edit)
-        n_rows = self.n_rows(path.read_text(encoding="utf-8").splitlines())
+        size = self.sizes(path.read_text(encoding="utf-8").splitlines())
         err = self.tag_err(workdir, path, capsys)
-        assert (f"model declares 1 features and {n_rows} weight rows, so "
-                f"{n_rows + 4} lines") in err
+        assert (f"1 features and {size['n_rows']} weight rows, so "
+                f"{size['n_slots'] + size['n_values'] + size['n_rows'] + 4}"
+                f" lines") in err
 
     def test_format_1_rejected_by_name(self, workdir, tmp_path, capsys):
         """A model in the earlier one-row-per-(observation, label) format
@@ -684,9 +724,7 @@ class TestOutOfRangeDates:
         for a in "BI":
             weights[3 * crf.LABEL_INDEX[a] + crf.LABEL_INDEX["I"]] = 5.0
         model_path = tmp_path / "spans.crf"
-        crf.save_model(crf.CrfModel(
-            {}, weights, digest=features.Featurizer("model1").digest),
-            model_path)
+        crf.save_model(empty_model(weights), model_path)
         raw = tmp_path / "raw.txt"
         raw.write_text("9000 years later\nthree days ago\n",
                        encoding="utf-8")
@@ -1108,13 +1146,15 @@ class TestTagBatches:
         model = crf.load_model(workdir / "model.crf")
         featurizer = RunConfig().featurizer(model.profile)
         table = features.featurize_sequence(
-            [seq for doc in docs for seq in doc.sequences], featurizer)
+            [seq for doc in docs for seq in doc.sequences], featurizer,
+            model.obs_index)
         batched = crf.forward_backward(model, table)
         paths = crf.viterbi(model, table)
         alone, alone_paths = [], []
         for doc in docs:
             doc_table = features.featurize_sequence(doc.sequences,
-                                                    featurizer)
+                                                    featurizer,
+                                                    model.obs_index)
             alone += crf.forward_backward(model, doc_table)
             alone_paths += crf.viterbi(model, doc_table)
         assert len(batched) == len(alone) == len(table.lengths)
@@ -1127,57 +1167,44 @@ class TestTagBatches:
     @pytest.mark.parametrize("flags", [(), ("--no-pipeline",)])
     def test_tag_builds_no_observation_key(self, workdir, batch_corpus,
                                            tmp_path, monkeypatch, flags):
-        """On an input of a token per `pipeline.KEYS_PER_TOKEN` of the
-        model's keys, `tag` expands under the model's vocabulary, never
-        through the step that builds key strings, and writes what that
-        path wrote."""
-        path, docs = batch_corpus
-        model = crf.load_model(workdir / "model.crf")
-        assert (sum(len(s) for d in docs for s in d.sequences)
-                * pipeline.KEYS_PER_TOKEN >= model.n_obs)
+        """`tag` expands under the model's index, never through the step
+        that numbers a table's own observations nor spelling one, and
+        writes what tables of their own, encoded by key string, write."""
+        path, _ = batch_corpus
         original = features.expand_templates
 
         def with_strings(*args):
-            return original(*args[:6])  # no vocabulary: key strings
+            return original(*args[:6])  # no index: the table's own
 
         monkeypatch.setattr(features, "expand_templates", with_strings)
+        monkeypatch.setattr(crf.CrfModel, "encode", encode_by_keys)
         expected = self.tag(workdir, path, flags, tmp_path / "strings.out")
-        monkeypatch.setattr(features, "expand_templates", original)
+        monkeypatch.undo()
 
-        def refuse(values):
+        def refuse(*args):
             raise AssertionError("tag built observation keys")
 
         monkeypatch.setattr(features, "_distinct_per_row", refuse)
+        monkeypatch.setattr(features.Observations, "__getitem__", refuse)
         assert self.tag(workdir, path, flags, tmp_path / "ids.out") == \
             expected
 
-    def test_short_input_takes_the_string_path(self, workdir, batch_corpus,
-                                               tmp_path, monkeypatch):
-        """One vocabulary serves every batch of an input of a token per
-        `pipeline.KEYS_PER_TOKEN` keys; a shorter input never takes the
-        model's keys apart."""
-        n_obs = crf.load_model(workdir / "model.crf").n_obs
-        built, passed = [], []
-        vocabulary = features.Featurizer.vocabulary
+    def test_short_input_takes_the_index_path(self, workdir, batch_corpus,
+                                              tmp_path, monkeypatch):
+        """Every batch, of a long input or of a one-document one, is
+        expanded under the loaded model's one index."""
+        passed = []
         featurize = features.featurize_sequence
-        monkeypatch.setattr(features.Featurizer, "vocabulary",
-                            lambda self, keys: built.append(keys) or
-                            vocabulary(self, keys))
         monkeypatch.setattr(features, "featurize_sequence",
-                            lambda seqs, featurizer, *vocab: passed.append(
-                                (sum(map(len, seqs)), *vocab)) or
-                            featurize(seqs, featurizer, *vocab))
+                            lambda seqs, featurizer, *index: passed.append(
+                                index) or featurize(seqs, featurizer, *index))
         self.tag(workdir, batch_corpus[0], (), tmp_path / "long")
-        assert len(built) == 1 and len(built[0]) == n_obs
-        first = passed[0][1]
-        assert len(passed) > 1 and first is not None
-        assert all(v is first for _, v in passed)
-
-        built.clear()
-        passed.clear()
+        assert len(passed) > 1
         self.tag(workdir, workdir / "test.tsv", (), tmp_path / "short")
-        assert passed[0][0] * pipeline.KEYS_PER_TOKEN < n_obs
-        assert built == [] and passed == [(passed[0][0], None)]
+        indexes = [index for index, in passed]
+        assert all(isinstance(i, features.Observations) for i in indexes)
+        # one index per loaded model: the long input's, then the short's
+        assert len(set(map(id, indexes))) == 2
 
 
 def log_line(path: Path, line: str) -> None:

@@ -1,20 +1,25 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from tempex import crf
+from tempex import crf, pipeline
+from tempex.config import RunConfig
 from tempex.crf import (CrfError, CrfModel, LABELS, MarginalTable,
                         build_feature_index, forward_backward, load_model,
-                        log_likelihood_and_gradient, save_model,
-                        sequence_score, train, TrainConfig, viterbi)
-from tempex.features import ObservationTable
+                        save_model, train, TrainConfig, viterbi)
+from tempex.features import Featurizer, ObservationTable, featurize_sequence
+
+from oracles import (from_strings, key_index, log_likelihood_and_gradient,
+                     sequence_score, string_model)
+from synth import build_corpus
 
 # string-list sequences -> the table the CRF takes
-T = ObservationTable.from_strings
+T = from_strings
 
 
 def ll_grad(model, batch):
@@ -26,7 +31,7 @@ def ll_grad(model, batch):
 def random_model(rng, n_obs=6):
     obs_index = {f"f{i}": i for i in range(n_obs)}
     weights = rng.normal(scale=1.5, size=n_obs * 3 + 9)
-    return CrfModel(obs_index, weights)
+    return string_model(obs_index, weights)
 
 
 def random_features(rng, n_obs, length):
@@ -97,15 +102,6 @@ class TestFeatureIndex:
     def test_empty_corpus(self):
         with pytest.raises(CrfError, match="empty"):
             build_feature_index(T([]))
-
-    def test_keys_that_repeat_refused(self):
-        """The index goes by codes, so two codes of one key would be two
-        observations under one key."""
-        table = ObservationTable(["a", "b", "a"],
-                                 np.array([[0, 1], [2, -1]], dtype=np.int32),
-                                 (2,))
-        with pytest.raises(CrfError, match="share a key"):
-            build_feature_index(table)
 
 
 def split_encode(model, table):
@@ -179,7 +175,7 @@ class TestEncode:
     @staticmethod
     def model(rng):
         order = rng.permutation(8)  # f8 to f11 are unknown
-        return CrfModel({f"f{i}": j for j, i in enumerate(order)},
+        return string_model({f"f{i}": j for j, i in enumerate(order)},
                         np.zeros(8 * 3 + 9))
 
     def test_positions_match_split_arrays(self):
@@ -220,7 +216,7 @@ class TestEncode:
 
 class TestForwardBackward:
     def test_uniform_model(self):
-        model = CrfModel({"f0": 0}, np.zeros(12))
+        model = string_model({"f0": 0}, np.zeros(12))
         table = forward_backward(model, T([[["f0"], ["f0"]]]))[0]
         assert np.allclose(table.probs, 1 / 3)
         assert table.log_z == pytest.approx(2 * math.log(3))
@@ -236,7 +232,7 @@ class TestForwardBackward:
         assert np.allclose(table.probs[0], expected)
 
     def test_empty_sequence(self):
-        model = CrfModel({"f0": 0}, np.zeros(12))
+        model = string_model({"f0": 0}, np.zeros(12))
         table = forward_backward(model, T([[]]))[0]
         assert len(table) == 0 and table.log_z == 0.0
         assert forward_backward(model, T([])) == [] == viterbi(model, T([]))
@@ -309,13 +305,13 @@ class TestMarginalTable:
 
 class TestViterbi:
     def test_zero_weights_all_b(self):
-        model = CrfModel({"f0": 0}, np.zeros(12))
+        model = string_model({"f0": 0}, np.zeros(12))
         assert viterbi(model, T([[["f0"]] * 4]))[0] == ["B", "B", "B", "B"]
 
     def test_unary_favoring_o(self):
         w = np.zeros(12)
         w[2] = 10.0  # f0 with label O
-        model = CrfModel({"f0": 0}, w)
+        model = string_model({"f0": 0}, w)
         assert viterbi(model, T([[["f0"]] * 5]))[0] == ["O"] * 5
 
     def test_matches_enumeration(self):
@@ -347,7 +343,7 @@ class TestViterbi:
 
 class TestGradient:
     def test_uniform_value(self):
-        model = CrfModel({"f0": 0}, np.zeros(12))
+        model = string_model({"f0": 0}, np.zeros(12))
         value, _ = ll_grad(model, [([["f0"]], ["B"])])
         assert value == pytest.approx(-math.log(3))
 
@@ -383,7 +379,7 @@ class TestGradient:
         assert value == pytest.approx(raw, abs=1e-9)
 
     def test_label_mismatch(self):
-        model = CrfModel({"f0": 0}, np.zeros(12))
+        model = string_model({"f0": 0}, np.zeros(12))
         with pytest.raises(CrfError):
             ll_grad(model, [([["f0"]], ["B", "I"])])
 
@@ -468,14 +464,14 @@ class TestBatchedKernel:
             assert table.log_z == pytest.approx(alone.log_z, rel=1e-12)
 
     def test_zero_weights_ragged_document_all_b(self):
-        model = CrfModel({"f0": 0}, np.zeros(12))
+        model = string_model({"f0": 0}, np.zeros(12))
         lengths = (3, 1, 0, 5)
         assert viterbi(model, T([[["f0"]] * n for n in lengths])) == \
             [["B"] * n for n in lengths]
 
     def test_long_sequence_log_z_matches_python_recursion(self):
         rng = np.random.default_rng(12)
-        model = CrfModel({f"f{i}": i for i in range(6)},
+        model = string_model({f"f{i}": i for i in range(6)},
                          rng.normal(scale=20.0, size=6 * 3 + 9))
         feats = random_features(rng, 6, 1000)
         table = forward_backward(model, T([feats]))[0]
@@ -519,7 +515,7 @@ class TestScaledKernel:
         rng = np.random.default_rng(15)
         weights = rng.normal(size=6 * 3 + 9)
         weights[:-9] = rng.choice([-1e3, 1e3], size=6 * 3)
-        model = CrfModel({f"f{i}": i for i in range(6)}, weights)
+        model = string_model({f"f{i}": i for i in range(6)}, weights)
         feats = random_features(rng, 6, 1000)
         table = forward_backward(model, T([feats]))[0]
         log_z, marg = math_forward_backward(model, feats)
@@ -534,7 +530,7 @@ class TestScaledKernel:
         weights = np.zeros(2 * 3 + 9)
         weights[2] = 1e3                       # start, O
         weights[6 + 3 * 2: 6 + 3 * 3] = -spread  # O -> B, I, O
-        return CrfModel({"start": 0, "f": 1}, weights)
+        return string_model({"start": 0, "f": 1}, weights)
 
     FEATS = [["start"], ["f"], ["f"], ["f"]]
     GOLD = ["O", "B", "I", "O"]
@@ -605,7 +601,7 @@ class TestBufferReuse:
     @pytest.mark.parametrize("lengths", LENGTHS)
     def test_objective_a_b_a(self, lengths):
         table, labels, (a, b) = self.corpus(lengths)
-        model = CrfModel({f"f{i}": i for i in range(8)}, a)
+        model = string_model({f"f{i}": i for i in range(8)}, a)
         batch = crf._EncodedBatch(model, table, labels)
         for weights in (a, b, a):
             sums = group_sums(batch, weights)
@@ -616,7 +612,7 @@ class TestBufferReuse:
     @pytest.mark.parametrize("lengths", LENGTHS)
     def test_decoding_batch_a_b_a(self, lengths):
         table, _, (a, b) = self.corpus(lengths)
-        model = CrfModel({f"f{i}": i for i in range(8)}, a)
+        model = string_model({f"f{i}": i for i in range(8)}, a)
         batch = crf._EncodedBatch(model, table)
         for weights in (a, b, a):
             same_bits(crf._forward_backward(batch, weights),
@@ -626,7 +622,7 @@ class TestBufferReuse:
     @pytest.mark.parametrize("lengths", LENGTHS + [(), (0, 0)])
     def test_forward_backward_twice(self, lengths):
         table, _, (a, _) = self.corpus(lengths)
-        model = CrfModel({f"f{i}": i for i in range(8)}, a)
+        model = string_model({f"f{i}": i for i in range(8)}, a)
         first, second = forward_backward(model, table), \
             forward_backward(model, table)
         assert len(first) == len(second) == len(lengths)
@@ -948,7 +944,7 @@ class TestMergedColumns:
         merged = 0
         for _ in range(20):
             order = rng.permutation(len(names))
-            model = CrfModel({names[i]: j for j, i in enumerate(order)},
+            model = string_model({names[i]: j for j, i in enumerate(order)},
                              rng.normal(scale=1.5, size=len(names) * 3 + 9),
                              c=float(rng.uniform(0.5, 2.0)))
             batch = aliased_batch(rng)
@@ -972,7 +968,7 @@ class TestMergedColumns:
             monkeypatch.setattr(crf, "_row_hashes", lambda n: np.zeros(
                 (n, 2), dtype=np.uint64))
         rng = np.random.default_rng(22)
-        model = CrfModel({k: i for i, k in enumerate("abcdef")},
+        model = string_model({k: i for i, k in enumerate("abcdef")},
                          rng.normal(size=6 * 3 + 9))
         batch = [([["a", "b", "d"], ["a", "c", "d"],
                    ["b", "c", "e", "e", "f"]], ["B", "I", "O"])]
@@ -1007,7 +1003,9 @@ class TestMergedColumns:
             rows.setdefault(frozenset(counts.items()), []).append(
                 unary[model.obs_index[key]].tobytes())
         assert all(len(set(r)) == 1 for r in rows.values())
-        model.digest = DIGEST
+        # saved with the keys as the values of one slot
+        model = replace(model, obs_index=key_index(list(model.obs_index)),
+                        digest=DIGEST)
         save_model(model, tmp_path / "model.tsv")
         loaded = load_model(tmp_path / "model.tsv")
         assert loaded.obs_index == model.obs_index
@@ -1045,12 +1043,15 @@ class TestMergedColumns:
 
 def saved_parts(path):
     """A saved model's header lines, weight block (the `#n_rows` distinct
-    rows, then the transition rows) and `row<TAB>key` lines."""
+    rows, then the transition rows) and `row<TAB>slot<TAB>code` lines;
+    the slot and value lines are skipped."""
     lines = path.read_text().splitlines()
-    header = lines[:7]
-    assert header[6].startswith("#n_rows\t")
-    end = 7 + int(header[6].split("\t")[1]) + 3
-    return header, lines[7:end], lines[end:]
+    header = [line for line in lines if line.startswith("#")]
+    size = {key[1:]: int(value) for key, value in (
+        line.split("\t") for line in header if line.startswith("#n_"))}
+    start = len(header) + size["n_slots"] + size["n_values"]
+    end = start + size["n_rows"] + 3
+    return header, lines[start:end], lines[end:]
 
 
 def row_text(row):
@@ -1059,30 +1060,42 @@ def row_text(row):
 
 class TestObservationIds:
     """A model's observation ids are exactly 0..n-1: weight row i is
-    observation i's, and a save writes one line per id."""
+    observation i's, and a save writes one line per id.  An index that
+    holds one observation twice would give it two ids, and its file is
+    refused at the second."""
 
     @pytest.mark.parametrize("index", [
-        {"a": 5}, {"a": -1}, {"a": 0, "b": 0}, {"a": 1, "b": 2},
-        {"a": 0, "b": 2, "c": 2}])
-    def test_other_ids_refused(self, index):
+        ["a", "a"], ["a", "b", "a"], ["b", "a", "c", "b"],
+        ["a", "b", "c", "c"], ["c", "c", "c"]])
+    def test_other_ids_refused(self, index, tmp_path):
         weights = np.zeros(3 * len(index) + 9)
-        with pytest.raises(CrfError, match=r"are not 0\.\.\d+, each once"):
-            CrfModel(index, weights)
+        path = tmp_path / "model.tsv"
+        save_model(CrfModel(key_index(index), weights, digest=DIGEST), path)
+        second = next(i for i, key in enumerate(index) if key in index[:i])
+        lines = path.read_text().splitlines()
+        lineno = len(lines) - len(index) + second + 1
+        with pytest.raises(CrfError,
+                           match=f"line {lineno}: repeated observation"):
+            load_model(path)
 
     @pytest.mark.parametrize("index", [
-        {}, {"a": 0}, {"b": 1, "a": 0}, {"c": 2, "a": 0, "b": 1}])
-    def test_permutations_accepted(self, index):
+        [], ["a"], ["b", "a"], ["c", "a", "b"]])
+    def test_permutations_accepted(self, index, tmp_path):
+        index = key_index(index)
         assert CrfModel(index, np.zeros(3 * len(index) + 9)).obs_index \
             == index
+        save_model(CrfModel(index, np.zeros(3 * len(index) + 9),
+                            digest=DIGEST), tmp_path / "model.tsv")
+        assert load_model(tmp_path / "model.tsv").obs_index == index
 
 
 class TestPersistence:
     def test_round_trip_is_exact(self, tmp_path):
         """Index, weights (bit for bit), profile and digest survive a save
-        and load, also for an index whose ids are not in key order."""
+        and load, also for an index whose ids are not in code order."""
         rng = np.random.default_rng(8)
         weights = rng.normal(size=4 * 3 + 9) * 1e-7
-        model = CrfModel({"d": 2, "b": 0, "c": 3, "a": 1}, weights,
+        model = CrfModel(key_index(["b", "a", "d", "c"]), weights,
                          c=0.3, eta=1e-5, profile="model2", digest=DIGEST)
         path = tmp_path / "model.tsv"
         save_model(model, path)
@@ -1093,10 +1106,32 @@ class TestPersistence:
             (0.3, 1e-5, "model2", DIGEST)
         # four distinct rows, three transition rows, four observations
         header, block, observations = saved_parts(path)
-        assert header[0] == "#version\ttempex-crf-3"
+        assert header[0] == "#version\ttempex-crf-4"
         assert (len(block), len(observations)) == (4 + 3, 4)
-        assert [line.partition("\t")[2] for line in observations] == \
-            ["b", "a", "d", "c"]
+        assert [line.split("\t")[1:] for line in observations] == \
+            [["0", "1"], ["0", "0"], ["0", "3"], ["0", "2"]]
+        assert [o[-1] for o in loaded.obs_index] == ["b", "a", "d", "c"]
+
+    def test_training_log_round_trip(self, tmp_path):
+        """A trained model's `#training` line reads back into its
+        `training_log`, field for field."""
+        feats, labels = TestTrain().make_batch()
+        model = train(T(feats), labels, TrainConfig(max_iter=7, cutoff=2))
+        log = {**model.training_log, "corpus_sha256": "ab" * 32}
+        model = replace(model, obs_index=key_index(list(model.obs_index)),
+                        digest=DIGEST, training_log=log)
+        save_model(model, tmp_path / "model.tsv")
+        loaded = load_model(tmp_path / "model.tsv")
+        assert loaded.training_log == {
+            name: log[name] for name in crf.TRAINING_FIELDS}
+        assert loaded.training_log["converged"] is False
+        assert (loaded.training_log["max_iter"],
+                loaded.training_log["cutoff"],
+                loaded.training_log["sentences"]) == (7, 2,
+                                                      len(TOY_SENTENCES))
+        save_model(loaded, tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_bytes() == \
+            (tmp_path / "model.tsv").read_bytes()
 
     def test_rows_are_per_weight_repr(self, tmp_path):
         """Each distinct unary row is written once as the `repr` of its
@@ -1109,7 +1144,7 @@ class TestPersistence:
         weights = rng.choice(special, size=20 * 3 + 9)
         weights[:len(special)] = special
         weights[30:36] = weights[:6]  # observations 10, 11 repeat 0, 1
-        model = CrfModel({f"k{i}": i for i in range(20)}, weights,
+        model = CrfModel(key_index([f"k{i}" for i in range(20)]), weights,
                          digest=DIGEST)
         path = tmp_path / "model.tsv"
         save_model(model, path)
@@ -1118,8 +1153,9 @@ class TestPersistence:
         assert block[-3:] == rows[20:]
         assert sorted(block[:-3]) == sorted(set(rows[:20]))
         assert len(block) - 3 < 20
-        assert observations == [f"{block.index(rows[i])}\tk{i}"
-                                for i in range(20)]
+        assert observations == [
+            f"{block.index(rows[i])}\t0\t{model.obs_index.pairs[i, 1]}"
+            for i in range(20)]
         loaded = load_model(path)
         assert loaded.weights.tobytes() == model.weights.tobytes()
 
@@ -1132,7 +1168,7 @@ class TestPersistence:
                  (1.7976931348623157e308, 2.5e-320, 1.0000000000000002),
                  (-0.0, 0.0, 5e-324)]
         weights = np.array(unary + [(-5e-324, -0.0, 0.0)] * 3).ravel()
-        model = CrfModel({f"k{i}": i for i in range(6)}, weights,
+        model = CrfModel(key_index([f"k{i}" for i in range(6)]), weights,
                          digest=DIGEST)
         path = tmp_path / "model.tsv"
         save_model(model, path)
@@ -1155,7 +1191,7 @@ class TestPersistence:
         rows = rng.normal(size=(distinct_rows, 3))
         rows[0] = (0.0, -0.0, 5e-324)
         weights = rows[rng.permutation(np.arange(23) % distinct_rows)].ravel()
-        model = CrfModel({f"k{i}": i for i in range(20)}, weights,
+        model = CrfModel(key_index([f"k{i}" for i in range(20)]), weights,
                          digest=DIGEST)
         path = tmp_path / "model.tsv"
         save_model(model, path)
@@ -1173,40 +1209,49 @@ class TestPersistence:
                                                   message):
         """A malformed weight row that occurs twice is reported at its
         first line."""
-        model = CrfModel({f"k{i}": i for i in range(5)}, np.zeros(5 * 3 + 9),
-                         digest=DIGEST)
+        model = CrfModel(key_index([f"k{i}" for i in range(5)]),
+                         np.zeros(5 * 3 + 9), digest=DIGEST)
         path = tmp_path / "model.tsv"
         save_model(model, path)
         lines = path.read_text().splitlines()
-        # one distinct row and three transition rows, lines 8 to 11
-        assert lines[6:11] == ["#n_rows\t1"] + ["0.0\t0.0\t0.0"] * 4
-        for lineno in (9, 11):
+        # nine header lines, one slot line and five values; then one
+        # distinct row and three transition rows, lines 16 to 19
+        assert lines[8:19] == ["#n_rows\t1", "T00\tkey",
+                               *(f"key\tk{i}" for i in range(5)),
+                               *["0.0\t0.0\t0.0"] * 4]
+        for lineno in (17, 19):
             lines[lineno - 1] = bad
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CrfError, match=f"line 9: {message}"):
+        with pytest.raises(CrfError, match=f"line 17: {message}"):
             load_model(path)
 
     def test_round_trip_predictions(self, tmp_path):
-        rng = np.random.default_rng(9)
-        model = random_model(rng)
-        model.digest = DIGEST
+        """A trained model and its reloaded copy decode documents
+        expanded under their own indexes alike."""
+        featurizer = Featurizer("model1")
+        train_seqs = build_corpus(n_sentences=20, seed=9).sequences
+        model = pipeline.train_on_sequences(
+            train_seqs, RunConfig(max_iter=20), featurizer)
         path = tmp_path / "model.tsv"
         save_model(model, path)
         loaded = load_model(path)
-        for _ in range(100):
-            feats = random_features(rng, 6, int(rng.integers(1, 7)))
-            assert viterbi(model, T([feats])) == viterbi(loaded, T([feats]))
-            a = forward_backward(model, T([feats]))[0]
-            b = forward_backward(loaded, T([feats]))[0]
-            assert a.log_z == pytest.approx(b.log_z)
+        for seed in range(5):
+            seqs = build_corpus(n_sentences=6, seed=seed).sequences
+            a, b = (featurize_sequence(seqs, featurizer, m.obs_index)
+                    for m in (model, loaded))
+            assert np.array_equal(a.codes, b.codes)
+            assert viterbi(model, a) == viterbi(loaded, b)
+            for x, y in zip(forward_backward(model, a),
+                            forward_backward(loaded, b), strict=True):
+                assert x.log_z == pytest.approx(y.log_z)
 
     def test_save_without_digest_refused(self, tmp_path):
         """A model `load_model` would refuse is not written at all."""
         path = tmp_path / "model.tsv"
         for digest in ("", "0" * 63, DIGEST.upper()):
             with pytest.raises(CrfError, match="digest"):
-                save_model(CrfModel({"a": 0}, np.zeros(12), digest=digest),
-                           path)
+                save_model(CrfModel(key_index(["a"]), np.zeros(12),
+                                    digest=digest), path)
             assert not path.exists()
 
     def test_corrupted_header(self, tmp_path):
@@ -1216,12 +1261,12 @@ class TestPersistence:
             load_model(path)
 
     def test_weight_count_mismatch(self, tmp_path):
-        rng = np.random.default_rng(10)
-        model = random_model(rng, n_obs=3)
-        model.digest = DIGEST
+        model = CrfModel(key_index(["f0", "f1", "f2"]),
+                         np.random.default_rng(10).normal(size=3 * 3 + 9),
+                         digest=DIGEST)
         path = tmp_path / "model.tsv"
         save_model(model, path)
         text = path.read_text().replace("#n_features\t3", "#n_features\t4")
         path.write_text(text)
-        with pytest.raises(CrfError, match="declares 4"):
+        with pytest.raises(CrfError, match="3 values, 4 features"):
             load_model(path)

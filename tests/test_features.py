@@ -11,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 from tempex import crf, features, pipeline, postproc
 from tempex.config import RunConfig
 from tempex.corpus import (CorpusError, Sequence, Token, assemble_document,
-                           is_valid_bio, pack_sequences)
+                           pack_sequences)
 from tempex.features import (BOS, EOS, DATA_DIR, Featurizer, Gazetteer,
-                             ObservationTable, TEMPLATES, Vocabulary,
-                             collapsed_pattern, expand_templates,
-                             extract_rows, match_gazetteer, pattern,
-                             PROFILES, featurize_sequence)
+                             ObservationTable, TEMPLATES, collapsed_pattern,
+                             expand_templates, extract_rows, match_gazetteer,
+                             pattern, PROFILES, featurize_sequence)
 
+from oracles import (StringKeys, encode_by_keys, from_strings, is_valid_bio,
+                     keys_of)
 from synth import build_corpus
 
 MODEL1 = Featurizer("model1")
@@ -25,21 +26,22 @@ MODEL1 = Featurizer("model1")
 
 def strings(table):
     """Each position's observation keys, empty slots left out."""
-    return [[table.keys[c] for c in row if c >= 0] for row in table]
+    keys = keys_of(table.keys)
+    return [[keys[c] for c in row if c >= 0] for row in table]
 
 
-def expand(rows_per_sequence, templates, unigram, conj, vocabulary=None):
+def expand(rows_per_sequence, templates, unigram, conj, index=None):
     """`expand_templates` of per-position rows, each distinct row passed
     once, as `extract_rows` passes one row per token type."""
-    index: dict[tuple, int] = {}
+    type_of: dict[tuple, int] = {}
     rows, types = [], []
     for row in (r for seq_rows in rows_per_sequence for r in seq_rows):
-        t = index.setdefault(tuple(row.items()), len(index))
+        t = type_of.setdefault(tuple(row.items()), len(type_of))
         if t == len(rows):
             rows.append(row)
         types.append(t)
     return expand_templates(rows, types, tuple(map(len, rows_per_sequence)),
-                            templates, unigram, conj, vocabulary)
+                            templates, unigram, conj, index)
 
 
 def expand_one(rows, templates, unigram, conj):
@@ -322,12 +324,12 @@ SEQUENCES = st.lists(ROWS | st.lists(
 
 
 def reference_table(rows, types, lengths, templates, unigram, conj,
-                    vocabulary=None):
+                    index=None):
     """The table of the reference strings of each sequence, from
-    `expand_templates`' arguments (training passes no vocabulary)."""
-    assert vocabulary is None
+    `expand_templates`' arguments (training passes no index)."""
+    assert index is None
     at = [0, *accumulate(lengths)]
-    return ObservationTable.from_strings(
+    return from_strings(
         [reference_expand([rows[t] for t in types[a:b]], templates,
                           unigram, conj) for a, b in zip(at, at[1:])])
 
@@ -491,7 +493,7 @@ class TestExpansionOracle:
             for feats in reference_expand(rows, TEMPLATES, unigram, conj)]
 
     def test_from_strings_pads_rows_with_empty_slots(self):
-        table = ObservationTable.from_strings([[["a", "b"], ["b"]], [[]]])
+        table = from_strings([[["a", "b"], ["b"]], [[]]])
         assert table.keys == ["a", "b"] and table.lengths == (2, 1)
         assert table.codes.dtype == np.int32
         assert table.codes.tolist() == [[0, 1], [1, -1], [-1, -1]]
@@ -512,19 +514,18 @@ class TestExpansionOracle:
             assert len(set(table.keys)) == len(table.keys)
 
     def test_model_file_identical_to_reference(self, tmp_path, monkeypatch):
-        """A model trained on reference-expanded features is saved byte
-        for byte as the one trained on `expand_templates`."""
+        """A model trained on reference-expanded features is the one
+        trained on `expand_templates`, saved and loaded back: the same
+        key for each id and the same weights, bit for bit."""
         docs = [build_corpus(n_sentences=30, seed=11)]
         config = RunConfig(max_iter=40)
-        saved = []
-        for name in ("new", "reference"):
-            if name == "reference":
-                monkeypatch.setattr(features, "expand_templates",
-                                    reference_table)
-            model, _ = pipeline.train_on_docs(docs, config)
-            crf.save_model(model, tmp_path / f"{name}.crf")
-            saved.append((tmp_path / f"{name}.crf").read_bytes())
-        assert saved[0] == saved[1]
+        model, _ = pipeline.train_on_docs(docs, config)
+        crf.save_model(model, tmp_path / "new.crf")
+        model = crf.load_model(tmp_path / "new.crf")
+        monkeypatch.setattr(features, "expand_templates", reference_table)
+        reference, _ = pipeline.train_on_docs(docs, config)
+        assert keys_of(model.obs_index) == list(reference.obs_index)
+        assert model.weights.tobytes() == reference.weights.tobytes()
 
 
 def reference_index(sequences, cutoff):
@@ -550,8 +551,7 @@ class TestFeatureIndexOnTables:
         for cutoff in (1, 2, 3):
             index = crf.build_feature_index(table, cutoff)
             want = reference_index(sequences, cutoff)
-            assert list(index) == [f for f, _ in want]
-            assert list(index.values()) == list(range(len(want)))
+            assert keys_of(index) == [f for f, _ in want]
             model = crf.CrfModel(index, [0.0] * (3 * len(index) + 9))
             # every kept observation appears as often as the reference
             # counts it
@@ -595,7 +595,7 @@ def unique_index(table, cutoff):
 # references, empty slots, empty sequences
 RAW_TABLES = st.integers(0, 12).flatmap(lambda n_keys: st.builds(
     lambda lengths, n_slots, codes: ObservationTable(
-        [f"k{i}" for i in range(n_keys)],
+        StringKeys(f"k{i}" for i in range(n_keys)),
         np.array(codes[:sum(lengths) * n_slots], dtype=np.int32).reshape(
             sum(lengths), n_slots), tuple(lengths)),
     st.lists(st.integers(0, 5), min_size=1, max_size=5),
@@ -605,21 +605,21 @@ RAW_TABLES = st.integers(0, 12).flatmap(lambda n_keys: st.builds(
 
 class TestIndexOracle:
     """`crf.build_feature_index` against `unique_index`, and the training
-    gather against the dict lookup of `CrfModel.encode`."""
+    gather against a lookup of each slot's key in it."""
 
     @staticmethod
     def check(table):
         for cutoff in (1, 2, 3):
-            lookup = np.empty(len(table.keys) + 1, dtype=np.int32)
-            index = crf.build_feature_index(table, cutoff, lookup)
-            assert list(index.items()) == list(
-                unique_index(table, cutoff).items())
+            index = crf.build_feature_index(table, cutoff)
+            want = unique_index(table, cutoff)
+            assert list(index) == list(want)
             model = crf.CrfModel(index, np.zeros(3 * len(index) + 9))
-            gathered, looked_up = model.encode(table, lookup), \
-                model.encode(table)
-            assert gathered.indices.dtype == looked_up.indices.dtype
-            assert gathered.indices.tolist() == looked_up.indices.tolist()
-            assert gathered.indptr.tolist() == looked_up.indptr.tolist()
+            gathered = model.encode(table)
+            assert gathered.indices.dtype == np.int32
+            assert [ids.tolist() for ids in gathered] == [
+                [want[table.keys[c]] for c in row
+                 if c >= 0 and table.keys[c] in want]
+                for row in table.codes.tolist()]
 
     @settings(max_examples=150, deadline=None)
     @given(SEQUENCES.filter(bool), TEMPLATE_SETS, NAME_SETS, NAME_SETS,
@@ -668,10 +668,12 @@ class TestTableSlices:
             assert strings(part) == strings(fresh)
             for cutoff in (1, 2):
                 index = crf.build_feature_index(part, cutoff)
-                assert list(index.items()) == list(
-                    crf.build_feature_index(fresh, cutoff).items())
-                model = crf.CrfModel(index, [0.0] * (3 * len(index) + 9))
-                for a, b in zip(model.encode(part), model.encode(fresh),
+                fresh_index = crf.build_feature_index(fresh, cutoff)
+                assert keys_of(index) == keys_of(fresh_index)
+                model, fresh_model = (
+                    crf.CrfModel(i, [0.0] * (3 * len(i) + 9))
+                    for i in (index, fresh_index))
+                for a, b in zip(model.encode(part), fresh_model.encode(fresh),
                                 strict=True):
                     assert a.tolist() == b.tolist()
 
@@ -683,8 +685,9 @@ class TestTableSlices:
         model = crf.train(table, [["B", "O"], ["O", "B"]],
                           crf.TrainConfig(max_iter=5))
         assert model.training_log["n_features"] == 674
-        first = model.obs_index["T07\tword\tx|word[+1]=y\tz"]
-        second = model.obs_index["T07\tword\tx\ty|word[+1]=z"]
+        ids = {key: i for i, key in enumerate(keys_of(model.obs_index))}
+        first = ids["T07\tword\tx|word[+1]=y\tz"]
+        second = ids["T07\tword\tx\ty|word[+1]=z"]
         assert not np.array_equal(model.unary_weights()[first],
                                   model.unary_weights()[second])
 
@@ -696,10 +699,9 @@ class TestTableSlices:
         assert strings(empty) == []
 
 
-def model_of(keys):
-    """A model holding `keys` in order, with zero weights."""
-    return crf.CrfModel(dict(zip(keys, range(len(keys)))),
-                        np.zeros(3 * len(keys) + 9))
+def model_of(index):
+    """A model of the observations of `index`, with zero weights."""
+    return crf.CrfModel(index, np.zeros(3 * len(index) + 9))
 
 
 def encoded(model, table):
@@ -708,19 +710,17 @@ def encoded(model, table):
     return steps.indices.tolist(), steps.indptr.tolist()
 
 
-# keys no expansion builds: too few or too many values, an unknown
-# template id or name, a name its template's arity does not expand, an
-# empty value (no token has one), no fields at all
-JUNK_KEYS = ["T05\tword\tMay", "T00\tword\tMay\tMay", "T99\tword\tMay",
-             "T00\tnope\tMay", "T05\tlemma\tmay\tmay", "T05\tword\t\tMay",
-             "T00\tword\t", "T00\tword", "T11", "", "\t\t",
-             "T13\tword\tMay\t\t"]
+def by_keys(model, table):
+    """The encoding by key string (`oracles.encode_by_keys`), as lists:
+    the string path's."""
+    steps = encode_by_keys(model, table)
+    return steps.indices.tolist(), steps.indptr.tolist()
 
 
 class TestVocabulary:
-    """`tag` expands under the model's vocabulary: each slot gets the
-    model's id, never a key, and `CrfModel.encode` gives exactly the ids
-    it finds for the string path's keys."""
+    """`tag` expands under the model's index: each slot gets the model's
+    id, never a key, and those are exactly the ids that the string
+    path's keys find."""
 
     @settings(max_examples=300, deadline=None)
     @given(SEQUENCES, SEQUENCES, TEMPLATE_SETS, NAME_SETS, NAME_SETS,
@@ -728,21 +728,20 @@ class TestVocabulary:
     def test_ids_equal_string_path(self, known, unseen, templates, unigram,
                                    conj, rng):
         """Values that spell separators, sentinels (a literal _BOS_,
-        _EOS_ or _) and empty strings, keys in any order and some
-        missing: the model's keys, and values it has never seen."""
-        keys = list(dict.fromkeys(expand(known, templates, unigram,
-                                         conj).keys + JUNK_KEYS))
-        keys = rng.sample(keys, rng.randint(0, len(keys)))
-        model = model_of(keys)
-        vocabulary = Vocabulary(model.keys, templates, unigram, conj)
+        _EOS_ or _) and empty strings, observations in any order and
+        some missing: the model's, and values it has never seen."""
+        keys = expand(known, templates, unigram, conj).keys
+        model = model_of(keys.subset(np.array(
+            rng.sample(range(len(keys)), rng.randint(0, len(keys))),
+            dtype=np.int64)))
         seqs = rng.sample(known + unseen, len(known + unseen))
-        table = expand(seqs, templates, unigram, conj, vocabulary)
-        # the model's own key list, whose codes `encode` takes as ids
-        assert table.keys is model.keys
+        table = expand(seqs, templates, unigram, conj, model.obs_index)
+        # the model's own index, whose codes `encode` takes as ids
+        assert table.keys is model.obs_index
         assert table.lengths == tuple(map(len, seqs))
         assert table.codes.dtype == np.int32
         assert table.codes.flags.c_contiguous
-        assert encoded(model, table) == encoded(
+        assert encoded(model, table) == by_keys(
             model, expand(seqs, templates, unigram, conj))
 
     # "May" by POS, lemma, chunk and PNP, and "New York City", a
@@ -751,18 +750,17 @@ class TestVocabulary:
 
     @pytest.mark.parametrize("profile", list(PROFILES))
     def test_profiles_unseen_words_and_junk_keys(self, profile):
+        """A model of observations no input below builds, as well as of
+        the known sentences', with ids in shuffled order."""
         featurizer = FEATURIZERS[profile]
         sentinels = make_seq(["_BOS_", "_", "May", "_EOS_"])
         known = [*build_corpus(n_sentences=20, seed=3).sequences,
-                 *self.ANNOTATED[:2], sentinels]
-        keys = list(crf.build_feature_index(
-            featurize_sequence(known, featurizer)))
-        # junk keys among the model's, so that ids shift past them
-        for i, junk in enumerate(JUNK_KEYS):
-            keys.insert(i * len(keys) // len(JUNK_KEYS), junk)
-        model = model_of(keys)
-        vocabulary = featurizer.vocabulary(model.keys)
+                 *self.ANNOTATED[:2], sentinels,
+                 *build_corpus(n_sentences=5, seed=4).sequences]
+        keys = featurize_sequence(known, featurizer).keys
         rng = random.Random(profile)
+        model = model_of(keys.subset(np.array(
+            rng.sample(range(len(keys)), len(keys)), dtype=np.int64)))
         unseen = [make_seq(["".join(rng.choice("qzxjKQ7_") for _ in
                                     range(rng.randint(1, 8)))
                             for _ in range(rng.randint(1, 12))])
@@ -770,38 +768,39 @@ class TestVocabulary:
         empty = Sequence(())
         for seqs in ([], [empty], unseen, [empty, *unseen, empty],
                      [sentinels, make_seq(["_EOS_", "x", "_BOS_"])],
-                     [*unseen[:3], *self.ANNOTATED, *known[::-1]],
+                     [*unseen[:3], *self.ANNOTATED, *known[:-5][::-1]],
                      build_corpus(n_sentences=30, seed=9).sequences):
-            table = featurize_sequence(seqs, featurizer, vocabulary)
+            table = featurize_sequence(seqs, featurizer, model.obs_index)
             strings = featurize_sequence(seqs, featurizer)
             assert table.codes.shape == strings.codes.shape
-            assert encoded(model, table) == encoded(model, strings)
+            assert encoded(model, table) == by_keys(model, strings)
 
     def test_no_dense_slot(self):
         """Word conjunctions alone, over more words than a dense table
         holds: no slot of the group reads a dense table."""
         rows = [[{"word": f"w{i}"} for i in range(features.DENSE_CODES)]]
-        model = model_of(expand(rows, TEMPLATES, (), ("word",)).keys)
-        vocabulary = Vocabulary(model.keys, TEMPLATES, (), ("word",))
-        assert vocabulary.radix[0] > features.DENSE_CODES
+        model = model_of(crf.build_feature_index(
+            expand(rows, TEMPLATES, (), ("word",))))
+        assert model.obs_index.radix[0] > features.DENSE_CODES
         seqs = [rows[0][::-1], [{"word": "w1"}, {"word": "new"}], []]
         assert encoded(model, expand(seqs, TEMPLATES, (), ("word",),
-                                     vocabulary)) == encoded(
+                                     model.obs_index)) == by_keys(
             model, expand(seqs, TEMPLATES, (), ("word",)))
 
     def test_other_templates_are_refused(self):
-        vocabulary = MODEL1.vocabulary([])
+        index = featurize_sequence([], MODEL1).keys
         rows, types = extract_rows([make_seq(["May"])], MODEL1)
         with pytest.raises(ValueError, match="other templates"):
             expand_templates(rows, types, (1,), TEMPLATES[:5],
                              MODEL1.unigram_features,
-                             MODEL1.config.conjunction_features, vocabulary)
+                             MODEL1.config.conjunction_features, index)
 
     @pytest.mark.parametrize("profile", list(PROFILES))
     def test_label_documents_decode_as_the_string_path(self, profile,
                                                        monkeypatch):
         """Marginals, logZ and Viterbi paths of `label_documents`, batch
-        by batch, are the bits of `_label_batch` over string tables."""
+        by batch, are the bits of `_label_batch` over tables of their
+        own, encoded by key string."""
         featurizer = FEATURIZERS[profile]
         config = RunConfig(profile=profile, max_iter=15)
         train = [*build_corpus(n_sentences=30, seed=3).sequences,
@@ -813,8 +812,6 @@ class TestVocabulary:
         docs.append(assemble_document("annotated", docs[0].dct,
                                       pack_sequences(self.ANNOTATED)))
         monkeypatch.setattr(pipeline, "BATCH_TOKENS", 150)
-        # every batch under the vocabulary, however few its tokens
-        monkeypatch.setattr(pipeline, "KEYS_PER_TOKEN", model.n_obs)
         seen = []
         for name in ("forward_backward", "viterbi"):
             original = getattr(crf, name)
@@ -824,11 +821,16 @@ class TestVocabulary:
         for string_path in (False, True):
             seen.clear()
             labels = []
+            if string_path:
+                monkeypatch.setattr(crf.CrfModel, "encode", encode_by_keys)
             for p in (priors, None):
                 if string_path:
                     for batch in pipeline.document_batches(docs):
                         labels += pipeline._label_batch(
-                            batch, model, featurizer, config, p)
+                            batch, model, featurizer, config, p,
+                            featurize_sequence([seq for doc in batch
+                                                for seq in doc.sequences],
+                                               featurizer))
                 else:
                     labels += pipeline.label_documents(
                         docs, model, featurizer, config, p)

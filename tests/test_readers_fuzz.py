@@ -9,6 +9,7 @@ replaced, or raw bytes.  A replacement is at most five characters;
 """
 
 import contextlib
+import hashlib
 import io
 import re
 import tracemalloc
@@ -19,7 +20,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tempex import crf
 from tempex.cli import main
-from tempex.features import Featurizer
+from tempex.corpus import read_corpus
+from tempex.features import Featurizer, featurize_sequence
 
 DCT = "2013-04-11"
 
@@ -64,14 +66,26 @@ def mangled(draw, valid: str) -> bytes:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    model = crf.CrfModel({"T00\tword\tFriday": 0, "T00\tword\ton": 1},
-                         np.linspace(-1.0, 1.0, 15),
-                         digest=Featurizer("model1").digest)
-    crf.save_model(model, root / "model.crf")
     for name, text in (("corpus.tsv", CORPUS), ("attrs.tsv", ATTRS),
                        ("model.priors", PRIORS), ("rules.tsv", RULES),
                        ("run.ini", CONFIG)):
         (root / name).write_text(text, encoding="utf-8")
+    # the observations `T00 word Friday` and `T00 word on` of the corpus
+    featurizer = Featurizer("model1")
+    keys = featurize_sequence([seq for doc in read_corpus(root / "corpus.tsv")
+                               for seq in doc.sequences], featurizer).keys
+    ids = {obs: i for i, obs in enumerate(keys)}
+    index = keys.subset(np.array([ids["T00", "word", "Friday"],
+                                  ids["T00", "word", "on"]]))
+    model = crf.CrfModel(index, np.linspace(-1.0, 1.0, 15),
+                         digest=featurizer.digest, training_log={
+                             "max_iter": 5, "cutoff": 1, "iterations": 5,
+                             "converged": False,
+                             "message": "iteration limit 5 reached",
+                             "sentences": 3, "tokens": 7,
+                             "corpus_sha256": hashlib.sha256(
+                                 CORPUS.encode()).hexdigest()})
+    crf.save_model(model, root / "model.crf")
     return root
 
 
@@ -165,3 +179,81 @@ def test_rule_overrides(files, data):
 def test_config(files, data):
     (files / "fuzz.ini").write_bytes(data)
     run(["--config", files / "fuzz.ini", "rules", "dump"])
+
+
+def tag_error(files, text: str) -> str:
+    """`tempex tag` with the model file `text`: exit 2, and the message."""
+    (files / "bad.crf").write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["tag", str(files / "corpus.tsv"), str(files / "bad.crf"),
+                   "--priors", str(files / "model.priors"), "--output",
+                   str(files / "bad.out")])
+    assert rc == 2
+    return err.getvalue()
+
+
+def sections(lines: list[str]) -> dict[str, int]:
+    """The 0-based index of the first line of each part of a model
+    file's lines."""
+    size = {line[1:].split("\t")[0]: int(line.split("\t")[1])
+            for line in lines if line.startswith("#n_")}
+    slots = sum(1 for line in lines if line.startswith("#"))
+    values = slots + size["n_slots"]
+    block = values + size["n_values"]
+    return {"slots": slots, "values": values, "block": block,
+            "triples": block + size["n_rows"] + 3,
+            "training": next(i for i, line in enumerate(lines)
+                             if line.startswith("#training\t"))}
+
+
+# (part, offset of the line in it, its replacement given the line and
+# the one before it, a piece of the message)
+MALFORMED = [
+    ("slots", 0, lambda line, prev: "T99\tword", "template id"),
+    ("slots", 0, lambda line, prev: "T00", "template id"),
+    ("slots", 0, lambda line, prev: "T00\tword\tx", "template id"),
+    ("slots", 1, lambda line, prev: prev, "repeated slot"),
+    ("values", 0, lambda line, prev: "nope\tx", "feature name"),
+    ("values", 0, lambda line, prev: "word", "feature name"),
+    ("values", 1, lambda line, prev: prev, "repeated value"),
+    ("block", 0, lambda line, prev: "1.0\tx\t2.0", "bad weight"),
+    ("block", 0, lambda line, prev: "1.0\t2.0", "w_B<TAB>w_I<TAB>w_O"),
+    ("block", 2, lambda line, prev: "1.0\tnan\t2.0", "bad weight"),
+    ("triples", 0, lambda line, prev: "0\t0", "row<TAB>slot<TAB>code"),
+    ("triples", 0, lambda line, prev: "0\t0\tx", "bad number"),
+    ("triples", 0, lambda line, prev: "5\t0\t0", "row 5 out of range"),
+    ("triples", 0, lambda line, prev: "0\t371\t0", "slot 371 out of"),
+    ("triples", 0, lambda line, prev: "0\t0\t99", "code 99 names no"),
+    ("triples", 1, lambda line, prev: "1" + prev[1:], "repeated"),
+    ("training", 0, lambda line, prev: "#training\tmax_iter=5",
+     "bad #training"),
+    ("training", 0, lambda line, prev: line.replace("=no", "=maybe"),
+     "bad #training"),
+    ("training", 0, lambda line, prev: line.replace("cutoff=1", "cutoff=x"),
+     "bad #training"),
+    ("training", 0, lambda line, prev: line.replace("sha256=", "sha256=0"),
+     "bad #training"),
+]
+
+
+@pytest.mark.parametrize("part,offset,edit,message", MALFORMED)
+def test_malformed_line_named(files, part, offset, edit, message):
+    """Each part of a `tempex-crf-4` file with one line malformed: exit
+    2, with an error naming that line."""
+    lines = (files / "model.crf").read_text(encoding="utf-8").splitlines()
+    i = sections(lines)[part] + offset
+    lines[i] = edit(lines[i], lines[i - 1])
+    err = tag_error(files, "\n".join(lines) + "\n")
+    assert f"line {i + 1}: " in err and message in err, err
+
+
+def test_format_3_refused_by_name(files):
+    """A `tempex-crf-3` model, keys spelled as strings, is refused by
+    its version, with the advice to retrain."""
+    lines = (files / "model.crf").read_text(encoding="utf-8").splitlines()
+    lines[0] = "#version\ttempex-crf-3"
+    err = tag_error(files, "\n".join(lines) + "\n")
+    assert "model format 'tempex-crf-3' not supported" in err
+    assert "retrain" in err
